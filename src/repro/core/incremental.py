@@ -15,6 +15,11 @@ learning a new activity (and the calibration variant) on the device:
 
 The learner mutates the embedder in place and reports the training history;
 the caller (the Edge device) rebuilds the NCM prototypes afterwards.
+
+A recording is refused *before* either is touched when any feature row is
+non-finite: one ``nan`` would otherwise reach every weight through the
+first backward pass and leave the device answering one class for
+everything, with no error raised.
 """
 
 from __future__ import annotations
@@ -60,6 +65,20 @@ class UpdateResult:
     n_new_samples: int
 
 
+def _check_recording(features: np.ndarray, min_rows: int, too_few: str) -> np.ndarray:
+    """Validate one recording's ``(n, d)`` feature rows before any update."""
+    arr = check_2d("features", features)
+    if arr.shape[0] < min_rows:
+        raise DataShapeError(too_few)
+    bad_rows = int(np.count_nonzero(~np.isfinite(arr).all(axis=1)))
+    if bad_rows:
+        raise DataShapeError(
+            f"features contain non-finite values in {bad_rows} of "
+            f"{arr.shape[0]} rows; the recording was not used"
+        )
+    return arr
+
+
 class IncrementalLearner:
     """Performs support-set updates plus joint re-training on the Edge."""
 
@@ -88,11 +107,9 @@ class IncrementalLearner:
         features: np.ndarray,
     ) -> UpdateResult:
         """Add a brand-new activity and re-train (Section 3.3 steps 2-3)."""
-        arr = check_2d("features", features)
-        if arr.shape[0] < 2:
-            raise DataShapeError(
-                "need at least 2 samples of the new activity to learn it"
-            )
+        arr = _check_recording(
+            features, 2, "need at least 2 samples of the new activity to learn it"
+        )
         support_set.add_class(class_name, arr, embedder=embedder)
         history = self._retrain(embedder, support_set)
         return UpdateResult(
@@ -114,11 +131,9 @@ class IncrementalLearner:
         Mirrors :meth:`learn_new_class` except the class's support-set
         exemplars are *replaced* by the user's data (paper, Section 3.3).
         """
-        arr = check_2d("features", features)
-        if arr.shape[0] < 2:
-            raise DataShapeError(
-                "need at least 2 samples to calibrate an activity"
-            )
+        arr = _check_recording(
+            features, 2, "need at least 2 samples to calibrate an activity"
+        )
         support_set.replace_class(class_name, arr, embedder=embedder)
         history = self._retrain(embedder, support_set)
         return UpdateResult(
@@ -140,9 +155,7 @@ class IncrementalLearner:
         A milder alternative to calibration: old exemplars stay eligible,
         the selection re-runs over the union.
         """
-        arr = check_2d("features", features)
-        if arr.shape[0] < 1:
-            raise DataShapeError("need at least 1 sample to reinforce")
+        arr = _check_recording(features, 1, "need at least 1 sample to reinforce")
         support_set.extend_class(class_name, arr, embedder=embedder)
         history = self._retrain(embedder, support_set)
         return UpdateResult(

@@ -51,7 +51,7 @@ from .optim import (
     StepLR,
     clip_grad_norm,
 )
-from .pairs import all_pairs, sample_pairs
+from .pairs import PairSampler, all_pairs, sample_pairs
 from .serialization import load_network, network_bundle_bytes, save_network
 from .siamese import (
     SharedBackbone,
@@ -72,6 +72,7 @@ __all__ = [
     "Optimizer",
     "PAPER_BACKBONE_DIMS",
     "PAPER_EMBEDDING_DIM",
+    "PairSampler",
     "Parameter",
     "QuantizedNetwork",
     "QuantizedTensor",

@@ -11,7 +11,10 @@ Conventions
 - ``forward(x, training=...)`` caches whatever ``backward`` needs.
 - ``backward(grad_out)`` *accumulates* parameter gradients (``+=``) and
   returns the gradient w.r.t. the layer input, so a network can run several
-  backward passes per optimizer step (e.g. joint losses).
+  backward passes per optimizer step (e.g. joint losses).  With
+  ``need_input_grad=False`` the parameter gradients are accumulated exactly
+  as before and ``None`` is returned instead of the input gradient — the
+  first layer of a network being trained has nobody to hand it to.
 - Parameters are :class:`Parameter` objects; optimizers mutate
   ``param.data`` in place using ``param.grad``.
 """
@@ -54,7 +57,9 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         raise NotImplementedError
 
     def parameters(self) -> List[Parameter]:
@@ -101,12 +106,16 @@ class Linear(Layer):
             self._x = x
         return x @ self.weight.data + self.bias.data
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._x is None:
             raise TrainingStateError("backward called before a training forward pass")
         grad_out = np.asarray(grad_out, dtype=np.float64)
         self.weight.grad += self._x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
+        if not need_input_grad:
+            return None
         return grad_out @ self.weight.data.T
 
     def parameters(self) -> List[Parameter]:
@@ -135,9 +144,13 @@ class ReLU(Layer):
             self._mask = x > 0.0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._mask is None:
             raise TrainingStateError("backward called before a training forward pass")
+        if not need_input_grad:
+            return None
         return grad_out * self._mask
 
     def to_config(self) -> Dict:
@@ -159,9 +172,13 @@ class Tanh(Layer):
             self._out = out
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._out is None:
             raise TrainingStateError("backward called before a training forward pass")
+        if not need_input_grad:
+            return None
         return grad_out * (1.0 - self._out**2)
 
     def to_config(self) -> Dict:
@@ -189,9 +206,13 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._mask is None:
             raise TrainingStateError("backward called before a training forward pass")
+        if not need_input_grad:
+            return None
         return grad_out * self._mask
 
     def to_config(self) -> Dict:
@@ -240,13 +261,17 @@ class BatchNorm1d(Layer):
             x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return self.gamma.data * x_hat + self.beta.data
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache is None:
             raise TrainingStateError("backward called before a training forward pass")
         x_hat, var = self._cache
         n = grad_out.shape[0]
         self.gamma.grad += (grad_out * x_hat).sum(axis=0)
         self.beta.grad += grad_out.sum(axis=0)
+        if not need_input_grad:
+            return None
         inv_std = 1.0 / np.sqrt(var + self.eps)
         g = grad_out * self.gamma.data
         return (

@@ -9,8 +9,7 @@ that by default (on top of the 80-dimensional feature input), and
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +45,19 @@ class Sequential(Layer):
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Back-propagate through the stack, accumulating parameter gradients.
+
+        Only the first layer's input gradient is optional: a trainer that
+        never reads it passes ``need_input_grad=False`` and gets ``None``
+        back, which spares that layer its ``grad_out @ W.T`` product.
+        """
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[0].backward(grad, need_input_grad=need_input_grad)
 
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []

@@ -1,8 +1,16 @@
-"""Optimizers and learning-rate schedules for the numpy NN substrate."""
+"""Optimizers and learning-rate schedules for the numpy NN substrate.
+
+A step runs in place: every intermediate of the update rule is written
+through ``out=`` into one pair of scratch buffers sized to the largest
+parameter, which the optimizer owns and which goes away with it.  The
+operations and their order are the textbook ones, so the weights are
+bit-identical to an implementation that allocates a temporary per
+operation.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,10 +28,23 @@ class Optimizer:
         if not self.params:
             raise ConfigurationError("optimizer received no parameters")
         self.lr = float(lr)
+        self._scratch = np.empty((2, max(p.data.size for p in self.params)))
+
+    def _scratch_pair(self, param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
+        """Two ``param``-shaped views into the shared scratch buffers."""
+        size, shape = param.data.size, param.data.shape
+        return (
+            self._scratch[0, :size].reshape(shape),
+            self._scratch[1, :size].reshape(shape),
+        )
 
     def zero_grad(self) -> None:
         for param in self.params:
             param.zero_grad()
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """:func:`clip_grad_norm` over this optimizer's parameters."""
+        return clip_grad_norm(self.params, max_norm, scratch=self._scratch[0])
 
     def step(self) -> None:
         raise NotImplementedError
@@ -57,16 +78,19 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         for param, vel in zip(self.params, self._velocity):
+            decayed, scaled = self._scratch_pair(param)
             grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+                np.multiply(param.data, self.weight_decay, out=decayed)
+                grad = np.add(grad, decayed, out=decayed)
             if self.momentum:
                 vel *= self.momentum
                 vel += grad
                 update = vel
             else:
                 update = grad
-            param.data -= self.lr * update
+            np.multiply(update, self.lr, out=scaled)
+            param.data -= scaled
 
 
 class Adam(Optimizer):
@@ -102,28 +126,50 @@ class Adam(Optimizer):
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
         for param, m, v in zip(self.params, self._m, self._v):
+            num, den = self._scratch_pair(param)
             grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+                np.multiply(param.data, self.weight_decay, out=num)
+                grad = np.add(grad, num, out=num)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=den)
+            m += den
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bc1
-            v_hat = v / bc2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - self.beta2, out=den)
+            den *= grad
+            v += den
+            # lr * m_hat / (sqrt(v_hat) + eps); the decayed gradient that
+            # shared ``num`` is dead from here on
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            param.data -= num
 
 
-def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
+def clip_grad_norm(
+    params: Sequence[Parameter],
+    max_norm: float,
+    scratch: Optional[np.ndarray] = None,
+) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    ``scratch`` is a flat float64 buffer at least as large as the largest
+    gradient, used for the squared gradients (an optimizer lends its own
+    through :meth:`Optimizer.clip_grad_norm`); one is allocated when absent.
 
     Returns the pre-clipping norm.
     """
     if max_norm <= 0:
         raise ConfigurationError(f"max_norm must be > 0, got {max_norm}")
+    if scratch is None:
+        scratch = np.empty(max((p.grad.size for p in params), default=0))
     total = 0.0
     for param in params:
-        total += float((param.grad * param.grad).sum())
+        squared = scratch[: param.grad.size].reshape(param.grad.shape)
+        total += float(np.multiply(param.grad, param.grad, out=squared).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / (norm + 1e-12)

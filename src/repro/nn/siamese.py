@@ -9,6 +9,15 @@ pre-update model) to prevent catastrophic forgetting during Edge re-training.
 Because the two branches share weights, a pair batch is run as one stacked
 forward pass; the contrastive gradient is split/merged accordingly and a
 single backward pass updates the shared parameters.
+
+What does not change between batches is computed once per ``train`` call:
+the :class:`~repro.nn.pairs.PairSampler` (class index lists, validation)
+and the frozen teacher's embeddings of the whole training set, which each
+batch then gathers by pair index instead of running a teacher forward pass
+of its own.  The pair stream, the losses and the optimizer arithmetic are
+those of the plain loop — sample, stack, forward both networks, backward,
+clip, step — so a seed yields the same weights, bit for bit
+(``tests/test_nn_siamese.py`` keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from ..utils import RngLike, check_2d, check_labels, ensure_rng
 from .layers import Linear
 from .losses import contrastive_loss, distillation_loss
 from .network import Sequential
-from .optim import Adam, SGD, clip_grad_norm
-from .pairs import sample_pairs
+from .optim import Adam, SGD
+from .pairs import PairSampler
 
 
 class SiameseEmbedder:
@@ -194,6 +203,32 @@ class TrainConfig:
             raise ConfigurationError(
                 f"distill_weight must be >= 0, got {self.distill_weight}"
             )
+        # The rest would otherwise surface inside the first batch — after an
+        # Edge update has already rewritten the support set.
+        if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
+            raise ConfigurationError(
+                f"pairs_per_epoch must be >= 1 or None, got {self.pairs_per_epoch}"
+            )
+        if not self.lr > 0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(
+                f"momentum must be in [0, 1), got {self.momentum}"
+            )
+        if not self.weight_decay >= 0:
+            raise ConfigurationError(
+                f"weight_decay must be >= 0, got {self.weight_decay}"
+            )
+        if not self.margin > 0:
+            raise ConfigurationError(f"margin must be > 0, got {self.margin}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigurationError(
+                f"grad_clip must be > 0 or None, got {self.grad_clip}"
+            )
+        if not 0.0 <= self.positive_fraction <= 1.0:
+            raise ConfigurationError(
+                f"positive_fraction must be in [0, 1], got {self.positive_fraction}"
+            )
 
 
 class SiameseTrainer:
@@ -224,7 +259,9 @@ class SiameseTrainer:
         When ``teacher`` is given and ``distill_weight > 0``, every batch
         adds an embedding-distillation term anchoring the student to the
         teacher's embedding of the *same* inputs — the paper's defense
-        against catastrophic forgetting during Edge re-training.
+        against catastrophic forgetting during Edge re-training.  The
+        teacher is frozen and the inputs are fixed, so it embeds them once,
+        up front; ``teacher`` must not be the network being trained.
         """
         cfg = self.config
         X = check_2d("features", features, n_cols=embedder.input_dim)
@@ -232,43 +269,43 @@ class SiameseTrainer:
         if X.shape[0] < 2:
             raise DataShapeError("need at least 2 samples to form pairs")
 
+        # The one full-set forward pass comes first, so its activations are
+        # gone before the optimizer's state is allocated (peak memory).
+        z_teacher_all = None
+        if teacher is not None and cfg.distill_weight > 0.0:
+            z_teacher_all = teacher.embed(X)
+        network = embedder.network
         optimizer = self._make_optimizer(embedder)
+        sampler = PairSampler(y, cfg.positive_fraction)
         pairs_per_epoch = (
             cfg.pairs_per_epoch if cfg.pairs_per_epoch is not None else 4 * X.shape[0]
         )
         n_batches = max(1, int(np.ceil(pairs_per_epoch / cfg.batch_pairs)))
-        distill_active = teacher is not None and cfg.distill_weight > 0.0
 
         history = TrainHistory()
         for _ in range(cfg.epochs):
             epoch_con, epoch_dis = 0.0, 0.0
             for _ in range(n_batches):
-                ia, ib, same = sample_pairs(
-                    y,
-                    cfg.batch_pairs,
-                    rng=self._rng,
-                    positive_fraction=cfg.positive_fraction,
-                )
-                batch = np.concatenate([X[ia], X[ib]], axis=0)
-                z = embedder.network.forward(batch, training=True)
+                ia, ib, same = sampler.draw(cfg.batch_pairs, self._rng)
+                stacked = np.concatenate([ia, ib])
+                z = network.forward(X[stacked], training=True)
                 b = ia.shape[0]
-                za, zb = z[:b], z[b:]
 
                 con_loss, grad_a, grad_b = contrastive_loss(
-                    za, zb, same, margin=cfg.margin
+                    z[:b], z[b:], same, margin=cfg.margin
                 )
                 grad_z = np.concatenate([grad_a, grad_b], axis=0)
 
                 dis_loss = 0.0
-                if distill_active:
-                    z_teacher = teacher.embed(batch)
-                    dis_loss, grad_dis = distillation_loss(z, z_teacher)
-                    grad_z = grad_z + cfg.distill_weight * grad_dis
+                if z_teacher_all is not None:
+                    dis_loss, grad_dis = distillation_loss(z, z_teacher_all[stacked])
+                    grad_dis *= cfg.distill_weight
+                    grad_z += grad_dis
 
-                embedder.network.zero_grad()
-                embedder.network.backward(grad_z)
+                optimizer.zero_grad()
+                network.backward(grad_z, need_input_grad=False)
                 if cfg.grad_clip is not None:
-                    clip_grad_norm(embedder.network.parameters(), cfg.grad_clip)
+                    optimizer.clip_grad_norm(cfg.grad_clip)
                 optimizer.step()
 
                 epoch_con += con_loss

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import EdgeDevice, NetworkLink
+from repro.core import EdgeDevice, IncrementalConfig, NetworkLink
 from repro.datasets import activity_windows, train_test_windows
 from repro.exceptions import (
+    ConfigurationError,
     DataShapeError,
     NotFittedError,
     PrivacyViolationError,
 )
+from repro.nn import TrainConfig
 from repro.sensors import SensorDevice
 
 
@@ -84,28 +86,40 @@ class TestInference:
         assert np.median(latencies) < 50.0
 
 
+@pytest.fixture
+def recorder(scenario):
+    """The edge user's phone on a generator of its own.
+
+    ``scenario.sensor_device`` is one stateful generator shared by the whole
+    session, so what it records depends on which tests ran first.  The
+    learn/calibrate tests assert on what the device recognizes afterwards
+    and must see the same recordings in every test order.
+    """
+    return SensorDevice(user=scenario.edge_user, rng=2024)
+
+
 class TestIncrementalLearning:
-    def test_learn_new_activity_from_recording(self, edge, scenario):
-        rec = scenario.sensor_device.record("gesture_hi", 20.0)
+    def test_learn_new_activity_from_recording(self, edge, recorder):
+        rec = recorder.record("gesture_hi", 20.0)
         result = edge.learn_activity("gesture_hi", rec)
         assert result.operation == "learn"
         assert "gesture_hi" in edge.classes
         assert edge.classes[:5] == ("drive", "escooter", "run", "still", "walk")
 
-    def test_new_activity_recognized_after_learning(self, edge, scenario):
-        train = scenario.sensor_device.record("gesture_hi", 20.0)
+    def test_new_activity_recognized_after_learning(self, edge, recorder):
+        train = recorder.record("gesture_hi", 20.0)
         edge.learn_activity("gesture_hi", train)
-        test = scenario.sensor_device.record("gesture_hi", 4.0)
+        test = recorder.record("gesture_hi", 4.0)
         majority, _ = edge.infer_recording(test)
         assert majority == "gesture_hi"
 
-    def test_old_classes_survive_update(self, edge, scenario):
+    def test_old_classes_survive_update(self, edge, scenario, recorder):
         """The headline no-catastrophic-forgetting property."""
         feats = edge.pipeline.process_windows(scenario.base_test.windows)
         before = edge.infer_features(feats)
         acc_before = float(np.mean(before == scenario.base_test.labels))
 
-        rec = scenario.sensor_device.record("gesture_hi", 20.0)
+        rec = recorder.record("gesture_hi", 20.0)
         edge.learn_activity("gesture_hi", rec)
 
         after = edge.infer_features(feats)
@@ -119,33 +133,81 @@ class TestIncrementalLearning:
         edge.learn_activity("jump", feats)
         assert "jump" in edge.classes
 
-    def test_learning_grows_footprint(self, edge, scenario):
+    def test_learning_grows_footprint(self, edge, recorder):
         before = edge.footprint_bytes()
-        rec = scenario.sensor_device.record("gesture_hi", 20.0)
+        rec = recorder.record("gesture_hi", 20.0)
         edge.learn_activity("gesture_hi", rec)
         assert edge.footprint_bytes() > before
 
-    def test_reinforce_existing_activity(self, edge, scenario):
-        rec = scenario.sensor_device.record("walk", 10.0)
+    def test_reinforce_existing_activity(self, edge, recorder):
+        rec = recorder.record("walk", 10.0)
         result = edge.reinforce_activity("walk", rec)
         assert result.operation == "extend"
         assert edge.classes == ("drive", "escooter", "run", "still", "walk")
 
 
 class TestCalibration:
-    def test_calibrate_replaces_and_retrains(self, edge, scenario):
-        rec = scenario.sensor_device.record("walk", 15.0)
+    def test_calibrate_replaces_and_retrains(self, edge, recorder):
+        rec = recorder.record("walk", 15.0)
         n_classes_before = len(edge.classes)
         result = edge.calibrate_activity("walk", rec)
         assert result.operation == "calibrate"
         assert len(edge.classes) == n_classes_before
 
-    def test_calibrated_class_still_recognized(self, edge, scenario):
-        rec = scenario.sensor_device.record("walk", 15.0)
+    def test_calibrated_class_still_recognized(self, edge, recorder):
+        rec = recorder.record("walk", 15.0)
         edge.calibrate_activity("walk", rec)
-        test = scenario.sensor_device.record("walk", 4.0)
+        test = recorder.record("walk", 4.0)
         majority, _ = edge.infer_recording(test)
         assert majority == "walk"
+
+
+def device_state(edge):
+    """Every byte an update may change: weights, support set, classifier."""
+    return (
+        {k: v.tobytes() for k, v in edge.embedder.network.state_dict().items()},
+        {k: v.tobytes() for k, v in edge.support_set.to_arrays().items()},
+        edge.ncm.prototypes_.tobytes(),
+        edge.ncm.class_names_,
+    )
+
+
+class TestRefusedRecordings:
+    """One non-finite sample must cost the user a recording, not the model."""
+
+    @pytest.mark.parametrize("poison", [np.nan, -np.inf])
+    @pytest.mark.parametrize("operation, activity", [
+        ("learn_activity", "gesture_hi"),
+        ("calibrate_activity", "walk"),
+        ("reinforce_activity", "walk"),
+    ])
+    def test_non_finite_sample_refused_before_anything_changes(
+        self, edge, recorder, operation, activity, poison
+    ):
+        rec = recorder.record(activity, 25.0)
+        rec.data[1500, 3] = poison
+        before = device_state(edge)
+        with pytest.raises(DataShapeError, match=r"non-finite values in \d+ of \d+ rows"):
+            getattr(edge, operation)(activity, rec)
+        assert device_state(edge) == before
+        majority, _ = edge.infer_recording(recorder.record("walk", 4.0))
+        assert majority == "walk"
+
+    def test_non_finite_feature_rows_are_counted(self, edge, recorder):
+        feats = edge.process_recording(recorder.record("gesture_hi", 10.0))
+        feats[2, 5] = np.nan
+        feats[7, 0] = np.inf
+        before = device_state(edge)
+        with pytest.raises(DataShapeError, match="in 2 of 10 rows"):
+            edge.learn_activity("gesture_hi", feats)
+        assert device_state(edge) == before
+        assert "gesture_hi" not in edge.classes
+
+    def test_unusable_training_config_never_reaches_a_device(self):
+        # it used to surface inside the first batch, after the support set
+        # had already taken the new class
+        with pytest.raises(ConfigurationError, match="positive_fraction"):
+            IncrementalConfig(train=TrainConfig(positive_fraction=1.5))
 
 
 class TestPrivacy:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_training import ReferenceAdam, ReferenceSGD, reference_clip_grad_norm
 
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.nn import (
@@ -16,6 +17,7 @@ from repro.nn import (
     SGD,
     Sequential,
     StepLR,
+    Tanh,
     build_mlp,
     clip_grad_norm,
     mse_loss,
@@ -272,3 +274,102 @@ class TestSchedules:
             StepLR(1.0, step_size=0)
         with pytest.raises(ConfigurationError):
             CosineAnnealingLR(1.0, total_epochs=10, min_lr=2.0)
+
+
+# --------------------------------------------------------------------- #
+# the in-place step and the trimmed backward pass move no bit
+# --------------------------------------------------------------------- #
+
+
+def twin_networks():
+    net = build_mlp(7, hidden_dims=(12, 9), output_dim=5, rng=3)
+    return net, net.clone()
+
+
+def fill_grads(net, twin, rng, scale=1.0):
+    for p, q in zip(net.parameters(), twin.parameters()):
+        p.grad[...] = scale * rng.normal(size=p.grad.shape)
+        q.grad[...] = p.grad
+
+
+class TestBackwardWithoutInputGrad:
+    @pytest.mark.parametrize("first_layers", [
+        lambda rng: [Linear(7, 6, rng=rng)],
+        lambda rng: [BatchNorm1d(7), Linear(7, 6, rng=rng)],
+        lambda rng: [Tanh(), Linear(7, 6, rng=rng)],
+    ])
+    def test_parameter_grads_identical_and_nothing_returned(self, first_layers, rng):
+        net = Sequential(first_layers(rng) + [ReLU(), Linear(6, 3, rng=rng)])
+        twin = net.clone()
+        x = rng.normal(size=(5, 7))
+        grad_out = rng.normal(size=(5, 3))
+
+        net.forward(x, training=True)
+        net.zero_grad()
+        full = net.backward(grad_out)
+        twin.forward(x, training=True)
+        twin.zero_grad()
+        trimmed = twin.backward(grad_out, need_input_grad=False)
+
+        assert full.shape == x.shape
+        assert trimmed is None
+        for p, q in zip(net.parameters(), twin.parameters()):
+            assert np.array_equal(p.grad, q.grad)
+
+    def test_default_still_returns_input_gradient(self, rng):
+        layer = Linear(4, 3, rng=rng)
+        layer.forward(rng.normal(size=(2, 4)), training=True)
+        grad_out = rng.normal(size=(2, 3))
+        assert np.array_equal(
+            layer.backward(grad_out), grad_out @ layer.weight.data.T
+        )
+
+
+class TestInPlaceStepsAreExact:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("fast_cls, reference_cls, kwargs", [
+        (SGD, ReferenceSGD, {}),
+        (SGD, ReferenceSGD, {"momentum": 0.9}),
+        (Adam, ReferenceAdam, {}),
+    ])
+    def test_steps_match_textbook_optimizer(
+        self, fast_cls, reference_cls, kwargs, weight_decay, rng
+    ):
+        net, twin = twin_networks()
+        fast = fast_cls(net.parameters(), lr=0.05, weight_decay=weight_decay, **kwargs)
+        reference = reference_cls(
+            twin.parameters(), 0.05, weight_decay=weight_decay, **kwargs
+        )
+        for _ in range(25):
+            fill_grads(net, twin, rng)
+            before = [p.grad.copy() for p in net.parameters()]
+            fast.step()
+            reference.step()
+            for p, q, g in zip(net.parameters(), twin.parameters(), before):
+                assert np.array_equal(p.data, q.data)
+                assert np.array_equal(p.grad, g)  # a step never edits gradients
+
+    @pytest.mark.parametrize("scale", [1e-3, 50.0])
+    def test_clip_matches_textbook_clip(self, scale, rng):
+        net, twin = twin_networks()
+        fill_grads(net, twin, rng, scale=scale)
+        want = reference_clip_grad_norm(twin.parameters(), 1.0)
+        assert clip_grad_norm(net.parameters(), 1.0) == want
+        for p, q in zip(net.parameters(), twin.parameters()):
+            assert np.array_equal(p.grad, q.grad)
+
+    def test_optimizer_clip_is_the_same_clip(self, rng):
+        net, twin = twin_networks()
+        fill_grads(net, twin, rng, scale=50.0)
+        optimizer = Adam(net.parameters())
+        assert optimizer.clip_grad_norm(1.0) == clip_grad_norm(twin.parameters(), 1.0)
+        for p, q in zip(net.parameters(), twin.parameters()):
+            assert np.array_equal(p.grad, q.grad)
+        with pytest.raises(ConfigurationError):
+            optimizer.clip_grad_norm(0.0)
+
+    def test_scratch_is_one_pair_sized_to_the_largest_parameter(self, rng):
+        net, _ = twin_networks()
+        largest = max(p.data.size for p in net.parameters())
+        for optimizer in (Adam(net.parameters()), SGD(net.parameters(), momentum=0.9)):
+            assert optimizer._scratch.shape == (2, largest)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_training import reference_sample_pairs, reference_train
 
 from repro.exceptions import ConfigurationError, DataShapeError, NotFittedError
 from repro.nn import (
+    PairSampler,
     SiameseEmbedder,
     SiameseTrainer,
     TrainConfig,
@@ -222,3 +224,163 @@ class TestSiameseTrainer:
             rng=2,
         ).train(emb, X, y)
         assert history.total[-1] <= history.total[0]
+
+
+# --------------------------------------------------------------------- #
+# the exactness contract: the fast loop moves no weight
+# --------------------------------------------------------------------- #
+
+PAIR_LABELS = {
+    # the Edge situation: full old classes, a short new one
+    "skewed": np.repeat(np.arange(6), [50, 50, 50, 50, 50, 15]),
+    "singletons_only": np.arange(7),
+    "single_class": np.zeros(9, dtype=int),
+}
+
+
+class TestPairSampler:
+    @pytest.mark.parametrize("name", sorted(PAIR_LABELS))
+    def test_draws_match_sequential_reference_for_200_batches(self, name):
+        labels = PAIR_LABELS[name]
+        fast_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        sampler = PairSampler(labels, positive_fraction=0.5)
+        for _ in range(200):
+            got = sampler.draw(48, fast_rng)
+            want = reference_sample_pairs(labels, 48, ref_rng, 0.5)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+        # nothing downstream of the sampler re-draws either
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_impossible_side_is_clamped_once(self):
+        assert PairSampler(PAIR_LABELS["singletons_only"]).positive_fraction == 0.0
+        assert PairSampler(PAIR_LABELS["single_class"]).positive_fraction == 1.0
+        assert PairSampler(PAIR_LABELS["skewed"], 0.25).positive_fraction == 0.25
+
+    @pytest.mark.parametrize("seed", [0, 12345])
+    @pytest.mark.parametrize("fraction", [0.5, 0.3])
+    def test_sample_pairs_is_one_draw_of_the_sampler(self, labels, seed, fraction):
+        got = sample_pairs(labels, 40, rng=seed, positive_fraction=fraction)
+        want = reference_sample_pairs(
+            labels, 40, np.random.default_rng(seed), fraction
+        )
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_validation_happens_at_construction(self):
+        with pytest.raises(ConfigurationError):
+            PairSampler(np.array([0, 0, 1]), positive_fraction=1.5)
+        with pytest.raises(DataShapeError):
+            PairSampler(np.array([0]))
+        with pytest.raises(DataShapeError):
+            PairSampler(np.zeros((2, 2), dtype=int))
+        with pytest.raises(ConfigurationError):
+            PairSampler(np.array([0, 0, 1])).draw(0, np.random.default_rng(0))
+
+
+def skewed_training_set():
+    """Five full classes and one short one, as after a new recording."""
+    y = np.repeat(np.arange(6), [20, 20, 20, 20, 20, 6])
+    X = np.random.default_rng(11).normal(size=(y.size, 10)) + 0.4 * y[:, None]
+    return X, y
+
+
+class CountingTeacher(SiameseEmbedder):
+    """A teacher that counts how often it is asked to embed."""
+
+    def __init__(self, network):
+        super().__init__(network)
+        self.embed_calls = 0
+
+    def embed(self, features):
+        self.embed_calls += 1
+        return super().embed(features)
+
+
+class TestTrainingIsExact:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("grad_clip", [None, 5.0])
+    @pytest.mark.parametrize("use_teacher", [True, False])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_same_seed_same_weights_as_reference_loop(
+        self, optimizer, use_teacher, grad_clip, weight_decay
+    ):
+        X, y = skewed_training_set()
+        cfg = TrainConfig(
+            epochs=3, batch_pairs=24, optimizer=optimizer, momentum=0.9,
+            lr=3e-4 if optimizer == "adam" else 1e-2,
+            weight_decay=weight_decay, grad_clip=grad_clip, distill_weight=2.0,
+        )
+        start = SiameseEmbedder(build_mlp(10, hidden_dims=(32, 16), output_dim=8, rng=5))
+        fast, ref = start.clone(), start.clone()
+        teacher = start.clone() if use_teacher else None
+
+        fast_history = SiameseTrainer(cfg, rng=7).train(fast, X, y, teacher=teacher)
+        ref_history = reference_train(
+            cfg, np.random.default_rng(7), ref, X, y, teacher=teacher
+        )
+
+        fast_state, ref_state = fast.network.state_dict(), ref.network.state_dict()
+        assert fast_state.keys() == ref_state.keys()
+        for key in ref_state:
+            assert np.array_equal(fast_state[key], ref_state[key]), key
+        assert not np.array_equal(
+            ref_state["0.weight"], start.network.state_dict()["0.weight"]
+        )
+        assert fast_history.contrastive == ref_history.contrastive
+        assert fast_history.distillation == ref_history.distillation
+        assert fast_history.total == ref_history.total
+
+    def test_trainer_leaves_generator_where_the_reference_does(self):
+        X, y = skewed_training_set()
+        cfg = TrainConfig(epochs=2, batch_pairs=24)
+        start = SiameseEmbedder(build_mlp(10, hidden_dims=(16,), output_dim=4, rng=5))
+        fast_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        SiameseTrainer(cfg, rng=fast_rng).train(start.clone(), X, y)
+        reference_train(cfg, ref_rng, start.clone(), X, y)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_teacher_embeds_once_per_train_call(self):
+        X, y = skewed_training_set()
+        emb = SiameseEmbedder(build_mlp(10, hidden_dims=(16,), output_dim=4, rng=5))
+        teacher = CountingTeacher(emb.network.clone())
+        trainer = SiameseTrainer(TrainConfig(epochs=3, batch_pairs=24), rng=7)
+        trainer.train(emb, X, y, teacher=teacher)
+        assert teacher.embed_calls == 1
+        trainer.train(emb, X, y, teacher=teacher)
+        assert teacher.embed_calls == 2
+
+    def test_teacher_not_consulted_without_distillation(self):
+        X, y = skewed_training_set()
+        emb = SiameseEmbedder(build_mlp(10, hidden_dims=(16,), output_dim=4, rng=5))
+        teacher = CountingTeacher(emb.network.clone())
+        SiameseTrainer(
+            TrainConfig(epochs=1, batch_pairs=24, distill_weight=0.0), rng=7
+        ).train(emb, X, y, teacher=teacher)
+        assert teacher.embed_calls == 0
+
+
+class TestTrainConfigRejectsEarly:
+    """Every field is checked at construction, not inside the first batch."""
+
+    @pytest.mark.parametrize("bad", [
+        dict(positive_fraction=1.5),
+        dict(positive_fraction=-0.1),
+        dict(pairs_per_epoch=0),
+        dict(lr=0.0),
+        dict(lr=-1e-3),
+        dict(lr=float("nan")),
+        dict(margin=0.0),
+        dict(grad_clip=0.0),
+        dict(grad_clip=-1.0),
+        dict(momentum=1.0),
+        dict(weight_decay=-1e-4),
+    ])
+    def test_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            TrainConfig(**bad)
+
+    def test_optional_fields_accept_none(self):
+        cfg = TrainConfig(pairs_per_epoch=None, grad_clip=None)
+        assert cfg.pairs_per_epoch is None and cfg.grad_clip is None
