@@ -68,14 +68,15 @@ def _feature_dtype(dtype):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchInference:
     """The vectorized verdict of one engine call over ``k`` windows.
 
     All arrays are indexed by window; ``labels[i]`` is
     :data:`~repro.core.openset.UNKNOWN_LABEL` where window ``i`` was
     rejected by the open-set tests (closed-set engines accept everything,
-    so there ``labels`` equals ``nearest``).
+    so there ``labels`` equals ``nearest``).  Slotted: a caller that keeps
+    every tick's verdict keeps no per-instance ``__dict__`` with it.
     """
 
     class_names: Tuple[str, ...]
@@ -1476,6 +1477,11 @@ class FleetServer:
                         f"{arr.shape[1]} channels, its stream started with "
                         f"{locked}"
                     )
+            if not np.isfinite(arr).all():
+                raise DataShapeError(
+                    f"session {session.session_id!r} chunk holds non-finite "
+                    f"samples (NaN or inf)"
+                )
             group.ids.append(session.session_id)
             group.arrays.append(arr)
             group.strides.append(stride_val)
@@ -1488,13 +1494,22 @@ class FleetServer:
 
         Opens a :class:`StreamSession` (pinning the group's engine) for
         sessions without one, consumes every chunk into its stream state
-        and fills each group's per-session feature blocks.  From here on
-        the tick's completed windows only exist in those blocks — which
-        is why a later per-model failure must not discard the other
-        models' blocks (see :meth:`_demux_stream_results`).
+        and fills each group's per-session feature blocks.  Carry-over is
+        per session; the windows the group's windowed-denoise sessions
+        completed are then stacked and featurized in *one*
+        ``window_features`` call (denoise, extract, normalize once per
+        group, not once per session) and split back by count — the same
+        two halves ``process_chunk`` composes, so a session's rows do not
+        depend on who shared its tick.  Overlapping-stride sessions
+        denoise their continuous signal and keep their own
+        ``process_chunk``.  From here on the tick's completed windows
+        only exist in those blocks — which is why a later per-model
+        failure must not discard the other models' blocks (see
+        :meth:`_demux_stream_results`).
         """
         for group in groups.values():
             pipeline = group.engine.pipeline
+            stacked: List[Tuple[int, np.ndarray]] = []  # (block slot, windows)
             for session_id, arr, stride_val in zip(
                 group.ids, group.arrays, group.strides
             ):
@@ -1503,9 +1518,25 @@ class FleetServer:
                     session.stream = group.engine.open_stream(
                         stride=stride_val, dtype=group.dtype
                     )
-                group.blocks.append(
-                    pipeline.process_chunk(session.stream.state, arr)
-                )
+                state = session.stream.state
+                if state.denoise == "windowed":
+                    stacked.append(
+                        (len(group.blocks), pipeline.fold_chunk(state, arr))
+                    )
+                    group.blocks.append(None)
+                else:
+                    group.blocks.append(pipeline.process_chunk(state, arr))
+            if not stacked:
+                continue
+            features = pipeline.window_features(
+                np.concatenate([windows for _, windows in stacked], axis=0),
+                _feature_dtype(group.dtype),
+            )
+            offset = 0
+            for slot, windows in stacked:
+                count = windows.shape[0]
+                group.blocks[slot] = features[offset : offset + count]
+                offset += count
 
     def _demux_stream_results(
         self,
@@ -1582,10 +1613,9 @@ class FleetServer:
         # closes its held-back windows against the model that buffered them.
         batch = session.stream.finish()
         session.stream = None
+        names = batch.names
         verdicts = [
-            session.observe(
-                batch.names[i], batch.confidences[i], batch.accepted[i]
-            )
+            session.observe(names[i], batch.confidences[i], batch.accepted[i])
             for i in range(len(batch))
         ]
         self._charge_windows(

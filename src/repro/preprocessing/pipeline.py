@@ -394,27 +394,13 @@ class PreprocessingPipeline:
             )
         stride, denoise = self._resolve_stream_args(stride, denoise)
         dtype = resolve_feature_dtype(dtype)
-        streaming = self.streaming_extractor
         if denoise == "windowed":
-            windows = sliding_windows(arr, self.window_len, stride, copy=False)
-            if windows.shape[0] == 0:
-                return np.empty(
-                    (0, self.n_features), dtype=dtype or np.float64
-                )
-            denoised = self._denoise_windows(windows)
-            if streaming is None:
-                return self._cast_features(
-                    self.extractor.extract(denoised), dtype
-                )
-            # Non-overlapping windows partition the signal, so the denoised
-            # stack folds back into a continuous array for the O(n) pass.
-            return streaming.extract(
-                denoised.reshape(-1, arr.shape[1]),
-                self.window_len,
-                stride=stride,
-                dtype=dtype,
+            return self._raw_window_features(
+                sliding_windows(arr, self.window_len, stride, copy=False),
+                dtype,
             )
         denoised = self.denoiser.apply(arr)
+        streaming = self.streaming_extractor
         if streaming is None:
             return self._cast_features(
                 self.extractor.extract(
@@ -426,6 +412,27 @@ class PreprocessingPipeline:
             )
         return streaming.extract(
             denoised, self.window_len, stride=stride, dtype=dtype
+        )
+
+    def _raw_window_features(self, windows: np.ndarray, dtype) -> np.ndarray:
+        """*Unnormalized* stream-path features of non-overlapping windows.
+
+        Each ``(window_len, channels)`` window is denoised in isolation
+        (one batched call), then featurized by the streaming extractor.
+        """
+        if windows.shape[0] == 0:
+            return np.empty((0, self.n_features), dtype=dtype or np.float64)
+        denoised = self._denoise_windows(windows)
+        streaming = self.streaming_extractor
+        if streaming is None:
+            return self._cast_features(self.extractor.extract(denoised), dtype)
+        # Non-overlapping windows partition a signal, so the denoised stack
+        # folds back into one continuous array for the streaming extractor.
+        return streaming.extract(
+            denoised.reshape(-1, denoised.shape[2]),
+            self.window_len,
+            stride=self.window_len,
+            dtype=dtype,
         )
 
     @staticmethod
@@ -521,13 +528,17 @@ class PreprocessingPipeline:
             raise DataShapeError(
                 f"chunk must have {expected} channels, got {arr.shape[1]}"
             )
-        if state.n_channels is None:
-            state.n_channels = int(arr.shape[1])
-        elif arr.shape[1] != state.n_channels:
+        if state.n_channels is not None and arr.shape[1] != state.n_channels:
             raise DataShapeError(
                 f"chunk has {arr.shape[1]} channels, stream started with "
                 f"{state.n_channels}"
             )
+        # Refused before any state moves: a NaN sorts last and silently
+        # corrupts median/iqr/mad, and once inside the carried IIR ``zi``
+        # it poisons every later sample of the stream.
+        if not np.isfinite(arr).all():
+            raise DataShapeError("chunk holds non-finite samples (NaN or inf)")
+        state.n_channels = int(arr.shape[1])
         return arr
 
     def _extract_span(
@@ -579,44 +590,54 @@ class PreprocessingPipeline:
         state.windows_out += k
         return features
 
+    def fold_chunk(self, state: StreamState, chunk: np.ndarray) -> np.ndarray:
+        """Fold a chunk into a windowed stream's carry-over.
+
+        Returns the raw windows the chunk completed, ``(k, window_len,
+        channels)`` with ``k`` possibly zero — a read-only view, valid until
+        the caller's chunk array is reused.  :meth:`window_features` turns
+        them into feature rows; windows of several streams of one pipeline
+        may be stacked into a single such call (what a fleet tick does).
+        Only windowed-denoise streams have raw windows to hand out.
+        """
+        if state.denoise != "windowed":
+            raise ConfigurationError(
+                "fold_chunk() serves windowed-denoise streams; a "
+                "stream-denoise session goes through process_chunk()"
+            )
+        arr = self._check_chunk(state, chunk)
+        state.samples_in += arr.shape[0]
+        if state.buffer is None or state.buffer.shape[0] == 0:
+            buffer = arr
+        elif arr.shape[0]:
+            buffer = np.concatenate([state.buffer, arr], axis=0)
+        else:
+            buffer = state.buffer
+        w = self.window_len
+        k = buffer.shape[0] // w
+        # Copy so the carried tail never aliases a caller array that may
+        # be reused for the next tick.
+        state.buffer = buffer[k * w :].copy()
+        state.windows_out += k
+        return sliding_windows(buffer[: k * w], w, w, copy=False)
+
+    def window_features(self, windows: np.ndarray, dtype=None) -> np.ndarray:
+        """Raw non-overlapping windows -> normalized stream-path features.
+
+        Batch denoise (each window in isolation) -> streaming extract ->
+        normalize: the second half of a windowed :meth:`process_chunk`, so
+        the rows are chunk-invariant by construction.
+        """
+        return self.normalizer.transform(
+            self._raw_window_features(windows, dtype)
+        )
+
     def _chunk_raw_features(
         self, state: StreamState, chunk: np.ndarray, final: bool = False
     ) -> np.ndarray:
+        """Stream-denoise mode: push through the denoiser, emit features."""
         arr = self._check_chunk(state, chunk)
         state.samples_in += arr.shape[0]
-        if state.denoise == "windowed":
-            # Raw samples buffer until they complete non-overlapping
-            # windows; each completed window is denoised in isolation, so
-            # the features are chunk-invariant by construction.
-            if state.buffer is None or state.buffer.shape[0] == 0:
-                buffer = arr
-            elif arr.shape[0]:
-                buffer = np.concatenate([state.buffer, arr], axis=0)
-            else:
-                buffer = state.buffer
-            w = self.window_len
-            k = buffer.shape[0] // w
-            if k == 0:
-                # < window_len samples; copy so the carried tail never
-                # aliases a caller array that may be reused next tick.
-                state.buffer = buffer.copy()
-                return np.empty(
-                    (0, self.n_features), dtype=state.dtype or np.float64
-                )
-            consumed = buffer[: k * w]
-            state.buffer = buffer[k * w :].copy()
-            state.windows_out += k
-            windows = sliding_windows(consumed, w, w, copy=False)
-            denoised = self._denoise_windows(windows)
-            streaming = self.streaming_extractor
-            if streaming is None:
-                return self._cast_features(
-                    self.extractor.extract(denoised), state.dtype
-                )
-            return streaming.extract(
-                denoised.reshape(-1, consumed.shape[1]), w, stride=w,
-                dtype=state.dtype,
-            )
         emitted = state.denoiser_stream.push(arr)
         features = self._consume_denoised(state, emitted)
         if final:
@@ -634,12 +655,18 @@ class PreprocessingPipeline:
         of a recording into chunks the concatenated rows equal
         :meth:`process_stream` over the whole recording (exactly the same
         windows; values to the streaming parity budget when
-        ``state.chunk_invariant``), in O(chunk) work per call.
+        ``state.chunk_invariant``), in O(chunk) work per call.  A chunk
+        holding non-finite samples is refused with ``DataShapeError``
+        before the stream state moves.
         """
         if not self.is_fitted:
             raise NotFittedError(
                 "pipeline normalizer is not fitted; call fit_normalizer() "
                 "on the Cloud before processing"
+            )
+        if state.denoise == "windowed":
+            return self.window_features(
+                self.fold_chunk(state, chunk), state.dtype
             )
         return self.normalizer.transform(self._chunk_raw_features(state, chunk))
 
@@ -667,11 +694,13 @@ class PreprocessingPipeline:
             channels = self.expected_channels or 0
         empty = np.empty((0, channels))
         if state.denoise == "windowed":
-            features = self._chunk_raw_features(state, empty)
+            features = self.process_chunk(state, empty)
         else:
-            features = self._chunk_raw_features(state, empty, final=True)
+            features = self.normalizer.transform(
+                self._chunk_raw_features(state, empty, final=True)
+            )
         state.finished = True
-        return self.normalizer.transform(features)
+        return features
 
     def process_recording(self, recording: Recording) -> np.ndarray:
         """Continuous recording -> normalized feature matrix.

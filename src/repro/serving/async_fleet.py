@@ -724,9 +724,10 @@ class AsyncFleetServer(FleetServer):
                     handle, "infer_features", features, stream.dtype
                 )
             )
+            names = batch.names
             verdicts = [
                 session.observe(
-                    batch.names[i], batch.confidences[i], batch.accepted[i]
+                    names[i], batch.confidences[i], batch.accepted[i]
                 )
                 for i in range(len(batch))
             ]

@@ -23,6 +23,7 @@ from repro.preprocessing import (
     StreamingFeatureExtractor,
     sliding_windows,
 )
+from repro.preprocessing import streaming as streaming_module
 from repro.preprocessing.features import DEFAULT_STATS, STATISTICS
 from repro.sensors.channels import N_CHANNELS
 
@@ -183,3 +184,172 @@ class TestPipelineStreamingPlumbing:
         assert second.config is pipeline.extractor.config
         pipeline.extractor = SpectralFeatureExtractor()
         assert pipeline.streaming_extractor is None
+
+
+# ---------------------------------------------------------------------- #
+# both extraction paths
+# ---------------------------------------------------------------------- #
+#
+# ``extract`` routes a call by its window count (stacked pass up to
+# ``_STACKED_MAX_WINDOWS`` windows, prefix sums beyond), so the short
+# inputs above only ever see the stacked pass.  The classes below pin the
+# same contract with the route forced each way.
+
+
+@pytest.fixture(params=["stacked", "prefix"])
+def forced_path(request, monkeypatch):
+    """Send every ``extract`` call down one path, whatever its length."""
+    limit = 0 if request.param == "prefix" else 10**9
+    monkeypatch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", limit)
+    return request.param
+
+
+class TestParityOnBothPaths:
+    @pytest.mark.parametrize("stride", [120, 60, 30, 1])
+    def test_default_window_all_strides(self, forced_path, rng, stride):
+        assert_column_parity(continuous_data(rng), 120, stride)
+
+    @pytest.mark.parametrize("window_len,stride", [
+        (7, 3), (5, 5), (2, 1), (31, 7), (119, 17), (1, 1),
+    ])
+    def test_odd_and_tiny_window_lengths(
+        self, forced_path, rng, window_len, stride
+    ):
+        assert_column_parity(continuous_data(rng, n=800), window_len, stride)
+
+    def test_stride_longer_than_window(self, forced_path, rng):
+        assert_column_parity(continuous_data(rng), 120, 250)
+
+    def test_constant_signal(self, forced_path):
+        data = np.full((600, N_CHANNELS), 3.7)
+        assert_column_parity(data, 120, 60)
+        streaming = StreamingFeatureExtractor()
+        feats = streaming.extract(data, 120, stride=60)
+        names = streaming.feature_names()
+        for stat in ("zcr", "slope", "std", "iqr", "mad"):
+            cols = [i for i, name in enumerate(names) if name.endswith(stat)]
+            np.testing.assert_allclose(feats[:, cols], 0.0, atol=1e-9)
+
+    def test_linear_ramp_slope(self, forced_path):
+        data = np.tile(np.arange(900.0)[:, None], (1, N_CHANNELS))
+        assert_column_parity(data, 120, 40)
+
+    def test_zero_windows(self, forced_path, rng):
+        streaming = StreamingFeatureExtractor()
+        for dtype in (None, np.float32):
+            out = streaming.extract(
+                rng.normal(size=(50, N_CHANNELS)), 120, dtype=dtype
+            )
+            assert out.shape == (0, streaming.n_features)
+            assert out.dtype == (dtype or np.float64)
+
+    def test_custom_config_subset(self, forced_path, rng):
+        config = FeatureConfig(
+            signals=("accel_mag", "baro"), stats=("median", "slope", "min")
+        )
+        data = continuous_data(rng)
+        ref = FeatureExtractor(config).extract(sliding_windows(data, 64, 16))
+        got = StreamingFeatureExtractor(config).extract(data, 64, stride=16)
+        np.testing.assert_allclose(got, ref, **PARITY)
+
+    def test_custom_statistics_entry(self, forced_path, rng):
+        STATISTICS["ptp"] = lambda s: s.max(axis=1) - s.min(axis=1)
+        try:
+            config = FeatureConfig(signals=("gyro_mag",), stats=("ptp", "mean"))
+            data = continuous_data(rng)
+            got = StreamingFeatureExtractor(config).extract(data, 120, stride=60)
+            ref = FeatureExtractor(config).extract(sliding_windows(data, 120, 60))
+            np.testing.assert_allclose(got, ref, **PARITY)
+        finally:
+            del STATISTICS["ptp"]
+
+    def test_long_input_takes_the_same_values_either_way(self, rng):
+        """The two paths agree with each other on one recording too."""
+        data = continuous_data(rng, n=4000)
+        streaming = StreamingFeatureExtractor()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", 0)
+            prefix = streaming.extract(data, 120, stride=10)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", 10**9)
+            stacked = streaming.extract(data, 120, stride=10)
+        assert prefix.shape[0] > streaming_module._STACKED_MAX_WINDOWS
+        np.testing.assert_allclose(stacked, prefix, **PARITY)
+
+    def test_float32_flip_budget(self, forced_path, edge, scenario):
+        """<= 1e-3 of verdicts flip in float32, whichever path extracts."""
+        recording = scenario.sensor_device.record("walk", 6.0)
+        ref = edge.infer_stream(recording.data, stride=4)
+        got = edge.infer_stream(recording.data, stride=4, dtype=np.float32)
+        assert len(ref) == len(got) > 100
+        flips = int(
+            (ref.labels != got.labels).sum()
+            + (ref.accepted != got.accepted).sum()
+        )
+        assert flips / len(ref) <= 1e-3
+
+
+class TestSelectionRule:
+    def test_route_follows_the_calls_own_window_count(self, rng, monkeypatch):
+        limit = streaming_module._STACKED_MAX_WINDOWS
+        calls = []
+        original = StreamingFeatureExtractor._extract_stacked
+
+        def spy(self, data, window_len, stride, out):
+            calls.append(out.shape[0])
+            return original(self, data, window_len, stride, out)
+
+        monkeypatch.setattr(StreamingFeatureExtractor, "_extract_stacked", spy)
+        streaming = StreamingFeatureExtractor()
+        w = 8
+        for k in (1, limit, limit + 1):
+            streaming.extract(rng.normal(size=(k * w, N_CHANNELS)), w)
+        assert calls == [1, limit]
+
+
+class TestStackedRows:
+    """A stacked feature row reads its own window's samples, nothing else."""
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    @pytest.mark.parametrize("stride", [120, 60, 7])
+    def test_rows_do_not_depend_on_who_shares_the_call(
+        self, rng, dtype, stride
+    ):
+        k = 90  # spans several scratch blocks
+        data = continuous_data(rng, n=(k - 1) * stride + 120) * 5.0
+        streaming = StreamingFeatureExtractor()
+        full = streaming.extract(data, 120, stride=stride, dtype=dtype)
+        assert full.shape[0] == k
+        for i in (0, 1, 33, 34, 35, k - 1):
+            alone = streaming.extract(
+                data[i * stride : i * stride + 120], 120, dtype=dtype
+            )
+            assert np.array_equal(alone[0], full[i])
+        for a, b in ((3, 50), (17, 18), (30, 70)):
+            part = streaming.extract(
+                data[a * stride : (b - 1) * stride + 120],
+                120, stride=stride, dtype=dtype,
+            )
+            assert np.array_equal(part, full[a:b])
+
+    def test_scratch_is_bounded_by_the_block_not_the_window_count(self, rng):
+        """tracemalloc: at the largest stacked call the temporaries stay
+        a handful of scratch blocks (an unblocked pass holds >= 3 copies
+        of all 256 windows, ~6 MB)."""
+        import tracemalloc
+
+        k = streaming_module._STACKED_MAX_WINDOWS
+        stride = 4  # small input, so the scratch is what is measured
+        data = rng.normal(size=((k - 1) * stride + 120, N_CHANNELS))
+        streaming = StreamingFeatureExtractor()
+        streaming.extract(data, 120, stride=stride)
+        tracemalloc.start()
+        try:
+            out = streaming.extract(data, 120, stride=stride)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape[0] == k
+        block_bytes = streaming_module._STACKED_BLOCK_SAMPLES * 8
+        assert peak <= 8 * block_bytes
+        assert k * 8 * 120 * 8 > 4 * block_bytes  # the bound is a real one

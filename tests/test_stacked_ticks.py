@@ -1,0 +1,525 @@
+"""Stacked ticks: one featurize pass per group, the same rows as alone.
+
+Two contracts on top of the 1e-9 chunked-stream parity of
+``test_chunked_stream.py``:
+
+- **Bit-identity.**  A tick completes a handful of windows, so its
+  features come from the stacked pass of
+  :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`, where a
+  row reads nothing but its own window's samples.  The feature rows of a
+  stream are therefore ``np.array_equal`` across every chunk schedule
+  (ragged, 1-sample) in both denoise modes, and between a session served
+  alone and the same session inside a stacked fleet group — sync fleet,
+  async fleet and a live TCP gateway.  Verdict scores keep the 1e-9
+  budget (the embedder's matrix product does see the batch).
+- **Non-finite refusal.**  A chunk holding NaN/inf is refused with
+  ``DataShapeError`` before any stream state moves: the pipeline state is
+  byte-identical after the refusal, a fleet tick refuses whole, and the
+  next good chunk continues an uninterrupted stream.
+"""
+
+import asyncio
+from collections import defaultdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import FleetServer, InferenceEngine
+from repro.exceptions import ConfigurationError, DataShapeError
+from repro.preprocessing import (
+    CombinedFeatureExtractor,
+    FeatureExtractor,
+    PreprocessingPipeline,
+    SpectralFeatureExtractor,
+)
+from repro.sensors import SensorDevice
+from repro.serving import AsyncFleetServer, ModelRegistry
+from repro.serving.gateway import GatewayClient, GatewayServer
+
+PARITY = dict(rtol=0.0, atol=1e-9)
+W = 120  # the default window length of every pipeline in these tests
+
+
+def drive(coro):
+    """Run one async test body with a safety timeout."""
+
+    async def bounded():
+        return await asyncio.wait_for(coro, timeout=60)
+
+    return asyncio.run(bounded())
+
+
+def _chunks(data, sizes):
+    """``data`` cut by ``sizes`` (cycled), the remainder as the last chunk."""
+    out, start, i = [], 0, 0
+    while start < data.shape[0]:
+        size = sizes[i % len(sizes)]
+        out.append(data[start : start + size])
+        start += size
+        i += 1
+    return out
+
+
+def _stream_rows(pipeline, data, sizes, stride, dtype=None):
+    """Normalized feature rows of one chunked stream, concatenated."""
+    state = pipeline.open_stream(stride=stride, dtype=dtype)
+    rows = [pipeline.process_chunk(state, c) for c in _chunks(data, sizes)]
+    rows.append(pipeline.finish_stream(state))
+    return np.concatenate(rows, axis=0)
+
+
+@pytest.fixture(scope="module")
+def walk():
+    """Three devices' recordings, each from its own seeded generator."""
+    return [
+        np.concatenate(
+            [
+                SensorDevice(rng=900 + i).record(activity, 3.0).data
+                for activity in ("walk", "run", "still")
+            ],
+            axis=0,
+        )
+        for i in range(3)
+    ]
+
+
+@pytest.fixture
+def served_rows(monkeypatch):
+    """Every feature block a fleet tick hands to inference, by session.
+
+    Also records each tick's group sizes under ``"#groups"`` so a test
+    can tell that sessions really shared a stacked call.
+    """
+    rows = defaultdict(list)
+    original = FleetServer._featurize_stream_groups
+
+    def recording(self, groups):
+        original(self, groups)
+        for group in groups.values():
+            rows["#groups"].append(len(group.ids))
+            for session_id, block in zip(group.ids, group.blocks):
+                rows[session_id].append(np.array(block))
+
+    monkeypatch.setattr(FleetServer, "_featurize_stream_groups", recording)
+    return rows
+
+
+# ---------------------------------------------------------------------- #
+# bit-identity across chunk schedules
+# ---------------------------------------------------------------------- #
+
+
+class TestRowsAcrossChunkSchedules:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.integers(1, 400), min_size=1, max_size=12),
+        stride=st.sampled_from([W, 60, 30]),
+        dtype=st.sampled_from([None, np.float32]),
+    )
+    def test_ragged_schedules_are_bit_identical(
+        self, fitted_pipeline, seed, sizes, stride, dtype
+    ):
+        """stride == w denoises per window, stride < w the continuous
+        signal: both feed the stacked pass the same samples however the
+        recording was cut."""
+        data = np.random.default_rng(seed).normal(size=(900, 22))
+        data[:, 19] += 1013.25
+        whole = _stream_rows(fitted_pipeline, data, [900], stride, dtype)
+        ragged = _stream_rows(fitted_pipeline, data, sizes, stride, dtype)
+        assert whole.shape[0] > 0
+        assert np.array_equal(ragged, whole)
+
+    @pytest.mark.parametrize("stride", [W, 40])
+    def test_one_sample_ticks_are_bit_identical(self, fitted_pipeline, rng, stride):
+        data = rng.normal(size=(500, 22))
+        whole = _stream_rows(fitted_pipeline, data, [500], stride)
+        drip = _stream_rows(fitted_pipeline, data, [1], stride)
+        assert np.array_equal(drip, whole)
+
+    def test_chunked_rows_equal_the_monolithic_stream(self, fitted_pipeline, rng):
+        """...and, per-window denoising being what it is, a short
+        recording's ``process_stream`` rows bit for bit (both sides are
+        under the stacked limit)."""
+        data = rng.normal(size=(1000, 22))
+        chunked = _stream_rows(fitted_pipeline, data, [77, 1, 300], W)
+        assert np.array_equal(chunked, fitted_pipeline.process_stream(data))
+
+    def test_process_chunk_is_fold_then_window_features(self, fitted_pipeline, rng):
+        """The windowed tick is literally the composition the fleet uses."""
+        data = rng.normal(size=(400, 22))
+        a = fitted_pipeline.open_stream()
+        b = fitted_pipeline.open_stream()
+        for chunk in _chunks(data, [150, 1, 95]):
+            windows = fitted_pipeline.fold_chunk(b, chunk)
+            assert windows.shape[1:] == (W, 22)
+            assert np.array_equal(
+                fitted_pipeline.process_chunk(a, chunk),
+                fitted_pipeline.window_features(windows),
+            )
+            assert a.samples_in == b.samples_in
+            assert a.windows_out == b.windows_out
+            assert np.array_equal(a.buffer, b.buffer)
+
+    def test_fold_chunk_refuses_stream_denoise_sessions(self, fitted_pipeline, rng):
+        state = fitted_pipeline.open_stream(stride=60)
+        with pytest.raises(ConfigurationError):
+            fitted_pipeline.fold_chunk(state, rng.normal(size=(W, 22)))
+
+
+# ---------------------------------------------------------------------- #
+# a session alone vs inside a stacked group
+# ---------------------------------------------------------------------- #
+
+TICKS = [W, 1, 2 * W - 1, 50, 3 * W, 70]  # ragged, windows straddle ticks
+
+
+def _tick_schedule(recordings):
+    return {
+        f"s{i}": _chunks(data, TICKS) for i, data in enumerate(recordings)
+    }
+
+
+def _serve_sync(engine, schedule, **connect):
+    server = FleetServer(engine)
+    for sid in schedule:
+        server.connect(sid, **connect)
+    got = {sid: [] for sid in schedule}
+    for tick in range(max(len(c) for c in schedule.values())):
+        chunks = {
+            sid: c[tick] for sid, c in schedule.items() if tick < len(c)
+        }
+        for sid, verdicts in server.step_stream(chunks).items():
+            got[sid].extend(verdicts)
+    for sid in schedule:
+        got[sid].extend(server.finish_stream(sid))
+    return got
+
+
+async def _serve_async(engine, schedule):
+    got = {sid: [] for sid in schedule}
+    async with AsyncFleetServer(engine, workers=2) as server:
+        for sid in schedule:
+            server.connect(sid)
+        for tick in range(max(len(c) for c in schedule.values())):
+            chunks = {
+                sid: c[tick] for sid, c in schedule.items() if tick < len(c)
+            }
+            for sid, verdicts in (await server.step_stream(chunks)).items():
+                got[sid].extend(verdicts)
+        for sid in schedule:
+            got[sid].extend(await server.finish_stream(sid))
+    return got
+
+
+async def _serve_gateway(engine, schedule):
+    registry = ModelRegistry(default_cohort="a")
+    registry.publish("a", engine)
+    got = {}
+    # a wide batch window, so lockstep clients do share ticks
+    async with GatewayServer(registry, batch_window_s=0.05) as gateway:
+
+        async def one(sid, chunk_list):
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.connect(sid)
+                verdicts = []
+                for chunk in chunk_list:
+                    verdicts.extend(await client.send_chunk(chunk))
+                verdicts.extend(await client.finish())
+                got[sid] = verdicts
+
+        await asyncio.gather(*(one(s, c) for s, c in schedule.items()))
+    return got
+
+
+def _assert_same_service(
+    alone, grouped, rows_alone, rows_grouped, sid="s0", atol=1e-9
+):
+    assert np.array_equal(
+        np.concatenate(rows_grouped[sid]), np.concatenate(rows_alone[sid])
+    )
+    assert len(alone[sid]) == len(grouped[sid]) > 0
+    assert [v.activity for v in alone[sid]] == [v.activity for v in grouped[sid]]
+    assert [v.display for v in alone[sid]] == [v.display for v in grouped[sid]]
+    assert [v.accepted for v in alone[sid]] == [v.accepted for v in grouped[sid]]
+    np.testing.assert_allclose(
+        [v.confidence for v in alone[sid]],
+        [v.confidence for v in grouped[sid]],
+        rtol=0.0,
+        atol=atol,
+    )
+
+
+def _alone_then_grouped(serve, walk, served_rows):
+    """Serve ``s0`` alone, then inside the three-session schedule."""
+    schedule = _tick_schedule(walk)
+    alone = serve({"s0": schedule["s0"]})
+    rows_alone = {k: list(v) for k, v in served_rows.items()}
+    served_rows.clear()
+    return alone, serve(schedule), rows_alone
+
+
+class TestAloneVersusStackedGroup:
+    """``s0``'s feature rows do not change when ``s1``/``s2`` share its ticks."""
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_sync_fleet(self, edge, walk, served_rows, dtype):
+        alone, grouped, rows_alone = _alone_then_grouped(
+            lambda schedule: _serve_sync(edge.engine, schedule, dtype=dtype),
+            walk, served_rows,
+        )
+        assert max(served_rows["#groups"]) == 3
+        # the rows are exact in either dtype; the scores then carry the
+        # embedder's batch-shaped matrix product at that dtype's epsilon
+        _assert_same_service(
+            alone, grouped, rows_alone, served_rows,
+            atol=1e-9 if dtype is None else 1e-5,
+        )
+
+    def test_async_fleet(self, edge, walk, served_rows):
+        alone, grouped, rows_alone = _alone_then_grouped(
+            lambda schedule: drive(_serve_async(edge.engine, schedule)),
+            walk, served_rows,
+        )
+        assert max(served_rows["#groups"]) == 3
+        _assert_same_service(alone, grouped, rows_alone, served_rows)
+
+    def test_live_gateway(self, edge, walk, served_rows):
+        alone, grouped, rows_alone = _alone_then_grouped(
+            lambda schedule: drive(_serve_gateway(edge.engine, schedule)),
+            walk, served_rows,
+        )
+        assert max(served_rows["#groups"]) >= 2  # ticks really were shared
+        _assert_same_service(alone, grouped, rows_alone, served_rows)
+
+    def test_group_rows_equal_per_session_process_chunk(
+        self, edge, walk, served_rows
+    ):
+        """The stacked tick serves what per-session calls would have."""
+        schedule = _tick_schedule(walk)
+        _serve_sync(edge.engine, schedule)
+        for sid, chunk_list in schedule.items():
+            state = edge.pipeline.open_stream()
+            expect = [edge.pipeline.process_chunk(state, c) for c in chunk_list]
+            assert len(served_rows[sid]) == len(expect)
+            for got, want in zip(served_rows[sid], expect):
+                assert np.array_equal(got, want)
+
+    def test_one_featurize_call_per_group(self, edge, walk, monkeypatch):
+        """Eight windowed sessions, one tick: one extract call, not eight."""
+        calls = []
+        streaming = edge.pipeline.streaming_extractor
+        original = streaming.extract
+
+        def spy(data, window_len, **kwargs):
+            out = original(data, window_len, **kwargs)
+            calls.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(streaming, "extract", spy)
+        server = FleetServer(edge.engine)
+        server.connect_many([f"d{i}" for i in range(8)])
+        out = server.step_stream(
+            {f"d{i}": walk[i % 3][: W + i] for i in range(8)}
+        )
+        assert calls == [8]
+        assert all(len(v) == 1 for v in out.values())
+
+
+# ---------------------------------------------------------------------- #
+# mixed groups
+# ---------------------------------------------------------------------- #
+
+
+class TestMixedGroups:
+    def test_windowed_and_overlapping_sessions_with_empty_ticks(
+        self, edge, walk, served_rows
+    ):
+        """One engine, one tick: windowed sessions stack, overlapping-stride
+        sessions keep their own pass, a chunk too short to complete a
+        window contributes zero rows — every block lands in its slot."""
+        registry = ModelRegistry(default_cohort="win")
+        registry.publish("win", edge.engine)
+        registry.publish("hop", edge.engine)  # same engine, other stride
+        server = FleetServer(registry)
+        server.connect("w0", cohort="win")
+        server.connect("h0", cohort="hop")
+        server.connect("w1", cohort="win")
+        server.connect("w2", cohort="win")
+        data = walk[0]
+        feeds = {
+            "w0": _chunks(data, [W, 2 * W, 10]),
+            "h0": _chunks(data, [W + 5, 200]),
+            "w1": _chunks(data, [30, W, 1]),  # first tick: no window yet
+            "w2": _chunks(data, [3 * W]),
+        }
+        stride = {"win": W, "hop": 30}
+        got = {sid: [] for sid in feeds}
+        for tick in range(4):
+            chunks = {sid: c[tick] for sid, c in feeds.items() if tick < len(c)}
+            for sid, verdicts in server.step_stream(chunks, stride=stride).items():
+                got[sid].extend(verdicts)
+        assert max(served_rows["#groups"]) == 4  # one (engine, dtype) group
+        for sid, chunk_list in feeds.items():
+            state = edge.pipeline.open_stream(
+                stride=stride["hop" if sid == "h0" else "win"]
+            )
+            for block, chunk in zip(served_rows[sid], chunk_list[:4]):
+                assert np.array_equal(
+                    block, edge.pipeline.process_chunk(state, chunk)
+                )
+            rows = sum(b.shape[0] for b in served_rows[sid])
+            assert rows == len(got[sid]) > 0
+        assert served_rows["w1"][0].shape == (0, edge.pipeline.n_features)
+
+    @pytest.mark.parametrize("kind", ["spectral", "combined"])
+    def test_extractor_without_a_streaming_twin(self, edge, walk, kind, served_rows):
+        """Group stacking does not need the streaming extractor: spectral
+        and combined extractors take the batched fallback on the stack."""
+        extractor = SpectralFeatureExtractor()
+        if kind == "combined":
+            extractor = CombinedFeatureExtractor([FeatureExtractor(), extractor])
+        pipeline = PreprocessingPipeline(extractor=extractor)
+        windows = np.stack([d[:W] for d in walk] * 4, axis=0)
+        pipeline.fit_normalizer(windows + np.arange(12)[:, None, None])
+        assert pipeline.streaming_extractor is None
+        dim = pipeline.n_features
+
+        class Projection:
+            input_dim = dim
+
+            def embed(self, features):
+                return np.asarray(features)[:, : edge.ncm.prototypes_.shape[1]]
+
+        engine = InferenceEngine(Projection(), edge.ncm, pipeline=pipeline)
+        schedule = _tick_schedule(walk)
+        grouped = _serve_sync(engine, schedule)
+        for sid, chunk_list in schedule.items():
+            state = pipeline.open_stream()
+            rows = [pipeline.process_chunk(state, c) for c in chunk_list]
+            np.testing.assert_allclose(
+                np.concatenate(served_rows[sid]), np.concatenate(rows), **PARITY
+            )
+            assert len(grouped[sid]) == np.concatenate(rows).shape[0] > 0
+
+
+# ---------------------------------------------------------------------- #
+# non-finite samples
+# ---------------------------------------------------------------------- #
+
+
+def _state_bytes(state):
+    """Everything a refused chunk must leave untouched, as bytes."""
+    stream = state.denoiser_stream
+    carry = b""
+    if stream is not None:
+        carry = b"".join(
+            value.tobytes() if isinstance(value, np.ndarray)
+            else repr(value).encode()
+            for _, value in sorted(vars(stream).items())
+        )
+    buffer = b"" if state.buffer is None else state.buffer.tobytes()
+    return (
+        buffer, carry, state.samples_in, state.windows_out,
+        state.n_channels, state._skip, state.finished,
+    )
+
+
+def _poisoned(chunk, value):
+    bad = chunk.copy()
+    bad[chunk.shape[0] // 2, 7] = value
+    return bad
+
+
+class TestNonFiniteRefusal:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stride", [W, 40])
+    def test_pipeline_state_is_untouched_and_the_stream_continues(
+        self, fitted_pipeline, rng, stride, value
+    ):
+        data = rng.normal(size=(700, 22))
+        chunks = _chunks(data, [130, 200, 90])
+        reference = fitted_pipeline.open_stream(stride=stride)
+        state = fitted_pipeline.open_stream(stride=stride)
+        for i, chunk in enumerate(chunks):
+            want = fitted_pipeline.process_chunk(reference, chunk)
+            before = _state_bytes(state)
+            with pytest.raises(DataShapeError, match="non-finite"):
+                fitted_pipeline.process_chunk(state, _poisoned(chunk, value))
+            assert _state_bytes(state) == before
+            got = fitted_pipeline.process_chunk(state, chunk)
+            assert np.array_equal(got, want), i
+        assert np.array_equal(
+            fitted_pipeline.finish_stream(state),
+            fitted_pipeline.finish_stream(reference),
+        )
+
+    def test_first_chunk_refusal_does_not_lock_the_channel_count(
+        self, fitted_pipeline, rng
+    ):
+        state = fitted_pipeline.open_stream()
+        with pytest.raises(DataShapeError):
+            fitted_pipeline.process_chunk(
+                state, _poisoned(rng.normal(size=(50, 22)), np.nan)
+            )
+        assert state.n_channels is None and state.samples_in == 0
+
+    def test_fleet_tick_refuses_whole_before_any_session_advances(
+        self, edge, walk
+    ):
+        server = FleetServer(edge.engine)
+        reference = FleetServer(edge.engine)
+        for fleet in (server, reference):
+            fleet.connect_many(["a", "b", "c"])
+        first = {sid: walk[i][:170] for i, sid in enumerate("abc")}
+        second = {sid: walk[i][170:400] for i, sid in enumerate("abc")}
+        server.step_stream(first)
+        reference.step_stream(first)
+        bad = dict(second, b=_poisoned(second["b"], np.nan))
+        before = {
+            sid: _state_bytes(server.session(sid).stream.state) for sid in "abc"
+        }
+        ticks, served = server.ticks, server.windows_served
+        with pytest.raises(DataShapeError, match="'b'.*non-finite"):
+            server.step_stream(bad)
+        assert (server.ticks, server.windows_served) == (ticks, served)
+        for sid in "abc":
+            assert _state_bytes(server.session(sid).stream.state) == before[sid]
+        got, want = server.step_stream(second), reference.step_stream(second)
+        for sid in "abc":
+            assert [v.activity for v in got[sid]] == [v.activity for v in want[sid]]
+            assert [v.confidence for v in got[sid]] == [
+                v.confidence for v in want[sid]
+            ]
+            assert len(got[sid]) > 0
+
+    def test_gateway_answers_a_non_fatal_error_frame(self, edge, walk):
+        """The poisoned chunk costs one ERROR reply; the connection and
+        the session's stream carry on as if it had never been sent."""
+        registry = ModelRegistry(default_cohort="a")
+        registry.publish("a", edge.engine)
+        chunks = _chunks(walk[0][:600], [170, 230, 200])
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                async with GatewayClient(gateway.host, gateway.port) as client:
+                    await client.connect("dev")
+                    verdicts = list(await client.send_chunk(chunks[0]))
+                    with pytest.raises(DataShapeError, match="non-finite"):
+                        await client.send_chunk(_poisoned(chunks[1], np.inf))
+                    for chunk in chunks[1:]:
+                        verdicts.extend(await client.send_chunk(chunk))
+                    verdicts.extend(await client.finish())
+                    return verdicts
+
+        served = drive(body())
+        want = _serve_sync(edge.engine, {"dev": chunks})["dev"]
+        assert [v.activity for v in served] == [v.activity for v in want]
+        np.testing.assert_allclose(
+            [v.confidence for v in served],
+            [v.confidence for v in want],
+            **PARITY,
+        )
+        assert len(served) > 0
