@@ -151,6 +151,7 @@ def measure_gateway(
         "chunk_samples": chunk_samples,
         "workers": workers,
         "cpu_count": os.cpu_count() or 1,
+        "numpy": np.__version__,
         "windows": in_windows,
         "busy_frames": gw_busy,
         "in_process": {

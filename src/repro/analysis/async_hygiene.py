@@ -1,4 +1,4 @@
-"""``async-blocking`` / ``lock-order`` — event-loop hygiene for serving.
+"""``async-blocking`` / ``lock-order`` / ``blind-sleep`` — event-loop hygiene.
 
 ``AsyncFleetServer`` fans a tick's per-model batched calls out over a
 worker pool; the event loop itself must never block, and the per-session
@@ -19,6 +19,12 @@ and may block):
   (``await lock.acquire()`` / ``async with lock``) must iterate a
   ``sorted(...)`` iterable — directly, or via a variable whose assignment
   in the same function contains a ``sorted(...)`` call.
+* ``blind-sleep`` — ``asyncio.sleep(<anything but a literal 0>)`` in the
+  serving core (:data:`BLIND_SLEEP_PATHS`): a task that sleeps cannot see
+  the arrival or disconnect it is waiting out — the gateway's flusher slept
+  its whole batch window in 91% of lockstep flushes that way.  Wait on an
+  event with a deadline instead.  Load generators and clients pace and
+  back off by sleeping on purpose and are out of scope by path.
 """
 
 from __future__ import annotations
@@ -39,22 +45,39 @@ BLOCKING_ENGINE_CALLS = frozenset(
 )
 
 
-def _is_time_sleep(call: ast.Call, sleep_aliases: "set[str]") -> bool:
+#: Files (posix path suffixes) where waiting must be event-driven.
+BLIND_SLEEP_PATHS = (
+    "serving/gateway/server.py",
+    "serving/async_fleet.py",
+)
+
+
+def _is_sleep(call: ast.Call, module: str, sleep_aliases: "set[str]") -> bool:
+    """``<module>.sleep(...)`` or a ``from <module> import sleep`` alias."""
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr == "sleep":
-        return isinstance(func.value, ast.Name) and func.value.id == "time"
+        return isinstance(func.value, ast.Name) and func.value.id == module
     return isinstance(func, ast.Name) and func.id in sleep_aliases
 
 
-def _sleep_aliases(tree: ast.AST) -> "set[str]":
-    """Local names bound to ``time.sleep`` via ``from time import sleep``."""
+def _sleep_aliases(tree: ast.AST, module: str) -> "set[str]":
+    """Local names bound to ``<module>.sleep`` by a ``from`` import."""
     aliases = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             for alias in node.names:
                 if alias.name == "sleep":
                     aliases.add(alias.asname or alias.name)
     return aliases
+
+
+def _is_literal_zero(call: ast.Call) -> bool:
+    """``sleep(0)``: a bare yield to the loop, not a wait."""
+    return (
+        len(call.args) == 1
+        and isinstance(call.args[0], ast.Constant)
+        and call.args[0].value == 0
+    )
 
 
 def _contains_sorted_call(node: ast.AST) -> bool:
@@ -137,21 +160,28 @@ def _iterable_is_sorted(
 
 class AsyncHygieneChecker(Checker):
     name = "async-hygiene"
-    rules = ("async-blocking", "lock-order")
+    rules = ("async-blocking", "lock-order", "blind-sleep")
 
     def check(self, src: SourceFile) -> Iterable[Violation]:
-        sleep_aliases = _sleep_aliases(src.tree)
+        sleep_aliases = _sleep_aliases(src.tree, "time")
+        # None = this file may sleep (pacing, back-off: not the serving core)
+        async_sleep_aliases = (
+            _sleep_aliases(src.tree, "asyncio")
+            if src.rel.endswith(BLIND_SLEEP_PATHS)
+            else None
+        )
         for func in ast.walk(src.tree):
             if not isinstance(func, ast.AsyncFunctionDef):
                 continue
             statements = _direct_statements(func)
             for stmt in statements:
                 yield from self._check_statement(
-                    src, func, stmt, statements, sleep_aliases
+                    src, func, stmt, statements, sleep_aliases,
+                    async_sleep_aliases,
                 )
 
     def _check_statement(
-        self, src, func, stmt, statements, sleep_aliases
+        self, src, func, stmt, statements, sleep_aliases, async_sleep_aliases
     ) -> Iterable[Violation]:
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             acquires = any(
@@ -169,7 +199,7 @@ class AsyncHygieneChecker(Checker):
             for call in ast.walk(expr):
                 if not isinstance(call, ast.Call):
                     continue
-                if _is_time_sleep(call, sleep_aliases):
+                if _is_sleep(call, "time", sleep_aliases):
                     yield src.violation(
                         "async-blocking",
                         call,
@@ -186,4 +216,16 @@ class AsyncHygieneChecker(Checker):
                         f"direct engine call .{call.func.attr}() inside "
                         f"async def {func.name} — submit it to the "
                         "worker pool so the event loop stays free",
+                    )
+                elif (
+                    async_sleep_aliases is not None
+                    and _is_sleep(call, "asyncio", async_sleep_aliases)
+                    and not _is_literal_zero(call)
+                ):
+                    yield src.violation(
+                        "blind-sleep",
+                        call,
+                        f"asyncio.sleep inside async def {func.name} cannot "
+                        "see what it is waiting for happen — wait on an "
+                        "event with a deadline",
                     )

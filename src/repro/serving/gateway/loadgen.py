@@ -106,7 +106,10 @@ async def _drive_device(
             counters["windows"] += len(verdicts)
             if tick_interval_s > 0:
                 await asyncio.sleep(tick_interval_s)
-        counters["windows"] += len(await client.finish())
+        # await first: "+=" reads the counter before its right-hand side
+        # runs, and would overwrite what other devices add meanwhile
+        tail = await client.finish()
+        counters["windows"] += len(tail)
         counters["busy"] += client.busy_frames_seen
 
 

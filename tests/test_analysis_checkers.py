@@ -103,6 +103,27 @@ class TestAsyncHygiene:
         assert len(expected) == 1
         assert found(text, AsyncHygieneChecker()) == expected
 
+    def test_blind_sleep_fixture(self):
+        text = fixture_text("blind_sleep.py")
+        expected = [
+            ("blind-sleep", n) for n in marker_lines(text, "blind-sleep")
+        ]
+        assert len(expected) == 3
+        for path in (
+            "src/repro/serving/gateway/server.py",
+            "src/repro/serving/async_fleet.py",
+        ):
+            assert found(text, AsyncHygieneChecker(), path=path) == expected
+
+    @pytest.mark.parametrize("path", [
+        "src/repro/serving/gateway/loadgen.py",
+        "src/repro/serving/gateway/client.py",
+        "tests/test_gateway_server.py",
+    ])
+    def test_pacing_and_backoff_may_sleep(self, path):
+        text = fixture_text("blind_sleep.py")
+        assert found(text, AsyncHygieneChecker(), path=path) == []
+
     def test_sync_function_may_block(self):
         source = "import time\n\ndef tick():\n    time.sleep(1)\n"
         assert found(source, AsyncHygieneChecker()) == []

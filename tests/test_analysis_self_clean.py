@@ -120,7 +120,8 @@ class TestRunLintCli:
         out = capsys.readouterr().out
         for rule in (
             "entry-point", "raw-raise", "broad-except", "array-alias",
-            "view-return", "async-blocking", "lock-order", "bench-gate",
+            "view-return", "async-blocking", "lock-order", "blind-sleep",
+            "bench-gate",
             "bench-ungated", "pragma-justification",
         ):
             assert rule in out

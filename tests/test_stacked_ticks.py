@@ -218,7 +218,8 @@ async def _serve_gateway(engine, schedule):
     registry = ModelRegistry(default_cohort="a")
     registry.publish("a", engine)
     got = {}
-    # a wide batch window, so lockstep clients do share ticks
+    # Closed-loop clients answer within a tick, so the flusher waits for
+    # each of them (for at most the window) and they share every tick.
     async with GatewayServer(registry, batch_window_s=0.05) as gateway:
 
         async def one(sid, chunk_list):
@@ -231,6 +232,8 @@ async def _serve_gateway(engine, schedule):
                 got[sid] = verdicts
 
         await asyncio.gather(*(one(s, c) for s, c in schedule.items()))
+        ticks = gateway.summary()["ticks"]
+    assert ticks == max(len(c) for c in schedule.values())
     return got
 
 
