@@ -1,6 +1,6 @@
 """``repro.analysis`` — reprolint, the repo's AST-based invariant checker.
 
-Mechanizes ROADMAP.md's standing contracts as five project-specific
+Mechanizes ROADMAP.md's standing contracts as six project-specific
 static checks (see each module's docstring for the full rule rationale):
 
 - :mod:`~repro.analysis.entry_points` — inference routes through
@@ -12,6 +12,9 @@ static checks (see each module's docstring for the full rule rationale):
   caller arrays in and views out (the PR 3 bug class),
 - :mod:`~repro.analysis.async_hygiene` — no blocking calls on the event
   loop; per-session locks acquired in sorted order,
+- :mod:`~repro.analysis.design_hoist` — preprocessing solves filter
+  designs (``butter``, ``lfilter_zi``, ``roots``, ``filtfilt``) at
+  construction, never per call,
 - :mod:`~repro.analysis.bench_manifest` — benchmarks, baselines and the
   CI gate manifest agree.
 
@@ -38,6 +41,7 @@ from .core import (
     lint_paths,
     lint_source,
 )
+from .design_hoist import PerCallDesignChecker
 from .entry_points import EntryPointChecker
 from .exception_taxonomy import ExceptionTaxonomyChecker
 
@@ -47,6 +51,7 @@ DEFAULT_CHECKERS = (
     ExceptionTaxonomyChecker,
     ArrayAliasingChecker,
     AsyncHygieneChecker,
+    PerCallDesignChecker,
 )
 
 #: Repo-layout checkers (run once per lint, not per file).
@@ -62,6 +67,7 @@ __all__ = [
     "EntryPointChecker",
     "ExceptionTaxonomyChecker",
     "LintReport",
+    "PerCallDesignChecker",
     "Pragma",
     "RepoChecker",
     "SourceFile",

@@ -7,7 +7,6 @@ time per window.
 
 from .denoise import (
     ButterworthLowpass,
-    ChunkLocalDenoiserStream,
     IdentityFilter,
     LocalDenoiserStream,
     MedianFilter,
@@ -52,7 +51,6 @@ from .spectral import (
 
 __all__ = [
     "ButterworthLowpass",
-    "ChunkLocalDenoiserStream",
     "DEFAULT_SIGNALS",
     "DEFAULT_STATS",
     "DERIVED_SIGNALS",

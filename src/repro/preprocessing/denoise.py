@@ -18,7 +18,7 @@ Filters whose output at sample ``i`` depends only on a bounded neighborhood
 :class:`LocalDenoiserStream`: a chunked applicator that emits, across *any*
 split of the signal into chunks, exactly the samples ``apply(whole_signal)``
 would produce (delayed by the ``L``-sample lookahead, flushed by
-``finish()``).  :class:`ButterworthLowpass` — whose ``filtfilt`` backward
+``finish()``).  :class:`ButterworthLowpass` — whose zero-phase backward
 pass formally depends on every future sample — streams through
 :class:`ZeroPhaseIIRStream` instead: the forward pass carries its
 ``lfilter`` state (``zi`` handoff, bit-exact), and the backward pass is
@@ -29,6 +29,13 @@ stable; see the class docstring for the error bound).  Emission depends
 only on absolute sample indices, so chunked output is *identical for every
 chunking*, and matches monolithic ``apply`` to well under the pipeline's
 1e-9 parity budget (the final ``finish()`` flush is bit-exact).
+
+Everything about the Butterworth filter that depends only on its
+configuration — coefficients, pad length, ``lfilter_zi``, pole radius and
+the stream's truncation/block sizes — is one :class:`ZeroPhaseDesign`
+built in ``ButterworthLowpass.__init__``; ``apply``, ``apply_batch`` and
+every stream opened by ``make_stream`` share it, so a one-window call pays
+for two ``lfilter`` passes and nothing else.
 """
 
 from __future__ import annotations
@@ -141,6 +148,78 @@ _TRUNCATION_TARGET = 1e-16
 _MAX_TRUNCATION = 4096
 
 
+def _along(x: np.ndarray, axis: int, index) -> np.ndarray:
+    """``x[..., index, ...]`` with ``index`` applied on ``axis``."""
+    full = [slice(None)] * x.ndim
+    full[axis] = index
+    return x[tuple(full)]
+
+
+class ZeroPhaseDesign:
+    """A zero-phase IIR filter's configuration-only constants, solved once.
+
+    ``b``/``a`` are the transfer-function coefficients; ``padlen`` is
+    ``scipy.signal.filtfilt``'s default odd-extension length (``3 *
+    max(len(a), len(b))``, also the identity-fallback threshold of
+    :meth:`ButterworthLowpass.apply`); ``zi`` is ``lfilter_zi(b, a)``, the
+    unit step-response steady state both filter passes start from; and the
+    slowest pole's radius fixes :class:`ZeroPhaseIIRStream`'s truncation
+    window, emission block and lookahead.
+    """
+
+    def __init__(self, b, a) -> None:
+        self.b = np.asarray(b, dtype=np.float64)
+        self.a = np.asarray(a, dtype=np.float64)
+        self.padlen = 3 * max(self.b.shape[0], self.a.shape[0])
+        self.zi = _signal.lfilter_zi(self.b, self.a)
+        poles = np.roots(self.a)
+        rho = float(np.max(np.abs(poles))) if poles.size else 0.0
+        if 0.0 < rho < 1.0:
+            t = int(np.ceil(np.log(_TRUNCATION_TARGET) / np.log(rho)))
+        else:
+            t = _MAX_TRUNCATION
+        #: Backward warm-start distance: transient decay factor rho**T.
+        self.truncation = int(min(max(t, self.padlen), _MAX_TRUNCATION))
+        #: Emission block size (absolute-index aligned).
+        self.block = 2 * self.truncation
+        #: Worst-case samples held back awaiting future context.
+        self.lookahead = self.block + self.truncation
+        #: Relative error bound of pushed (non-flush) emissions vs ``apply``.
+        self.error_bound = rho ** self.truncation
+
+    def zero_phase(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """``scipy.signal.filtfilt(b, a, x, axis=axis)``, bit for bit.
+
+        The same recipe (odd extension by ``padlen``, forward ``lfilter``
+        from ``zi * x[0]``, backward ``lfilter`` over the reversed output
+        from ``zi * y[-1]``, trim) with the same operations in the same
+        order, against the cached ``zi`` instead of re-solving it per call.
+        ``x`` must be longer than ``padlen`` along ``axis``.
+        """
+        p = self.padlen
+        ext = np.concatenate(
+            (
+                2 * _along(x, axis, slice(0, 1)) - _along(x, axis, slice(p, 0, -1)),
+                x,
+                2 * _along(x, axis, slice(-1, None))
+                - _along(x, axis, slice(-2, -(p + 2), -1)),
+            ),
+            axis=axis,
+        )
+        zi_shape = [1] * x.ndim
+        zi_shape[axis] = self.zi.size
+        zi = self.zi.reshape(zi_shape)
+        y, _ = _signal.lfilter(
+            self.b, self.a, ext, axis=axis,
+            zi=zi * _along(ext, axis, slice(0, 1)),
+        )
+        y, _ = _signal.lfilter(
+            self.b, self.a, _along(y, axis, slice(None, None, -1)), axis=axis,
+            zi=zi * _along(y, axis, slice(-1, None)),
+        )
+        return _along(y, axis, slice(-1 - p, p - 1, -1))
+
+
 class ZeroPhaseIIRStream:
     """Chunk-exact streaming twin of zero-phase ``filtfilt`` application.
 
@@ -174,30 +253,21 @@ class ZeroPhaseIIRStream:
       ``finish()``, matching ``apply`` exactly.
 
     Worst-case emission delay is ``lookahead = B + T`` samples (``B = 2T``
-    keeps the recompute overhead at 1.5x while bounding the delay).
+    keeps the recompute overhead at 1.5x while bounding the delay).  ``B``,
+    ``T``, the pad length and ``zi`` come from the :class:`ZeroPhaseDesign`
+    the stream is opened with, shared by every stream of one filter.
     """
 
-    def __init__(self, b, a) -> None:
-        self._b = np.asarray(b, dtype=np.float64)
-        self._a = np.asarray(a, dtype=np.float64)
+    def __init__(self, design: ZeroPhaseDesign) -> None:
+        self._b, self._a = design.b, design.a
         # filtfilt's default pad length; also ``apply``'s identity-fallback
         # threshold, so streaming and monolithic short-signal behavior agree.
-        self._pad = 3 * max(self._b.shape[0], self._a.shape[0])
-        self._zi_unit = _signal.lfilter_zi(self._b, self._a)
-        poles = np.roots(self._a)
-        rho = float(np.max(np.abs(poles))) if poles.size else 0.0
-        if 0.0 < rho < 1.0:
-            t = int(np.ceil(np.log(_TRUNCATION_TARGET) / np.log(rho)))
-        else:
-            t = _MAX_TRUNCATION
-        #: Backward warm-start distance: transient decay factor rho**T.
-        self.truncation = int(min(max(t, self._pad), _MAX_TRUNCATION))
-        #: Emission block size (absolute-index aligned).
-        self.block = 2 * self.truncation
-        #: Worst-case samples held back awaiting future context.
-        self.lookahead = self.block + self.truncation
-        #: Relative error bound of pushed (non-flush) emissions vs ``apply``.
-        self.error_bound = rho ** self.truncation
+        self._pad = design.padlen
+        self._zi_unit = design.zi
+        self.truncation = design.truncation
+        self.block = design.block
+        self.lookahead = design.lookahead
+        self.error_bound = design.error_bound
         self._raw_head: Optional[np.ndarray] = None  # raw samples pre-start
         self._raw_tail: Optional[np.ndarray] = None  # last pad+1 raw samples
         self._zf: Optional[np.ndarray] = None  # carried forward filter state
@@ -331,47 +401,6 @@ class ZeroPhaseIIRStream:
         return out
 
 
-class ChunkLocalDenoiserStream:
-    """Per-chunk applicator — deprecated, retained for compatibility only.
-
-    Applies the denoiser to each chunk in isolation — no carried state, so
-    the output near chunk boundaries differs marginally from ``apply`` over
-    the whole signal.  The chunked pipeline no longer builds these: every
-    shipped denoiser now has an exact chunked applicator (bounded-context
-    filters via :class:`LocalDenoiserStream`, the Butterworth low-pass via
-    :class:`ZeroPhaseIIRStream`), and
-    :meth:`~repro.preprocessing.pipeline.PreprocessingPipeline.open_stream`
-    rejects stream-mode denoisers without ``make_stream`` instead of
-    silently degrading to chunk-dependent output.
-    """
-
-    lookahead = 0
-
-    def __init__(self, denoiser) -> None:
-        self.denoiser = denoiser
-        self._channels = 0
-        self._finished = False
-
-    def push(self, chunk: np.ndarray) -> np.ndarray:
-        if self._finished:
-            raise ConfigurationError("denoiser stream is finished")
-        arr = np.asarray(chunk, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataShapeError(
-                f"chunk must be 2-D (samples, channels), got {arr.shape}"
-            )
-        self._channels = arr.shape[1]
-        if arr.shape[0] == 0:
-            return arr
-        return self.denoiser.apply(arr)
-
-    def finish(self) -> np.ndarray:
-        if self._finished:
-            raise ConfigurationError("denoiser stream is finished")
-        self._finished = True
-        return np.empty((0, self._channels))
-
-
 class IdentityFilter:
     """A no-op denoiser (useful as a baseline and for ablations)."""
 
@@ -470,9 +499,11 @@ class MedianFilter:
 
 
 class ButterworthLowpass:
-    """Zero-phase Butterworth low-pass (applied with ``filtfilt``).
+    """Zero-phase Butterworth low-pass (``scipy.signal.filtfilt`` semantics).
 
     ``cutoff_hz`` must be below the Nyquist frequency of ``sampling_hz``.
+    The filter design is solved once, here; ``apply``/``apply_batch``
+    return exactly ``filtfilt``'s bits (see :meth:`ZeroPhaseDesign.zero_phase`).
     """
 
     def __init__(
@@ -492,42 +523,37 @@ class ButterworthLowpass:
         self.cutoff_hz = float(cutoff_hz)
         self.sampling_hz = float(sampling_hz)
         self.order = int(order)
-        self._ba = _signal.butter(
-            self.order, self.cutoff_hz, btype="low", fs=self.sampling_hz
+        self._design = ZeroPhaseDesign(
+            *_signal.butter(
+                self.order, self.cutoff_hz, btype="low", fs=self.sampling_hz
+            )
         )
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         arr = np.asarray(data, dtype=np.float64)
-        if arr.shape[0] == 0:
+        # The odd extension needs more than ``padlen`` samples; fall back to
+        # identity for very short inputs rather than erroring on edge cases.
+        if arr.shape[0] <= self._design.padlen:
             return arr.copy()
-        b, a = self._ba
-        # filtfilt needs a minimum signal length; fall back to identity for
-        # very short inputs rather than erroring on edge cases.
-        min_len = 3 * max(len(a), len(b))
-        if arr.shape[0] <= min_len:
-            return arr.copy()
-        return _signal.filtfilt(b, a, arr, axis=0)
+        return self._design.zero_phase(arr, axis=0)
 
     def apply_batch(self, windows: np.ndarray) -> np.ndarray:
         """Filter a whole ``(k, window_len, channels)`` batch in one call.
 
-        ``filtfilt`` is independent along the non-filtered axes, so one
-        vectorized call along the sample axis is exactly equivalent to
-        filtering each window separately — without ``k`` Python-level
+        The zero-phase filter is independent along the non-filtered axes,
+        so one vectorized pass along the sample axis is exactly equivalent
+        to filtering each window separately — without ``k`` Python-level
         round-trips through scipy.
         """
         arr = check_3d("windows", windows)
-        b, a = self._ba
-        min_len = 3 * max(len(a), len(b))
-        if arr.shape[1] <= min_len:
+        if arr.shape[1] <= self._design.padlen:
             return arr.copy()
-        return _signal.filtfilt(b, a, arr, axis=1)
+        return self._design.zero_phase(arr, axis=1)
 
     def make_stream(self) -> ZeroPhaseIIRStream:
         """Chunked applicator with zi carry-over; see
         :class:`ZeroPhaseIIRStream` for the exactness contract."""
-        b, a = self._ba
-        return ZeroPhaseIIRStream(b, a)
+        return ZeroPhaseIIRStream(self._design)
 
     def to_dict(self) -> Dict:
         return {

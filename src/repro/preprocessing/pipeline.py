@@ -30,7 +30,6 @@ The normalizer is fitted exactly once (on the Cloud) via
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Dict, Optional
 
 import numpy as np
@@ -127,16 +126,15 @@ class StreamState:
     in O(chunk) work per tick with no window lost at chunk boundaries and
     no buffered sample ever re-featurized.
 
-    ``chunk_invariant`` records whether the feature stream is independent
-    of how the recording was split into chunks.  It is now always ``True``:
+    ``chunk_invariant`` records that the feature stream is independent of
+    how the recording was split into chunks, and is always ``True``:
     windowed denoising denoises each window in isolation, bounded-context
     denoisers stream through
     :class:`~repro.preprocessing.denoise.LocalDenoiserStream`, and the
     Butterworth low-pass streams through
     :class:`~repro.preprocessing.denoise.ZeroPhaseIIRStream` (zi carry-over
     forward, block-truncated backward — emitted values are identical for
-    every chunking).  Constructing a state with ``chunk_invariant=False``
-    is deprecated; no shipped code path does so.
+    every chunking).
 
     ``dtype`` is ``None`` for the canonical ``float64`` feature stream or
     ``np.float32`` for the reduced-precision fast path (feature extraction
@@ -149,23 +147,13 @@ class StreamState:
         stride: int,
         denoise: str,
         denoiser_stream=None,
-        chunk_invariant: bool = True,
         dtype=None,
     ) -> None:
         self.window_len = int(window_len)
         self.stride = int(stride)
         self.denoise = denoise
         self.denoiser_stream = denoiser_stream
-        if not chunk_invariant:
-            warnings.warn(
-                "chunk_invariant=False is deprecated: every shipped "
-                "denoiser now streams chunk-exactly (Butterworth via "
-                "ZeroPhaseIIRStream), so no pipeline path produces "
-                "chunk-dependent streams",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.chunk_invariant = bool(chunk_invariant)
+        self.chunk_invariant = True
         self.dtype = dtype
         self.buffer: Optional[np.ndarray] = None  # raw (windowed) / denoised
         self.n_channels: Optional[int] = None  # locked by the first chunk
@@ -619,7 +607,9 @@ class PreprocessingPipeline:
         # be reused for the next tick.
         state.buffer = buffer[k * w :].copy()
         state.windows_out += k
-        return sliding_windows(buffer[: k * w], w, w, copy=False)
+        windows = buffer[: k * w].reshape(k, w, buffer.shape[1])
+        windows.flags.writeable = False
+        return windows
 
     def window_features(self, windows: np.ndarray, dtype=None) -> np.ndarray:
         """Raw non-overlapping windows -> normalized stream-path features.

@@ -33,7 +33,10 @@ contiguous ``(windows * signals, window_len)`` block, each statistic one
 vectorized call over all of it, one sort shared by median and iqr —
 where a feature row reads nothing but its own window's samples and is
 therefore bit-identical however the recording was chunked and whoever else
-shared the call.  Longer inputs take the prefix-sum path above.
+shared the call.  Longer inputs take the prefix-sum path above.  Both
+paths read one ``(signals, n)`` series block, built per call by a plan the
+constructor resolves from the configured signals (raw channel columns plus
+the 3-axis groups whose norms are the derived magnitudes).
 
 Every statistic matches ``FeatureExtractor`` to 1e-9 (most bit-exactly) on
 both paths; ``tests/test_preprocessing_streaming.py`` pins that contract
@@ -553,6 +556,26 @@ class StreamingFeatureExtractor:
 
     def __init__(self, config: FeatureConfig = None) -> None:
         self.config = config if config is not None else FeatureConfig()
+        # The series plan: which row of the (signals, n) series block
+        # comes straight from a raw channel, and which is the Euclidean
+        # norm of a channel group — resolved once, not per call.
+        raw = [
+            (j, CHANNEL_INDEX[sig])
+            for j, sig in enumerate(self.config.signals)
+            if sig not in DERIVED_SIGNALS
+        ]
+        derived = [
+            (j, group_indices(DERIVED_SIGNALS[sig]))
+            for j, sig in enumerate(self.config.signals)
+            if sig in DERIVED_SIGNALS
+        ]
+        self._raw_slots = np.array([j for j, _ in raw], dtype=np.intp)
+        self._raw_channels = np.array([c for _, c in raw], dtype=np.intp)
+        self._derived_slots = np.array([j for j, _ in derived], dtype=np.intp)
+        # every derived signal is the norm of a 3-axis group
+        self._derived_groups = np.array(
+            [idx for _, idx in derived], dtype=np.intp
+        ).reshape(len(derived), 3)
 
     @property
     def n_features(self) -> int:
@@ -566,30 +589,45 @@ class StreamingFeatureExtractor:
             for stat in self.config.stats
         ]
 
-    def _signal_series(self, data: np.ndarray, signal: str) -> np.ndarray:
-        """The continuous 1-D series for one configured signal, O(n)."""
-        if signal in DERIVED_SIGNALS:
-            idx = group_indices(DERIVED_SIGNALS[signal])
-            return np.linalg.norm(data[:, idx], axis=1)
-        return np.ascontiguousarray(data[:, CHANNEL_INDEX[signal]])
+    def _series_block(self, data: np.ndarray) -> np.ndarray:
+        """The ``(signals, n)`` block of every configured signal's series.
+
+        One gather for the raw channels, one for the derived groups, whose
+        norm ``sqrt(add.reduce(g * g))`` is ``np.linalg.norm``'s own
+        arithmetic — the same bits as a per-signal ``norm`` call.  Signal
+        rows, not columns: each gather copies whole channels, and each
+        series is contiguous for the windows cut from it.
+        """
+        channels = data.T
+        series = np.empty(
+            (len(self.config.signals), data.shape[0]), dtype=data.dtype
+        )
+        series[self._raw_slots] = channels[self._raw_channels]
+        groups = channels[self._derived_groups]
+        series[self._derived_slots] = np.sqrt(
+            np.add.reduce(groups * groups, axis=1)
+        )
+        return series
 
     def _extract_stacked(
         self, data: np.ndarray, window_len: int, stride: int, out: np.ndarray
     ) -> None:
         """Fill ``out`` with the features of ``out.shape[0]`` windows.
 
-        The stacked pass: build the ``(n, signals)`` series block once, then
-        walk its zero-copy ``(windows, signals, window_len)`` view in
+        The stacked pass: build the series block once, then walk its
+        zero-copy ``(windows, signals, window_len)`` strided view in
         bounded groups of windows, each copied into one contiguous block
         whose rows every statistic reduces in a single vectorized call.
         """
         signals, stats = self.config.signals, self.config.stats
-        series = np.empty((data.shape[0], len(signals)), dtype=data.dtype)
-        for j, sig in enumerate(signals):
-            series[:, j] = self._signal_series(data, sig)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            series, window_len, axis=0
-        )[::stride]
+        series = self._series_block(data)
+        signal_step, sample_step = series.strides
+        windows = np.lib.stride_tricks.as_strided(
+            series,
+            shape=(out.shape[0], len(signals), window_len),
+            strides=(stride * sample_step, signal_step, sample_step),
+            writeable=False,
+        )
         step = max(1, _STACKED_BLOCK_SAMPLES // (len(signals) * window_len))
         for first in range(0, out.shape[0], step):
             ctx = _StackedWindows(
@@ -661,10 +699,8 @@ class StreamingFeatureExtractor:
 
         starts = np.arange(n_windows) * stride
         col = 0
-        for sig in self.config.signals:
-            ctx = _SignalWindows(
-                self._signal_series(arr, sig), window_len, stride, starts
-            )
+        for series in self._series_block(arr):
+            ctx = _SignalWindows(series, window_len, stride, starts)
             for stat in self.config.stats:
                 streaming = STREAMING_STATISTICS.get(stat)
                 if streaming is None or (

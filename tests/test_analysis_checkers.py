@@ -16,6 +16,7 @@ from repro.analysis import (
     DEFAULT_CHECKERS,
     EntryPointChecker,
     ExceptionTaxonomyChecker,
+    PerCallDesignChecker,
     lint_source,
 )
 
@@ -217,6 +218,44 @@ class TestExceptionTaxonomy:
         )
         violations = lint_source(source, [ExceptionTaxonomyChecker()])
         assert [v.rule for v in violations] == ["broad-except"]
+
+
+class TestPerCallDesign:
+    def test_fixture_violations(self):
+        text = fixture_text("per_call_design.py")
+        expected = [
+            ("per-call-design", n)
+            for n in marker_lines(text, "per-call-design")
+        ]
+        assert len(expected) == 4
+        assert found(
+            text, PerCallDesignChecker(),
+            path="src/repro/preprocessing/denoise.py",
+        ) == expected
+
+    def test_message_names_call_and_function(self):
+        text = fixture_text("per_call_design.py")
+        violations = lint_source(
+            text, [PerCallDesignChecker()],
+            path="src/repro/preprocessing/denoise.py",
+        )
+        assert "filtfilt() in apply_batch" in violations[1].message
+
+    @pytest.mark.parametrize("path", [
+        "src/repro/core/engine.py",
+        "benchmarks/bench_precision.py",
+        "tests/test_preprocessing_denoise.py",
+    ])
+    def test_outside_preprocessing_exempt(self, path):
+        text = fixture_text("per_call_design.py")
+        assert found(text, PerCallDesignChecker(), path=path) == []
+
+    def test_lambda_is_per_call(self):
+        source = "import numpy as np\nradius = lambda a: np.roots(a)\n"
+        assert found(
+            source, PerCallDesignChecker(),
+            path="src/repro/preprocessing/x.py",
+        ) == [("per-call-design", 2)]
 
 
 class TestStrictPragmas:

@@ -74,6 +74,39 @@ class TestLiveTreeSelfClean:
             assert (REPO_ROOT / f"BENCH_{name}.json").is_file()
 
 
+class TestFilterDesignHoisted:
+    """``per-call-design``: preprocessing solves filter designs once."""
+
+    def test_preprocessing_clean_with_no_suppression(self):
+        report = live_report()
+        assert not [
+            v for v in report.violations if v.rule == "per-call-design"
+        ]
+        assert not [
+            v for v, _ in report.suppressed if v.rule == "per-call-design"
+        ]
+
+    def test_design_is_still_solved_somewhere(self):
+        """The rule is live on real calls, not vacuous: the denoiser does
+        call ``butter``/``lfilter_zi``/``roots`` — from constructors."""
+        from repro.analysis import PerCallDesignChecker, lint_source
+
+        denoise = REPO_ROOT / "src" / "repro" / "preprocessing" / "denoise.py"
+        text = denoise.read_text(encoding="utf-8")
+        for call in ("butter(", "lfilter_zi(", "roots("):
+            assert call in text
+        moved = text.replace("    def __init__(self, b, a)", "    def solve(self, b, a)")
+        hits = lint_source(
+            moved, [PerCallDesignChecker()],
+            path="src/repro/preprocessing/denoise.py",
+        )
+        assert {v.message.split("()")[0] for v in hits} == {"lfilter_zi", "roots"}
+
+    def test_rule_listed(self, capsys):
+        assert run_lint.main(["--list-rules"]) == 0
+        assert "per-call-design" in capsys.readouterr().out
+
+
 class TestRunLintCli:
     @pytest.mark.parametrize("fixture", [
         "alias_assign.py",

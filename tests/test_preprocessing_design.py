@@ -1,0 +1,322 @@
+"""Configuration-only work happens once, and changes no bit.
+
+The preprocessing a serving tick runs is priced per sample, not per call:
+``ButterworthLowpass`` solves its whole zero-phase design (coefficients,
+pad length, ``lfilter_zi``, pole radius, stream block sizes) at
+construction, ``StreamingFeatureExtractor`` resolves its configured signals
+into a series plan at construction, and ``fold_chunk`` hands out its
+windows as a reshape view.  The contracts pinned here:
+
+- ``apply``/``apply_batch`` return exactly ``scipy.signal.filtfilt``'s bits;
+- once a pipeline is built, ticks need nothing of ``scipy.signal`` but
+  ``lfilter`` (the design is never re-derived per call);
+- the series plan and the stacked pass's strided view give the same bits
+  as per-signal ``np.linalg.norm`` columns windowed by
+  ``sliding_window_view``;
+- ``fold_chunk``'s windows are read-only.
+"""
+
+import types
+
+import numpy as np
+import pytest
+import scipy.signal
+
+from repro.core import FleetServer
+from repro.preprocessing import (
+    DERIVED_SIGNALS,
+    ButterworthLowpass,
+    FeatureConfig,
+    PreprocessingPipeline,
+    StreamingFeatureExtractor,
+)
+from repro.preprocessing import denoise as denoise_module
+from repro.preprocessing import streaming as streaming_module
+from repro.sensors import SensorDevice
+from repro.sensors.channels import CHANNEL_INDEX, group_indices
+
+W = 120
+
+
+@pytest.fixture(scope="module")
+def recording():
+    device = SensorDevice(rng=2501)
+    return np.concatenate(
+        [device.record(a, 4.0).data for a in ("walk", "run", "still")], axis=0
+    )
+
+
+# ---------------------------------------------------------------------- #
+# the zero-phase filter is filtfilt, bit for bit
+# ---------------------------------------------------------------------- #
+
+
+class TestZeroPhaseIsFiltfilt:
+    @pytest.fixture(scope="class")
+    def lowpass(self):
+        return ButterworthLowpass()
+
+    def _ba(self):
+        return scipy.signal.butter(4, 30.0, btype="low", fs=120.0)
+
+    @pytest.mark.parametrize("n", [16, 17, 121, 5000])
+    def test_apply_recording(self, lowpass, rng, n):
+        x = rng.normal(size=(n, 22)) * 40.0 + 1000.0
+        b, a = self._ba()
+        assert np.array_equal(
+            lowpass.apply(x), scipy.signal.filtfilt(b, a, x, axis=0)
+        )
+
+    @pytest.mark.parametrize("n", [16, 17, 121])
+    @pytest.mark.parametrize("k", [1, 3, 256])
+    def test_apply_batch(self, lowpass, rng, n, k):
+        windows = rng.normal(size=(k, n, 22))
+        b, a = self._ba()
+        assert np.array_equal(
+            lowpass.apply_batch(windows),
+            scipy.signal.filtfilt(b, a, windows, axis=1),
+        )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_apply_batch_long_windows(self, lowpass, rng, k):
+        windows = rng.normal(size=(k, 5000, 22))
+        b, a = self._ba()
+        assert np.array_equal(
+            lowpass.apply_batch(windows),
+            scipy.signal.filtfilt(b, a, windows, axis=1),
+        )
+
+    @pytest.mark.parametrize("n", [16, 121, 5000])
+    def test_one_dimensional_input(self, lowpass, rng, n):
+        x = rng.normal(size=n)
+        b, a = self._ba()
+        assert np.array_equal(
+            lowpass.apply(x), scipy.signal.filtfilt(b, a, x, axis=0)
+        )
+
+    def test_float32_input_filters_in_float64(self, lowpass, rng):
+        """float32 samples are cast first, as they always were: the odd
+        extension is formed in float64, not in float32."""
+        x = (rng.normal(size=(500, 22)) * 40.0 + 1000.0).astype(np.float32)
+        windows = x[:480].reshape(4, W, 22)
+        b, a = self._ba()
+        out = lowpass.apply(x)
+        assert out.dtype == np.float64
+        assert np.array_equal(
+            out, scipy.signal.filtfilt(b, a, x.astype(np.float64), axis=0)
+        )
+        assert np.array_equal(
+            lowpass.apply_batch(windows),
+            scipy.signal.filtfilt(b, a, windows.astype(np.float64), axis=1),
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 15])
+    def test_identity_fallback_at_most_padlen(self, lowpass, rng, n):
+        x = rng.normal(size=(n, 22))
+        out = lowpass.apply(x)
+        assert np.array_equal(out, x) and out is not x
+        windows = rng.normal(size=(2, n, 22))
+        batch = lowpass.apply_batch(windows)
+        assert np.array_equal(batch, windows) and batch is not windows
+
+    def test_streams_share_the_design(self, lowpass):
+        first, second = lowpass.make_stream(), lowpass.make_stream()
+        assert first._zi_unit is second._zi_unit
+        assert (first.truncation, first.block, first.lookahead) == (92, 184, 276)
+        assert first.error_bound < 1e-15
+
+
+# ---------------------------------------------------------------------- #
+# nothing is re-derived per call
+# ---------------------------------------------------------------------- #
+
+
+def _only_lfilter(monkeypatch):
+    """Leave ``repro.preprocessing.denoise`` nothing of scipy.signal but
+    ``lfilter``: any per-call ``filtfilt``/``lfilter_zi``/``butter`` raises."""
+    monkeypatch.setattr(
+        denoise_module, "_signal",
+        types.SimpleNamespace(lfilter=scipy.signal.lfilter),
+    )
+
+
+def _edge_ticks(edge, data):
+    session = edge.open_stream()
+    batches = [
+        edge.infer_chunk(session, data[start:start + W])
+        for start in range(0, data.shape[0], W)
+    ]
+    batches.append(edge.finish_stream(session))
+    return (
+        np.concatenate([b.distances for b in batches]),
+        sum((b.names for b in batches), []),
+    )
+
+
+def _fleet_ticks(engine, data):
+    server = FleetServer(engine)
+    ids = [f"dev{i}" for i in range(3)]
+    for session_id in ids:
+        server.connect(session_id)
+    served = []
+    for start in range(0, data.shape[0] - 40, 150):
+        tick = server.step_stream(
+            {sid: data[start + 20 * i:start + 20 * i + 150]
+             for i, sid in enumerate(ids)}
+        )
+        served += [
+            (v.activity, v.confidence, v.accepted)
+            for sid in ids for v in tick[sid]
+        ]
+    return served
+
+
+def _stream_mode(pipeline, data):
+    state = pipeline.open_stream(stride=60)
+    rows = [
+        pipeline.process_chunk(state, data[start:start + 97])
+        for start in range(0, data.shape[0], 97)
+    ]
+    rows.append(pipeline.finish_stream(state))
+    return np.concatenate(rows)
+
+
+class TestDesignIsHoisted:
+    def test_ticks_need_only_lfilter(self, scenario, recording, monkeypatch):
+        edge = scenario.fresh_edge(rng=5)
+        engine = edge.engine
+        assert isinstance(engine.pipeline.denoiser, ButterworthLowpass)
+        before = (
+            _edge_ticks(edge, recording),
+            _fleet_ticks(engine, recording),
+            _stream_mode(engine.pipeline, recording),
+        )
+        _only_lfilter(monkeypatch)
+        after = (
+            _edge_ticks(edge, recording),
+            _fleet_ticks(engine, recording),
+            _stream_mode(engine.pipeline, recording),
+        )
+        assert np.array_equal(after[0][0], before[0][0])
+        assert after[0][1] == before[0][1]
+        assert after[1] == before[1] and len(after[1]) > 0
+        assert np.array_equal(after[2], before[2])
+
+    def test_stub_really_removes_filtfilt(self, monkeypatch):
+        _only_lfilter(monkeypatch)
+        with pytest.raises(AttributeError):
+            ButterworthLowpass()
+
+
+# ---------------------------------------------------------------------- #
+# the series plan: same bits as per-signal norms
+# ---------------------------------------------------------------------- #
+
+
+CONFIGS = {
+    "default": FeatureConfig(),
+    "raw-only": FeatureConfig(signals=("grav_z", "gyro_z", "baro", "light")),
+    "derived-only": FeatureConfig(signals=("accel_mag", "gyro_mag")),
+    "all-derived": FeatureConfig(signals=tuple(DERIVED_SIGNALS)),
+    "repeated": FeatureConfig(signals=("accel_mag", "baro", "accel_mag", "baro")),
+    "one-signal": FeatureConfig(signals=("mag_mag",)),
+}
+
+
+def _reference_series(data, signals):
+    """One 1-D series per signal: ``np.linalg.norm`` of the group's
+    columns, or the raw channel."""
+    return [
+        np.linalg.norm(data[:, group_indices(DERIVED_SIGNALS[sig])], axis=1)
+        if sig in DERIVED_SIGNALS
+        else np.ascontiguousarray(data[:, CHANNEL_INDEX[sig]])
+        for sig in signals
+    ]
+
+
+def _reference_stacked(config, data, stride):
+    series = np.stack(_reference_series(data, config.signals), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        series, W, axis=0
+    )[::stride]
+    ctx = streaming_module._StackedWindows(
+        np.ascontiguousarray(windows).reshape(-1, W)
+    )
+    out = np.empty((windows.shape[0], config.n_features), dtype=data.dtype)
+    features = out.reshape(-1, len(config.stats))
+    for col, stat in enumerate(config.stats):
+        features[:, col] = streaming_module._STACKED_STATISTICS[stat](ctx)
+    return out
+
+
+def _reference_prefix(config, data, stride):
+    k = (data.shape[0] - W) // stride + 1
+    starts = np.arange(k) * stride
+    columns = [
+        streaming_module.STREAMING_STATISTICS[stat](
+            streaming_module._SignalWindows(series, W, stride, starts)
+        )
+        for series in _reference_series(data, config.signals)
+        for stat in config.stats
+    ]
+    return np.stack(columns, axis=1).astype(data.dtype, copy=False)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestSeriesPlan:
+    def test_series_block_columns(self, recording, name, dtype):
+        config = CONFIGS[name]
+        data = recording.astype(dtype)
+        block = StreamingFeatureExtractor(config)._series_block(data)
+        assert block.dtype == dtype
+        for j, ref in enumerate(_reference_series(data, config.signals)):
+            assert np.array_equal(block[j], ref)
+
+    @pytest.mark.parametrize("stride", [W, 30])
+    def test_stacked_pass(self, recording, name, dtype, stride):
+        config = CONFIGS[name]
+        data = recording.astype(dtype)
+        got = StreamingFeatureExtractor(config).extract(
+            data, W, stride=stride, dtype=dtype
+        )
+        assert np.array_equal(got, _reference_stacked(config, data, stride))
+
+    @pytest.mark.parametrize("stride", [W, 30])
+    def test_prefix_pass(self, recording, monkeypatch, name, dtype, stride):
+        monkeypatch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", 0)
+        config = CONFIGS[name]
+        data = recording.astype(dtype)
+        got = StreamingFeatureExtractor(config).extract(
+            data, W, stride=stride, dtype=dtype
+        )
+        assert np.array_equal(got, _reference_prefix(config, data, stride))
+
+
+# ---------------------------------------------------------------------- #
+# fold_chunk hands out read-only windows
+# ---------------------------------------------------------------------- #
+
+
+class TestFoldChunkWindows:
+    def test_windows_are_read_only(self, recording):
+        pipeline = PreprocessingPipeline()
+        state = pipeline.open_stream()
+        chunk = recording[:300].copy()
+        straight = pipeline.fold_chunk(state, chunk)  # a view of the chunk
+        assert straight.shape == (2, W, 22)
+        with pytest.raises(ValueError):
+            straight[0, 0, 0] = 1.0
+        chunk[0, 0] = 5.0  # the caller's array stays writable
+        carried = pipeline.fold_chunk(state, recording[300:420])
+        assert carried.shape == (1, W, 22)
+        assert np.array_equal(carried[0], recording[240:360])
+        with pytest.raises(ValueError):
+            carried[...] = 0.0
+
+    def test_zero_windows(self, recording):
+        pipeline = PreprocessingPipeline()
+        state = pipeline.open_stream()
+        windows = pipeline.fold_chunk(state, recording[:50])
+        assert windows.shape == (0, W, 22)
+        assert state.pending_samples == 50
