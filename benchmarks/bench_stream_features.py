@@ -1,4 +1,4 @@
-"""E-STREAM — streaming O(n) feature extraction vs the per-window paths.
+"""E-STREAM — streaming feature extraction vs the per-window paths.
 
 A continuous recording used to be featurized per *window*: the seed's
 consumption model calls ``FeatureExtractor.extract_one`` on each window as
@@ -7,7 +7,8 @@ cube out of the stride-tricks view and re-derives every signal per window —
 with 50% overlap each sample is paid for twice, at 90% overlap ten times.
 :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor` computes
 the same ``(k, 80)`` matrix straight from the continuous ``(n, channels)``
-signal via prefix sums / pooled extrema / one shared partition.
+signal: one series block per call, then the stacked pass over bounded
+groups of windows, each statistic one vectorized call per group.
 
 This bench records windows/sec for the three paths at overlaps
 {0, 0.5, 0.9} and asserts the headline gates: streaming at least **3x** the
@@ -157,7 +158,7 @@ def test_bench_streaming_8x_at_high_overlap(stream_results):
 
 
 def test_bench_streaming_beats_batched_on_overlap(stream_results):
-    """The O(n) path beats the batched cube path wherever windows overlap.
+    """The streaming path beats the batched cube path wherever windows overlap.
 
     (At zero overlap the two do the same per-sample work and streaming only
     wins by skipping the cube copy — too thin a margin to gate on.)

@@ -15,9 +15,9 @@ Quickstart::
                                        windows_per_user_per_activity=30)
 
     # For continuous data the preferred entry point is the streaming fast
-    # path: O(n) in samples (prefix-sum features, no window cube), with
-    # verdicts identical to windowing + infer_windows at the default
-    # non-overlapping stride.
+    # path: one denoise pass, features in bounded window blocks (no
+    # window cube), with verdicts identical to windowing + infer_windows
+    # at the default non-overlapping stride.
     batch = edge.engine.infer_stream(recording.data)       # k verdicts
     dense = edge.engine.infer_stream(recording.data, stride=12)  # 90% overlap
     batch.names, batch.confidences, batch.distances

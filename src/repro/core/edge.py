@@ -162,7 +162,7 @@ class EdgeDevice:
     def infer_stream(
         self, data: np.ndarray, stride: Optional[int] = None, dtype=None
     ) -> BatchInference:
-        """Classify every window of continuous raw samples in one O(n) pass.
+        """Classify every window of continuous raw samples in one fused pass.
 
         The preferred entry point for continuous data: see
         :meth:`~repro.core.engine.InferenceEngine.infer_stream`.
@@ -203,7 +203,7 @@ class EdgeDevice:
     def infer_recording(self, recording: Recording) -> Tuple[str, List[str]]:
         """Classify every window of a recording; majority-vote the verdict.
 
-        Runs through the engine's streaming fast path — one fused O(n)
+        Runs through the engine's streaming fast path — one fused
         pass, no window cube — and matches window-by-window inference
         (``infer_window`` / ``infer_windows`` on the segmented recording)
         exactly, including their *per-window* denoising.  Note this is the

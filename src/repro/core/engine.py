@@ -58,8 +58,8 @@ from .smoothing import HysteresisSmoother
 def _feature_dtype(dtype):
     """Map an engine compute dtype to the pipeline feature dtype.
 
-    Only ``float32`` engages the reduced-precision *feature* path (prefix
-    sums, normalization, embedding all in 32 bits); every other dtype keeps
+    Only ``float32`` engages the reduced-precision *feature* path (window
+    statistics, normalization, embedding all in 32 bits); every other dtype keeps
     float64 features and only changes the distance-matrix dtype, which
     preserves the historical distance-only semantics of e.g. ``float16``.
     """
@@ -330,14 +330,15 @@ class InferenceEngine:
         stride: Optional[int] = None,
         dtype=None,
     ) -> BatchInference:
-        """Continuous raw samples ``(n, channels)`` -> batch verdicts, O(n).
+        """Continuous raw samples ``(n, channels)`` -> batch verdicts.
 
-        The streaming fast path for continuous recordings: denoise,
-        prefix-sum feature extraction, normalize, embed and NCM distances
+        The streaming fast path for continuous recordings: denoise once,
+        featurize with the stacked pass, normalize, embed and NCM distances
         fused in one pass — no ``(k, window_len, channels)`` cube is ever
-        materialized.  ``stride`` defaults to the pipeline's stride
-        (``window_len``, non-overlapping); pass a smaller stride for
-        overlapping windows at O(n) cost instead of O(k * window_len).
+        materialized, only bounded blocks of windows.  ``stride`` defaults
+        to the pipeline's stride (``window_len``, non-overlapping); pass a
+        smaller stride for overlapping windows, denoised once over the
+        continuous signal instead of once per window.
 
         At the default non-overlapping stride the verdicts are identical to
         ``infer_windows(sliding_windows(data, window_len))`` — distances to

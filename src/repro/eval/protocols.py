@@ -8,7 +8,7 @@ accuracy, overall accuracy, the accuracy on the newly learned class, and
 forgetting relative to the pre-update state.
 
 The stream protocol (:func:`run_stream_protocol`) evaluates window-level
-recognition over *continuous* recordings through the engine's O(n)
+recognition over *continuous* recordings through the engine's
 ``infer_stream`` fast path — one fused pass per labeled segment instead of
 per-window calls, so high-overlap evaluation sweeps stay tractable.
 """

@@ -35,11 +35,7 @@ from .pipeline import (
     resolve_feature_dtype,
 )
 from .segmentation import segment_recording, sliding_windows, window_count
-from .streaming import (
-    MIN_PREFIX_WINDOW_LEN,
-    STREAMING_STATISTICS,
-    StreamingFeatureExtractor,
-)
+from .streaming import StreamingFeatureExtractor
 from .spectral import (
     DEFAULT_SPECTRAL_SIGNALS,
     FREQUENCY_BANDS,
@@ -65,13 +61,11 @@ __all__ = [
     "DEFAULT_SPECTRAL_SIGNALS",
     "FREQUENCY_BANDS",
     "PreprocessingPipeline",
-    "MIN_PREFIX_WINDOW_LEN",
     "SPECTRAL_STATS",
     "SpectralConfig",
     "SpectralFeatureExtractor",
     "STATISTICS",
     "StreamState",
-    "STREAMING_STATISTICS",
     "StreamingFeatureExtractor",
     "ZScoreNormalizer",
     "ZeroPhaseIIRStream",

@@ -11,7 +11,7 @@ entry points:
 - :meth:`process_windows` — already-segmented raw windows -> features,
   used on streamed one-second chunks;
 - :meth:`process_stream` — continuous raw samples -> feature matrix through
-  the O(n) :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`
+  the :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`
   path: no window cube is ever materialized, and at the default
   non-overlapping stride the per-window verdicts match
   :meth:`process_windows` on the segmented recording exactly;
@@ -253,7 +253,7 @@ class PreprocessingPipeline:
 
     @property
     def streaming_extractor(self) -> Optional[StreamingFeatureExtractor]:
-        """The O(n) streaming twin of the configured extractor.
+        """The streaming twin of the configured extractor.
 
         Only the plain statistical :class:`FeatureExtractor` has a streaming
         implementation (subclasses may override statistics, so they fall
@@ -347,7 +347,7 @@ class PreprocessingPipeline:
     ) -> np.ndarray:
         """Continuous ``(n, channels)`` samples -> *unnormalized* features.
 
-        The O(n) fast path: no window cube is materialized.  ``denoise``
+        The fast path: no window cube is materialized.  ``denoise``
         picks where the denoiser runs:
 
         - ``"windowed"`` — segment first (zero-copy view), denoise the
@@ -439,7 +439,7 @@ class PreprocessingPipeline:
         self, data: np.ndarray, stride: Optional[int] = None,
         denoise: str = "auto", dtype=None,
     ) -> np.ndarray:
-        """Continuous raw samples -> normalized features, O(n) end to end.
+        """Continuous raw samples -> normalized features in one pass.
 
         ``dtype=np.float32`` selects the reduced-precision fast path:
         features extract and normalize in 32 bits (see
@@ -697,7 +697,7 @@ class PreprocessingPipeline:
 
         The denoiser runs once over the continuous signal (cheaper and
         avoids per-window edge artifacts), then features stream out of the
-        O(n) extractor without materializing windows.
+        streaming extractor without materializing windows.
         """
         if recording.n_samples < self.window_len:
             return np.empty((0, self.n_features))

@@ -249,19 +249,6 @@ def _reference_stacked(config, data, stride):
     return out
 
 
-def _reference_prefix(config, data, stride):
-    k = (data.shape[0] - W) // stride + 1
-    starts = np.arange(k) * stride
-    columns = [
-        streaming_module.STREAMING_STATISTICS[stat](
-            streaming_module._SignalWindows(series, W, stride, starts)
-        )
-        for series in _reference_series(data, config.signals)
-        for stat in config.stats
-    ]
-    return np.stack(columns, axis=1).astype(data.dtype, copy=False)
-
-
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestSeriesPlan:
@@ -283,14 +270,18 @@ class TestSeriesPlan:
         assert np.array_equal(got, _reference_stacked(config, data, stride))
 
     @pytest.mark.parametrize("stride", [W, 30])
-    def test_prefix_pass(self, recording, monkeypatch, name, dtype, stride):
-        monkeypatch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", 0)
+    def test_one_window_groups(
+        self, recording, monkeypatch, name, dtype, stride
+    ):
+        """Walking one window per scratch block gives the same bits as
+        stacking every window at once."""
+        monkeypatch.setattr(streaming_module, "_STACKED_BLOCK_SAMPLES", 1)
         config = CONFIGS[name]
         data = recording.astype(dtype)
         got = StreamingFeatureExtractor(config).extract(
             data, W, stride=stride, dtype=dtype
         )
-        assert np.array_equal(got, _reference_prefix(config, data, stride))
+        assert np.array_equal(got, _reference_stacked(config, data, stride))
 
 
 # ---------------------------------------------------------------------- #

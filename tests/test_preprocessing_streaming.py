@@ -16,15 +16,14 @@ from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     FeatureConfig,
     FeatureExtractor,
-    MIN_PREFIX_WINDOW_LEN,
     PreprocessingPipeline,
-    STREAMING_STATISTICS,
     SpectralFeatureExtractor,
     StreamingFeatureExtractor,
     sliding_windows,
 )
 from repro.preprocessing import streaming as streaming_module
 from repro.preprocessing.features import DEFAULT_STATS, STATISTICS
+from repro.sensors import SensorDevice
 from repro.sensors.channels import N_CHANNELS
 
 PARITY = dict(rtol=0.0, atol=1e-9)
@@ -34,7 +33,7 @@ def continuous_data(rng, n=1500):
     """A continuous (n, 22) signal with offset-heavy channels.
 
     Barometer (~1013 hPa) and ambient light (~hundreds of lux) stress the
-    prefix sums' cancellation resistance the way real recordings do.
+    statistics' cancellation resistance the way real recordings do.
     """
     data = rng.normal(size=(n, N_CHANNELS))
     data[:, 19] += 1013.25
@@ -61,7 +60,9 @@ class TestStreamingParity:
         assert_column_parity(continuous_data(rng), 120, stride)
 
     @pytest.mark.parametrize("window_len,stride", [
-        (7, 3),      # odd, below the prefix-sum threshold
+        (7, 3),      # odd
+        (5, 5),      # odd, non-overlapping
+        (2, 1),      # shortest window with a zcr/slope
         (31, 7),     # odd
         (119, 17),   # odd, just under the paper window
         (1, 1),      # degenerate single-sample windows
@@ -92,6 +93,11 @@ class TestStreamingParity:
         assert out.shape == (0, streaming.n_features)
         out = streaming.extract(np.empty((0, N_CHANNELS)), 120)
         assert out.shape == (0, streaming.n_features)
+        out = streaming.extract(
+            rng.normal(size=(50, N_CHANNELS)), 120, dtype=np.float32
+        )
+        assert out.shape == (0, streaming.n_features)
+        assert out.dtype == np.float32
 
     def test_custom_config_subset(self, rng):
         config = FeatureConfig(
@@ -117,8 +123,20 @@ class TestStreamingParity:
             del STATISTICS["ptp"]
 
     def test_every_default_stat_has_streaming_impl(self):
-        assert set(DEFAULT_STATS) == set(STREAMING_STATISTICS)
-        assert MIN_PREFIX_WINDOW_LEN >= 2
+        assert set(DEFAULT_STATS) == set(streaming_module._STACKED_STATISTICS)
+
+    def test_float32_flip_budget(self, edge):
+        """<= 1e-3 of verdicts flip in float32 on a long overlapping call."""
+        device = SensorDevice(rng=np.random.default_rng(26))
+        recording = device.record("walk", 6.0)
+        ref = edge.infer_stream(recording.data, stride=4)
+        got = edge.infer_stream(recording.data, stride=4, dtype=np.float32)
+        assert len(ref) == len(got) > 100
+        flips = int(
+            (ref.labels != got.labels).sum()
+            + (ref.accepted != got.accepted).sum()
+        )
+        assert flips / len(ref) <= 1e-3
 
     def test_validation_errors(self, rng):
         streaming = StreamingFeatureExtractor()
@@ -130,6 +148,108 @@ class TestStreamingParity:
             streaming.extract(np.zeros((100, N_CHANNELS)), 0)
         with pytest.raises(ConfigurationError):
             streaming.extract(np.zeros((100, N_CHANNELS)), 10, stride=0)
+
+
+# ---------------------------------------------------------------------- #
+# the same contract across scratch-block boundaries
+# ---------------------------------------------------------------------- #
+#
+# ``extract`` walks a call's windows in groups of ``_STACKED_BLOCK_SAMPLES``
+# samples, so at the default block the short inputs above mostly fit in
+# one group.  The class below shrinks the block so every call crosses many
+# group boundaries, including a ragged last group.
+
+BLOCK_SIZES = {
+    "one-window": 1,         # every group holds a single window
+    "small-blocks": 1 << 12,  # a few windows per group, ragged tail
+}
+
+
+@pytest.fixture(params=sorted(BLOCK_SIZES))
+def small_blocks(request, monkeypatch):
+    """Shrink the stacked pass's scratch block for every ``extract`` call."""
+    monkeypatch.setattr(
+        streaming_module, "_STACKED_BLOCK_SAMPLES", BLOCK_SIZES[request.param]
+    )
+    return request.param
+
+
+class TestParityAcrossBlocks:
+    @pytest.mark.parametrize("stride", [120, 60, 30, 1])
+    def test_default_window_all_strides(self, small_blocks, rng, stride):
+        assert_column_parity(continuous_data(rng), 120, stride)
+
+    @pytest.mark.parametrize("window_len,stride", [
+        (7, 3), (5, 5), (2, 1), (31, 7), (119, 17), (1, 1),
+    ])
+    def test_odd_and_tiny_window_lengths(
+        self, small_blocks, rng, window_len, stride
+    ):
+        assert_column_parity(continuous_data(rng, n=800), window_len, stride)
+
+    def test_stride_longer_than_window(self, small_blocks, rng):
+        assert_column_parity(continuous_data(rng), 120, 250)
+
+    def test_constant_signal(self, small_blocks):
+        data = np.full((600, N_CHANNELS), 3.7)
+        assert_column_parity(data, 120, 60)
+        streaming = StreamingFeatureExtractor()
+        feats = streaming.extract(data, 120, stride=60)
+        names = streaming.feature_names()
+        for stat in ("zcr", "slope", "std", "iqr", "mad"):
+            cols = [i for i, name in enumerate(names) if name.endswith(stat)]
+            np.testing.assert_allclose(feats[:, cols], 0.0, atol=1e-9)
+
+    def test_linear_ramp_slope(self, small_blocks):
+        data = np.tile(np.arange(900.0)[:, None], (1, N_CHANNELS))
+        assert_column_parity(data, 120, 40)
+
+    def test_custom_config_subset(self, small_blocks, rng):
+        config = FeatureConfig(
+            signals=("accel_mag", "baro"), stats=("median", "slope", "min")
+        )
+        data = continuous_data(rng)
+        ref = FeatureExtractor(config).extract(sliding_windows(data, 64, 16))
+        got = StreamingFeatureExtractor(config).extract(data, 64, stride=16)
+        np.testing.assert_allclose(got, ref, **PARITY)
+
+    def test_custom_statistics_entry(self, small_blocks, rng):
+        STATISTICS["ptp"] = lambda s: s.max(axis=1) - s.min(axis=1)
+        try:
+            config = FeatureConfig(signals=("gyro_mag",), stats=("ptp", "mean"))
+            data = continuous_data(rng)
+            got = StreamingFeatureExtractor(config).extract(data, 120, stride=60)
+            ref = FeatureExtractor(config).extract(sliding_windows(data, 120, 60))
+            np.testing.assert_allclose(got, ref, **PARITY)
+        finally:
+            del STATISTICS["ptp"]
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_same_bits_as_the_default_block(self, rng, dtype):
+        """A long call (> 256 windows) returns the same bits whatever the
+        block size: no row reads across a group boundary."""
+        data = continuous_data(rng, n=4000)
+        streaming = StreamingFeatureExtractor()
+        default = streaming.extract(data, 120, stride=10, dtype=dtype)
+        assert default.shape[0] > 256
+        for block in BLOCK_SIZES.values():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(streaming_module, "_STACKED_BLOCK_SAMPLES", block)
+                got = streaming.extract(data, 120, stride=10, dtype=dtype)
+            assert np.array_equal(got, default)
+
+    def test_float32_flip_budget(self, small_blocks, edge):
+        """<= 1e-3 of verdicts flip in float32, whatever the block size."""
+        device = SensorDevice(rng=np.random.default_rng(26))
+        recording = device.record("walk", 6.0)
+        ref = edge.infer_stream(recording.data, stride=4)
+        got = edge.infer_stream(recording.data, stride=4, dtype=np.float32)
+        assert len(ref) == len(got) > 100
+        flips = int(
+            (ref.labels != got.labels).sum()
+            + (ref.accepted != got.accepted).sum()
+        )
+        assert flips / len(ref) <= 1e-3
 
 
 class TestSlidingWindowsView:
@@ -186,136 +306,17 @@ class TestPipelineStreamingPlumbing:
         assert pipeline.streaming_extractor is None
 
 
-# ---------------------------------------------------------------------- #
-# both extraction paths
-# ---------------------------------------------------------------------- #
-#
-# ``extract`` routes a call by its window count (stacked pass up to
-# ``_STACKED_MAX_WINDOWS`` windows, prefix sums beyond), so the short
-# inputs above only ever see the stacked pass.  The classes below pin the
-# same contract with the route forced each way.
-
-
-@pytest.fixture(params=["stacked", "prefix"])
-def forced_path(request, monkeypatch):
-    """Send every ``extract`` call down one path, whatever its length."""
-    limit = 0 if request.param == "prefix" else 10**9
-    monkeypatch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", limit)
-    return request.param
-
-
-class TestParityOnBothPaths:
-    @pytest.mark.parametrize("stride", [120, 60, 30, 1])
-    def test_default_window_all_strides(self, forced_path, rng, stride):
-        assert_column_parity(continuous_data(rng), 120, stride)
-
-    @pytest.mark.parametrize("window_len,stride", [
-        (7, 3), (5, 5), (2, 1), (31, 7), (119, 17), (1, 1),
-    ])
-    def test_odd_and_tiny_window_lengths(
-        self, forced_path, rng, window_len, stride
-    ):
-        assert_column_parity(continuous_data(rng, n=800), window_len, stride)
-
-    def test_stride_longer_than_window(self, forced_path, rng):
-        assert_column_parity(continuous_data(rng), 120, 250)
-
-    def test_constant_signal(self, forced_path):
-        data = np.full((600, N_CHANNELS), 3.7)
-        assert_column_parity(data, 120, 60)
-        streaming = StreamingFeatureExtractor()
-        feats = streaming.extract(data, 120, stride=60)
-        names = streaming.feature_names()
-        for stat in ("zcr", "slope", "std", "iqr", "mad"):
-            cols = [i for i, name in enumerate(names) if name.endswith(stat)]
-            np.testing.assert_allclose(feats[:, cols], 0.0, atol=1e-9)
-
-    def test_linear_ramp_slope(self, forced_path):
-        data = np.tile(np.arange(900.0)[:, None], (1, N_CHANNELS))
-        assert_column_parity(data, 120, 40)
-
-    def test_zero_windows(self, forced_path, rng):
-        streaming = StreamingFeatureExtractor()
-        for dtype in (None, np.float32):
-            out = streaming.extract(
-                rng.normal(size=(50, N_CHANNELS)), 120, dtype=dtype
-            )
-            assert out.shape == (0, streaming.n_features)
-            assert out.dtype == (dtype or np.float64)
-
-    def test_custom_config_subset(self, forced_path, rng):
-        config = FeatureConfig(
-            signals=("accel_mag", "baro"), stats=("median", "slope", "min")
-        )
-        data = continuous_data(rng)
-        ref = FeatureExtractor(config).extract(sliding_windows(data, 64, 16))
-        got = StreamingFeatureExtractor(config).extract(data, 64, stride=16)
-        np.testing.assert_allclose(got, ref, **PARITY)
-
-    def test_custom_statistics_entry(self, forced_path, rng):
-        STATISTICS["ptp"] = lambda s: s.max(axis=1) - s.min(axis=1)
-        try:
-            config = FeatureConfig(signals=("gyro_mag",), stats=("ptp", "mean"))
-            data = continuous_data(rng)
-            got = StreamingFeatureExtractor(config).extract(data, 120, stride=60)
-            ref = FeatureExtractor(config).extract(sliding_windows(data, 120, 60))
-            np.testing.assert_allclose(got, ref, **PARITY)
-        finally:
-            del STATISTICS["ptp"]
-
-    def test_long_input_takes_the_same_values_either_way(self, rng):
-        """The two paths agree with each other on one recording too."""
-        data = continuous_data(rng, n=4000)
-        streaming = StreamingFeatureExtractor()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", 0)
-            prefix = streaming.extract(data, 120, stride=10)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(streaming_module, "_STACKED_MAX_WINDOWS", 10**9)
-            stacked = streaming.extract(data, 120, stride=10)
-        assert prefix.shape[0] > streaming_module._STACKED_MAX_WINDOWS
-        np.testing.assert_allclose(stacked, prefix, **PARITY)
-
-    def test_float32_flip_budget(self, forced_path, edge, scenario):
-        """<= 1e-3 of verdicts flip in float32, whichever path extracts."""
-        recording = scenario.sensor_device.record("walk", 6.0)
-        ref = edge.infer_stream(recording.data, stride=4)
-        got = edge.infer_stream(recording.data, stride=4, dtype=np.float32)
-        assert len(ref) == len(got) > 100
-        flips = int(
-            (ref.labels != got.labels).sum()
-            + (ref.accepted != got.accepted).sum()
-        )
-        assert flips / len(ref) <= 1e-3
-
-
-class TestSelectionRule:
-    def test_route_follows_the_calls_own_window_count(self, rng, monkeypatch):
-        limit = streaming_module._STACKED_MAX_WINDOWS
-        calls = []
-        original = StreamingFeatureExtractor._extract_stacked
-
-        def spy(self, data, window_len, stride, out):
-            calls.append(out.shape[0])
-            return original(self, data, window_len, stride, out)
-
-        monkeypatch.setattr(StreamingFeatureExtractor, "_extract_stacked", spy)
-        streaming = StreamingFeatureExtractor()
-        w = 8
-        for k in (1, limit, limit + 1):
-            streaming.extract(rng.normal(size=(k * w, N_CHANNELS)), w)
-        assert calls == [1, limit]
-
-
 class TestStackedRows:
     """A stacked feature row reads its own window's samples, nothing else."""
 
     @pytest.mark.parametrize("dtype", [None, np.float32])
-    @pytest.mark.parametrize("stride", [120, 60, 7])
+    @pytest.mark.parametrize("stride", [120, 60, 7, 4])
     def test_rows_do_not_depend_on_who_shares_the_call(
         self, rng, dtype, stride
     ):
-        k = 90  # spans several scratch blocks
+        # 90 windows span several scratch blocks; at stride 4 the call is
+        # 300 windows long, past any "a tick is short" assumption
+        k = 300 if stride == 4 else 90
         data = continuous_data(rng, n=(k - 1) * stride + 120) * 5.0
         streaming = StreamingFeatureExtractor()
         full = streaming.extract(data, 120, stride=stride, dtype=dtype)
@@ -332,14 +333,26 @@ class TestStackedRows:
             )
             assert np.array_equal(part, full[a:b])
 
-    def test_scratch_is_bounded_by_the_block_not_the_window_count(self, rng):
-        """tracemalloc: at the largest stacked call the temporaries stay
-        a handful of scratch blocks (an unblocked pass holds >= 3 copies
-        of all 256 windows, ~6 MB)."""
+    def test_scratch_is_bounded_by_the_block_not_the_window_count(
+        self, rng, monkeypatch
+    ):
+        """tracemalloc: on a 3571-window call (the precision bench's
+        120 s recording at stride 4) the window walk holds the output, the
+        series block and a handful of scratch blocks — an unblocked pass
+        would hold >= 3 copies of all windows, ~27 MB each."""
         import tracemalloc
 
-        k = streaming_module._STACKED_MAX_WINDOWS
-        stride = 4  # small input, so the scratch is what is measured
+        build = StreamingFeatureExtractor._series_block
+
+        def build_then_reset(self, data):
+            series = build(self, data)
+            tracemalloc.reset_peak()  # measure the walk, not the build
+            return series
+
+        monkeypatch.setattr(
+            StreamingFeatureExtractor, "_series_block", build_then_reset
+        )
+        k, stride = 3571, 4
         data = rng.normal(size=((k - 1) * stride + 120, N_CHANNELS))
         streaming = StreamingFeatureExtractor()
         streaming.extract(data, 120, stride=stride)
@@ -350,6 +363,7 @@ class TestStackedRows:
         finally:
             tracemalloc.stop()
         assert out.shape[0] == k
+        series_bytes = len(streaming.config.signals) * data.shape[0] * 8
         block_bytes = streaming_module._STACKED_BLOCK_SAMPLES * 8
-        assert peak <= 8 * block_bytes
-        assert k * 8 * 120 * 8 > 4 * block_bytes  # the bound is a real one
+        assert peak - out.nbytes - series_bytes <= 8 * block_bytes
+        assert k * 8 * 120 * 8 > 100 * block_bytes  # the bound is a real one

@@ -3,10 +3,10 @@
 Two contracts on top of the 1e-9 chunked-stream parity of
 ``test_chunked_stream.py``:
 
-- **Bit-identity.**  A tick completes a handful of windows, so its
-  features come from the stacked pass of
+- **Bit-identity.**  Features come from the stacked pass of
   :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`, where a
-  row reads nothing but its own window's samples.  The feature rows of a
+  row reads nothing but its own window's samples, however many windows
+  the call holds.  The feature rows of a
   stream are therefore ``np.array_equal`` across every chunk schedule
   (ragged, 1-sample) in both denoise modes, and between a session served
   alone and the same session inside a stacked fleet group — sync fleet,
@@ -140,9 +140,8 @@ class TestRowsAcrossChunkSchedules:
         assert np.array_equal(drip, whole)
 
     def test_chunked_rows_equal_the_monolithic_stream(self, fitted_pipeline, rng):
-        """...and, per-window denoising being what it is, a short
-        recording's ``process_stream`` rows bit for bit (both sides are
-        under the stacked limit)."""
+        """...and, per-window denoising being what it is, the
+        recording's ``process_stream`` rows bit for bit."""
         data = rng.normal(size=(1000, 22))
         chunked = _stream_rows(fitted_pipeline, data, [77, 1, 300], W)
         assert np.array_equal(chunked, fitted_pipeline.process_stream(data))
@@ -264,6 +263,16 @@ def _alone_then_grouped(serve, walk, served_rows):
     return alone, serve(schedule), rows_alone
 
 
+def _assert_rows_equal_process_chunk(edge, schedule, served_rows):
+    _serve_sync(edge.engine, schedule)
+    for sid, chunk_list in schedule.items():
+        state = edge.pipeline.open_stream()
+        expect = [edge.pipeline.process_chunk(state, c) for c in chunk_list]
+        assert len(served_rows[sid]) == len(expect)
+        for got, want in zip(served_rows[sid], expect):
+            assert np.array_equal(got, want)
+
+
 class TestAloneVersusStackedGroup:
     """``s0``'s feature rows do not change when ``s1``/``s2`` share its ticks."""
 
@@ -301,14 +310,21 @@ class TestAloneVersusStackedGroup:
         self, edge, walk, served_rows
     ):
         """The stacked tick serves what per-session calls would have."""
-        schedule = _tick_schedule(walk)
-        _serve_sync(edge.engine, schedule)
-        for sid, chunk_list in schedule.items():
-            state = edge.pipeline.open_stream()
-            expect = [edge.pipeline.process_chunk(state, c) for c in chunk_list]
-            assert len(served_rows[sid]) == len(expect)
-            for got, want in zip(served_rows[sid], expect):
-                assert np.array_equal(got, want)
+        _assert_rows_equal_process_chunk(
+            edge, _tick_schedule(walk), served_rows
+        )
+
+    def test_long_group_rows_equal_per_session_process_chunk(
+        self, edge, served_rows
+    ):
+        """...also when one tick's group completes 3 x 100 windows."""
+        schedule = {
+            f"s{i}": [SensorDevice(rng=910 + i).record("walk", 100.0).data]
+            for i in range(3)
+        }
+        _assert_rows_equal_process_chunk(edge, schedule, served_rows)
+        assert served_rows["#groups"][0] == 3
+        assert sum(len(served_rows[sid][0]) for sid in schedule) == 300
 
     def test_one_featurize_call_per_group(self, edge, walk, monkeypatch):
         """Eight windowed sessions, one tick: one extract call, not eight."""

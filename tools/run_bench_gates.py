@@ -115,8 +115,12 @@ GATES: List[BenchGate] = [
         name="precision",
         file="bench_precision.py",
         smoke_budget=120,
-        claim="float32 stream >= 1.5x float64, flip rate <= 1e-3, "
-              "chunked Butterworth == monolithic to 1e-9",
+        # 1.5x held only while long float64 calls took the prefix-sum
+        # featurizer; with one featurizer the median ratio over alternating
+        # rounds reads 1.32-1.44x (smoke 1.18-1.26x), so the gate is 1.1x.
+        claim="float32 stream >= 1.1x float64 (median of alternating "
+              "rounds), flip rate <= 1e-3, chunked Butterworth == "
+              "monolithic to 1e-9",
     ),
 ]
 
