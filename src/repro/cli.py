@@ -145,13 +145,6 @@ def _add_fleet(subparsers) -> None:
                           "verdicts are identical either way, a "
                           "multi-cohort tick overlaps its models' "
                           "wall-clock)")
-    cmd.add_argument("--shared-backbone", default=True,
-                     action=argparse.BooleanOptionalAction,
-                     help="fuse cohorts whose packages share an embedding "
-                          "backbone (equal content fingerprints) into one "
-                          "matrix pass per tick; --no-shared-backbone "
-                          "keeps one batched call per distinct model "
-                          "(verdicts are identical either way)")
     cmd.add_argument("--seed", type=int, default=11, help="simulation seed")
 
 
@@ -332,13 +325,9 @@ def _cmd_fleet(args) -> int:
         registry.register_lazy(DEFAULT_COHORT, args.package)
         sessions_by_cohort = {DEFAULT_COHORT: args.sessions}
     if args.async_workers:
-        server = AsyncFleetServer(
-            registry,
-            workers=args.async_workers,
-            shared_backbone=args.shared_backbone,
-        )
+        server = AsyncFleetServer(registry, workers=args.async_workers)
     else:
-        server = FleetServer(registry, shared_backbone=args.shared_backbone)
+        server = FleetServer(registry)
 
     strides = {}
     phones = {}
@@ -418,14 +407,6 @@ def _cmd_fleet(args) -> int:
                   f"accuracy {cohort_acc * 100:.0f}%"
                   + (" [default]" if cohort == registry.default_cohort
                      else ""))
-        print("backbone groups"
-              + ("" if args.shared_backbone
-                 else " (fusion off: one call per model)") + ":")
-        for fingerprint, cohorts in registry.backbone_groups().items():
-            label = fingerprint[:12] if fingerprint else "<unhashable>"
-            fused = args.shared_backbone and fingerprint and len(cohorts) > 1
-            print(f"  {label}: {', '.join(cohorts)}"
-                  + (" [fused: 1 embedding pass/tick]" if fused else ""))
     accuracy = correct / total if total else 0.0
     print(f"smoothed fleet accuracy: {accuracy * 100:.0f}%")
     return 0 if accuracy >= 0.5 else 1

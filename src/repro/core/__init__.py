@@ -13,11 +13,9 @@ from .engine import (
     BatchInference,
     EdgeSession,
     FleetServer,
-    FusedCohortEngine,
     InferenceEngine,
     SessionVerdict,
     StreamSession,
-    backbone_fingerprint_of,
 )
 from .incremental import (
     IncrementalConfig,
@@ -57,7 +55,6 @@ __all__ = [
     "EdgeDevice",
     "EdgeSession",
     "FleetServer",
-    "FusedCohortEngine",
     "HysteresisSmoother",
     "IncrementalConfig",
     "IncrementalLearner",
@@ -82,7 +79,6 @@ __all__ = [
     "UNKNOWN_LABEL",
     "UNKNOWN_NAME",
     "UpdateResult",
-    "backbone_fingerprint_of",
     "engine_from_head",
     "open_set_report",
     "herding_selection",

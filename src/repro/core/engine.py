@@ -33,7 +33,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -47,7 +46,6 @@ from ..exceptions import (
     UnknownCohortError,
 )
 from ..nn.compress import quantize_tensor
-from ..nn.siamese import SharedBackbone
 from ..preprocessing.pipeline import resolve_feature_dtype
 from ..utils import Timer, check_2d, check_3d
 from .ncm import NCMClassifier
@@ -557,173 +555,6 @@ class StreamSession:
 
 
 # ---------------------------------------------------------------------- #
-# shared-backbone fusion
-# ---------------------------------------------------------------------- #
-
-
-def backbone_fingerprint_of(engine) -> Optional[str]:
-    """Content hash of an engine's embedding backbone, or ``None``.
-
-    ``None`` marks engines that cannot be fingerprinted — custom embedders
-    without a hashable ``network`` attribute — which fleet fusion then
-    serves per-model, exactly as before.  Equal fingerprints mean equal
-    embeddings for equal inputs (the hash covers the network's structure
-    and every weight byte), which is what licenses fusing several cohorts'
-    windows into one matrix pass.
-    """
-    embedder = getattr(engine, "embedder", None)
-    network = getattr(embedder, "network", None)
-    if network is None:
-        return None
-    if not (hasattr(network, "state_dict") and hasattr(network, "to_config")):
-        return None
-    return SharedBackbone.fingerprint_of(network)
-
-
-class FusedCohortEngine:
-    """One embedding pass for K cohort engines sharing a frozen backbone.
-
-    A mixed-cohort fleet tick used to cost one forward pass *per distinct
-    model* — K×batch flops for K cohorts even when every cohort ships the
-    same frozen backbone and differs only in its head (NCM prototypes,
-    normalization stats, open-set thresholds).  This engine collapses that
-    to **1×batch + K gathers**: every member's rows are concatenated into
-    one matrix, embedded through the first member's backbone in a single
-    ``embed`` call, and each member's head is then applied to its slice of
-    the shared embedding block (Gram-trick distances against *its own*
-    prototypes, *its own* open-set tests, *its own* class names).
-
-    The constructor only checks the cheap invariants (matching feature and
-    embedding dimensions); callers are responsible for grouping engines
-    whose backbones actually share a fingerprint — the
-    :class:`FleetServer` clusters by :func:`backbone_fingerprint_of`, and
-    ``verify=True`` re-checks the hashes for direct users.
-
-    Verdicts are pinned identical (1e-9) to calling each engine
-    separately: the per-head math is literally the same code
-    (:meth:`InferenceEngine.distances_from_embeddings` + the verdict
-    kernel) on the same rows, only the embedding matmul is shared.  The
-    fused wall-clock is attributed to the member batches proportionally to
-    their row counts, so fleet ``serve_ms`` accounting stays comparable.
-    """
-
-    def __init__(
-        self,
-        engines: Sequence[InferenceEngine],
-        verify: bool = False,
-    ) -> None:
-        if not engines:
-            raise ConfigurationError(
-                "FusedCohortEngine needs at least one engine"
-            )
-        self.engines: List[InferenceEngine] = list(engines)
-        lead = self.engines[0]
-        self.embedder = lead.embedder
-        in_dim = getattr(self.embedder, "input_dim", None)
-        out_dim = getattr(self.embedder, "embedding_dim", None)
-        for engine in self.engines[1:]:
-            other = engine.embedder
-            if (
-                getattr(other, "input_dim", None) != in_dim
-                or getattr(other, "embedding_dim", None) != out_dim
-            ):
-                raise ConfigurationError(
-                    "fused engines must share the backbone's feature and "
-                    "embedding dimensions"
-                )
-        if verify:
-            fingerprints = {
-                backbone_fingerprint_of(engine) for engine in self.engines
-            }
-            if len(fingerprints) != 1 or None in fingerprints:
-                raise ConfigurationError(
-                    "fused engines must share one fingerprintable backbone; "
-                    f"got {sorted(str(f)[:12] for f in fingerprints)}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.engines)
-
-    def infer_features_multi(
-        self, blocks: Sequence[np.ndarray]
-    ) -> List[BatchInference]:
-        """Per-member feature blocks -> per-member verdicts, one embed pass.
-
-        ``blocks[i]`` holds member ``i``'s normalized feature rows for this
-        tick (``(k_i, d)``; ``k_i`` may differ per member but must be at
-        least 1 — callers drop empty members).  Returns one
-        :class:`BatchInference` per member, in member order.
-        """
-        if len(blocks) != len(self.engines):
-            raise ConfigurationError(
-                f"{len(blocks)} feature blocks for {len(self.engines)} "
-                f"fused engines"
-            )
-        timer = Timer().__enter__()
-        arrays = [check_2d("features", block) for block in blocks]
-        embeddings = self.embedder.embed(np.concatenate(arrays, axis=0))
-        counts = [arr.shape[0] for arr in arrays]
-        return self._demux_embeddings(embeddings, counts, timer)
-
-    def infer_windows_multi(
-        self, stacks: Sequence[np.ndarray]
-    ) -> List[BatchInference]:
-        """Per-member raw window cubes -> per-member verdicts.
-
-        Each member's ``(k_i, window_len_i, channels_i)`` cube is
-        featurized through *its own* pipeline (cohorts sharing a backbone
-        may still window differently), then all feature rows share one
-        embedding pass.
-        """
-        if len(stacks) != len(self.engines):
-            raise ConfigurationError(
-                f"{len(stacks)} window stacks for {len(self.engines)} "
-                f"fused engines"
-            )
-        timer = Timer().__enter__()
-        blocks: List[np.ndarray] = []
-        for engine, stack in zip(self.engines, stacks):
-            engine._require_pipeline("fuse raw windows across cohorts")
-            blocks.append(
-                engine.pipeline.process_windows(check_3d("windows", stack))
-            )
-        embeddings = self.embedder.embed(np.concatenate(blocks, axis=0))
-        counts = [block.shape[0] for block in blocks]
-        return self._demux_embeddings(embeddings, counts, timer)
-
-    def _demux_embeddings(
-        self, embeddings: np.ndarray, counts: Sequence[int], timer: Timer
-    ) -> List[BatchInference]:
-        """Apply every member's head to its slice of the embedding block."""
-        verdicts = []
-        offset = 0
-        for engine, count in zip(self.engines, counts):
-            dists = engine.distances_from_embeddings(
-                embeddings[offset:offset + count]
-            )
-            verdicts.append((engine, dists, engine._verdicts(dists)))
-            offset += count
-        timer.__exit__()
-        total_rows = max(1, sum(counts))
-        batches: List[BatchInference] = []
-        for (engine, dists, parts), count in zip(verdicts, counts):
-            labels, nearest, confidences, proba, accepted = parts
-            batches.append(
-                BatchInference(
-                    class_names=engine.class_names,
-                    labels=labels,
-                    nearest=nearest,
-                    confidences=confidences,
-                    distances=dists,
-                    proba=proba,
-                    accepted=accepted,
-                    latency_ms=timer.elapsed_ms * count / total_rows,
-                )
-            )
-        return batches
-
-
-# ---------------------------------------------------------------------- #
 # fleet serving
 # ---------------------------------------------------------------------- #
 
@@ -750,19 +581,11 @@ class EngineHandle:
     includes the engine's object identity, so two handles collide only
     when they reference the very same engine object (the handle holds the
     engine alive, so the id cannot be recycled while the handle exists).
-
-    ``backbone`` carries the engine's backbone content fingerprint when
-    the minting registry knows it (``None`` otherwise): handles with equal
-    fingerprints belong to the same shared-backbone group and may be
-    served by one fused embedding pass per tick.  It is informational —
-    deliberately *not* part of :attr:`key`, which stays a per-engine
-    shard/cache identity.
     """
 
     cohort: str
     version: int
     engine: InferenceEngine
-    backbone: Optional[str] = None
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -940,26 +763,14 @@ class FleetServer:
     ``engine_for``/``has_cohort``/``default_cohort``), sessions bind to
     cohorts at :meth:`connect` time and a mixed-cohort tick issues exactly
     one batched call per distinct engine — cohorts published with the same
-    engine object share a batch.
-
-    With ``shared_backbone=True`` (the default) the server goes one step
-    further: distinct engines whose embedding backbones hash to the same
-    content fingerprint are *fused* into one
-    :class:`FusedCohortEngine` call per tick — one embedding matmul for
-    the whole backbone group plus one cheap head application per cohort,
-    K×batch flops down to 1×batch + K gathers.  Engines with distinct (or
-    unfingerprintable) backbones transparently keep the per-model path,
-    and fused verdicts are pinned identical (1e-9) to per-model routing.
-    Fingerprints are snapshotted per engine *object*: published engines
-    are frozen by contract (a model changes by publishing a new one), so
-    the hash is paid once per publication, not per tick.
+    engine object share a batch, while distinct engines get a call each
+    even when their packages share a backbone.
     """
 
     def __init__(
         self,
         engine: "Union[InferenceEngine, object]",
         smoother_factory: Optional[Callable[[], object]] = HysteresisSmoother,
-        shared_backbone: bool = True,
     ) -> None:
         if hasattr(engine, "engine_for"):
             self.registry = engine
@@ -971,7 +782,6 @@ class FleetServer:
                 )
             self.registry = _SingleEngineRegistry(engine)
         self.smoother_factory = smoother_factory
-        self.shared_backbone = bool(shared_backbone)
         self.sessions: Dict[str, EdgeSession] = {}
         self.ticks = 0
         self.windows_served = 0
@@ -981,10 +791,6 @@ class FleetServer:
         # across cohorts within a batched call, so it stays fleet-level).
         self.cohort_windows_served: Dict[str, int] = {}
         self.cohort_windows_rejected: Dict[str, int] = {}
-        # Backbone fingerprint per engine object (see _backbone_key).
-        self._backbone_memo: Dict[
-            int, Tuple[InferenceEngine, Optional[str]]
-        ] = {}
 
     @property
     def engine(self) -> InferenceEngine:
@@ -1078,68 +884,6 @@ class FleetServer:
     # serving
     # ------------------------------------------------------------------ #
 
-    # ------------------------------------------------------------------ #
-    # shared-backbone clustering
-    # ------------------------------------------------------------------ #
-
-    def _fusion_enabled(self) -> bool:
-        """Whether this server may fuse same-backbone groups (overridable:
-        the async server also requires a thread-mode worker pool)."""
-        return self.shared_backbone
-
-    def _backbone_key(self, engine: InferenceEngine) -> Optional[str]:
-        """Memoized backbone fingerprint of a serving engine.
-
-        Snapshotted the first time this server routes traffic to the
-        engine object and reused for its lifetime — serving treats
-        published engines as frozen (hot-swapping goes through
-        ``registry.publish``, which yields a *new* engine object), so one
-        hash per publication is enough.  Bounded so hot-swap churn cannot
-        grow the memo forever.
-        """
-        entry = self._backbone_memo.get(id(engine))
-        if entry is not None and entry[0] is engine:
-            return entry[1]
-        key = backbone_fingerprint_of(engine)
-        if len(self._backbone_memo) >= 256:
-            self._backbone_memo.clear()
-        self._backbone_memo[id(engine)] = (engine, key)
-        return key
-
-    def _fusion_plan(self, groups: Mapping["object", "object"]) -> List[List]:
-        """Partition a tick's engine-groups into backbone clusters.
-
-        Returns a list of clusters in first-seen order; each cluster is a
-        list of tick groups whose engines share a backbone fingerprint.
-        Singleton clusters (distinct backbones, unfingerprintable
-        embedders, reduced-precision groups, or fusion disabled) run the
-        classic per-model call; multi-member clusters run one
-        :class:`FusedCohortEngine` call.  Groups with a non-``None``
-        compute dtype always stay singleton —
-        :class:`FusedCohortEngine` is float64-only, and the float32 path
-        already halves its own bandwidth.
-        """
-        ordered = list(groups.values())
-        if len(ordered) < 2 or not self._fusion_enabled():
-            return [[group] for group in ordered]
-        plan: List[List] = []
-        clusters: Dict[str, List] = {}
-        for group in ordered:
-            if getattr(group, "dtype", None) is not None:
-                plan.append([group])
-                continue
-            fingerprint = self._backbone_key(group.engine)
-            if fingerprint is None:
-                plan.append([group])
-                continue
-            cluster = clusters.get(fingerprint)
-            if cluster is None:
-                cluster = []
-                clusters[fingerprint] = cluster
-                plan.append(cluster)
-            cluster.append(group)
-        return plan
-
     def _charge_windows(self, cohort: str, served: int, rejected: int) -> None:
         """Fold one demuxed slice into the fleet and per-cohort counters."""
         self.windows_served += served
@@ -1161,9 +905,7 @@ class FleetServer:
         Sessions are grouped by the engine currently serving their cohort
         and every group is classified in a single fused engine call, so a
         mixed-cohort tick costs one forward pass per distinct model — not
-        one per session — and, with ``shared_backbone`` on, engines whose
-        backbones share a content fingerprint collapse further into one
-        embedding pass per backbone group.  Window shapes must agree *within* each model's
+        one per session.  Window shapes must agree *within* each model's
         batch (cohorts may legitimately differ, e.g. different window
         lengths per device class).  All windows are validated before any
         engine runs.  Returns the per-session verdicts in input order.
@@ -1179,31 +921,19 @@ class FleetServer:
         if not windows_by_session:
             return {}
         groups = self._group_windows(windows_by_session)
-        # One batched call per backbone cluster (per distinct model with
-        # fusion off).  A failing call must not discard the other
-        # clusters' verdicts: collect successes, remember the first
-        # failure, re-raise it only after the demux below.  A fused call
-        # raising loses every member of its cluster for the tick — the
-        # members shared one matrix pass, there is nothing to salvage.
+        # One batched call per distinct model.  A failing call must not
+        # discard the other models' verdicts: collect successes, remember
+        # the first failure, re-raise it only after the demux below.
         results: List[Tuple[_WindowTickGroup, BatchInference]] = []
         failure: Optional[Exception] = None
-        for cluster in self._fusion_plan(groups):
+        for group in groups.values():
             try:
-                if len(cluster) == 1:
-                    group = cluster[0]
-                    batches = [group.engine.infer_windows(group.stack())]
-                else:
-                    fused = FusedCohortEngine(
-                        [group.engine for group in cluster]
-                    )
-                    batches = fused.infer_windows_multi(
-                        [group.stack() for group in cluster]
-                    )
-            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: one failing model loses only its own sessions' windows; the first failure is re-raised after healthy clusters demux
+                batch = group.engine.infer_windows(group.stack())
+            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: one failing model loses only its own sessions' windows; the first failure is re-raised after healthy models demux
                 if failure is None:
                     failure = exc
                 continue
-            results.extend(zip(cluster, batches))
+            results.append((group, batch))
         return self._demux_window_results(windows_by_session, results, failure)
 
     def _group_windows(
@@ -1328,10 +1058,8 @@ class FleetServer:
         once through the O(chunk) chunked pipeline path.  Every window of
         every session then flows through a single batched call *per
         distinct model* (sessions are grouped by the engine serving their
-        cohort — one call total for a single-model fleet; models sharing a
-        backbone fingerprint share one embedding pass when
-        ``shared_backbone`` is on), and each session's verdicts fold
-        through its smoother in window order.
+        cohort — one call total for a single-model fleet), and each
+        session's verdicts fold through its smoother in window order.
         Across any tick sizes (ragged, even 1-sample) a session's
         concatenated verdicts equal one
         :meth:`InferenceEngine.infer_stream` call over its whole
@@ -1371,49 +1099,32 @@ class FleetServer:
         featurize_timer = Timer().__enter__()
         self._featurize_stream_groups(groups)
         featurize_timer.__exit__()
-        # --- inference pass: one batched call per backbone cluster (per
-        # distinct model with fusion off).  The featurize pass above
-        # already consumed this tick's completed windows from every
-        # session's stream buffer, so a failing call must not discard
-        # healthy cohorts' work: clusters whose batched call succeeds are
-        # demuxed normally (smoothers, counters), and the first failure is
-        # re-raised after that demux.  Members whose chunks completed no
-        # windows this tick are dropped from their cluster before the
-        # call (nothing to embed for them).
+        # --- inference pass: one batched call per distinct model.  The
+        # featurize pass above already consumed this tick's completed
+        # windows from every session's stream buffer, so a failing call
+        # must not discard healthy cohorts' work: models whose batched
+        # call succeeds are demuxed normally (smoothers, counters), and
+        # the first failure is re-raised after that demux.  Groups whose
+        # chunks completed no windows this tick make no call.
         results: List[Tuple[_StreamTickGroup, BatchInference]] = []
         failure: Optional[Exception] = None
-        for cluster in self._fusion_plan(groups):
-            members = [group for group in cluster if sum(group.counts) > 0]
-            if not members:
+        for group in groups.values():
+            if sum(group.counts) == 0:
                 continue
             try:
-                if len(members) == 1:
-                    group = members[0]
-                    concat = np.concatenate(group.blocks, axis=0)
-                    # dtype is forwarded only when set so stubbed/legacy
-                    # engines without the parameter keep working.
-                    batches = [
-                        group.engine.infer_features(concat)
-                        if group.dtype is None
-                        else group.engine.infer_features(
-                            concat, dtype=group.dtype
-                        )
-                    ]
-                else:
-                    fused = FusedCohortEngine(
-                        [group.engine for group in members]
-                    )
-                    batches = fused.infer_features_multi(
-                        [
-                            np.concatenate(group.blocks, axis=0)
-                            for group in members
-                        ]
-                    )
+                concat = np.concatenate(group.blocks, axis=0)
+                # dtype is forwarded only when set so stubbed/legacy
+                # engines without the parameter keep working.
+                batch = (
+                    group.engine.infer_features(concat)
+                    if group.dtype is None
+                    else group.engine.infer_features(concat, dtype=group.dtype)
+                )
             except Exception as exc:  # reprolint: disable=broad-except — failure isolation: the featurize pass already consumed this tick's windows, so healthy cohorts must still demux; the first failure is re-raised afterwards
                 if failure is None:
                     failure = exc
                 continue
-            results.extend(zip(members, batches))
+            results.append((group, batch))
         return self._demux_stream_results(
             chunks_by_session,
             groups,
@@ -1542,7 +1253,7 @@ class FleetServer:
     def _demux_stream_results(
         self,
         chunks_by_session: Mapping[str, np.ndarray],
-        groups: Dict[int, _StreamTickGroup],
+        groups: "Dict[Tuple[int, Optional[str]], _StreamTickGroup]",
         results: "List[Tuple[_StreamTickGroup, BatchInference]]",
         failure: Optional[Exception],
         featurize_ms: float,

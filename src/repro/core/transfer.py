@@ -11,9 +11,8 @@ separates the heavy frozen :class:`~repro.nn.siamese.SharedBackbone` (the
 embedding network, identified by a content hash) from the cheap per-cohort
 :class:`CohortHead` (prototypes, normalization stats, open-set thresholds,
 support-set metadata); :func:`engine_from_head` rebuilds a serving engine
-from the pair.  Cohorts whose packages share a backbone fingerprint can
-then be embedded in one matrix pass per fleet tick — see
-:class:`~repro.core.engine.FusedCohortEngine`.
+from the pair.  Packaging only: a fleet serves each cohort's engine with
+its own batched call per tick, whatever backbone it shares.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ class TransferPackage:
         return buffer.tell()
 
     # ------------------------------------------------------------------ #
-    # backbone / head factoring (shared-backbone fleet serving)
+    # backbone / head factoring
     # ------------------------------------------------------------------ #
 
     def backbone(self) -> SharedBackbone:
@@ -172,9 +171,7 @@ class TransferPackage:
         mirroring the Edge install path), and the support-set metadata.
 
         ``engine_from_head(backbone, head)`` rebuilds a serving engine
-        whose verdicts match ``engine_from_package(self)`` exactly; two
-        packages whose backbones share a fingerprint can then be served
-        from one fused matrix pass per tick.
+        whose verdicts match ``engine_from_package(self)`` exactly.
         """
         backbone = self.backbone()
         if open_set is not None:
@@ -210,9 +207,8 @@ class CohortHead:
     normalizer carries the cohort's feature statistics), optional open-set
     rejection state (per-class radii + ratio test), and the support-set
     metadata the head was distilled from.  Heads are what differ between
-    cohorts in a shared-backbone group — a few KB against the backbone's
-    hundreds, which is why a fleet tick can fuse K cohorts into one matrix
-    pass plus K head applications.
+    cohorts that share a backbone — a few KB against the backbone's
+    hundreds.
     """
 
     class_names: Tuple[str, ...]

@@ -91,9 +91,8 @@ class SharedBackbone:
     """A frozen embedding backbone identified by a content hash.
 
     Two cohorts whose transfer packages carry byte-identical networks (same
-    architecture, same weights) embed windows identically, so a fleet tick
-    can run ONE matrix pass for all of them and apply only the cheap
-    per-cohort heads afterwards.  The fingerprint is a sha256 over the
+    architecture, same weights) embed windows identically and differ only
+    in their cheap per-cohort heads.  The fingerprint is a sha256 over the
     network's ``to_config()`` structure plus every ``state_dict()`` array's
     key, shape, dtype and raw bytes — equal fingerprints imply equal
     embeddings for equal inputs.

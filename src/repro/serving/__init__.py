@@ -6,11 +6,7 @@ Everything needed to serve a heterogeneous device fleet from one process:
   cohort id, with a default cohort, lazy loading and hot-swap publishing;
 - :class:`~repro.core.engine.FleetServer` (re-exported) — binds each
   session to a cohort and issues one batched engine call per distinct
-  model per tick; cohorts whose packages share a frozen embedding
-  backbone (equal content fingerprints —
-  :meth:`~repro.serving.registry.ModelRegistry.backbone_group_for`) fuse
-  further into one embedding pass per *backbone group* via
-  :class:`~repro.core.engine.FusedCohortEngine`;
+  model per tick;
 - :class:`~repro.serving.async_fleet.AsyncFleetServer` /
   :class:`~repro.serving.async_fleet.EngineWorkerPool` — the asyncio
   front: ``await step_stream(...)`` fans the per-distinct-model batched
@@ -49,9 +45,7 @@ from ..core.engine import (
     EdgeSession,
     EngineHandle,
     FleetServer,
-    FusedCohortEngine,
     SessionVerdict,
-    backbone_fingerprint_of,
 )
 from ..core.transfer import CohortHead, engine_from_head
 from .async_fleet import AsyncFleetServer, EngineWorkerPool
@@ -75,12 +69,10 @@ __all__ = [
     "EngineWorkerPool",
     "FleetSpec",
     "FleetServer",
-    "FusedCohortEngine",
     "GatewayClient",
     "GatewayServer",
     "ModelRegistry",
     "SessionVerdict",
-    "backbone_fingerprint_of",
     "engine_from_head",
     "engine_from_package",
     "load_cohort_spec",

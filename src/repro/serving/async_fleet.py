@@ -69,7 +69,6 @@ from ..core.engine import (
     BatchInference,
     EngineHandle,
     FleetServer,
-    FusedCohortEngine,
     InferenceEngine,
     SessionVerdict,
 )
@@ -124,18 +123,6 @@ def _call_engine_method(engine: InferenceEngine, method: str, array, dtype=None)
     if dtype is not None:
         return getattr(engine, method)(array, dtype=dtype)
     return getattr(engine, method)(array)
-
-
-def _call_fused_features(engine, engines, blocks):
-    """Pool task for one backbone group: one embed pass, K head gathers.
-
-    ``engine`` is the group's representative (the handle the call was
-    submitted under); the fused pass runs over the full member list, so it
-    is accepted and ignored.  Thread-mode only — the engines list crossing
-    a process boundary would defeat the ship-once replica cache, which is
-    why :meth:`AsyncFleetServer._fusion_enabled` disables fusion there.
-    """
-    return FusedCohortEngine(engines).infer_features_multi(blocks)
 
 
 class EngineWorkerPool:
@@ -346,15 +333,6 @@ class AsyncFleetServer(FleetServer):
     pool:
         An existing :class:`EngineWorkerPool` to share; the caller keeps
         ownership (``close()`` will not shut it down).
-    shared_backbone:
-        As for ``FleetServer``: engines sharing a backbone content
-        fingerprint are fused into one embedding pass per tick.  On an
-        async server the fan-out then operates over *backbone groups*
-        rather than models — each group is one pool task on its
-        representative member's shard.  Only active with thread pools;
-        process pools keep the per-model fan-out (see
-        :meth:`_fusion_enabled`).  Verdicts are pinned identical either
-        way.
     """
 
     def __init__(
@@ -365,13 +343,8 @@ class AsyncFleetServer(FleetServer):
         mode: str = "thread",
         max_inflight: int = 4,
         pool: Optional[EngineWorkerPool] = None,
-        shared_backbone: bool = True,
     ) -> None:
-        super().__init__(
-            engine,
-            smoother_factory=smoother_factory,
-            shared_backbone=shared_backbone,
-        )
+        super().__init__(engine, smoother_factory=smoother_factory)
         if max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
@@ -506,48 +479,27 @@ class AsyncFleetServer(FleetServer):
     # serving
     # ------------------------------------------------------------------ #
 
-    def _fusion_enabled(self) -> bool:
-        """Fuse backbone groups only on thread pools.
-
-        A process shard caches *one pickled engine per handle* and ships
-        only feature rows afterwards; a fused call would re-pickle the
-        whole member engine list on every tick, costing more than the
-        saved matmuls.  Process-mode servers therefore keep the per-model
-        fan-out (which is the point of process workers: one shard per
-        model), while thread pools — shared engine objects, zero shipping
-        — run the fused call on the representative member's shard.
-        """
-        return self.shared_backbone and self._pool.mode == "thread"
-
     async def _await_group_batches(
         self, pending
     ) -> "Tuple[list, Optional[Exception]]":
-        """Await ``(groups, future)`` pairs; collect successes + 1st failure.
+        """Await ``(group, future)`` pairs; collect successes + 1st failure.
 
-        Each pending entry carries the tick groups its future serves: a
-        singleton list with a future of one :class:`BatchInference` (the
-        per-model call), or a backbone cluster with a future of the fused
-        call's per-member batch list.  A fused failure loses every member
-        of its cluster — they shared one matrix pass.
-
-        Futures were all submitted before the first await, so the pool
-        runs them concurrently regardless of the sequential collection
-        order here (which exists to keep the demux order deterministic
-        and identical to the synchronous server's).
+        Each future is one model's batched call and resolves to its
+        :class:`BatchInference`.  Futures were all submitted before the
+        first await, so the pool runs them concurrently regardless of the
+        sequential collection order here (which exists to keep the demux
+        order deterministic and identical to the synchronous server's).
         """
         results = []
         failure: Optional[Exception] = None
-        for members, future in pending:
+        for group, future in pending:
             try:
-                outcome = await asyncio.wrap_future(future)
-            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a worker-pool model failure loses only its own cluster's windows; the first failure is re-raised after the tick's demux
+                batch = await asyncio.wrap_future(future)
+            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a worker-pool model failure loses only its own group's windows; the first failure is re-raised after the tick's demux
                 if failure is None:
                     failure = exc
                 continue
-            if len(members) == 1:
-                results.append((members[0], outcome))
-            else:
-                results.extend(zip(members, outcome))
+            results.append((group, batch))
         return results, failure
 
     async def step(
@@ -579,28 +531,19 @@ class AsyncFleetServer(FleetServer):
                     handles[id(handle.engine)] = handle
                 groups = self._group_windows(windows_by_session)
                 timer = Timer().__enter__()
-                pending = []
-                for cluster in self._fusion_plan(groups):
-                    blocks = [
-                        group.engine.pipeline.process_windows(group.stack())
-                        for group in cluster
-                    ]
-                    if len(cluster) == 1:
-                        future = self._pool.submit(
-                            handles[id(cluster[0].engine)],
+                pending = [
+                    (
+                        group,
+                        self._pool.submit(
+                            handles[id(group.engine)],
                             "infer_features",
-                            blocks[0],
-                        )
-                    else:
-                        # One fused call for the backbone group, submitted
-                        # on the representative member's shard.
-                        future = self._pool.submit_call(
-                            handles[id(cluster[0].engine)],
-                            _call_fused_features,
-                            [group.engine for group in cluster],
-                            blocks,
-                        )
-                    pending.append((cluster, future))
+                            group.engine.pipeline.process_windows(
+                                group.stack()
+                            ),
+                        ),
+                    )
+                    for group in groups.values()
+                ]
                 timer.__exit__()
                 results, failure = await self._await_group_batches(pending)
                 return self._demux_window_results(
@@ -653,32 +596,19 @@ class AsyncFleetServer(FleetServer):
                         self._stream_handles[str(session_id)] = handles[
                             id(session.stream.engine)
                         ]
-                pending = []
-                for cluster in self._fusion_plan(groups):
-                    members = [
-                        group for group in cluster if sum(group.counts) > 0
-                    ]
-                    if not members:
-                        continue
-                    blocks = [
-                        np.concatenate(group.blocks, axis=0)
-                        for group in members
-                    ]
-                    if len(members) == 1:
-                        future = self._pool.submit(
-                            handles[id(members[0].engine)],
+                pending = [
+                    (
+                        group,
+                        self._pool.submit(
+                            handles[id(group.engine)],
                             "infer_features",
-                            blocks[0],
-                            members[0].dtype,
-                        )
-                    else:
-                        future = self._pool.submit_call(
-                            handles[id(members[0].engine)],
-                            _call_fused_features,
-                            [group.engine for group in members],
-                            blocks,
-                        )
-                    pending.append((members, future))
+                            np.concatenate(group.blocks, axis=0),
+                            group.dtype,
+                        ),
+                    )
+                    for group in groups.values()
+                    if sum(group.counts) > 0
+                ]
                 results, failure = await self._await_group_batches(pending)
                 return self._demux_stream_results(
                     chunks_by_session,

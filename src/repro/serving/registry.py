@@ -25,7 +25,6 @@ from ..core.engine import (
     DEFAULT_COHORT,
     EngineHandle,
     InferenceEngine,
-    backbone_fingerprint_of,
 )
 from ..core.ncm import NCMClassifier
 from ..core.transfer import TransferPackage
@@ -102,12 +101,6 @@ class ModelRegistry:
         self._expected_channels = (
             int(expected_channels) if expected_channels is not None else None
         )
-        # Backbone content fingerprint per cohort, snapshotted when the
-        # cohort's engine is published or lazily loaded — published
-        # engines are frozen by contract, so the hash is paid once per
-        # publication.  None marks engines whose embedder cannot be
-        # fingerprinted (always served per-model).
-        self._backbone_hashes: Dict[str, Optional[str]] = {}
 
     def _prune_engine_memo(self) -> None:
         """Drop memo entries for packages no cohort references anymore.
@@ -207,7 +200,6 @@ class ModelRegistry:
         engine = self._as_engine(key, package)
         self._check_channels(key, engine)
         self._engines[key] = engine
-        self._backbone_hashes[key] = backbone_fingerprint_of(engine)
         if isinstance(package, TransferPackage):
             self._engine_memo[id(package)] = (package, engine)
             self._packages[key] = package
@@ -236,7 +228,6 @@ class ModelRegistry:
         self._lazy[key] = source
         self._engines.pop(key, None)
         self._packages.pop(key, None)
-        self._backbone_hashes.pop(key, None)
         self._prune_engine_memo()
 
     def unpublish(self, cohort_id: str) -> None:
@@ -247,7 +238,6 @@ class ModelRegistry:
         self._engines.pop(key, None)
         self._packages.pop(key, None)
         self._lazy.pop(key, None)
-        self._backbone_hashes.pop(key, None)
         self._prune_engine_memo()
 
     # ------------------------------------------------------------------ #
@@ -260,7 +250,6 @@ class ModelRegistry:
         engine = self._as_engine(cohort_id, package)
         self._check_channels(cohort_id, engine)
         self._engines[cohort_id] = engine
-        self._backbone_hashes[cohort_id] = backbone_fingerprint_of(engine)
         if isinstance(package, TransferPackage):
             self._engine_memo[id(package)] = (package, engine)
             self._packages[cohort_id] = package
@@ -305,63 +294,8 @@ class ModelRegistry:
         key = self.default_cohort if cohort_id is None else str(cohort_id)
         engine = self.engine_for(key)  # lazy load / raise, bumps version
         return EngineHandle(
-            cohort=key,
-            version=self.version(key),
-            engine=engine,
-            backbone=self._backbone_hashes.get(key),
+            cohort=key, version=self.version(key), engine=engine
         )
-
-    def backbone_group_for(
-        self, cohort_id: Optional[str] = None
-    ) -> Tuple[str, ...]:
-        """The loaded cohorts sharing this cohort's backbone (it included).
-
-        Cohorts whose engines hash to the same content fingerprint form
-        one *backbone group*: a fleet tick can embed their combined
-        traffic in one matrix pass and apply only the per-cohort heads
-        separately (see :class:`~repro.core.engine.FusedCohortEngine`).
-        Resolution matches :meth:`engine_for` — lazily registered cohorts
-        are loaded (the fingerprint is snapshotted at load time), unknown
-        cohorts raise :class:`~repro.exceptions.UnknownCohortError`.  An
-        engine whose embedder cannot be fingerprinted never fuses, so its
-        group is just the cohort itself.  The fingerprint value is
-        surfaced by :meth:`describe` and
-        :attr:`~repro.core.engine.EngineHandle.backbone`.
-        """
-        key = self.default_cohort if cohort_id is None else str(cohort_id)
-        self.engine_for(key)  # lazy load / raise UnknownCohortError
-        fingerprint = self._backbone_hashes.get(key)
-        if fingerprint is None:
-            return (key,)
-        return tuple(
-            cohort
-            for cohort in self.cohorts()
-            if cohort in self._engines
-            and self._backbone_hashes.get(cohort) == fingerprint
-        )
-
-    def backbone_groups(self, load: bool = False) -> Dict[Optional[str], Tuple[str, ...]]:
-        """Cohorts grouped by backbone fingerprint (the fusion layout).
-
-        Returns ``{fingerprint: (cohort, ...)}`` over the *loaded* cohorts
-        (lazy cohorts have no fingerprint until their package is read;
-        pass ``load=True`` to resolve them all first).  The ``None`` key
-        collects unfingerprintable engines, which never fuse.
-        """
-        if load:
-            for cohort in self.cohorts():
-                self.engine_for(cohort)
-        grouped: Dict[Optional[str], List[str]] = {}
-        for cohort in self.cohorts():
-            if cohort not in self._engines:
-                continue
-            grouped.setdefault(
-                self._backbone_hashes.get(cohort), []
-            ).append(cohort)
-        return {
-            fingerprint: tuple(cohorts)
-            for fingerprint, cohorts in grouped.items()
-        }
 
     def package_for(self, cohort_id: Optional[str] = None) -> TransferPackage:
         """The transfer package behind a cohort, for device provisioning.
@@ -382,8 +316,7 @@ class ModelRegistry:
             ) from None
 
     def describe(self) -> Dict[str, Dict[str, object]]:
-        """Catalog snapshot: per cohort, load state / version / classes /
-        backbone fingerprint (``None`` until loaded or unfingerprintable)."""
+        """Catalog snapshot: per cohort, load state / version / classes."""
         rows: Dict[str, Dict[str, object]] = {}
         for cohort in self.cohorts():
             engine = self._engines.get(cohort)
@@ -394,6 +327,5 @@ class ModelRegistry:
                 "classes": (
                     list(engine.class_names) if engine is not None else None
                 ),
-                "backbone": self._backbone_hashes.get(cohort),
             }
         return rows

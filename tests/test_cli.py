@@ -122,61 +122,6 @@ class TestFleetCommand:
         assert "smoothed fleet accuracy" in out
         assert code == 0
 
-    def test_fleet_defaults_to_shared_backbone(self):
-        args = build_parser().parse_args(["fleet", "pkg.npz"])
-        assert args.shared_backbone is True
-        args = build_parser().parse_args(
-            ["fleet", "pkg.npz", "--no-shared-backbone"]
-        )
-        assert args.shared_backbone is False
-
-    def test_fleet_cohorts_prints_backbone_group_layout(
-        self, saved_package, tmp_path, capsys
-    ):
-        """Same-package cohorts report as one fused backbone group."""
-        import json
-
-        spec = tmp_path / "cohorts.json"
-        spec.write_text(json.dumps({
-            "default": "wrist",
-            "cohorts": {
-                "wrist": {"sessions": 2},
-                "pocket": {"package": saved_package, "sessions": 2},
-            },
-        }))
-        code = main([
-            "fleet", saved_package,
-            "--cohorts", str(spec), "--ticks", "2", "--seed", "4",
-        ])
-        out = capsys.readouterr().out
-        assert "backbone groups:" in out
-        assert "wrist" in out and "pocket" in out
-        assert "[fused: 1 embedding pass/tick]" in out
-        assert code == 0
-
-    def test_fleet_no_shared_backbone_disables_fusion(
-        self, saved_package, tmp_path, capsys
-    ):
-        import json
-
-        spec = tmp_path / "cohorts.json"
-        spec.write_text(json.dumps({
-            "default": "wrist",
-            "cohorts": {
-                "wrist": {"sessions": 2},
-                "pocket": {"package": saved_package, "sessions": 2},
-            },
-        }))
-        code = main([
-            "fleet", saved_package,
-            "--cohorts", str(spec), "--ticks", "2", "--seed", "4",
-            "--no-shared-backbone",
-        ])
-        out = capsys.readouterr().out
-        assert "fusion off: one call per model" in out
-        assert "[fused" not in out
-        assert code == 0
-
     def test_fleet_async_workers_serves_identically(
         self, saved_package, capsys
     ):
@@ -190,6 +135,40 @@ class TestFleetCommand:
         assert "served 18 windows across 6 sessions" in out
         assert "async fan-out" in out and "2 worker threads" in out
         assert code == 0
+
+    def test_fleet_same_package_cohorts_report_alike_sync_and_async(
+        self, saved_package, tmp_path, capsys
+    ):
+        """Cohorts loaded from one package print the same per-cohort lines
+        whether their ticks are served in-line or fanned out."""
+        import json
+
+        spec = tmp_path / "cohorts.json"
+        spec.write_text(json.dumps({
+            "default": "wrist",
+            "cohorts": {
+                "wrist": {"sessions": 2},
+                "pocket": {"package": saved_package, "sessions": 2},
+            },
+        }))
+
+        def report(*extra):
+            code = main([
+                "fleet", saved_package,
+                "--cohorts", str(spec), "--ticks", "2", "--seed", "4",
+                *extra,
+            ])
+            assert code == 0
+            return [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("served", "  cohort", "smoothed"))
+            ]
+
+        lines = report()
+        assert "  cohort wrist: 2 sessions" in "\n".join(lines)
+        assert "  cohort pocket: 2 sessions" in "\n".join(lines)
+        assert report("--async-workers", "2") == lines
 
     def test_fleet_async_workers_rejects_negative(self, saved_package):
         assert main([

@@ -22,6 +22,9 @@ class TestFullLifecycle:
 
     def test_cloud_to_edge_to_inference_to_learning(self, scenario):
         edge = scenario.fresh_edge(rng=10)
+        # A locally seeded recorder: the shared ``scenario.sensor_device``
+        # hands out different recordings depending on which tests ran first.
+        device = SensorDevice(user=scenario.edge_user, rng=2024)
 
         # Edge inference on the new user's base activities.
         feats = edge.pipeline.process_windows(scenario.base_test.windows)
@@ -30,7 +33,7 @@ class TestFullLifecycle:
 
         # Learn two new activities in sequence (Definition 2).
         for activity in ("gesture_hi", "jump"):
-            rec = scenario.sensor_device.record(activity, 20.0)
+            rec = device.record(activity, 20.0)
             edge.learn_activity(activity, rec)
 
         assert edge.classes == (
@@ -39,7 +42,7 @@ class TestFullLifecycle:
 
         # Both new activities recognized, old ones retained.
         for activity in ("gesture_hi", "jump", "still", "walk"):
-            rec = scenario.sensor_device.record(activity, 4.0)
+            rec = device.record(activity, 4.0)
             majority, _ = edge.infer_recording(rec)
             assert majority == activity, f"failed on {activity}"
 

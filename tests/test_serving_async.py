@@ -25,12 +25,12 @@ from repro.exceptions import (
     ConfigurationError,
     UnknownCohortError,
 )
+from repro.sensors import SensorDevice
 from repro.serving import (
     AsyncFleetServer,
     EngineHandle,
     EngineWorkerPool,
     ModelRegistry,
-    backbone_fingerprint_of,
 )
 
 PARITY = dict(rtol=0.0, atol=1e-9)
@@ -563,16 +563,33 @@ class TestWorkerPool:
             registry.engine_handle_for("ghost")
 
 
+def _counting_submit(monkeypatch, server, submitted):
+    """Record ``(engine, method, dtype)`` for every pool submission."""
+    original = server.pool.submit
+
+    def counted(handle, method, array, dtype=None):
+        submitted.append((handle.engine, method, dtype))
+        return original(handle, method, array, dtype)
+
+    monkeypatch.setattr(server.pool, "submit", counted)
+
+
 class TestBackboneFusionAsync:
-    """Thread-mode fan-out fuses same-backbone cohorts into one pass."""
+    """Same-backbone cohorts, the layout thread-mode fusion once merged.
+
+    Fusion is gone: distinct engines over one backbone fan out one call
+    each per tick in both pool modes, and each fails or hot-swaps alone.
+    """
 
     @pytest.fixture
     def shared_engines(self, scenario):
         """Two cohort heads over byte-identical backbone clones."""
         engine_x = scenario.fresh_edge(rng=1).engine
         engine_y = scenario.fresh_edge(rng=3).engine
-        assert backbone_fingerprint_of(engine_x) == backbone_fingerprint_of(
-            engine_y
+        assert engine_x is not engine_y
+        assert (
+            engine_x.embedder.backbone().fingerprint
+            == engine_y.embedder.backbone().fingerprint
         )
         return engine_x, engine_y
 
@@ -584,39 +601,41 @@ class TestBackboneFusionAsync:
         reg.publish("y", engine_y)
         return reg
 
-    def test_thread_mode_fuses_one_embedding_pass_and_parity(
-        self, shared_registry, shared_engines, scenario, monkeypatch
+    @staticmethod
+    def _assert_one_call_per_engine_and_parity(
+        mode, registry, engines, scenario, monkeypatch
     ):
-        engine_x, engine_y = shared_engines
-        data = scenario.sensor_device.record("walk", 3.0).data
+        """Each tick submits one ``infer_features`` call per engine."""
+        engine_x, engine_y = engines
+        device = SensorDevice(user=scenario.edge_user, rng=2704)
+        data = device.record("walk", 3.0).data
+        window = device.record("run", 1.0).data[:WINDOW]
         refs = {"sx": engine_x.infer_stream(data),
                 "sy": engine_y.infer_stream(data)}
-        embeds = []
-        features_calls = []
-        for engine in (engine_x, engine_y):
-            original_embed = engine.embedder.embed
-            original_features = engine.infer_features
-
-            def counted_embed(features, _original=original_embed):
-                embeds.append(int(features.shape[0]))
-                return _original(features)
-
-            def counted_features(features, _original=original_features):
-                features_calls.append(int(features.shape[0]))
-                return _original(features)
-
-            monkeypatch.setattr(engine.embedder, "embed", counted_embed)
-            monkeypatch.setattr(engine, "infer_features", counted_features)
+        window_refs = {"sx": engine_x.infer_windows(window[None, :, :]),
+                       "sy": engine_y.infer_windows(window[None, :, :])}
+        submitted = []
 
         async def run():
-            async with AsyncFleetServer(shared_registry, workers=2) as server:
+            async with AsyncFleetServer(
+                registry, workers=2, mode=mode
+            ) as server:
+                _counting_submit(monkeypatch, server, submitted)
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
-                return await server.step_stream({"sx": data, "sy": data})
+                streamed = await server.step_stream({"sx": data, "sy": data})
+                stream_calls = list(submitted)
+                submitted.clear()
+                windowed = await server.step({"sx": window, "sy": window})
+                return streamed, stream_calls, windowed
 
-        got = drive(run())
-        assert len(embeds) == 1  # one fused pass across both cohorts
-        assert features_calls == []  # the per-model path was skipped
+        got, stream_calls, windowed = drive(run())
+        expected = [
+            (engine_x, "infer_features", None),
+            (engine_y, "infer_features", None),
+        ]
+        assert stream_calls == expected
+        assert submitted == expected
         for sid in ("sx", "sy"):
             assert [v.activity for v in got[sid]] == refs[sid].names
             np.testing.assert_allclose(
@@ -624,35 +643,167 @@ class TestBackboneFusionAsync:
                 refs[sid].confidences,
                 **PARITY,
             )
+            assert windowed[sid].activity == window_refs[sid].names[0]
+            assert windowed[sid].confidence == pytest.approx(
+                window_refs[sid].confidences[0], abs=1e-9
+            )
+
+    def test_one_call_per_engine_and_parity(
+        self, shared_registry, shared_engines, scenario, monkeypatch
+    ):
+        self._assert_one_call_per_engine_and_parity(
+            "thread", shared_registry, shared_engines, scenario, monkeypatch
+        )
 
     def test_process_mode_falls_back_to_per_model_calls(
-        self, shared_registry, shared_engines, scenario
+        self, shared_registry, shared_engines, scenario, monkeypatch
     ):
-        """Process shards keep the ship-once replica cache: no fusion."""
-        engine_x, engine_y = shared_engines
-        data = scenario.sensor_device.record("walk", 3.0).data
+        """Process shards keep the ship-once replica cache per engine."""
+        self._assert_one_call_per_engine_and_parity(
+            "process", shared_registry, shared_engines, scenario, monkeypatch
+        )
+
+    def test_cohorts_sharing_an_engine_share_one_submission(
+        self, shared_engines, scenario, monkeypatch
+    ):
+        """Both async entry points group by engine object, not by cohort."""
+        engine_x, _ = shared_engines
+        registry = ModelRegistry(default_cohort="x")
+        registry.publish("x", engine_x)
+        registry.publish("z", engine_x)  # same engine object, two cohorts
+        device = SensorDevice(user=scenario.edge_user, rng=2712)
+        data = device.record("walk", 2.0).data
+        window = device.record("walk", 1.0).data[:WINDOW]
+        submitted = []
 
         async def run():
-            async with AsyncFleetServer(
-                shared_registry, workers=2, mode="process"
-            ) as server:
-                assert not server._fusion_enabled()
+            async with AsyncFleetServer(registry, workers=2) as server:
+                _counting_submit(monkeypatch, server, submitted)
+                server.connect("sx", cohort="x")
+                server.connect("sz", cohort="z")
+                streamed = await server.step_stream({"sx": data, "sz": data})
+                windowed = await server.step({"sx": window, "sz": window})
+                return streamed, windowed, server.cohort_summary()
+
+        streamed, windowed, rollups = drive(run())
+        assert submitted == [(engine_x, "infer_features", None)] * 2
+        assert len(streamed["sx"]) == len(streamed["sz"]) == 2
+        assert windowed["sx"].activity == windowed["sz"].activity
+        assert rollups["z"]["windows_served"] == 3.0
+
+    def test_zero_window_group_makes_no_submission(
+        self, shared_registry, shared_engines, scenario, monkeypatch
+    ):
+        """A model whose sessions completed no window this tick is skipped."""
+        engine_x, engine_y = shared_engines
+        data = SensorDevice(user=scenario.edge_user, rng=2713).record(
+            "walk", 3.0
+        ).data
+        submitted = []
+
+        async def run():
+            async with AsyncFleetServer(shared_registry, workers=2) as server:
+                _counting_submit(monkeypatch, server, submitted)
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
-                return await server.step_stream({"sx": data, "sy": data})
+                first = await server.step_stream(
+                    {"sx": data[:240], "sy": data[:50]}
+                )
+                first_calls = list(submitted)
+                more = await server.step_stream({"sy": data[50:360]})
+                return first, first_calls, more
+
+        first, first_calls, more = drive(run())
+        assert first_calls == [(engine_x, "infer_features", None)]
+        assert submitted == first_calls + [(engine_y, "infer_features", None)]
+        assert first["sy"] == [] and len(first["sx"]) == 2
+        got_y = first["sy"] + more["sy"]
+        ref = engine_y.infer_stream(data[:360])
+        assert [v.activity for v in got_y] == ref.names
+        np.testing.assert_allclose(
+            [v.confidence for v in got_y], ref.confidences, **PARITY
+        )
+
+    def test_float32_session_gets_its_own_submission(
+        self, shared_engines, scenario, monkeypatch
+    ):
+        """One engine, two compute dtypes: one call per ``(engine, dtype)``."""
+        engine_x, _ = shared_engines
+        data = SensorDevice(user=scenario.edge_user, rng=2714).record(
+            "walk", 3.0
+        ).data
+        submitted = []
+
+        async def run():
+            async with AsyncFleetServer(engine_x, workers=2) as server:
+                _counting_submit(monkeypatch, server, submitted)
+                server.connect("s64")
+                server.connect("s32", dtype=np.float32)
+                return await server.step_stream({"s64": data, "s32": data})
 
         got = drive(run())
-        for sid, engine in (("sx", engine_x), ("sy", engine_y)):
-            ref = engine.infer_stream(data)
+        assert submitted == [
+            (engine_x, "infer_features", None),
+            (engine_x, "infer_features", np.float32),
+        ]
+        for sid, dtype, atol in (("s64", None, 1e-9), ("s32", np.float32, 1e-5)):
+            ref = engine_x.infer_stream(data, dtype=dtype)
             assert [v.activity for v in got[sid]] == ref.names
+            np.testing.assert_allclose(
+                [v.confidence for v in got[sid]],
+                ref.confidences,
+                rtol=0.0,
+                atol=atol,
+            )
+
+    @pytest.mark.parametrize("entry", ["step_stream", "step"])
+    def test_failing_head_loses_only_its_own_group(
+        self, entry, shared_registry, shared_engines, scenario, monkeypatch
+    ):
+        """One cohort's engine raising leaves its same-backbone sibling whole."""
+        engine_x, engine_y = shared_engines
+        data = SensorDevice(user=scenario.edge_user, rng=2715).record(
+            "walk", 2.0
+        ).data
+        tick = (
+            {"sx": data, "sy": data}
+            if entry == "step_stream"
+            else {"sx": data[:WINDOW], "sy": data[:WINDOW]}
+        )
+        ref = (
+            engine_x.infer_stream(data)
+            if entry == "step_stream"
+            else engine_x.infer_windows(data[None, :WINDOW, :])
+        )
+
+        def boom(features):
+            raise RuntimeError("model fell over")
+
+        async def run():
+            async with AsyncFleetServer(shared_registry, workers=2) as server:
+                server.connect("sx", cohort="x")
+                server.connect("sy", cohort="y")
+                monkeypatch.setattr(engine_y, "infer_features", boom)
+                with pytest.raises(RuntimeError, match="fell over"):
+                    await getattr(server, entry)(tick)
+                assert server.ticks == 1
+                assert server.inflight == 0
+                return server.session("sx"), server.session("sy")
+
+        sx, sy = drive(run())
+        assert sx.windows_seen == len(ref.names)
+        assert sx.last_verdict.activity == ref.names[-1]
+        assert sy.windows_seen == 0
 
     def test_hot_swap_head_does_not_rebind_sibling_streams(
         self, shared_registry, shared_engines, scenario
     ):
-        """A new head for one cohort leaves the group's siblings pinned."""
+        """A new head for one cohort leaves its siblings pinned."""
         engine_x, engine_y = shared_engines
         new_y = scenario.fresh_edge(rng=4).engine
-        data = scenario.sensor_device.record("walk", 4.0).data
+        data = SensorDevice(user=scenario.edge_user, rng=2705).record(
+            "walk", 4.0
+        ).data
 
         async def run():
             got_x = []
@@ -663,8 +814,7 @@ class TestBackboneFusionAsync:
                     {"sx": data[:200], "sy": data[:200]}
                 )
                 got_x.extend(first["sx"])
-                shared_registry.publish("y", new_y)  # same backbone group
-                assert len(shared_registry.backbone_groups()) == 1
+                shared_registry.publish("y", new_y)  # same backbone
                 more = await server.step_stream(
                     {"sx": data[200:440], "sy": data[200:440]}
                 )

@@ -19,11 +19,8 @@ from repro.exceptions import (
     UnknownCohortError,
 )
 from repro.preprocessing import PreprocessingPipeline
-from repro.serving import (
-    DEFAULT_COHORT,
-    ModelRegistry,
-    backbone_fingerprint_of,
-)
+from repro.sensors import SensorDevice
+from repro.serving import DEFAULT_COHORT, ModelRegistry
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 
@@ -333,15 +330,21 @@ class TestHotSwap:
 
 
 class TestBackboneFusion:
-    """Same-backbone cohorts fuse into one embedding pass per tick."""
+    """Same-backbone cohorts, the layout fusion once merged into one pass.
+
+    Fusion is gone: distinct engines over one backbone get one batched
+    call each per tick, and each fails or hot-swaps on its own.
+    """
 
     @pytest.fixture
     def shared_engines(self, scenario):
         """Two cohort heads over byte-identical backbone clones."""
         engine_x = scenario.fresh_edge(rng=1).engine
         engine_y = scenario.fresh_edge(rng=3).engine
-        assert backbone_fingerprint_of(engine_x) == backbone_fingerprint_of(
-            engine_y
+        assert engine_x is not engine_y
+        assert (
+            engine_x.embedder.backbone().fingerprint
+            == engine_y.embedder.backbone().fingerprint
         )
         return engine_x, engine_y
 
@@ -353,23 +356,15 @@ class TestBackboneFusion:
         reg.publish("y", engine_y)
         return reg
 
-    def test_fused_tick_one_embedding_pass_and_parity(
+    def test_step_stream_one_call_per_engine_and_parity(
         self, shared_registry, shared_engines, scenario, monkeypatch
     ):
-        """One matrix pass serves both cohorts; verdicts stay pinned."""
         engine_x, engine_y = shared_engines
-        data = scenario.sensor_device.record("walk", 3.0).data
+        data = SensorDevice(user=scenario.edge_user, rng=2701).record(
+            "walk", 3.0
+        ).data
         refs = {"sx": engine_x.infer_stream(data),
                 "sy": engine_y.infer_stream(data)}
-        embeds = {"n": 0}
-        for engine in (engine_x, engine_y):
-            original = engine.embedder.embed
-
-            def counted(features, _original=original):
-                embeds["n"] += 1
-                return _original(features)
-
-            monkeypatch.setattr(engine.embedder, "embed", counted)
         calls = {"x": 0, "y": 0}
         _count_calls(monkeypatch, engine_x, calls, "x")
         _count_calls(monkeypatch, engine_y, calls, "y")
@@ -377,8 +372,7 @@ class TestBackboneFusion:
         server.connect("sx", cohort="x")
         server.connect("sy", cohort="y")
         got = server.step_stream({"sx": data, "sy": data})
-        assert embeds["n"] == 1  # one fused pass for the whole group
-        assert calls == {"x": 0, "y": 0}  # the per-model path was skipped
+        assert calls == {"x": 1, "y": 1}
         for sid in ("sx", "sy"):
             assert [v.activity for v in got[sid]] == refs[sid].names
             np.testing.assert_allclose(
@@ -387,35 +381,51 @@ class TestBackboneFusion:
                 **PARITY,
             )
 
-    def test_fusion_off_serves_one_call_per_model(
+    def test_step_one_call_per_engine(
         self, shared_registry, shared_engines, scenario, monkeypatch
     ):
         engine_x, engine_y = shared_engines
+        window = SensorDevice(user=scenario.edge_user, rng=2702).record(
+            "walk", 1.0
+        ).data[:120]
+        refs = {"sx": engine_x.infer_windows(window[None, :, :]),
+                "sy": engine_y.infer_windows(window[None, :, :])}
         calls = {"x": 0, "y": 0}
-        _count_calls(monkeypatch, engine_x, calls, "x")
-        _count_calls(monkeypatch, engine_y, calls, "y")
-        server = FleetServer(shared_registry, shared_backbone=False)
+        for engine, key in ((engine_x, "x"), (engine_y, "y")):
+            original = engine.infer_windows
+
+            def counted(windows, _original=original, _key=key):
+                calls[_key] += 1
+                return _original(windows)
+
+            monkeypatch.setattr(engine, "infer_windows", counted)
+        server = FleetServer(shared_registry)
         server.connect("sx", cohort="x")
         server.connect("sy", cohort="y")
-        data = scenario.sensor_device.record("walk", 2.0).data
-        server.step_stream({"sx": data, "sy": data})
+        got = server.step({"sx": window, "sy": window})
         assert calls == {"x": 1, "y": 1}
+        for sid in ("sx", "sy"):
+            assert got[sid].activity == refs[sid].names[0]
+            assert got[sid].confidence == pytest.approx(
+                refs[sid].confidences[0], abs=1e-9
+            )
 
     def test_hot_swap_head_does_not_rebind_sibling_streams(
         self, shared_registry, shared_engines, scenario
     ):
-        """A new head for one cohort leaves the group's siblings pinned."""
+        """A new head for one cohort leaves its siblings pinned."""
         engine_x, engine_y = shared_engines
         new_y = scenario.fresh_edge(rng=4).engine
         server = FleetServer(shared_registry)
         server.connect("sx", cohort="x")
         server.connect("sy", cohort="y")
-        data = scenario.sensor_device.record("walk", 4.0).data
+        data = SensorDevice(user=scenario.edge_user, rng=2703).record(
+            "walk", 4.0
+        ).data
         got_x = list(
             server.step_stream({"sx": data[:200], "sy": data[:200]})["sx"]
         )
         shared_registry.publish("y", new_y)  # same backbone, new head
-        assert len(shared_registry.backbone_groups()) == 1  # group intact
         more = server.step_stream({"sx": data[200:440], "sy": data[200:440]})
         got_x.extend(more["sx"])
         assert server.session("sx").stream.engine is engine_x  # sibling
@@ -423,7 +433,7 @@ class TestBackboneFusion:
         server.finish_stream("sy")
         server.step_stream({"sy": data[:240]})  # fresh stream rebinds
         assert server.session("sy").stream.engine is new_y
-        # the sibling's fused verdicts equal its monolithic pass
+        # the sibling's verdicts equal its monolithic pass
         ref = engine_x.infer_stream(data[:440])
         assert [v.activity for v in got_x] == ref.names
         np.testing.assert_allclose(
@@ -433,25 +443,167 @@ class TestBackboneFusion:
     def test_publishing_new_backbone_splits_group(
         self, shared_registry, shared_engines, engines, scenario, monkeypatch
     ):
-        """A retrained backbone falls back to one call per model."""
+        """A retrained backbone is served like any other engine."""
         engine_x, _ = shared_engines
         _, engine_b = engines  # fine-tuned backbone: distinct fingerprint
-        fp_x = backbone_fingerprint_of(engine_x)
-        fp_b = backbone_fingerprint_of(engine_b)
-        assert fp_b != fp_x
+        assert (
+            engine_b.embedder.backbone().fingerprint
+            != engine_x.embedder.backbone().fingerprint
+        )
         shared_registry.publish("y", engine_b)
-        groups = shared_registry.backbone_groups()
-        assert groups[fp_x] == ("x",)
-        assert groups[fp_b] == ("y",)
         calls = {"x": 0, "b": 0}
         _count_calls(monkeypatch, engine_x, calls, "x")
         _count_calls(monkeypatch, engine_b, calls, "b")
         server = FleetServer(shared_registry)
         server.connect("sx", cohort="x")
         server.connect("sy", cohort="y")
-        data = scenario.sensor_device.record("walk", 2.0).data
-        server.step_stream({"sx": data, "sy": data})
-        assert calls == {"x": 1, "b": 1}  # split: per-model batches again
+        data = SensorDevice(user=scenario.edge_user, rng=2706).record(
+            "walk", 2.0
+        ).data
+        got = server.step_stream({"sx": data, "sy": data})
+        assert calls == {"x": 1, "b": 1}
+        for sid, engine in (("sx", engine_x), ("sy", engine_b)):
+            ref = engine.infer_stream(data)
+            assert [v.activity for v in got[sid]] == ref.names
+            np.testing.assert_allclose(
+                [v.confidence for v in got[sid]], ref.confidences, **PARITY
+            )
+
+    def test_step_cohorts_sharing_an_engine_share_a_call(
+        self, shared_engines, scenario, monkeypatch
+    ):
+        """``step`` groups by engine object, not by cohort or backbone."""
+        engine_x, _ = shared_engines
+        registry = ModelRegistry(default_cohort="x")
+        registry.publish("x", engine_x)
+        registry.publish("z", engine_x)  # same engine object, two cohorts
+        calls = []
+        original = engine_x.infer_windows
+
+        def counted(windows):
+            calls.append(windows.shape[0])
+            return original(windows)
+
+        monkeypatch.setattr(engine_x, "infer_windows", counted)
+        server = FleetServer(registry)
+        server.connect("sx", cohort="x")
+        server.connect("sz", cohort="z")
+        window = SensorDevice(user=scenario.edge_user, rng=2707).record(
+            "walk", 1.0
+        ).data[:120]
+        got = server.step({"sx": window, "sz": window})
+        assert calls == [2]  # one call carrying both cohorts' windows
+        assert got["sx"].activity == got["sz"].activity
+        assert server.cohort_summary()["z"]["windows_served"] == 1.0
+
+    def test_zero_window_group_makes_no_call(
+        self, shared_registry, shared_engines, scenario, monkeypatch
+    ):
+        """A model whose sessions completed no window this tick is skipped."""
+        engine_x, engine_y = shared_engines
+        data = SensorDevice(user=scenario.edge_user, rng=2708).record(
+            "walk", 3.0
+        ).data
+        calls = {"x": 0, "y": 0}
+        _count_calls(monkeypatch, engine_x, calls, "x")
+        _count_calls(monkeypatch, engine_y, calls, "y")
+        server = FleetServer(shared_registry)
+        server.connect("sx", cohort="x")
+        server.connect("sy", cohort="y")
+        first = server.step_stream({"sx": data[:240], "sy": data[:50]})
+        assert calls == {"x": 1, "y": 0}
+        assert first["sy"] == [] and len(first["sx"]) == 2
+        # the short chunk stayed buffered: the next tick completes it
+        more = server.step_stream({"sy": data[50:360]})
+        assert calls == {"x": 1, "y": 1}
+        got_y = first["sy"] + more["sy"]
+        ref = engine_y.infer_stream(data[:360])
+        assert [v.activity for v in got_y] == ref.names
+        np.testing.assert_allclose(
+            [v.confidence for v in got_y], ref.confidences, **PARITY
+        )
+
+    def test_float32_session_gets_its_own_call(
+        self, shared_engines, scenario, monkeypatch
+    ):
+        """One engine, two compute dtypes: one call per ``(engine, dtype)``."""
+        engine_x, _ = shared_engines
+        dtypes = []
+        original = engine_x.infer_features
+
+        def counted(features, dtype=None):
+            dtypes.append(dtype)
+            return original(features, dtype=dtype)
+
+        monkeypatch.setattr(engine_x, "infer_features", counted)
+        server = FleetServer(engine_x)
+        server.connect("s64")
+        server.connect("s32", dtype=np.float32)
+        data = SensorDevice(user=scenario.edge_user, rng=2709).record(
+            "walk", 3.0
+        ).data
+        got = server.step_stream({"s64": data, "s32": data})
+        assert dtypes == [None, np.float32]
+        for sid, dtype, atol in (("s64", None, 1e-9), ("s32", np.float32, 1e-5)):
+            ref = engine_x.infer_stream(data, dtype=dtype)
+            assert [v.activity for v in got[sid]] == ref.names
+            np.testing.assert_allclose(
+                [v.confidence for v in got[sid]],
+                ref.confidences,
+                rtol=0.0,
+                atol=atol,
+            )
+
+    def test_failing_head_loses_only_its_own_group(
+        self, shared_registry, shared_engines, scenario, monkeypatch
+    ):
+        """One cohort's engine raising leaves its same-backbone sibling whole."""
+        engine_x, engine_y = shared_engines
+        data = SensorDevice(user=scenario.edge_user, rng=2710).record(
+            "walk", 2.0
+        ).data
+
+        def boom(features):
+            raise RuntimeError("model fell over")
+
+        monkeypatch.setattr(engine_y, "infer_features", boom)
+        server = FleetServer(shared_registry)
+        server.connect("sx", cohort="x")
+        server.connect("sy", cohort="y")
+        with pytest.raises(RuntimeError, match="fell over"):
+            server.step_stream({"sx": data, "sy": data})
+        ref = engine_x.infer_stream(data)
+        sx = server.session("sx")
+        assert sx.windows_seen == len(ref.names) == 2
+        assert sx.last_verdict.activity == ref.names[-1]
+        assert server.session("sy").windows_seen == 0
+        assert server.ticks == 1
+        assert server.cohort_summary()["x"]["windows_served"] == 2.0
+        assert server.cohort_summary()["y"]["windows_served"] == 0.0
+
+    def test_step_failing_head_loses_only_its_own_group(
+        self, shared_registry, shared_engines, scenario, monkeypatch
+    ):
+        engine_x, engine_y = shared_engines
+        window = SensorDevice(user=scenario.edge_user, rng=2711).record(
+            "walk", 1.0
+        ).data[:120]
+
+        def boom(windows):
+            raise RuntimeError("model fell over")
+
+        monkeypatch.setattr(engine_y, "infer_windows", boom)
+        server = FleetServer(shared_registry)
+        server.connect("sx", cohort="x")
+        server.connect("sy", cohort="y")
+        with pytest.raises(RuntimeError, match="fell over"):
+            server.step({"sx": window, "sy": window})
+        ref = engine_x.infer_windows(window[None, :, :])
+        sx = server.session("sx")
+        assert sx.windows_seen == 1
+        assert sx.last_verdict.activity == ref.names[0]
+        assert server.session("sy").windows_seen == 0
+        assert server.ticks == 1
 
 
 class TestMixedCohortStep:

@@ -15,7 +15,6 @@ from repro.serving import (
     DEFAULT_COHORT,
     CohortSpec,
     ModelRegistry,
-    backbone_fingerprint_of,
     engine_from_package,
     load_cohort_spec,
     parse_fleet_spec,
@@ -192,65 +191,6 @@ class TestModelRegistry:
             edge.engine.infer_features(feats).distances,
             rtol=0, atol=1e-9,
         )
-
-
-class TestBackboneGroups:
-    def test_publish_snapshots_backbone_hash(self, scenario):
-        registry = ModelRegistry(default_cohort="x")
-        engine = registry.publish("x", scenario.fresh_edge(rng=1).engine)
-        fingerprint = backbone_fingerprint_of(engine)
-        assert isinstance(fingerprint, str) and len(fingerprint) == 64
-        assert registry.describe()["x"]["backbone"] == fingerprint
-        assert registry.engine_handle_for("x").backbone == fingerprint
-        assert registry.backbone_group_for("x") == ("x",)
-
-    def test_same_backbone_cohorts_share_a_group(self, scenario):
-        registry = ModelRegistry(default_cohort="x")
-        registry.publish("x", scenario.fresh_edge(rng=1).engine)
-        registry.publish("y", scenario.fresh_edge(rng=3).engine)
-        assert registry.backbone_group_for("x") == ("x", "y")
-        assert registry.backbone_group_for("y") == ("x", "y")
-        groups = registry.backbone_groups()
-        assert len(groups) == 1
-        (cohorts,) = groups.values()
-        assert cohorts == ("x", "y")
-
-    def test_hot_swap_new_backbone_splits_the_group(self, scenario):
-        registry = ModelRegistry(default_cohort="x")
-        registry.publish("x", scenario.fresh_edge(rng=1).engine)
-        registry.publish("y", scenario.fresh_edge(rng=3).engine)
-        perturbed = scenario.fresh_edge(rng=6).engine
-        state = {
-            key: value.copy()
-            for key, value in perturbed.embedder.network.state_dict().items()
-        }
-        first = sorted(state)[0]
-        state[first] = state[first] + 1e-3
-        perturbed.embedder.network.load_state_dict(state)
-        registry.publish("y", perturbed)
-        assert registry.backbone_group_for("x") == ("x",)
-        assert registry.backbone_group_for("y") == ("y",)
-        assert len(registry.backbone_groups()) == 2
-
-    def test_lazy_cohorts_group_on_load(self, scenario, package_path):
-        registry = ModelRegistry(default_cohort="a")
-        registry.publish("a", scenario.package)
-        registry.register_lazy("b", package_path)
-        assert registry.describe()["b"]["backbone"] is None  # not loaded
-        # unloaded cohorts are excluded unless load=True resolves them
-        assert registry.backbone_group_for("a") == ("a",)
-        groups = registry.backbone_groups(load=True)
-        assert len(groups) == 1
-        (cohorts,) = groups.values()
-        assert cohorts == ("a", "b")  # the saved package is the same clone
-
-    def test_unpublish_forgets_the_hash(self, scenario):
-        registry = ModelRegistry(default_cohort="x")
-        registry.publish("x", scenario.fresh_edge(rng=1).engine)
-        registry.publish("y", scenario.fresh_edge(rng=3).engine)
-        registry.unpublish("y")
-        assert registry.backbone_group_for("x") == ("x",)
-        assert "y" not in registry.describe()
 
 
 class TestFleetSpec:

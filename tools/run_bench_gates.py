@@ -88,12 +88,6 @@ GATES: List[BenchGate] = [
         claim="async fan-out tick <= 1.0x serial (1.25x on 1 core)",
     ),
     BenchGate(
-        name="backbone",
-        file="bench_backbone_fusion.py",
-        smoke_budget=120,
-        claim="3-cohort shared-backbone tick <= 1.1x single-model",
-    ),
-    BenchGate(
         name="gateway",
         file="bench_gateway.py",
         smoke_budget=120,
