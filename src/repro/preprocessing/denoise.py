@@ -11,7 +11,12 @@ enough for edge deployment:
 Each filter operates column-wise on ``(n_samples, n_channels)`` arrays,
 carries its configuration in plain attributes and round-trips through
 ``to_dict``/``from_dict`` so it can ship inside the Cloud-to-Edge transfer
-package.
+package.  Column-wise is the denoiser interface contract, not a detail:
+output column ``j`` depends on input column ``j`` only, in ``apply``,
+``apply_batch`` and every ``make_stream()``.  The serving pipeline relies
+on it to filter only the channels its features read (15 of 22 for the
+default feature grid) — taking those columns first must give the same
+bits as filtering all 22 and taking them after.
 
 Filters whose output at sample ``i`` depends only on a bounded neighborhood
 ``[i - L, i + L]`` expose ``make_stream()`` returning a
@@ -343,13 +348,14 @@ class ZeroPhaseIIRStream:
         if arr.shape[0]:
             # Copies throughout: buffers outlive this call and callers may
             # reuse their chunk arrays (e.g. a preallocated ring buffer).
+            # Only the last ``keep`` rows are ever copied, not the chunk.
             keep = self._pad + 1
-            if self._raw_tail is None:
+            if self._raw_tail is None or arr.shape[0] >= keep:
                 self._raw_tail = arr[-keep:].copy()
             else:
                 self._raw_tail = np.concatenate(
-                    [self._raw_tail, arr], axis=0
-                )[-keep:].copy()
+                    [self._raw_tail[arr.shape[0] - keep :], arr], axis=0
+                )
         if self._zf is None:
             if arr.shape[0]:
                 self._raw_head = (

@@ -2,14 +2,15 @@
 
 The paper's transfer package item (1) is "the pre-processing function":
 denoising, segmentation, normalization and the statistical feature
-extractor.  :class:`PreprocessingPipeline` composes those stages behind two
+extractor.  :class:`PreprocessingPipeline` composes those stages behind four
 entry points:
 
 - :meth:`process_recording` — continuous raw recording -> feature matrix
-  (denoise once, then segment, then features, then normalize), used by both
-  the Cloud campaign processing and the Edge's recording flow;
-- :meth:`process_windows` — already-segmented raw windows -> features,
-  used on streamed one-second chunks;
+  (denoise once, then features at the pipeline's stride, then normalize),
+  the Edge's recording flow (learning and calibrating an activity);
+- :meth:`process_windows` — already-segmented raw windows -> features
+  through the reference extractor on all channels: the Cloud campaign
+  processing and pre-segmented inference;
 - :meth:`process_stream` — continuous raw samples -> feature matrix through
   the :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`
   path: no window cube is ever materialized, and at the default
@@ -21,6 +22,16 @@ entry points:
   has not yet completed a window (plus the denoiser's lookahead context)
   across chunks, so no window straddling a chunk boundary is ever lost and
   no buffered sample is ever re-featurized.
+
+Every entry point but :meth:`process_windows` (and its
+:meth:`fit_normalizer` twin) takes only the channels the streaming
+extractor reads (its ``read_channels``, 15 of 22 for the default config)
+*before* denoising, so no channel that no feature reads is ever filtered,
+and a stream's denoiser state holds those columns only.  Chunks are still
+validated, finiteness-checked and channel-locked on the full 22-channel
+layout.  Denoisers act column-wise (the denoiser contract), so the
+features are the same bits as denoising every channel.  Extractors
+without a streaming twin (spectral, combined, subclassed) keep all 22.
 
 The normalizer is fitted exactly once (on the Cloud) via
 :meth:`fit_normalizer`; the fitted pipeline round-trips through
@@ -155,7 +166,8 @@ class StreamState:
         self.denoiser_stream = denoiser_stream
         self.chunk_invariant = True
         self.dtype = dtype
-        self.buffer: Optional[np.ndarray] = None  # raw (windowed) / denoised
+        # raw chunk samples (windowed) / denoised read columns (stream)
+        self.buffer: Optional[np.ndarray] = None
         self.n_channels: Optional[int] = None  # locked by the first chunk
         self.samples_in = 0  # raw samples received across all chunks
         self.windows_out = 0  # windows emitted across all chunks
@@ -179,8 +191,10 @@ class PreprocessingPipeline:
     Parameters
     ----------
     denoiser:
-        Any object with ``apply(data) -> data`` and ``to_dict``; defaults to
-        a 30 Hz Butterworth low-pass at 120 Hz sampling.
+        Any object with ``apply(data) -> data`` and ``to_dict`` that acts
+        column-wise (output channel ``j`` depends on input channel ``j``
+        only; see :mod:`repro.preprocessing.denoise`); defaults to a 30 Hz
+        Butterworth low-pass at 120 Hz sampling.
     window_len:
         Samples per window (120 = one second at the paper's rate).
     stride:
@@ -387,36 +401,41 @@ class PreprocessingPipeline:
                 sliding_windows(arr, self.window_len, stride, copy=False),
                 dtype,
             )
-        denoised = self.denoiser.apply(arr)
+        return self._extract_span(
+            self.denoiser.apply(self._read_columns(arr)), stride, dtype
+        )
+
+    def _read_columns(self, data: np.ndarray) -> np.ndarray:
+        """The channels (last axis) of raw ``data`` the features read.
+
+        The streaming extractor reads only its ``read_channels`` (15 of 22
+        for the default config), so those columns are taken *before*
+        denoising and nothing else is ever filtered.  A denoiser acts
+        column-wise — the interface contract every shipped one meets — so
+        the taken columns denoise to the same bits.  Extractors without a
+        streaming twin keep every channel.
+        """
         streaming = self.streaming_extractor
         if streaming is None:
-            return self._cast_features(
-                self.extractor.extract(
-                    sliding_windows(
-                        denoised, self.window_len, stride, copy=False
-                    )
-                ),
-                dtype,
-            )
-        return streaming.extract(
-            denoised, self.window_len, stride=stride, dtype=dtype
-        )
+            return data
+        return data[..., streaming.read_channels]
 
     def _raw_window_features(self, windows: np.ndarray, dtype) -> np.ndarray:
         """*Unnormalized* stream-path features of non-overlapping windows.
 
-        Each ``(window_len, channels)`` window is denoised in isolation
-        (one batched call), then featurized by the streaming extractor.
+        Each ``(window_len, channels)`` window's read columns are denoised
+        in isolation (one batched call), then featurized by the streaming
+        extractor.
         """
         if windows.shape[0] == 0:
             return np.empty((0, self.n_features), dtype=dtype or np.float64)
-        denoised = self._denoise_windows(windows)
+        denoised = self._denoise_windows(self._read_columns(windows))
         streaming = self.streaming_extractor
         if streaming is None:
             return self._cast_features(self.extractor.extract(denoised), dtype)
         # Non-overlapping windows partition a signal, so the denoised stack
         # folds back into one continuous array for the streaming extractor.
-        return streaming.extract(
+        return streaming.extract_read_columns(
             denoised.reshape(-1, denoised.shape[2]),
             self.window_len,
             stride=self.window_len,
@@ -532,7 +551,8 @@ class PreprocessingPipeline:
     def _extract_span(
         self, span: np.ndarray, stride: int, dtype=None
     ) -> np.ndarray:
-        """Unnormalized features of every window of a denoised span."""
+        """Unnormalized features of every window of a denoised span of the
+        :meth:`_read_columns`."""
         streaming = self.streaming_extractor
         if streaming is None:
             return self._cast_features(
@@ -541,7 +561,7 @@ class PreprocessingPipeline:
                 ),
                 dtype,
             )
-        return streaming.extract(
+        return streaming.extract_read_columns(
             span, self.window_len, stride=stride, dtype=dtype
         )
 
@@ -625,10 +645,11 @@ class PreprocessingPipeline:
     def _chunk_raw_features(
         self, state: StreamState, chunk: np.ndarray, final: bool = False
     ) -> np.ndarray:
-        """Stream-denoise mode: push through the denoiser, emit features."""
+        """Stream-denoise mode: push the read columns through the
+        denoiser, emit features."""
         arr = self._check_chunk(state, chunk)
         state.samples_in += arr.shape[0]
-        emitted = state.denoiser_stream.push(arr)
+        emitted = state.denoiser_stream.push(self._read_columns(arr))
         features = self._consume_denoised(state, emitted)
         if final:
             tail = self._consume_denoised(state, state.denoiser_stream.finish())

@@ -7,16 +7,22 @@ cube the segmentation copies out of the stride-tricks view.
 :class:`StreamingFeatureExtractor` computes the same ``(k, n_features)``
 matrix straight from the continuous ``(n, channels)`` signal, without ever
 materializing the window cube, in one implementation: the *stacked* pass.
-A constructor-resolved plan builds one ``(signals, n)`` series block per
-call (raw channel columns plus the 3-axis groups whose norms are the
-derived magnitudes); the call's windows are then walked in
-bounded groups (:data:`_STACKED_BLOCK_SAMPLES`), each copied into one
-contiguous ``(windows * signals, window_len)`` block whose rows every
-statistic reduces in a single vectorized call — one sort shared by median
-and iqr.  Every reduction runs along its row only, so a feature row reads
-nothing but its own window's samples: it is bit-identical however the
-recording was chunked and whoever else shared the call, and the scratch is
-bounded by the block, not by the window count.
+The constructor resolves the configured signals into ``read_channels``
+(the sorted channels any signal reads: 15 of 22 for the default grid)
+and a series plan in the coordinates of those columns.  ``extract``
+takes the read columns of its 22-channel input first;
+``extract_read_columns`` is the entry for a signal already cut to them
+(the pipeline's, whose denoiser only ever filters those columns).  Each
+call builds one ``(signals, n)`` series block (raw channel columns plus
+the 3-axis groups whose norms are the derived magnitudes); the call's
+windows are then walked in bounded groups
+(:data:`_STACKED_BLOCK_SAMPLES`), each copied into one contiguous
+``(windows * signals, window_len)`` block whose rows every statistic
+reduces in a single vectorized call — one sort shared by min, max,
+median and iqr.  Every reduction runs along its row only, so a feature
+row reads nothing but its own window's samples: it is bit-identical
+however the recording was chunked and whoever else shared the call, and
+the scratch is bounded by the block, not by the window count.
 
 Every statistic matches ``FeatureExtractor`` to 1e-9 (most bit-exactly);
 ``tests/test_preprocessing_streaming.py`` pins that contract across strides,
@@ -58,10 +64,17 @@ def _lerp_quantile(ctx, q: float) -> np.ndarray:
     return a + diff * t
 
 
-#: Samples per stacked scratch block.  The pass walks the call's windows in
-#: groups of this many samples (all signals counted), so its temporaries
-#: stay a few hundred kB — cache-resident — whatever the window count.
-_STACKED_BLOCK_SAMPLES: int = 1 << 15
+#: Float64 samples per stacked scratch block, i.e. a byte budget of
+#: ``8 *`` this: the pass walks the call's windows in groups that fit it
+#: (all signals counted; a float32 block holds twice the samples), so its
+#: temporaries stay a few hundred kB whatever the window count.  At the
+#: default grid (8 signals x 120) a block holds 25 float64 or 51 float32
+#: windows, so a 40-window float32 tick is one block and pays the
+#: per-block statistic overhead once.  A larger budget is not free: with
+#: 250-500 kB temporaries some calls got 14-39% slower, their memory
+#: mapped and unmapped by the allocator on every call
+#: (docs/streaming.md, "What one tick costs").
+_STACKED_BLOCK_SAMPLES: int = 3 << 13
 
 
 def _middle(ordered: np.ndarray) -> np.ndarray:
@@ -102,7 +115,7 @@ class _StackedWindows:
 
     @property
     def ordered(self) -> np.ndarray:
-        """Every row sorted: the one sort median and iqr share."""
+        """Every row sorted: the one sort min, max, median and iqr share."""
         if self._ordered is None:
             self._ordered = np.sort(self.rows, axis=1)
         return self._ordered
@@ -163,8 +176,8 @@ def _stacked_slope(ctx: _StackedWindows) -> np.ndarray:
 _STACKED_STATISTICS: Dict[str, Callable[[_StackedWindows], np.ndarray]] = {
     "mean": lambda ctx: ctx.means,
     "std": _stacked_std,
-    "min": lambda ctx: ctx.rows.min(axis=1),
-    "max": lambda ctx: ctx.rows.max(axis=1),
+    "min": lambda ctx: ctx.ordered[:, 0],
+    "max": lambda ctx: ctx.ordered[:, -1],
     "median": lambda ctx: ctx.medians,
     "iqr": _stacked_iqr,
     "rms": _stacked_rms,
@@ -201,13 +214,21 @@ class StreamingFeatureExtractor:
             for j, sig in enumerate(self.config.signals)
             if sig in DERIVED_SIGNALS
         ]
-        self._raw_slots = np.array([j for j, _ in raw], dtype=np.intp)
-        self._raw_channels = np.array([c for _, c in raw], dtype=np.intp)
-        self._derived_slots = np.array([j for j, _ in derived], dtype=np.intp)
+        raw_channels = np.array([c for _, c in raw], dtype=np.intp)
         # every derived signal is the norm of a 3-axis group
-        self._derived_groups = np.array(
+        group_channels = np.array(
             [idx for _, idx in derived], dtype=np.intp
         ).reshape(len(derived), 3)
+        #: The sensor channels some configured signal reads, ascending
+        #: (15 of 22 for the default config).  The plan below indexes the
+        #: ``(n, len(read_channels))`` block of these columns.
+        self.read_channels = np.union1d(raw_channels, group_channels)
+        self._raw_slots = np.array([j for j, _ in raw], dtype=np.intp)
+        self._raw_columns = np.searchsorted(self.read_channels, raw_channels)
+        self._derived_slots = np.array([j for j, _ in derived], dtype=np.intp)
+        self._derived_groups = np.searchsorted(
+            self.read_channels, group_channels
+        )
 
     @property
     def n_features(self) -> int:
@@ -221,8 +242,9 @@ class StreamingFeatureExtractor:
             for stat in self.config.stats
         ]
 
-    def _series_block(self, data: np.ndarray) -> np.ndarray:
-        """The ``(signals, n)`` block of every configured signal's series.
+    def _read_series_block(self, read: np.ndarray) -> np.ndarray:
+        """The ``(signals, n)`` block of every configured signal's series,
+        from the ``(n, len(read_channels))`` block of the read columns.
 
         One gather for the raw channels, one for the derived groups, whose
         norm ``sqrt(add.reduce(g * g))`` is ``np.linalg.norm``'s own
@@ -230,16 +252,21 @@ class StreamingFeatureExtractor:
         rows, not columns: each gather copies whole channels, and each
         series is contiguous for the windows cut from it.
         """
-        channels = data.T
+        channels = read.T
         series = np.empty(
-            (len(self.config.signals), data.shape[0]), dtype=data.dtype
+            (len(self.config.signals), read.shape[0]), dtype=read.dtype
         )
-        series[self._raw_slots] = channels[self._raw_channels]
+        series[self._raw_slots] = channels[self._raw_columns]
         groups = channels[self._derived_groups]
         series[self._derived_slots] = np.sqrt(
             np.add.reduce(groups * groups, axis=1)
         )
         return series
+
+    def _series_block(self, data: np.ndarray) -> np.ndarray:
+        """The series block of a full ``(n, N_CHANNELS)`` signal: the read
+        columns are taken first, then :meth:`_read_series_block`."""
+        return self._read_series_block(data[:, self.read_channels])
 
     def extract(
         self, data: np.ndarray, window_len: int, stride: int = None,
@@ -247,8 +274,10 @@ class StreamingFeatureExtractor:
     ) -> np.ndarray:
         """Features of every complete window of ``data``.
 
-        ``stride`` defaults to ``window_len`` (non-overlapping); the tail
-        shorter than a full window is dropped, exactly like
+        ``data`` is a continuous ``(n, N_CHANNELS)`` signal; only its
+        :attr:`read_channels` columns are ever read.  ``stride`` defaults
+        to ``window_len`` (non-overlapping); the tail shorter than a full
+        window is dropped, exactly like
         :func:`~repro.preprocessing.segmentation.sliding_windows`.
 
         ``dtype`` selects the compute (and output) dtype: ``None`` keeps
@@ -263,6 +292,31 @@ class StreamingFeatureExtractor:
         windows, each copied into one contiguous block whose rows every
         statistic reduces in a single vectorized call (module docstring).
         """
+        return self._extract(
+            data, N_CHANNELS, window_len, stride, dtype, self._series_block
+        )
+
+    def extract_read_columns(
+        self, read: np.ndarray, window_len: int, stride: int = None,
+        dtype=None,
+    ) -> np.ndarray:
+        """:meth:`extract` of a signal already cut to its read columns.
+
+        ``read`` is ``(n, len(read_channels))``: column ``i`` is sensor
+        channel ``read_channels[i]``.  This is the pipeline's entry, whose
+        denoiser only ever sees those columns; the rows are the same bits
+        :meth:`extract` returns on the full signal.
+        """
+        return self._extract(
+            read, len(self.read_channels), window_len, stride, dtype,
+            self._read_series_block,
+        )
+
+    def _extract(
+        self, data, channels: int, window_len: int, stride, dtype,
+        series_block: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Validate, build the series block, walk the windows."""
         target = np.float64 if dtype is None else np.dtype(dtype)
         if target not in (np.float32, np.float64):
             raise ConfigurationError(
@@ -273,9 +327,9 @@ class StreamingFeatureExtractor:
             raise DataShapeError(
                 f"data must be 2-D (n, channels), got {arr.shape}"
             )
-        if arr.shape[1] != N_CHANNELS:
+        if arr.shape[1] != channels:
             raise DataShapeError(
-                f"data must have {N_CHANNELS} channels, got {arr.shape[1]}"
+                f"data must have {channels} channels, got {arr.shape[1]}"
             )
         if window_len < 1:
             raise ConfigurationError(
@@ -291,7 +345,7 @@ class StreamingFeatureExtractor:
             return np.empty((0, self.n_features), dtype=target)
         out = np.empty((n_windows, self.n_features), dtype=target)
         signals, stats = self.config.signals, self.config.stats
-        series = self._series_block(arr)
+        series = series_block(arr)
         signal_step, sample_step = series.strides
         windows = np.lib.stride_tricks.as_strided(
             series,
@@ -299,7 +353,11 @@ class StreamingFeatureExtractor:
             strides=(stride * sample_step, signal_step, sample_step),
             writeable=False,
         )
-        step = max(1, _STACKED_BLOCK_SAMPLES // (len(signals) * window_len))
+        step = max(
+            1,
+            _STACKED_BLOCK_SAMPLES * 8
+            // (series.itemsize * len(signals) * window_len),
+        )
         for first in range(0, n_windows, step):
             ctx = _StackedWindows(
                 np.ascontiguousarray(windows[first : first + step]).reshape(

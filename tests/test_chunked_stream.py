@@ -151,6 +151,33 @@ class TestDenoiserStreams:
             assert got.shape == ref.shape
             assert np.array_equal(got, ref), sizes[:5]
 
+    @pytest.mark.parametrize(
+        "sizes", [[1], [5], [15], [300, 5, 1, 15]],
+        ids=["1", "5", "15", "mixed"],
+    )
+    def test_butterworth_short_chunks_keep_the_exact_tail(self, rng, sizes):
+        """Chunks shorter than the raw tail the stream keeps for
+        ``finish()`` (``padlen + 1`` = 16 rows) extend the old tail instead
+        of replacing it: the stream still equals the one-push stream, and
+        the flushed tail is ``apply``'s bits."""
+        denoiser = ButterworthLowpass()
+        data = rng.normal(size=(400, 3))
+        ref_stream = denoiser.make_stream()
+        ref = np.concatenate(
+            [ref_stream.push(data), ref_stream.finish()], axis=0
+        )
+        stream = denoiser.make_stream()
+        parts, pos, i = [], 0, 0
+        while pos < data.shape[0]:
+            size = sizes[i % len(sizes)]
+            parts.append(stream.push(data[pos : pos + size]))
+            pos, i = pos + size, i + 1
+        held = data.shape[0] - stream.samples_out
+        tail = stream.finish()
+        assert np.array_equal(np.concatenate(parts + [tail], axis=0), ref)
+        assert tail.shape[0] == held > 0
+        assert np.array_equal(tail, denoiser.apply(data)[-held:])
+
     def test_stream_rejects_use_after_finish(self, rng):
         stream = MovingAverageFilter(5).make_stream()
         stream.push(rng.normal(size=(10, 2)))

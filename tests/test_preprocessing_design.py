@@ -13,6 +13,9 @@ windows as a reshape view.  The contracts pinned here:
 - the series plan and the stacked pass's strided view give the same bits
   as per-signal ``np.linalg.norm`` columns windowed by
   ``sliding_window_view``;
+- the channels no feature reads are never filtered (15 of 22 are, for
+  the default config), and every shipped denoiser is column-wise, so
+  taking the read columns first changes no bit;
 - ``fold_chunk``'s windows are read-only.
 """
 
@@ -22,18 +25,27 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from repro.core import FleetServer
+from repro.core import FleetServer, InferenceEngine
 from repro.preprocessing import (
     DERIVED_SIGNALS,
     ButterworthLowpass,
     FeatureConfig,
+    IdentityFilter,
+    MedianFilter,
+    MovingAverageFilter,
     PreprocessingPipeline,
     StreamingFeatureExtractor,
 )
 from repro.preprocessing import denoise as denoise_module
 from repro.preprocessing import streaming as streaming_module
 from repro.sensors import SensorDevice
-from repro.sensors.channels import CHANNEL_INDEX, group_indices
+from repro.sensors.channels import (
+    CHANNEL_INDEX,
+    CHANNEL_NAMES,
+    N_CHANNELS,
+    group_indices,
+)
+from repro.serving import ModelRegistry
 
 W = 120
 
@@ -282,6 +294,132 @@ class TestSeriesPlan:
             data, W, stride=stride, dtype=dtype
         )
         assert np.array_equal(got, _reference_stacked(config, data, stride))
+
+
+# ---------------------------------------------------------------------- #
+# the dropped channels are never filtered
+# ---------------------------------------------------------------------- #
+
+
+def _lfilter_widths(monkeypatch):
+    """Like :func:`_only_lfilter`, with an ``lfilter`` that records the
+    ``(ndim, channels)`` of every input it filters."""
+    widths = []
+
+    def lfilter(b, a, x, *args, **kwargs):
+        widths.append((x.ndim, x.shape[-1]))
+        return scipy.signal.lfilter(b, a, x, *args, **kwargs)
+
+    monkeypatch.setattr(
+        denoise_module, "_signal", types.SimpleNamespace(lfilter=lfilter)
+    )
+    return widths
+
+
+class _Projection:
+    """A fixed linear map from any feature width to the NCM's."""
+
+    def __init__(self, input_dim, dim):
+        self.input_dim = input_dim
+        self._weights = np.random.default_rng(0).normal(size=(input_dim, dim))
+
+    def embed(self, features):
+        return np.asarray(features) @ self._weights
+
+
+def _mixed_fleet_tick(engine, data):
+    """One tick of a windowed and a stride-30 session of one engine."""
+    registry = ModelRegistry(default_cohort="win")
+    registry.publish("win", engine)
+    registry.publish("hop", engine)
+    server = FleetServer(registry)
+    server.connect("w", cohort="win")
+    server.connect("h", cohort="hop")
+    out = server.step_stream(
+        {"w": data[:600], "h": data[:600]}, stride={"win": W, "hop": 30}
+    )
+    assert all(len(verdicts) > 0 for verdicts in out.values())
+
+
+def test_default_config_reads_15_of_22_channels():
+    read = StreamingFeatureExtractor().read_channels
+    assert len(read) == 15
+    assert set(CHANNEL_NAMES) - {CHANNEL_NAMES[c] for c in read} == {
+        "grav_x", "grav_y", "rot_w", "rot_x", "rot_y", "rot_z", "prox"
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_ticks_filter_only_the_read_channels(
+    edge, recording, monkeypatch, name
+):
+    """An edge tick, a fleet tick with a windowed and a stride-30 session,
+    and ``process_recording`` hand ``lfilter`` the read columns only."""
+    config = CONFIGS[name]
+    pipeline = PreprocessingPipeline(feature_config=config)
+    pipeline.fit_normalizer(recording[: 12 * W].reshape(12, W, N_CHANNELS))
+    engine = InferenceEngine(
+        _Projection(pipeline.n_features, edge.ncm.prototypes_.shape[1]),
+        edge.ncm,
+        pipeline=pipeline,
+    )
+    widths = _lfilter_widths(monkeypatch)
+    session = engine.open_stream()
+    assert len(engine.infer_chunk(session, recording[:W])) == 1
+    _mixed_fleet_tick(engine, recording)
+    pipeline.process_recording(SensorDevice(rng=2502).record("walk", 4.0))
+    # 15 for the default config (test_default_config_reads_15_of_22_channels)
+    read = len(pipeline.streaming_extractor.read_channels)
+    assert read < N_CHANNELS  # every config leaves some channel unread
+    # 3-D: a windowed batch; 2-D: a continuous or chunked signal
+    assert {ndim for ndim, _ in widths} == {2, 3}
+    assert {channels for _, channels in widths} == {read}
+
+
+DENOISERS = {
+    "identity": IdentityFilter(),
+    "moving_average": MovingAverageFilter(5),
+    "median": MedianFilter(7),
+    "butterworth": ButterworthLowpass(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENOISERS))
+class TestDenoisersAreColumnWise:
+    """Take-then-filter is filter-then-take, bit for bit: the denoiser
+    contract the read-plan rests on."""
+
+    take = StreamingFeatureExtractor().read_channels
+
+    def test_apply(self, recording, name):
+        denoiser = DENOISERS[name]
+        assert np.array_equal(
+            denoiser.apply(recording[:, self.take]),
+            denoiser.apply(recording)[:, self.take],
+        )
+
+    def test_batch(self, recording, name):
+        """``apply_batch``, or the per-window loop for denoisers without it."""
+        pipeline = PreprocessingPipeline(denoiser=DENOISERS[name])
+        windows = recording[: 12 * W].reshape(12, W, N_CHANNELS)
+        assert np.array_equal(
+            pipeline._denoise_windows(windows[..., self.take]),
+            pipeline._denoise_windows(windows)[..., self.take],
+        )
+
+    def test_make_stream(self, recording, name):
+        def streamed(data):
+            stream = DENOISERS[name].make_stream()
+            parts = [
+                stream.push(data[start : start + 97])
+                for start in range(0, data.shape[0], 97)
+            ]
+            return np.concatenate(parts + [stream.finish()], axis=0)
+
+        assert np.array_equal(
+            streamed(recording[:, self.take]),
+            streamed(recording)[:, self.take],
+        )
 
 
 # ---------------------------------------------------------------------- #

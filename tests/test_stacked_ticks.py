@@ -19,6 +19,7 @@ Two contracts on top of the 1e-9 chunked-stream parity of
 """
 
 import asyncio
+import pickle
 from collections import defaultdict
 
 import numpy as np
@@ -330,14 +331,14 @@ class TestAloneVersusStackedGroup:
         """Eight windowed sessions, one tick: one extract call, not eight."""
         calls = []
         streaming = edge.pipeline.streaming_extractor
-        original = streaming.extract
+        original = streaming.extract_read_columns
 
         def spy(data, window_len, **kwargs):
             out = original(data, window_len, **kwargs)
             calls.append(out.shape[0])
             return out
 
-        monkeypatch.setattr(streaming, "extract", spy)
+        monkeypatch.setattr(streaming, "extract_read_columns", spy)
         server = FleetServer(edge.engine)
         server.connect_many([f"d{i}" for i in range(8)])
         out = server.step_stream(
@@ -446,10 +447,69 @@ def _state_bytes(state):
     )
 
 
-def _poisoned(chunk, value):
+def _poisoned(chunk, value, column=7):
     bad = chunk.copy()
-    bad[chunk.shape[0] // 2, 7] = value
+    bad[chunk.shape[0] // 2, column] = value
     return bad
+
+
+#: Channels no default feature reads, so never denoised: a non-finite
+#: sample there must be refused all the same.
+UNREAD = {"rot_w": 15, "prox": 21}
+
+
+def _assert_refusals_leave_the_stream(
+    pipeline, rng, stride, bad_chunk, match="non-finite"
+):
+    """Each chunk is first sent as ``bad_chunk(chunk)`` and refused with the
+    state byte-identical; the clean chunk then continues the stream."""
+    data = rng.normal(size=(700, 22))
+    chunks = _chunks(data, [130, 200, 90])
+    reference = pipeline.open_stream(stride=stride)
+    state = pipeline.open_stream(stride=stride)
+    for i, chunk in enumerate(chunks):
+        want = pipeline.process_chunk(reference, chunk)
+        before = _state_bytes(state)
+        with pytest.raises(DataShapeError, match=match):
+            pipeline.process_chunk(state, bad_chunk(chunk))
+        assert _state_bytes(state) == before
+        got = pipeline.process_chunk(state, chunk)
+        assert np.array_equal(got, want), i
+    assert np.array_equal(
+        pipeline.finish_stream(state), pipeline.finish_stream(reference)
+    )
+    return state
+
+
+def _assert_fleet_tick_refused_whole(edge, walk, column, stride=None):
+    """A tick with one poisoned session refuses whole: no session moves,
+    and the clean tick then serves what an untouched fleet serves."""
+    server = FleetServer(edge.engine)
+    reference = FleetServer(edge.engine)
+    for fleet in (server, reference):
+        fleet.connect_many(["a", "b", "c"])
+    first = {sid: walk[i][:170] for i, sid in enumerate("abc")}
+    second = {sid: walk[i][170:400] for i, sid in enumerate("abc")}
+    server.step_stream(first, stride=stride)
+    reference.step_stream(first, stride=stride)
+    bad = dict(second, b=_poisoned(second["b"], np.nan, column))
+    before = {
+        sid: _state_bytes(server.session(sid).stream.state) for sid in "abc"
+    }
+    ticks, served = server.ticks, server.windows_served
+    with pytest.raises(DataShapeError, match="'b'.*non-finite"):
+        server.step_stream(bad, stride=stride)
+    assert (server.ticks, server.windows_served) == (ticks, served)
+    for sid in "abc":
+        assert _state_bytes(server.session(sid).stream.state) == before[sid]
+    got = server.step_stream(second, stride=stride)
+    want = reference.step_stream(second, stride=stride)
+    for sid in "abc":
+        assert [v.activity for v in got[sid]] == [v.activity for v in want[sid]]
+        assert [v.confidence for v in got[sid]] == [
+            v.confidence for v in want[sid]
+        ]
+        assert len(got[sid]) > 0
 
 
 class TestNonFiniteRefusal:
@@ -458,21 +518,48 @@ class TestNonFiniteRefusal:
     def test_pipeline_state_is_untouched_and_the_stream_continues(
         self, fitted_pipeline, rng, stride, value
     ):
-        data = rng.normal(size=(700, 22))
-        chunks = _chunks(data, [130, 200, 90])
-        reference = fitted_pipeline.open_stream(stride=stride)
-        state = fitted_pipeline.open_stream(stride=stride)
-        for i, chunk in enumerate(chunks):
-            want = fitted_pipeline.process_chunk(reference, chunk)
-            before = _state_bytes(state)
-            with pytest.raises(DataShapeError, match="non-finite"):
-                fitted_pipeline.process_chunk(state, _poisoned(chunk, value))
-            assert _state_bytes(state) == before
-            got = fitted_pipeline.process_chunk(state, chunk)
-            assert np.array_equal(got, want), i
+        _assert_refusals_leave_the_stream(
+            fitted_pipeline, rng, stride, lambda c: _poisoned(c, value)
+        )
+
+    @pytest.mark.parametrize("column", UNREAD.values(), ids=list(UNREAD))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stride", [W, 40])
+    def test_unread_channels_are_refused_too(
+        self, fitted_pipeline, rng, stride, value, column
+    ):
+        assert column not in fitted_pipeline.streaming_extractor.read_channels
+        _assert_refusals_leave_the_stream(
+            fitted_pipeline, rng, stride,
+            lambda c: _poisoned(c, value, column),
+        )
+
+    @pytest.mark.parametrize("width", [21, 23])
+    def test_wrong_width_is_refused_by_a_15_column_stream(
+        self, fitted_pipeline, rng, width
+    ):
+        """The denoiser stream holds only the 15 read columns, yet the
+        stream stays locked to the 22-channel layout it was opened on."""
+        state = _assert_refusals_leave_the_stream(
+            fitted_pipeline, rng, 40,
+            lambda c: np.resize(c, (c.shape[0], width)), match="channels",
+        )
+        assert state.n_channels == 22
+        assert state.buffer.shape[1] == 15
+
+    def test_a_pickled_15_column_stream_continues(self, fitted_pipeline, rng):
+        data = rng.normal(size=(900, 22))
+        state = fitted_pipeline.open_stream(stride=40)
+        fitted_pipeline.process_chunk(state, data[:400])
+        copy = pickle.loads(pickle.dumps(state))
+        for chunk in (data[400:650], data[650:]):
+            assert np.array_equal(
+                fitted_pipeline.process_chunk(copy, chunk),
+                fitted_pipeline.process_chunk(state, chunk),
+            )
         assert np.array_equal(
+            fitted_pipeline.finish_stream(copy),
             fitted_pipeline.finish_stream(state),
-            fitted_pipeline.finish_stream(reference),
         )
 
     def test_first_chunk_refusal_does_not_lock_the_channel_count(
@@ -488,31 +575,14 @@ class TestNonFiniteRefusal:
     def test_fleet_tick_refuses_whole_before_any_session_advances(
         self, edge, walk
     ):
-        server = FleetServer(edge.engine)
-        reference = FleetServer(edge.engine)
-        for fleet in (server, reference):
-            fleet.connect_many(["a", "b", "c"])
-        first = {sid: walk[i][:170] for i, sid in enumerate("abc")}
-        second = {sid: walk[i][170:400] for i, sid in enumerate("abc")}
-        server.step_stream(first)
-        reference.step_stream(first)
-        bad = dict(second, b=_poisoned(second["b"], np.nan))
-        before = {
-            sid: _state_bytes(server.session(sid).stream.state) for sid in "abc"
-        }
-        ticks, served = server.ticks, server.windows_served
-        with pytest.raises(DataShapeError, match="'b'.*non-finite"):
-            server.step_stream(bad)
-        assert (server.ticks, server.windows_served) == (ticks, served)
-        for sid in "abc":
-            assert _state_bytes(server.session(sid).stream.state) == before[sid]
-        got, want = server.step_stream(second), reference.step_stream(second)
-        for sid in "abc":
-            assert [v.activity for v in got[sid]] == [v.activity for v in want[sid]]
-            assert [v.confidence for v in got[sid]] == [
-                v.confidence for v in want[sid]
-            ]
-            assert len(got[sid]) > 0
+        _assert_fleet_tick_refused_whole(edge, walk, column=7)
+
+    @pytest.mark.parametrize("column", UNREAD.values(), ids=list(UNREAD))
+    @pytest.mark.parametrize("stride", [None, 40])
+    def test_fleet_tick_refuses_unread_channels_whole(
+        self, edge, walk, stride, column
+    ):
+        _assert_fleet_tick_refused_whole(edge, walk, column, stride)
 
     def test_gateway_answers_a_non_fatal_error_frame(self, edge, walk):
         """The poisoned chunk costs one ERROR reply; the connection and
