@@ -82,7 +82,7 @@ def measure_cohort_fleet(
     """Wall-clock of a single-model fleet vs the same fleet split by cohort.
 
     ``setup`` is a :class:`conftest.CohortFleetSetup` — the fleet layout
-    shared with ``bench_async_fleet`` (build one with
+    shared with ``bench_gateway`` (build one with
     :func:`conftest.build_cohort_fleet_setup`).
     """
     data = setup.data

@@ -7,7 +7,7 @@ served, and the verdicts ride back.  All of that is overhead on top of
 the in-process path — this bench measures how much, and gates it.
 
 Both legs drive the **same** 3-cohort fleet layout as
-``bench_fleet_cohorts``/``bench_async_fleet`` (shared
+``bench_fleet_cohorts`` (shared
 ``conftest.build_cohort_fleet_setup``), replaying the same recording in
 the same per-tick chunks:
 

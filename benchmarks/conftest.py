@@ -75,8 +75,8 @@ class CohortFleetSetup:
     engines published in a registry, one continuous recording every
     session replays, and a round-robin session→cohort assignment.  Used
     by ``bench_fleet_cohorts`` (cohort overhead vs single model) and
-    ``bench_async_fleet`` (async fan-out vs serial ticks) so the two
-    gates measure the *same* fleet.
+    ``bench_gateway`` (socket vs in-process ticks) so the two gates
+    measure the *same* fleet.
     """
 
     single_engine: object

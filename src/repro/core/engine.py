@@ -563,36 +563,6 @@ class StreamSession:
 DEFAULT_COHORT = "default"
 
 
-@dataclass(frozen=True)
-class EngineHandle:
-    """A pinnable reference to one resolved engine version.
-
-    Registries resolve cohorts to engines; a *handle* additionally names
-    which publication the engine came from (``cohort`` + ``version``), so
-    layers that dispatch engine calls to workers — the
-    :class:`~repro.serving.async_fleet.EngineWorkerPool` — can key worker
-    shards and per-worker replica caches on something stable: a hot-swap
-    :meth:`~repro.serving.registry.ModelRegistry.publish` bumps the
-    version, yielding a *new* handle key, while sessions pinned to the old
-    handle keep routing to the replica that buffered their samples.
-
-    ``version`` is ``-1`` for ad-hoc handles wrapping an engine pinned by
-    an open stream whose publication is unknown; :attr:`key` always
-    includes the engine's object identity, so two handles collide only
-    when they reference the very same engine object (the handle holds the
-    engine alive, so the id cannot be recycled while the handle exists).
-    """
-
-    cohort: str
-    version: int
-    engine: InferenceEngine
-
-    @property
-    def key(self) -> Tuple[str, int, int]:
-        """Hashable identity of this engine version (shard/cache key)."""
-        return (self.cohort, self.version, id(self.engine))
-
-
 class _SingleEngineRegistry:
     """Adapter presenting one engine as a single-cohort registry.
 
@@ -618,16 +588,6 @@ class _SingleEngineRegistry:
             )
         return self._engine
 
-    def engine_handle_for(
-        self, cohort_id: Optional[str] = None
-    ) -> EngineHandle:
-        """The single engine as a version-0 handle (never hot-swapped)."""
-        return EngineHandle(
-            cohort=self.default_cohort,
-            version=0,
-            engine=self.engine_for(cohort_id),
-        )
-
 
 class _WindowTickGroup:
     """One distinct model's share of a windowed ``step`` tick."""
@@ -639,8 +599,9 @@ class _WindowTickGroup:
         self.ids: List[str] = []
         self.arrays: List[np.ndarray] = []
 
-    def stack(self) -> np.ndarray:
-        return np.stack(self.arrays, axis=0)
+    def run(self) -> BatchInference:
+        """The group's one batched engine call, featurization included."""
+        return self.engine.infer_windows(np.stack(self.arrays, axis=0))
 
 
 class _StreamTickGroup:
@@ -674,6 +635,17 @@ class _StreamTickGroup:
     @property
     def counts(self) -> List[int]:
         return [block.shape[0] for block in self.blocks]
+
+    def run(self) -> BatchInference:
+        """The group's one batched engine call over its feature rows.
+
+        ``dtype`` is forwarded only when set, so engines whose
+        ``infer_features`` takes no ``dtype`` keep working.
+        """
+        features = np.concatenate(self.blocks, axis=0)
+        if self.dtype is None:
+            return self.engine.infer_features(features)
+        return self.engine.infer_features(features, dtype=self.dtype)
 
 
 @dataclass(frozen=True)
@@ -765,6 +737,13 @@ class FleetServer:
     one batched call per distinct engine — cohorts published with the same
     engine object share a batch, while distinct engines get a call each
     even when their packages share a backbone.
+
+    Every entry point is one tick core: *plan* (validate, group by model,
+    featurize), *run* (each group's ``run()``, inline here in
+    :meth:`_run_groups`), *fold* (smoothers, counters, then the first
+    failure re-raised).
+    :class:`~repro.serving.async_fleet.AsyncFleetServer` drives the same
+    plan and fold and only moves the run onto a thread pool.
     """
 
     def __init__(
@@ -921,29 +900,58 @@ class FleetServer:
         if not windows_by_session:
             return {}
         groups = self._group_windows(windows_by_session)
-        # One batched call per distinct model.  A failing call must not
-        # discard the other models' verdicts: collect successes, remember
-        # the first failure, re-raise it only after the demux below.
-        results: List[Tuple[_WindowTickGroup, BatchInference]] = []
+        results, failure = self._run_groups(groups.values())
+        return self._demux_window_results(windows_by_session, results, failure)
+
+    def _run_groups(self, groups) -> "Tuple[list, Optional[Exception]]":
+        """Run each group's batched call inline; collect ``(group, batch)``.
+
+        A failing call must not discard the other models' verdicts: the
+        successes are kept with the first failure, which the fold
+        re-raises only after the healthy groups demux.
+        """
+        results = []
         failure: Optional[Exception] = None
-        for group in groups.values():
+        for group in groups:
             try:
-                batch = group.engine.infer_windows(group.stack())
+                results.append((group, group.run()))
             except Exception as exc:  # reprolint: disable=broad-except — failure isolation: one failing model loses only its own sessions' windows; the first failure is re-raised after healthy models demux
                 if failure is None:
                     failure = exc
-                continue
-            results.append((group, batch))
-        return self._demux_window_results(windows_by_session, results, failure)
+        return results, failure
+
+    def _finish_tick(
+        self,
+        results: "List[Tuple[object, BatchInference]]",
+        failure: Optional[Exception],
+        extra_ms: float,
+        tick: bool = True,
+    ) -> None:
+        """The accounting every fold ends with; re-raises the failure.
+
+        Each successful call's latency is charged.  The tick counts (a
+        flush passes ``tick=False``) and ``extra_ms`` — the plan's
+        featurize wall-clock — is charged unless every call failed, so a
+        tick on which every model raised leaves all counters untouched.
+        """
+        for _, batch in results:
+            self.serve_ms += batch.latency_ms
+        if failure is None or results:
+            if tick:
+                self.ticks += 1
+            self.serve_ms += extra_ms
+        if failure is not None:
+            raise failure
 
     def _group_windows(
         self, windows_by_session: Mapping[str, np.ndarray]
     ) -> Dict[int, _WindowTickGroup]:
         """Validate a windowed tick and group it by serving engine.
 
-        Nothing mutates: unknown sessions/cohorts and shape mismatches
-        raise before any engine runs.  Keyed by engine identity; insertion
-        order preserves the first-seen order of models within the tick.
+        Nothing mutates: unknown sessions/cohorts, shape mismatches and
+        non-finite samples raise before any engine runs.  Keyed by engine
+        identity; insertion order preserves the first-seen order of
+        models within the tick.
         """
         groups: Dict[int, _WindowTickGroup] = {}
         for session_id, window in windows_by_session.items():
@@ -962,6 +970,11 @@ class FleetServer:
                     f"differs from the batch shape {group.arrays[0].shape} "
                     f"(session {group.ids[0]!r})"
                 )
+            if not np.isfinite(arr).all():
+                raise DataShapeError(
+                    f"session {session.session_id!r} window holds non-finite "
+                    f"samples (NaN or inf)"
+                )
             group.ids.append(session.session_id)
             group.arrays.append(arr)
         return groups
@@ -971,15 +984,8 @@ class FleetServer:
         windows_by_session: Mapping[str, np.ndarray],
         results: "List[Tuple[_WindowTickGroup, BatchInference]]",
         failure: Optional[Exception],
-        extra_ms: float = 0.0,
     ) -> Dict[str, SessionVerdict]:
-        """Fold windowed batches into sessions/counters; re-raise failures.
-
-        The tick counts (and ``extra_ms`` — e.g. a separate featurize
-        wall-clock on the async path — is charged) only when at least one
-        model's batched call succeeded, keeping the accounting identical
-        between :meth:`step`, :meth:`step_stream` and their async twins.
-        """
+        """Fold windowed batches into sessions/counters; re-raise failures."""
         verdicts: Dict[str, SessionVerdict] = {}
         for group, batch in results:
             names = batch.names
@@ -991,12 +997,7 @@ class FleetServer:
                 self._charge_windows(
                     session.cohort, 1, int(not batch.accepted[i])
                 )
-            self.serve_ms += batch.latency_ms
-        if results:
-            self.ticks += 1
-            self.serve_ms += extra_ms
-        if failure is not None:
-            raise failure
+        self._finish_tick(results, failure, 0.0)
         return {str(sid): verdicts[str(sid)] for sid in windows_by_session}
 
     def _stream_engine(self, session: EdgeSession) -> InferenceEngine:
@@ -1095,43 +1096,26 @@ class FleetServer:
         """
         if not chunks_by_session:
             return {}
-        groups = self._validate_stream_tick(chunks_by_session, stride)
-        featurize_timer = Timer().__enter__()
-        self._featurize_stream_groups(groups)
-        featurize_timer.__exit__()
-        # --- inference pass: one batched call per distinct model.  The
-        # featurize pass above already consumed this tick's completed
-        # windows from every session's stream buffer, so a failing call
-        # must not discard healthy cohorts' work: models whose batched
-        # call succeeds are demuxed normally (smoothers, counters), and
-        # the first failure is re-raised after that demux.  Groups whose
-        # chunks completed no windows this tick make no call.
-        results: List[Tuple[_StreamTickGroup, BatchInference]] = []
-        failure: Optional[Exception] = None
-        for group in groups.values():
-            if sum(group.counts) == 0:
-                continue
-            try:
-                concat = np.concatenate(group.blocks, axis=0)
-                # dtype is forwarded only when set so stubbed/legacy
-                # engines without the parameter keep working.
-                batch = (
-                    group.engine.infer_features(concat)
-                    if group.dtype is None
-                    else group.engine.infer_features(concat, dtype=group.dtype)
-                )
-            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: the featurize pass already consumed this tick's windows, so healthy cohorts must still demux; the first failure is re-raised afterwards
-                if failure is None:
-                    failure = exc
-                continue
-            results.append((group, batch))
+        groups, featurize_ms = self._plan_stream_tick(chunks_by_session, stride)
+        results, failure = self._run_groups(groups)
         return self._demux_stream_results(
-            chunks_by_session,
-            groups,
-            results,
-            failure,
-            featurize_timer.elapsed_ms,
+            chunks_by_session, results, failure, featurize_ms
         )
+
+    def _plan_stream_tick(
+        self,
+        chunks_by_session: Mapping[str, np.ndarray],
+        stride: "Optional[Union[int, Mapping[str, int]]]" = None,
+    ) -> "Tuple[List[_StreamTickGroup], float]":
+        """Validate and featurize a stream tick: the groups to run + ms.
+
+        Groups whose chunks completed no window this tick make no call.
+        """
+        groups = self._validate_stream_tick(chunks_by_session, stride)
+        with Timer() as timer:
+            self._featurize_stream_groups(groups)
+        runnable = [group for group in groups.values() if sum(group.counts)]
+        return runnable, timer.elapsed_ms
 
     def _validate_stream_tick(
         self,
@@ -1252,13 +1236,13 @@ class FleetServer:
 
     def _demux_stream_results(
         self,
-        chunks_by_session: Mapping[str, np.ndarray],
-        groups: "Dict[Tuple[int, Optional[str]], _StreamTickGroup]",
+        session_ids,
         results: "List[Tuple[_StreamTickGroup, BatchInference]]",
         failure: Optional[Exception],
         featurize_ms: float,
+        tick: bool = True,
     ) -> Dict[str, List[SessionVerdict]]:
-        """Demux pass of a stream tick; shared with the async server.
+        """Fold a stream tick's batches into sessions; re-raise failures.
 
         Serving stats move only for models whose batched call succeeded,
         so an engine exception mid-tick cannot leave the counters claiming
@@ -1269,18 +1253,12 @@ class FleetServer:
         state (visible via ``EdgeSession.last_verdict`` even though the
         tick's return value is lost to the raise).  Featurization is part
         of serving — charged to ``serve_ms`` so the summary throughput
-        stays comparable with :meth:`step`'s fused timing.
+        stays comparable with :meth:`step`'s fused timing; a tick whose
+        chunks completed no window still counts, charged that time alone.
         """
         verdicts: Dict[str, List[SessionVerdict]] = {
-            str(sid): [] for sid in chunks_by_session
+            str(sid): [] for sid in session_ids
         }
-        total = sum(sum(group.counts) for group in groups.values())
-        if total == 0 and failure is None:
-            # Nothing to classify: the tick still happened and its
-            # featurization (buffer fills) is charged to serving time.
-            self.ticks += 1
-            self.serve_ms += featurize_ms
-            return verdicts
         for group, batch in results:
             names = batch.names
             offset = 0
@@ -1297,14 +1275,7 @@ class FleetServer:
                     rejected += int(not batch.accepted[i])
                 self._charge_windows(session.cohort, count, rejected)
                 offset += count
-            self.serve_ms += batch.latency_ms
-        if failure is not None:
-            if results:  # some models did serve: the tick happened
-                self.ticks += 1
-                self.serve_ms += featurize_ms
-            raise failure
-        self.ticks += 1
-        self.serve_ms += featurize_ms
+        self._finish_tick(results, failure, featurize_ms, tick=tick)
         return verdicts
 
     def finish_stream(self, session_id: str) -> List[SessionVerdict]:
@@ -1319,22 +1290,44 @@ class FleetServer:
         stream.  A session with no open stream returns an empty list.
         """
         session = self.session(session_id)
-        if session.stream is None:
-            return []
-        # Flush through the *pinned* engine: a hot-swapped cohort still
-        # closes its held-back windows against the model that buffered them.
-        batch = session.stream.finish()
-        session.stream = None
-        names = batch.names
-        verdicts = [
-            session.observe(names[i], batch.confidences[i], batch.accepted[i])
-            for i in range(len(batch))
-        ]
-        self._charge_windows(
-            session.cohort, len(batch), int(np.count_nonzero(~batch.accepted))
-        )
-        self.serve_ms += batch.latency_ms
-        return verdicts
+        groups, featurize_ms = self._plan_flush(session)
+        results, failure = self._run_groups(groups)
+        return self._demux_flush(session, results, failure, featurize_ms)
+
+    def _plan_flush(
+        self, session: EdgeSession
+    ) -> "Tuple[List[_StreamTickGroup], float]":
+        """Featurize a session's held-back windows: the group to run + ms.
+
+        Featurized from the *pinned* stream, so a hot-swapped cohort still
+        closes its held-back windows against the model that buffered them.
+        """
+        stream = session.stream
+        if stream is None:
+            return [], 0.0
+        group = _StreamTickGroup(stream.engine, dtype=stream.dtype)
+        group.ids.append(session.session_id)
+        with Timer() as timer:
+            features = stream.engine.pipeline.finish_stream(stream.state)
+        group.blocks.append(features)
+        return ([group] if group.counts[0] else []), timer.elapsed_ms
+
+    def _demux_flush(
+        self,
+        session: EdgeSession,
+        results: "List[Tuple[_StreamTickGroup, BatchInference]]",
+        failure: Optional[Exception],
+        featurize_ms: float,
+    ) -> List[SessionVerdict]:
+        """Fold a flush like a stream tick that is not counted as one, then
+        close the session's stream whether or not its call succeeded."""
+        try:
+            return self._demux_stream_results(
+                [session.session_id], results, failure, featurize_ms,
+                tick=False,
+            )[session.session_id]
+        finally:
+            session.stream = None
 
     def summary(self) -> Dict[str, float]:
         """Fleet-level serving statistics."""

@@ -16,6 +16,7 @@ per-window calls, so high-overlap evaluation sweeps stay tractable.
 from __future__ import annotations
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -413,13 +414,7 @@ def _accumulate_cohort_segments(
     stride: Optional[int],
     chunk_len: Optional[int],
 ) -> _StreamAccumulator:
-    """One cohort's whole evaluation as a pool task.
-
-    Module-level (and returning the plain-attribute accumulator) so the
-    async driver can run it on thread *or* process workers; in process
-    mode only the labeled sample arrays and the raw counts cross the
-    boundary, never the engine (the pool ships that once per shard).
-    """
+    """One cohort's whole evaluation, as one thread-pool task."""
     acc = _StreamAccumulator()
     for label, samples in segments:
         for batch in _segment_batches(engine, samples, stride, chunk_len):
@@ -432,81 +427,60 @@ async def run_cohort_stream_protocol_async(
     segments_by_cohort: Mapping[str, Sequence[Tuple[str, np.ndarray]]],
     stride: Optional[Union[int, Mapping[str, int]]] = None,
     chunk_len: Optional[int] = None,
-    pool=None,
     workers: int = 2,
 ) -> CohortStreamEvalResult:
     """Async :func:`run_cohort_stream_protocol`: cohorts evaluate in parallel.
 
     The fan-out twin of the cohort protocol for multi-model sweeps: every
-    cohort's labeled segments are dispatched to an
-    :class:`~repro.serving.async_fleet.EngineWorkerPool` worker (each
-    distinct model is sharded to one worker, so a k-cohort evaluation
+    cohort's labeled segments are evaluated as one task on a thread pool
+    of ``workers`` created for this call (so a k-cohort evaluation
     overlaps up to ``min(k, workers)`` engines' wall-clock), then the raw
     window counts are merged **in cohort order** into the same exact
     combined rollup the serial protocol produces — per-cohort and combined
     accuracies, window and rejection counts are identical; only the
     latency fields reflect the parallel run's timing.
 
-    ``pool`` shares an existing worker pool (the caller keeps ownership);
-    otherwise a thread pool of ``workers`` is created for this call and
-    closed before returning.  Errors mirror the serial protocol: unknown
-    cohorts raise :class:`~repro.exceptions.UnknownCohortError` before any
-    evaluation runs, a cohort whose segments never complete a window
-    raises :class:`~repro.exceptions.DataShapeError`.
+    Errors mirror the serial protocol: unknown cohorts raise
+    :class:`~repro.exceptions.UnknownCohortError` before any evaluation
+    runs, a cohort whose segments never complete a window raises
+    :class:`~repro.exceptions.DataShapeError`.
     """
-    # Imported here (not at module top) to keep repro.eval importable
-    # without dragging the serving layer in for the plain protocols.
-    from ..serving.async_fleet import EngineWorkerPool
-
     if not segments_by_cohort:
         raise ConfigurationError("segments_by_cohort must be non-empty")
     if chunk_len is not None and chunk_len < 1:
         raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
-    owns_pool = pool is None
-    if owns_pool:
-        pool = EngineWorkerPool(workers=workers, mode="thread")
-    try:
-        pending = []
-        for cohort_id, segments in segments_by_cohort.items():
-            cohort_key = str(cohort_id)
-            if not segments:
-                raise ConfigurationError(
-                    f"cohort {cohort_key!r} has no segments"
-                )
-            if hasattr(registry, "engine_handle_for"):
-                handle = registry.engine_handle_for(cohort_key)
-            else:  # duck-typed registries: pin the resolved engine itself
-                from ..core.engine import EngineHandle
-
-                handle = EngineHandle(
-                    cohort=cohort_key,
-                    version=-1,
-                    engine=registry.engine_for(cohort_key),
-                )
-            cohort_stride = (
-                stride.get(cohort_key)
-                if isinstance(stride, Mapping)
-                else stride
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    jobs = []
+    for cohort_id, segments in segments_by_cohort.items():
+        cohort_key = str(cohort_id)
+        if not segments:
+            raise ConfigurationError(
+                f"cohort {cohort_key!r} has no segments"
             )
-            pending.append((
-                cohort_key,
-                pool.submit_call(
-                    handle,
-                    _accumulate_cohort_segments,
-                    list(segments),
-                    cohort_stride,
-                    chunk_len,
-                ),
-            ))
-        per_cohort: Dict[str, StreamEvalResult] = {}
-        combined = _StreamAccumulator()
-        for cohort_key, future in pending:
-            acc = await asyncio.wrap_future(future)
-            combined.merge(acc)
-            per_cohort[cohort_key] = acc.result()
-        return CohortStreamEvalResult(
-            per_cohort=per_cohort, combined=combined.result()
+        cohort_stride = (
+            stride.get(cohort_key) if isinstance(stride, Mapping) else stride
         )
-    finally:
-        if owns_pool:
-            pool.close()
+        engine = registry.engine_for(cohort_key)
+        jobs.append((cohort_key, engine, list(segments), cohort_stride))
+    loop = asyncio.get_running_loop()
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        accumulators = await asyncio.gather(*(
+            loop.run_in_executor(
+                executor,
+                _accumulate_cohort_segments,
+                engine,
+                segments,
+                cohort_stride,
+                chunk_len,
+            )
+            for _, engine, segments, cohort_stride in jobs
+        ))
+    per_cohort: Dict[str, StreamEvalResult] = {}
+    combined = _StreamAccumulator()
+    for (cohort_key, *_), acc in zip(jobs, accumulators):
+        combined.merge(acc)
+        per_cohort[cohort_key] = acc.result()
+    return CohortStreamEvalResult(
+        per_cohort=per_cohort, combined=combined.result()
+    )

@@ -7,12 +7,11 @@ Everything needed to serve a heterogeneous device fleet from one process:
 - :class:`~repro.core.engine.FleetServer` (re-exported) — binds each
   session to a cohort and issues one batched engine call per distinct
   model per tick;
-- :class:`~repro.serving.async_fleet.AsyncFleetServer` /
-  :class:`~repro.serving.async_fleet.EngineWorkerPool` — the asyncio
-  front: ``await step_stream(...)`` fans the per-distinct-model batched
-  calls of one tick out over worker threads/processes (same verdicts,
-  overlapped wall-clock), with per-session ordering, bounded in-flight
-  ticks and hot-swap pinning via :class:`~repro.core.engine.EngineHandle`;
+- :class:`~repro.serving.async_fleet.AsyncFleetServer` — the asyncio
+  driver of the same tick: ``await step_stream(...)`` runs the
+  per-distinct-model batched calls of one tick on a thread pool (same
+  verdicts, overlapped wall-clock), with per-session ordering and
+  bounded in-flight ticks;
 - :class:`~repro.serving.cohorts.CohortSpec` /
   :func:`~repro.serving.cohorts.load_cohort_spec` — declarative fleet
   layouts for the CLI and benchmarks;
@@ -43,12 +42,11 @@ Quickstart::
 from ..core.engine import (
     DEFAULT_COHORT,
     EdgeSession,
-    EngineHandle,
     FleetServer,
     SessionVerdict,
 )
 from ..core.transfer import CohortHead, engine_from_head
-from .async_fleet import AsyncFleetServer, EngineWorkerPool
+from .async_fleet import AsyncFleetServer
 from .cohorts import (
     CohortSpec,
     FleetSpec,
@@ -65,8 +63,6 @@ __all__ = [
     "CohortSpec",
     "DEFAULT_COHORT",
     "EdgeSession",
-    "EngineHandle",
-    "EngineWorkerPool",
     "FleetSpec",
     "FleetServer",
     "GatewayClient",

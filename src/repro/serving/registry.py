@@ -21,11 +21,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from ..core.engine import (
-    DEFAULT_COHORT,
-    EngineHandle,
-    InferenceEngine,
-)
+from ..core.engine import DEFAULT_COHORT, InferenceEngine
 from ..core.ncm import NCMClassifier
 from ..core.transfer import TransferPackage
 from ..exceptions import ConfigurationError, UnknownCohortError
@@ -274,27 +270,6 @@ class ModelRegistry:
         raise UnknownCohortError(
             f"cohort {key!r} is not in the registry "
             f"(has {list(self.cohorts()) or 'no cohorts'})"
-        )
-
-    def engine_handle_for(
-        self, cohort_id: Optional[str] = None
-    ) -> "EngineHandle":
-        """The engine serving ``cohort_id``, wrapped in a version handle.
-
-        The handle names the cohort and its current publication version,
-        giving worker-sharded serving layers
-        (:class:`~repro.serving.async_fleet.EngineWorkerPool`) a stable
-        key: a hot-swap :meth:`publish` bumps the version and therefore
-        yields a *different* handle, so fleet sessions pinned to the old
-        handle keep routing to the replica that buffered their stream
-        while new streams pick up the new model.  Resolution semantics
-        (lazy loading, :class:`~repro.exceptions.UnknownCohortError`)
-        match :meth:`engine_for`.
-        """
-        key = self.default_cohort if cohort_id is None else str(cohort_id)
-        engine = self.engine_for(key)  # lazy load / raise, bumps version
-        return EngineHandle(
-            cohort=key, version=self.version(key), engine=engine
         )
 
     def package_for(self, cohort_id: Optional[str] = None) -> TransferPackage:

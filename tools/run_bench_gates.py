@@ -19,7 +19,7 @@ steps.
 Usage::
 
     PYTHONPATH=src python tools/run_bench_gates.py                # all gates
-    PYTHONPATH=src python tools/run_bench_gates.py --only async   # one gate
+    PYTHONPATH=src python tools/run_bench_gates.py --only gateway # one gate
     PYTHONPATH=src python tools/run_bench_gates.py --list
     PYTHONPATH=src python tools/run_bench_gates.py --artifacts out/
 
@@ -80,12 +80,6 @@ GATES: List[BenchGate] = [
         file="bench_fleet_cohorts.py",
         smoke_budget=120,
         claim="3-cohort fleet tick <= 1.5x single-model",
-    ),
-    BenchGate(
-        name="async",
-        file="bench_async_fleet.py",
-        smoke_budget=120,
-        claim="async fan-out tick <= 1.0x serial (1.25x on 1 core)",
     ),
     BenchGate(
         name="gateway",
