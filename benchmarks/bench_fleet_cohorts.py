@@ -81,8 +81,8 @@ def measure_cohort_fleet(
 ) -> Dict:
     """Wall-clock of a single-model fleet vs the same fleet split by cohort.
 
-    ``setup`` is a :class:`conftest.CohortFleetSetup` — the fleet layout
-    shared with ``bench_gateway`` (build one with
+    ``setup`` is a :class:`conftest.CohortFleetSetup`, the fleet layout
+    only ``bench_fleet_cohorts`` uses (build one with
     :func:`conftest.build_cohort_fleet_setup`).
     """
     data = setup.data

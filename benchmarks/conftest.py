@@ -74,9 +74,7 @@ class CohortFleetSetup:
     One single-model reference engine, ``n_cohorts`` distinct cohort
     engines published in a registry, one continuous recording every
     session replays, and a round-robin session→cohort assignment.  Used
-    by ``bench_fleet_cohorts`` (cohort overhead vs single model) and
-    ``bench_gateway`` (socket vs in-process ticks) so the two gates
-    measure the *same* fleet.
+    by ``bench_fleet_cohorts`` only (cohort overhead vs single model).
     """
 
     single_engine: object

@@ -185,10 +185,6 @@ def _add_gateway_bench(subparsers) -> None:
     cmd.add_argument("--tick-interval", type=float, default=0.0,
                      help="idle seconds between a device's ticks "
                           "(default 0 = full-speed replay)")
-    cmd.add_argument("--codec", choices=("binary", "json"),
-                     default="binary",
-                     help="wire format (default binary; json is the "
-                          "debug codec)")
     cmd.add_argument("--workers", type=int, default=2,
                      help="async worker threads (default 2)")
     cmd.add_argument("--saturation", action="store_true",
@@ -425,9 +421,8 @@ def _gateway_registry(args) -> ModelRegistry:
 def _cmd_gateway(args) -> int:
     """Serve a fleet over TCP until interrupted.
 
-    Every connection is one device session speaking the framed wire
-    protocol (binary or JSON-lines, auto-detected); chunks are
-    micro-batched per cohort into single
+    Every connection is one device session speaking the binary framed
+    wire protocol; chunks are micro-batched per cohort into single
     :class:`~repro.serving.async_fleet.AsyncFleetServer` ticks, so socket
     serving keeps the in-process batching economics.
     """
@@ -493,12 +488,10 @@ def _cmd_gateway_bench(args) -> int:
                 gateway.port,
                 device_schedule(args.devices),
                 tick_interval_s=args.tick_interval,
-                codec=args.codec,
             )
             stats = report.to_dict()
             print(f"{args.devices} devices x {args.ticks} ticks "
-                  f"({args.codec} codec, "
-                  f"{args.chunk_seconds:.1f}s chunks): "
+                  f"({args.chunk_seconds:.1f}s chunks): "
                   f"{stats['windows_served']} windows in "
                   f"{stats['wall_s']:.2f}s "
                   f"({stats['windows_per_sec']:.0f} windows/s)")
@@ -516,7 +509,6 @@ def _cmd_gateway_bench(args) -> int:
                     gateway.port,
                     lambda k: device_schedule(k, prefix=f"ramp-{k}"),
                     counts,
-                    codec=args.codec,
                 )
                 for step in ramp["steps"]:
                     print(f"  {int(step['devices']):>5} devices: "

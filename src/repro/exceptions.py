@@ -55,7 +55,7 @@ class BackpressureError(MagnetoError):
 class ProtocolError(MagnetoError):
     """A gateway wire frame could not be parsed or was semantically invalid.
 
-    Raised by the :mod:`repro.serving.gateway.protocol` codecs for
+    Raised by the :mod:`repro.serving.gateway.protocol` decoder for
     truncated, oversized or garbage-header bytes — never a raw
     ``struct.error``/``UnicodeDecodeError`` — and surfaced to remote
     clients as a structured ``ERROR`` frame with code ``PROTOCOL``.  The

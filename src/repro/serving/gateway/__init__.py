@@ -1,14 +1,14 @@
 """Network gateway: framed chunk ingestion over asyncio TCP.
 
 The serving stack's socket edge.  :mod:`~repro.serving.gateway.protocol`
-defines the wire format (a length-prefixed binary framing plus a
-JSON-lines debug codec), :class:`GatewayServer` accepts per-session
-``HELLO``/``CHUNK``/``FINISH`` frames and serves them through
+defines the wire format (one length-prefixed binary framing),
+:class:`GatewayServer` accepts per-session ``HELLO``/``CHUNK``/``FINISH``
+frames and serves them through
 :class:`~repro.serving.AsyncFleetServer` with per-cohort micro-batched
 ticks, :class:`GatewayClient` drives one device session with transparent
 ``BUSY`` retry, and :mod:`~repro.serving.gateway.loadgen` replays
 simulated fleets to measure tick-latency percentiles and the saturation
-point (the ``repro gateway-bench`` CLI and the ``bench_gateway`` gate).
+point (the ``repro gateway-bench`` CLI).
 """
 
 from .client import GatewayClient
@@ -19,7 +19,6 @@ from .protocol import (
     BinaryFrameCodec,
     Frame,
     FrameType,
-    JsonLinesFrameCodec,
     busy_frame,
     chunk_frame,
     error_code_for,
@@ -38,7 +37,6 @@ __all__ = [
     "FrameType",
     "GatewayClient",
     "GatewayServer",
-    "JsonLinesFrameCodec",
     "LoadReport",
     "MAGIC",
     "PROTOCOL_VERSION",

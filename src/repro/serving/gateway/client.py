@@ -29,7 +29,6 @@ from .protocol import (
     BinaryFrameCodec,
     Frame,
     FrameType,
-    JsonLinesFrameCodec,
     chunk_frame,
     exception_for,
     finish_frame,
@@ -48,9 +47,6 @@ class GatewayClient:
     ----------
     host / port:
         The gateway's bind address.
-    codec:
-        ``"binary"`` (default) or ``"json"`` — both carry identical
-        semantics; JSON-lines exists for debugging.
     busy_retries:
         How many ``BUSY`` refusals :meth:`send_chunk` absorbs (sleeping
         the server's retry hint each time) before raising
@@ -61,18 +57,11 @@ class GatewayClient:
         self,
         host: str,
         port: int,
-        codec: str = "binary",
         busy_retries: int = 64,
     ) -> None:
-        if codec not in ("binary", "json"):
-            raise ConfigurationError(
-                f"codec must be 'binary' or 'json', got {codec!r}"
-            )
         self._host = host
         self._port = int(port)
-        self._codec = (
-            BinaryFrameCodec() if codec == "binary" else JsonLinesFrameCodec()
-        )
+        self._codec = BinaryFrameCodec()
         self.busy_retries = int(busy_retries)
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None

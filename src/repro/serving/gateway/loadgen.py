@@ -4,7 +4,7 @@
 :class:`~repro.serving.gateway.client.GatewayClient` sessions against a
 live gateway and reports per-tick round-trip latency percentiles
 (p50/p95/p99), BUSY refusals absorbed, and windows served — the numbers
-the ``repro gateway-bench`` CLI and the ``bench_gateway`` gate print.
+the ``repro gateway-bench`` CLI prints.
 :func:`find_saturation` ramps the device count over the same schedule and
 records the saturation point: the largest fleet the gateway still scales
 for (throughput gain ≥ ``min_gain`` per step and no BUSY refusals).
@@ -46,7 +46,6 @@ class LoadReport:
 
     devices: int
     ticks: int
-    codec: str
     wall_s: float
     latencies_ms: List[float] = field(default_factory=list)
     busy_frames: int = 0
@@ -74,7 +73,6 @@ class LoadReport:
         return {
             "devices": self.devices,
             "ticks": self.ticks,
-            "codec": self.codec,
             "wall_s": self.wall_s,
             "p50_ms": stats["p50_ms"],
             "p95_ms": stats["p95_ms"],
@@ -93,11 +91,10 @@ async def _drive_device(
     cohort: Optional[str],
     stride: Optional[int],
     tick_interval_s: float,
-    codec: str,
     latencies_ms: List[float],
     counters: Dict[str, int],
 ) -> None:
-    async with GatewayClient(host, port, codec=codec) as client:
+    async with GatewayClient(host, port) as client:
         await client.connect(device_id, cohort=cohort, stride=stride)
         for chunk in chunks:
             start = time.perf_counter()
@@ -120,7 +117,6 @@ async def run_load(
     cohorts: Optional[Dict[str, str]] = None,
     stride: Optional[int] = None,
     tick_interval_s: float = 0.0,
-    codec: str = "binary",
 ) -> LoadReport:
     """Replay ``device_chunks`` concurrently and measure tick latency.
 
@@ -151,7 +147,6 @@ async def run_load(
                 cohorts.get(device_id),
                 stride,
                 tick_interval_s,
-                codec,
                 latencies_ms,
                 counters,
             )
@@ -163,7 +158,6 @@ async def run_load(
     return LoadReport(
         devices=len(device_chunks),
         ticks=n_ticks,
-        codec=codec,
         wall_s=wall_s,
         latencies_ms=latencies_ms,
         busy_frames=counters["busy"],
@@ -177,7 +171,6 @@ async def find_saturation(
     make_device_chunks: Callable[[int], Dict[str, Sequence[np.ndarray]]],
     device_counts: Sequence[int],
     stride: Optional[int] = None,
-    codec: str = "binary",
     min_gain: float = 1.10,
 ) -> Dict:
     """Ramp the fleet size and record where the gateway stops scaling.
@@ -197,7 +190,6 @@ async def find_saturation(
             port,
             make_device_chunks(int(count)),
             stride=stride,
-            codec=codec,
         )
         steps.append(report.to_dict())
         scaled = (

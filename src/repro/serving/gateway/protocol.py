@@ -1,8 +1,8 @@
 """The gateway wire protocol: framed chunk messages over a byte stream.
 
-One frame = one protocol event.  The binary codec (the production format)
-is msgpack-free: a fixed little-endian struct header, a small UTF-8 JSON
-*meta* document, and an optional raw little-endian numpy payload::
+One frame = one protocol event, in one binary format: a fixed
+little-endian struct header, a small UTF-8 JSON *meta* document, and an
+optional raw little-endian numpy payload::
 
     offset  size  field
     0       2     magic  b"RG"
@@ -15,15 +15,13 @@ is msgpack-free: a fixed little-endian struct header, a small UTF-8 JSON
 
 Only ``CHUNK`` frames normally carry a payload; its dtype (``"<f8"`` or
 ``"<f4"``) and shape travel in the meta document, so the receiver
-reconstructs the array with one ``np.frombuffer``.  The JSON-lines codec
-is the debug twin: the same frames as one JSON object per ``\\n``-terminated
-line, arrays as nested lists — greppable on the wire at ~10x the bytes.
+reconstructs the array with one ``np.frombuffer``.
 
-Both codecs are *incremental*: ``feed(data)`` buffers partial frames
+The codec is *incremental*: ``feed(data)`` buffers partial frames
 (slow-loris clients simply take longer) and returns every completed
 frame.  Garbage raises :class:`~repro.exceptions.ProtocolError` — never a
 raw ``struct``/``unicode``/``json`` error — **after** resynchronizing the
-buffer (scan to the next magic / newline), so frames behind the corruption
+buffer (scan to the next magic), so frames behind the corruption
 are recovered by the next ``feed`` call.  ``close()`` raises if a partial
 frame is still buffered (a truncated stream).
 
@@ -64,7 +62,6 @@ __all__ = [
     "BinaryFrameCodec",
     "Frame",
     "FrameType",
-    "JsonLinesFrameCodec",
     "MAGIC",
     "PROTOCOL_VERSION",
     "busy_frame",
@@ -421,116 +418,4 @@ class BinaryFrameCodec:
             raise ProtocolError(
                 f"stream truncated mid-frame ({len(self._buffer)} bytes "
                 f"of an incomplete frame buffered)"
-            )
-
-
-# ---------------------------------------------------------------------- #
-# JSON-lines debug codec
-# ---------------------------------------------------------------------- #
-
-
-class JsonLinesFrameCodec:
-    """The debug wire format: one JSON object per line, arrays as lists.
-
-    Same frames, same semantics, ~10x the bytes — for curl/netcat
-    debugging and protocol archaeology.  A server distinguishes the two
-    formats by the first byte of a connection (``{`` vs ``R``).
-    """
-
-    def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD_BYTES) -> None:
-        self.max_payload = int(max_payload)
-        self._buffer = bytearray()
-        self._ready: List[Frame] = []
-
-    def encode(self, frame: Frame) -> bytes:
-        document: Dict = {"type": frame.type.name, "meta": dict(frame.meta)}
-        if frame.payload is not None:
-            arr = np.asarray(frame.payload)
-            document["dtype"] = "<f4" if arr.dtype == np.float32 else "<f8"
-            document["shape"] = list(arr.shape)
-            document["payload"] = arr.tolist()
-        return json.dumps(document, separators=(",", ":")).encode("utf-8") + b"\n"
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
-    def _decode_line(self, line: bytes) -> Frame:
-        try:
-            document = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"line is not UTF-8 JSON: {exc}") from None
-        if not isinstance(document, dict):
-            raise ProtocolError(
-                f"line must be a JSON object, got {type(document).__name__}"
-            )
-        try:
-            frame_type = FrameType[document["type"]]
-        except KeyError:
-            raise ProtocolError(
-                f"unknown frame type {document.get('type')!r}"
-            ) from None
-        meta = document.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ProtocolError("frame meta must be a JSON object")
-        payload = None
-        if "payload" in document:
-            dtype = document.get("dtype", "<f8")
-            if dtype not in ALLOWED_DTYPES:
-                raise ProtocolError(
-                    f"payload dtype {dtype!r} not in {ALLOWED_DTYPES}"
-                )
-            try:
-                payload = np.array(document["payload"], dtype=np.dtype(dtype))
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"payload is not a rectangular numeric list: {exc}"
-                ) from None
-            if payload.nbytes > self.max_payload:
-                raise ProtocolError(
-                    f"payload of {payload.nbytes} bytes exceeds the "
-                    f"{self.max_payload}-byte ceiling"
-                )
-            shape = document.get("shape")
-            if shape is not None:
-                # empty arrays lose their trailing dims in nested-list
-                # form; the explicit shape restores them
-                if (
-                    not isinstance(shape, list)
-                    or not all(
-                        isinstance(d, int) and d >= 0 for d in shape
-                    )
-                    or math.prod(shape) != payload.size
-                ):
-                    raise ProtocolError(
-                        f"payload shape {shape!r} does not match the "
-                        f"{payload.size}-element payload"
-                    )
-                payload = payload.reshape(shape)
-        return Frame(frame_type, meta, payload)
-
-    def feed(self, data: bytes) -> List[Frame]:
-        """Buffer ``data``; decode every complete line.
-
-        A bad line raises :class:`~repro.exceptions.ProtocolError`; sync
-        is per-line, so the next newline restarts parsing cleanly.
-        """
-        self._buffer.extend(data)
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                break
-            line = bytes(self._buffer[:newline])
-            del self._buffer[: newline + 1]
-            if not line.strip():
-                continue
-            self._ready.append(self._decode_line(line))  # may raise
-        ready, self._ready = self._ready, []
-        return ready
-
-    def close(self) -> None:
-        if self._buffer.strip():
-            raise ProtocolError(
-                f"stream truncated mid-line ({len(self._buffer)} bytes of "
-                f"an unterminated line buffered)"
             )

@@ -1,12 +1,12 @@
 """The asyncio TCP ingestion edge: framed chunks in, verdicts out.
 
 :class:`GatewayServer` is the network front of the serving stack.  Each
-TCP connection speaks the :mod:`~repro.serving.gateway.protocol` framing
-(binary or JSON-lines — auto-detected from the first byte), carries **one
-device session** (``HELLO`` → ``CHUNK``* → ``FINISH``), and every chunk is
-served through the in-process :class:`~repro.serving.AsyncFleetServer` —
-the gateway owns no inference code of its own, so gateway verdicts are
-pinned identical (1e-9) to in-process serving by construction.
+TCP connection speaks the :mod:`~repro.serving.gateway.protocol` binary
+framing, carries **one device session** (``HELLO`` → ``CHUNK``* →
+``FINISH``), and every chunk is served through the in-process
+:class:`~repro.serving.AsyncFleetServer` — the gateway owns no inference
+code of its own, so gateway verdicts are pinned identical (1e-9) to
+in-process serving by construction.
 
 Three design points carry the production semantics:
 
@@ -30,8 +30,7 @@ Three design points carry the production semantics:
   lockstep flushes and 100% of paced ones.)  Each flush issues **one**
   ``AsyncFleetServer.step_stream`` call per ``(cohort, stride)`` group,
   so a 50-device tick costs the same batched engine passes as in-process
-  serving, not 50 singleton calls — this is what keeps the gateway bench
-  gate (p95 ≤ 2x in-process) honest.
+  serving, not 50 singleton calls.
 - **Protocol-level backpressure.**  When the fleet's ``max_inflight`` is
   saturated, :class:`~repro.exceptions.BackpressureError` guarantees the
   refused chunks were never consumed; the gateway converts the exception
@@ -78,7 +77,6 @@ from .protocol import (
     BinaryFrameCodec,
     Frame,
     FrameType,
-    JsonLinesFrameCodec,
     busy_frame,
     error_code_for,
     error_frame,
@@ -105,7 +103,7 @@ class _PendingChunk:
 
 
 class _Connection:
-    """Per-connection protocol state (codec chosen, session bound).
+    """Per-connection protocol state (the connection's decoder, its session).
 
     ``replied_at`` (loop time the last WELCOME or CHUNK/FINISH reply was
     written; ``inf`` while a chunk's reply is still to come) and
@@ -117,8 +115,8 @@ class _Connection:
         "codec", "session_id", "stride", "cohort", "replied_at", "turnaround",
     )
 
-    def __init__(self) -> None:
-        self.codec: Optional[object] = None
+    def __init__(self, codec: BinaryFrameCodec) -> None:
+        self.codec = codec
         self.session_id: Optional[str] = None
         self.stride: Optional[int] = None
         self.cohort: Optional[str] = None
@@ -290,7 +288,7 @@ class GatewayServer:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         self.connections_total += 1
-        state = _Connection()
+        state = _Connection(BinaryFrameCodec(max_payload=self.max_payload))
         try:
             await self._connection_loop(reader, writer, state)
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
@@ -304,17 +302,10 @@ class GatewayServer:
                 await self._release_session(state.session_id)
 
     async def _connection_loop(self, reader, writer, state) -> None:
-        # The first byte picks the codec: "{" = JSON-lines, else binary.
-        first = await reader.read(1)
-        if not first:
-            return
-        state.codec = (
-            JsonLinesFrameCodec(max_payload=self.max_payload)
-            if first == b"{"
-            else BinaryFrameCodec(max_payload=self.max_payload)
-        )
-        data = first
         while True:
+            data = await reader.read(_READ_SIZE)
+            if not data:
+                return
             frames, faults = self._feed(state.codec, data)
             for fault in faults:
                 self.protocol_errors += 1
@@ -326,9 +317,6 @@ class GatewayServer:
                 keep_going = await self._dispatch(frame, state, writer)
                 if not keep_going:
                     return
-            data = await reader.read(_READ_SIZE)
-            if not data:
-                return
 
     @staticmethod
     def _feed(codec, data: bytes) -> "Tuple[List[Frame], List[ProtocolError]]":
@@ -384,28 +372,23 @@ class GatewayServer:
             )
             return True
         session_id = frame.meta.get("session_id")
-        if not session_id:
-            await self._send(
-                writer,
-                state,
-                error_frame(
-                    "PROTOCOL", "HELLO frame is missing session_id", fatal=True
-                ),
-            )
-            return False
         cohort = frame.meta.get("cohort")
         stride = frame.meta.get("stride")
         dtype = frame.meta.get("dtype")
-        if dtype is not None and dtype not in ("float64", "float32"):
+        if not session_id:
+            problem = "HELLO frame is missing session_id"
+        elif dtype is not None and dtype not in ("float64", "float32"):
+            problem = (
+                f"HELLO dtype must be 'float64' or 'float32', got {dtype!r}"
+            )
+        elif stride is not None and (type(stride) is not int or stride < 1):
+            # exact type: a JSON ``true`` is an int to isinstance
+            problem = f"HELLO stride must be an integer >= 1, got {stride!r}"
+        else:
+            problem = None
+        if problem is not None:
             await self._send(
-                writer,
-                state,
-                error_frame(
-                    "PROTOCOL",
-                    f"HELLO dtype must be 'float64' or 'float32', "
-                    f"got {dtype!r}",
-                    fatal=True,
-                ),
+                writer, state, error_frame("PROTOCOL", problem, fatal=True)
             )
             return False
         try:
@@ -422,7 +405,7 @@ class GatewayServer:
             return False
         state.session_id = session.session_id
         state.cohort = session.cohort
-        state.stride = None if stride is None else int(stride)
+        state.stride = stride
         self._live_sessions[session.session_id] = state
         await self._reply(
             writer,

@@ -209,14 +209,7 @@ class TestGatewayCommands:
         args = build_parser().parse_args(["gateway-bench", "pkg.npz"])
         assert args.devices == 8
         assert args.ticks == 5
-        assert args.codec == "binary"
         assert args.tick_interval == 0.0
-
-    def test_gateway_bench_rejects_bad_codec(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["gateway-bench", "pkg.npz", "--codec", "msgpack"]
-            )
 
     def test_gateway_bench_replays_devices(self, saved_package, capsys):
         code = main([
@@ -228,14 +221,6 @@ class TestGatewayCommands:
         assert "3 devices x 2 ticks" in out
         assert "tick latency: p50" in out
         assert "BUSY refusals absorbed" in out
-
-    def test_gateway_bench_json_codec(self, saved_package, capsys):
-        code = main([
-            "gateway-bench", saved_package,
-            "--devices", "2", "--ticks", "2", "--codec", "json",
-        ])
-        assert code == 0
-        assert "json codec" in capsys.readouterr().out
 
     def test_gateway_bench_saturation_ramp(self, saved_package, capsys):
         code = main([

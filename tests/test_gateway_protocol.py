@@ -1,7 +1,7 @@
 """Property/fuzz tests for the gateway wire codec.
 
-The contract under test: both codecs round-trip arbitrary frames exactly
-(meta via JSON, payloads bit-exact), and **no byte sequence** —
+The contract under test: the binary codec round-trips arbitrary frames
+exactly (meta via JSON, payloads bit-exact), and **no byte sequence** —
 truncated, oversized, garbage-header, bit-flipped — ever surfaces
 anything but the typed :class:`~repro.exceptions.ProtocolError`; after
 the error the decoder has resynchronized, so valid frames before and
@@ -25,7 +25,6 @@ from repro.serving.gateway import (
     BinaryFrameCodec,
     Frame,
     FrameType,
-    JsonLinesFrameCodec,
     chunk_frame,
     error_code_for,
     exception_for,
@@ -253,46 +252,6 @@ class TestBinaryHostileBytes:
                 except ProtocolError:
                     continue
             assert decoded <= 4
-
-
-class TestJsonLinesCodec:
-    @settings(max_examples=40, deadline=None)
-    @given(frames())
-    def test_roundtrips_arbitrary_frames(self, frame):
-        wire = JsonLinesFrameCodec().encode(frame)
-        decoded = JsonLinesFrameCodec().feed(wire)
-        assert len(decoded) == 1
-        got = decoded[0]
-        assert got.type == frame.type
-        for key, value in frame.meta.items():
-            if value is None or (isinstance(value, float) and value != value):
-                continue
-            assert got.meta[key] == value
-        if frame.payload is not None and frame.payload.size:
-            np.testing.assert_allclose(got.payload, frame.payload, rtol=0, atol=0)
-
-    def test_partial_line_waits_then_close_raises(self):
-        wire = JsonLinesFrameCodec().encode(hello_frame("dev"))
-        decoder = JsonLinesFrameCodec()
-        assert decoder.feed(wire[:-5]) == []
-        with pytest.raises(ProtocolError):
-            decoder.close()
-
-    def test_bad_line_raises_typed_error_and_keeps_sync(self):
-        good = JsonLinesFrameCodec().encode(hello_frame("after"))
-        decoder = JsonLinesFrameCodec()
-        with pytest.raises(ProtocolError):
-            decoder.feed(b"this is not json\n" + good)
-        assert [f.meta["session_id"] for f in decoder.feed(b"")] == ["after"]
-
-    def test_blank_lines_are_skipped(self):
-        good = JsonLinesFrameCodec().encode(hello_frame("dev"))
-        frames_ = JsonLinesFrameCodec().feed(b"\n\n" + good + b"\n")
-        assert [f.type for f in frames_] == [FrameType.HELLO]
-
-    def test_unknown_type_name_raises_typed_error(self):
-        with pytest.raises(ProtocolError, match="frame type"):
-            JsonLinesFrameCodec().feed(b'{"type": "EXPLODE", "meta": {}}\n')
 
 
 class TestFrameConstructors:

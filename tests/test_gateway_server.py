@@ -7,8 +7,9 @@ including ragged 1-sample ticks and a mid-stream
 :meth:`~repro.serving.ModelRegistry.publish` hot-swap — and the
 protocol-level contracts hold: ``BUSY`` frames carry a retry-after hint,
 no accepted CHUNK is ever dropped (windows served == windows sent after
-the drain), both codecs serve identical results, and server-side errors
-arrive as the same typed exceptions the in-process API raises.
+the drain), bytes that are not the binary framing get a typed ``PROTOCOL``
+error and no session, and server-side errors arrive as the same typed
+exceptions the in-process API raises.
 """
 
 import asyncio
@@ -24,7 +25,13 @@ from repro.exceptions import (
     UnknownCohortError,
 )
 from repro.serving import AsyncFleetServer, ModelRegistry
-from repro.serving.gateway import GatewayClient, GatewayServer
+from repro.serving.gateway import (
+    BinaryFrameCodec,
+    Frame,
+    FrameType,
+    GatewayClient,
+    GatewayServer,
+)
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 WINDOW = 120  # the default pipeline window length
@@ -111,15 +118,26 @@ async def _in_process_reference(registry, schedule, cohorts):
     return got
 
 
-async def _gateway_serve(registry, schedule, cohorts, codec="binary", **gw):
+async def _raw_exchange(gateway, wire):
+    """Send raw bytes, half-close, and decode every frame the server sent."""
+    codec = BinaryFrameCodec()
+    reader, writer = await asyncio.open_connection(gateway.host, gateway.port)
+    writer.write(wire)
+    writer.write_eof()
+    frames = []
+    while data := await reader.read(4096):
+        frames.extend(codec.feed(data))
+    writer.close()
+    return frames
+
+
+async def _gateway_serve(registry, schedule, cohorts, **gw):
     """Serve the same schedule through a real TCP gateway."""
     got = {}
     async with GatewayServer(registry, **gw) as gateway:
 
         async def drive_one(sid, chunk_list):
-            async with GatewayClient(
-                gateway.host, gateway.port, codec=codec
-            ) as client:
+            async with GatewayClient(gateway.host, gateway.port) as client:
                 await client.connect(sid, cohort=cohorts.get(sid))
                 verdicts = []
                 for chunk in chunk_list:
@@ -156,17 +174,6 @@ class TestEndToEndParity:
                 [v.confidence for v in reference[sid]],
                 **PARITY,
             )
-
-    def test_json_codec_serves_identical_verdicts(self, registry, scenario):
-        data = scenario.sensor_device.record("walk", 4.0).data
-        schedule = {"dev": _chunks(data, [240, 1, 119, 240])}
-        cohorts = {"dev": "a"}
-        binary = drive(_gateway_serve(registry, schedule, cohorts))
-        jsonl = drive(
-            _gateway_serve(registry, schedule, cohorts, codec="json")
-        )
-        assert _verdict_tuples(binary["dev"]) == _verdict_tuples(jsonl["dev"])
-        assert len(binary["dev"]) > 0
 
     def test_mid_stream_hot_swap_keeps_open_streams_pinned(
         self, registry, engines, scenario
@@ -404,3 +411,53 @@ class TestTypedErrorsOverTheWire:
                 return False
 
         assert drive(body())
+
+    def test_json_lines_client_gets_a_binary_protocol_error(
+        self, registry, scenario
+    ):
+        """The gateway speaks one format: a JSON-lines HELLO is garbage."""
+        data = scenario.sensor_device.record("walk", 2.0).data
+        hello = b'{"type":"HELLO","meta":{"session_id":"dev"}}\n'
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                frames = await _raw_exchange(gateway, hello)
+                sessions = dict(gateway.fleet.sessions)
+                # a binary client on the same gateway (and the same id)
+                # is served normally
+                async with GatewayClient(gateway.host, gateway.port) as cli:
+                    await cli.connect("dev", cohort="a")
+                    verdicts = await cli.send_chunk(data)
+                    verdicts += await cli.finish()
+            return frames, sessions, verdicts
+
+        frames, sessions, verdicts = drive(body())
+        assert frames
+        assert all(f.type == FrameType.ERROR for f in frames)
+        assert frames[0].meta["code"] == "PROTOCOL"
+        assert sessions == {}
+        assert len(verdicts) == 2
+
+    @pytest.mark.parametrize("stride", ["abc", 2.5, True, 0, -3])
+    def test_bad_hello_stride_is_a_fatal_protocol_error(
+        self, registry, stride
+    ):
+        hello = Frame(FrameType.HELLO, {"session_id": "dev", "stride": stride})
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                frames = await _raw_exchange(
+                    gateway, BinaryFrameCodec().encode(hello)
+                )
+                return (
+                    frames,
+                    dict(gateway.fleet.sessions),
+                    gateway.summary()["live_sessions"],
+                )
+
+        frames, sessions, live = drive(body())
+        assert [f.type for f in frames] == [FrameType.ERROR]
+        assert frames[0].meta["code"] == "PROTOCOL"
+        assert frames[0].meta["fatal"] is True
+        assert sessions == {}
+        assert live == 0

@@ -19,7 +19,7 @@ steps.
 Usage::
 
     PYTHONPATH=src python tools/run_bench_gates.py                # all gates
-    PYTHONPATH=src python tools/run_bench_gates.py --only gateway # one gate
+    PYTHONPATH=src python tools/run_bench_gates.py --only fleet   # one gate
     PYTHONPATH=src python tools/run_bench_gates.py --list
     PYTHONPATH=src python tools/run_bench_gates.py --artifacts out/
 
@@ -80,12 +80,6 @@ GATES: List[BenchGate] = [
         file="bench_fleet_cohorts.py",
         smoke_budget=120,
         claim="3-cohort fleet tick <= 1.5x single-model",
-    ),
-    BenchGate(
-        name="gateway",
-        file="bench_gateway.py",
-        smoke_budget=120,
-        claim="gateway p95 tick latency <= 2.0x in-process async",
     ),
     BenchGate(
         name="latency",
