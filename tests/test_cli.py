@@ -210,6 +210,16 @@ class TestGatewayCommands:
         assert args.devices == 8
         assert args.ticks == 5
         assert args.tick_interval == 0.0
+        assert not hasattr(args, "codec")
+
+    def test_gateway_bench_rejects_bad_codec(self, capsys):
+        """The gateway has one wire format, so ``--codec`` is no option."""
+        for codec in ("msgpack", "json", "binary"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["gateway-bench", "pkg.npz", "--codec", codec]
+                )
+            assert "--codec" in capsys.readouterr().err
 
     def test_gateway_bench_replays_devices(self, saved_package, capsys):
         code = main([

@@ -118,6 +118,15 @@ class TestBinaryRoundTrip:
         got = BinaryFrameCodec().feed(BinaryFrameCodec().encode(frame))[0]
         assert got.payload.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_chunk_decodes_as_an_empty_array(self, dtype):
+        frame = chunk_frame(1, np.ones((0, 22), dtype=dtype))
+        wire = BinaryFrameCodec().encode(frame)
+        got = BinaryFrameCodec().feed(wire)[0]
+        assert got.payload is not None
+        assert got.payload.shape == (0, 22)
+        assert got.payload.dtype == dtype
+
 
 class TestBinaryHostileBytes:
     def test_truncated_frame_never_decodes_and_close_raises(self):
@@ -134,6 +143,25 @@ class TestBinaryHostileBytes:
             decoder.feed(b"\x00garbage\x00" + good)
         recovered = decoder.feed(b"")
         assert [f.type for f in recovered] == [FrameType.HELLO]
+
+    def test_json_lines_bytes_raise_typed_error_then_resync(self):
+        """A JSON-lines frame is not a wire format: it is skipped garbage."""
+        line = b'{"type":"HELLO","meta":{"session_id":"dev"}}\n'
+        good = BinaryFrameCodec().encode(hello_frame("after"))
+        decoder = BinaryFrameCodec()
+        with pytest.raises(ProtocolError, match="magic"):
+            decoder.feed(line + good)
+        assert [f.meta["session_id"] for f in decoder.feed(b"")] == ["after"]
+        assert decoder.pending_bytes == 0
+        decoder.close()
+
+    def test_truncated_header_waits_then_close_raises(self):
+        wire = BinaryFrameCodec().encode(hello_frame("dev"))
+        decoder = BinaryFrameCodec()
+        assert decoder.feed(wire[: HEADER_SIZE - 1]) == []
+        assert decoder.pending_bytes == HEADER_SIZE - 1
+        with pytest.raises(ProtocolError, match="truncated"):
+            decoder.close()
 
     def test_frames_before_corruption_survive(self):
         codec = BinaryFrameCodec()
