@@ -1,20 +1,22 @@
 """``async-blocking`` / ``lock-order`` / ``blind-sleep`` — event-loop hygiene.
 
-``AsyncFleetServer`` fans a tick's per-model batched calls out over a
-worker pool; the event loop itself must never block, and the per-session
-``asyncio.Lock``s that keep verdict order deterministic must be acquired
-in **sorted** session order (two ticks locking ``{a, b}`` and ``{b, a}``
-in arrival order deadlock).  Both contracts are invisible in a diff
-until the wrong interleaving hits production; this checker makes them
+The serving core runs on one event loop: ``AsyncFleetServer`` serves
+each tick inline (its batched engine calls included — measured faster
+than handing them to a thread pool), and the gateway's flusher and
+connections share that loop.  Nothing on it may *wait* by blocking, and
+any code that takes several ``asyncio.Lock``s must take them in
+**sorted** key order (two tasks locking ``{a, b}`` and ``{b, a}`` in
+arrival order deadlock).  Both contracts are invisible in a diff until
+the wrong interleaving hits production; this checker makes them
 reviewable statically.
 
 Rules (applied only to code whose *nearest enclosing function* is an
-``async def`` — sync closures defined inside one are worker-pool payloads
-and may block):
+``async def`` — sync closures defined inside one may be executor
+payloads and may block):
 
-* ``async-blocking`` — ``time.sleep(...)`` (use ``asyncio.sleep``) and
-  direct synchronous engine inference calls (``.infer_windows(...)``,
-  ``.infer_features(...)``, ...) that belong on the worker pool.
+* ``async-blocking`` — ``time.sleep(...)``: use ``asyncio.sleep``, or
+  better an event with a deadline.  A tick's own compute (engine calls
+  included) is not a wait and is allowed on the loop.
 * ``lock-order`` — a loop that acquires a lock per iteration
   (``await lock.acquire()`` / ``async with lock``) must iterate a
   ``sorted(...)`` iterable — directly, or via a variable whose assignment
@@ -35,14 +37,6 @@ from typing import Iterable, List
 from .core import Checker, SourceFile, Violation
 
 __all__ = ["AsyncHygieneChecker"]
-
-#: Synchronous engine entry points that must run on the worker pool.
-BLOCKING_ENGINE_CALLS = frozenset(
-    {
-        "infer_windows", "infer_features", "infer_stream", "infer_chunk",
-    }
-)
-
 
 #: Files (posix path suffixes) where waiting must be event-driven.
 BLIND_SLEEP_PATHS = (
@@ -109,7 +103,7 @@ def _direct_statements(func: ast.AST) -> List[ast.stmt]:
     """Every statement whose nearest enclosing function is ``func``.
 
     Nested ``def``/``async def``/``class`` bodies are excluded: a sync
-    closure defined inside an async def is (here) a worker-pool payload
+    closure defined inside an async def may be an executor payload
     running off the event loop, so the blocking rules do not apply to it.
     """
     collected: List[ast.stmt] = []
@@ -204,17 +198,6 @@ class AsyncHygieneChecker(Checker):
                         call,
                         f"time.sleep inside async def {func.name} blocks "
                         "the event loop — use await asyncio.sleep(...)",
-                    )
-                elif (
-                    isinstance(call.func, ast.Attribute)
-                    and call.func.attr in BLOCKING_ENGINE_CALLS
-                ):
-                    yield src.violation(
-                        "async-blocking",
-                        call,
-                        f"direct engine call .{call.func.attr}() inside "
-                        f"async def {func.name} — submit it to the "
-                        "worker pool so the event loop stays free",
                     )
                 elif (
                     async_sleep_aliases is not None

@@ -23,7 +23,6 @@ Examples::
     python -m repro demo package.npz --new-activity gesture_hi
     python -m repro fleet package.npz --sessions 50 --ticks 10
     python -m repro fleet package.npz --cohorts cohorts.json --ticks 10
-    python -m repro fleet package.npz --cohorts cohorts.json --async-workers 2
     python -m repro gateway package.npz --port 7070
     python -m repro gateway-bench package.npz --devices 16 --ticks 5
 """
@@ -48,7 +47,6 @@ from .edge_runtime import MagnetoApp, render_prediction, render_session
 from .nn import TrainConfig
 from .serving import (
     DEFAULT_COHORT,
-    AsyncFleetServer,
     ModelRegistry,
     load_cohort_spec,
     registry_from_specs,
@@ -138,13 +136,6 @@ def _add_fleet(subparsers) -> None:
                           "entries without a package are served from the "
                           "positional package, and --sessions is ignored "
                           "in favor of the per-cohort counts")
-    cmd.add_argument("--async-workers", type=int, default=0, metavar="N",
-                     help="serve through AsyncFleetServer, fanning each "
-                          "tick's per-model batched calls out over N "
-                          "worker threads (0 = synchronous serving; "
-                          "verdicts are identical either way, a "
-                          "multi-cohort tick overlaps its models' "
-                          "wall-clock)")
     cmd.add_argument("--seed", type=int, default=11, help="simulation seed")
 
 
@@ -158,11 +149,6 @@ def _add_gateway(subparsers) -> None:
                      help="bind address (default 127.0.0.1)")
     cmd.add_argument("--port", type=int, default=7070,
                      help="TCP port (default 7070; 0 = ephemeral)")
-    cmd.add_argument("--workers", type=int, default=2,
-                     help="async worker threads (default 2)")
-    cmd.add_argument("--max-inflight", type=int, default=8,
-                     help="fleet ticks in flight before CHUNKs are "
-                          "refused with BUSY frames (default 8)")
     cmd.add_argument("--cohorts", default=None, metavar="SPEC.json",
                      help="serve a multi-model fleet from a cohort spec "
                           "(same format as `repro fleet --cohorts`)")
@@ -185,8 +171,6 @@ def _add_gateway_bench(subparsers) -> None:
     cmd.add_argument("--tick-interval", type=float, default=0.0,
                      help="idle seconds between a device's ticks "
                           "(default 0 = full-speed replay)")
-    cmd.add_argument("--workers", type=int, default=2,
-                     help="async worker threads (default 2)")
     cmd.add_argument("--saturation", action="store_true",
                      help="after the replay, ramp the device count at "
                           "full speed and report the saturation point")
@@ -298,17 +282,10 @@ def _cmd_fleet(args) -> int:
     continuous high-overlap traffic.  Without ``--cohorts`` the whole
     fleet shares the positional package; with it, each cohort's sessions
     are served from the cohort's own package through a lazily loaded
-    :class:`~repro.serving.registry.ModelRegistry`.  ``--async-workers N``
-    swaps the synchronous server for an
-    :class:`~repro.serving.async_fleet.AsyncFleetServer` whose ticks fan
-    the per-distinct-model batched calls out over ``N`` worker threads —
-    identical verdicts, overlapped per-model wall-clock.
+    :class:`~repro.serving.registry.ModelRegistry`.
     """
     if not 0.0 <= args.overlap < 1.0:
         print(f"overlap must be in [0, 1), got {args.overlap}")
-        return 2
-    if args.async_workers < 0:
-        print(f"--async-workers must be >= 0, got {args.async_workers}")
         return 2
     if args.cohorts:
         spec = load_cohort_spec(args.cohorts)
@@ -320,10 +297,7 @@ def _cmd_fleet(args) -> int:
         registry = ModelRegistry()
         registry.register_lazy(DEFAULT_COHORT, args.package)
         sessions_by_cohort = {DEFAULT_COHORT: args.sessions}
-    if args.async_workers:
-        server = AsyncFleetServer(registry, workers=args.async_workers)
-    else:
-        server = FleetServer(registry)
+    server = FleetServer(registry)
 
     strides = {}
     phones = {}
@@ -345,17 +319,14 @@ def _cmd_fleet(args) -> int:
 
     correct = 0
     correct_by_cohort = {cohort: 0 for cohort in sessions_by_cohort}
-
-    def tick_chunks():
-        return {
-            session_id: phones[session_id].record(
+    for _ in range(args.ticks):
+        chunks = {
+            session_id: phone.record(
                 performed[session_id], args.chunk_seconds
             ).data
-            for session_id in phones
+            for session_id, phone in phones.items()
         }
-
-    def score(verdicts) -> None:
-        nonlocal correct
+        verdicts = server.step_stream(chunks, stride=strides)
         for sid, session_verdicts in verdicts.items():
             hits = sum(
                 verdict.display == performed[sid]
@@ -363,19 +334,6 @@ def _cmd_fleet(args) -> int:
             )
             correct += hits
             correct_by_cohort[server.session(sid).cohort] += hits
-
-    if args.async_workers:
-        async def drive() -> None:
-            async with server:
-                for _ in range(args.ticks):
-                    score(await server.step_stream(
-                        tick_chunks(), stride=strides
-                    ))
-
-        asyncio.run(drive())
-    else:
-        for _ in range(args.ticks):
-            score(server.step_stream(tick_chunks(), stride=strides))
 
     summary = server.summary()
     total = int(summary["windows_served"])
@@ -386,9 +344,6 @@ def _cmd_fleet(args) -> int:
     )
     print(f"served {total} windows across {server.n_sessions} sessions "
           f"in {args.ticks} ticks")
-    if args.async_workers:
-        print(f"async fan-out: per-model batched calls overlapped on "
-              f"{args.async_workers} worker threads")
     print(f"engine throughput: {summary['windows_per_sec']:.0f} windows/s "
           f"({summary['serve_ms']:.1f} ms total inference)")
     print(f"buffered tail awaiting the next tick: {buffered} samples")
@@ -429,20 +384,15 @@ def _cmd_gateway(args) -> int:
     registry = _gateway_registry(args)
 
     async def serve() -> None:
-        fleet = AsyncFleetServer(
-            registry, workers=args.workers, max_inflight=args.max_inflight
-        )
         async with GatewayServer(
-            fleet, host=args.host, port=args.port
+            registry, host=args.host, port=args.port
         ) as gateway:
-            print(f"gateway listening on {gateway.host}:{gateway.port} "
-                  f"({args.workers} workers, "
-                  f"max_inflight={args.max_inflight})", flush=True)
+            print(f"gateway listening on {gateway.host}:{gateway.port}",
+                  flush=True)
             try:
                 await gateway.serve_forever()
             except asyncio.CancelledError:
                 pass
-        fleet.close()
 
     try:
         asyncio.run(serve())
@@ -459,7 +409,7 @@ def _cmd_gateway_bench(args) -> int:
     prints client-observed p50/p95/p99 tick round-trip latency plus
     throughput.  ``--saturation`` then ramps the device count at full
     replay speed and reports the largest fleet that still scaled
-    (throughput gain with zero BUSY refusals).
+    (throughput gain per doubling).
     """
     if args.devices < 1 or args.ticks < 1:
         print("--devices and --ticks must be >= 1")
@@ -481,8 +431,7 @@ def _cmd_gateway_bench(args) -> int:
         return schedule
 
     async def bench() -> None:
-        fleet = AsyncFleetServer(registry, workers=args.workers)
-        async with GatewayServer(fleet, port=0) as gateway:
+        async with GatewayServer(registry, port=0) as gateway:
             report = await run_load(
                 gateway.host,
                 gateway.port,
@@ -517,7 +466,6 @@ def _cmd_gateway_bench(args) -> int:
                           f"busy {int(step['busy_frames'])}")
                 print(f"saturation point: "
                       f"{ramp['saturation_devices']} devices")
-        fleet.close()
 
     asyncio.run(bench())
     return 0

@@ -742,8 +742,8 @@ class FleetServer:
     featurize), *run* (each group's ``run()``, inline here in
     :meth:`_run_groups`), *fold* (smoothers, counters, then the first
     failure re-raised).
-    :class:`~repro.serving.async_fleet.AsyncFleetServer` drives the same
-    plan and fold and only moves the run onto a thread pool.
+    :class:`~repro.serving.async_fleet.AsyncFleetServer` awaits this same
+    core, run inline on the event loop.
     """
 
     def __init__(

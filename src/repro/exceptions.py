@@ -41,14 +41,15 @@ class UnknownCohortError(ConfigurationError):
 
 
 class BackpressureError(MagnetoError):
-    """An async fleet tick was refused because too many are in flight.
+    """A gateway peer refused a chunk and every retry of it.
 
-    Raised by :class:`~repro.serving.async_fleet.AsyncFleetServer` when a
-    new ``step``/``step_stream`` call arrives while ``max_inflight`` ticks
-    are already being served.  The refused call consumed **nothing** — no
-    chunk was folded into any session's stream buffer and no counter moved
-    — so the caller still holds its windows and can retry once in-flight
-    ticks drain (or construct the server with a deeper queue).
+    Raised by :class:`~repro.serving.gateway.client.GatewayClient` when a
+    server keeps answering a chunk with ``BUSY`` frames (the wire
+    protocol's "nothing consumed, retry after") past the client's retry
+    budget.  The refused chunk consumed **nothing** server-side, so the
+    caller still holds it and can retry later.  This package's own
+    :class:`~repro.serving.gateway.GatewayServer` never refuses a chunk:
+    one that arrives mid-tick waits for the next flush.
     """
 
 

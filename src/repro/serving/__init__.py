@@ -8,18 +8,17 @@ Everything needed to serve a heterogeneous device fleet from one process:
   session to a cohort and issues one batched engine call per distinct
   model per tick;
 - :class:`~repro.serving.async_fleet.AsyncFleetServer` — the asyncio
-  driver of the same tick: ``await step_stream(...)`` runs the
-  per-distinct-model batched calls of one tick on a thread pool (same
-  verdicts, overlapped wall-clock), with per-session ordering and
-  bounded in-flight ticks;
+  driver of the same tick: ``await step_stream(...)`` runs it inline on
+  the event loop (same verdicts; one tick in flight at a time, so each
+  session's chunks are served in call order);
 - :class:`~repro.serving.cohorts.CohortSpec` /
   :func:`~repro.serving.cohorts.load_cohort_spec` — declarative fleet
   layouts for the CLI and benchmarks;
 - :class:`~repro.serving.gateway.GatewayServer` /
   :class:`~repro.serving.gateway.GatewayClient` — the TCP ingestion
   edge: framed ``HELLO``/``CHUNK``/``FINISH`` sessions served through
-  the async fleet with per-cohort micro-batched ticks, protocol-level
-  ``BUSY`` backpressure, and structured error codes.
+  the async fleet with per-cohort micro-batched ticks (a chunk that
+  arrives mid-tick waits for the next flush) and structured error codes.
 
 Quickstart::
 

@@ -11,9 +11,11 @@ against :class:`~repro.core.engine.FleetServer` ports over unchanged.
 
 Backpressure is handled in-line: a ``BUSY`` frame makes
 :meth:`send_chunk` sleep the server's ``retry_after_ms`` hint and resend
-the *same* chunk (the server guarantees a refused chunk consumed
+the *same* chunk (the protocol guarantees a refused chunk consumed
 nothing), up to ``busy_retries`` times before surfacing
-:class:`~repro.exceptions.BackpressureError` to the caller.
+:class:`~repro.exceptions.BackpressureError` to the caller.  This
+package's :class:`~repro.serving.gateway.GatewayServer` never sends
+``BUSY``; the retry serves peers that do.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ the ``repro gateway-bench`` CLI prints.
 :func:`find_saturation` ramps the device count over the same schedule and
 records the saturation point: the largest fleet the gateway still scales
 for (throughput gain ≥ ``min_gain`` per step and no BUSY refusals).
+:class:`~repro.serving.gateway.server.GatewayServer` never refuses a
+chunk — one that arrives mid-tick waits for the next flush — so against
+it the BUSY count is always 0 and saturation shows as latency instead;
+the count is kept for peers that do answer ``BUSY``.
 
 Everything here is measurement plumbing; no inference happens outside
 the gateway's own :class:`~repro.serving.AsyncFleetServer` path.
@@ -42,7 +46,12 @@ def percentiles(latencies_ms: Sequence[float]) -> Dict[str, float]:
 
 @dataclass
 class LoadReport:
-    """What one :func:`run_load` replay measured."""
+    """What one :func:`run_load` replay measured.
+
+    ``busy_frames`` counts the ``BUSY`` refusals the clients absorbed:
+    always 0 against this package's ``GatewayServer``, which queues a
+    chunk that arrives mid-tick for the next flush instead.
+    """
 
     devices: int
     ticks: int
@@ -179,7 +188,8 @@ async def find_saturation(
     the throughput (windows/sec).  The saturation point is the last
     device count that still *improved* throughput by ``min_gain`` over
     the previous step with zero BUSY refusals; the first step that fails
-    either test ends the ramp.
+    either test ends the ramp.  ``GatewayServer`` never sends ``BUSY``,
+    so against it the throughput gain alone decides.
     """
     steps: List[Dict[str, float]] = []
     saturation = int(device_counts[0])

@@ -31,15 +31,15 @@ Three design points carry the production semantics:
   ``AsyncFleetServer.step_stream`` call per ``(cohort, stride)`` group,
   so a 50-device tick costs the same batched engine passes as in-process
   serving, not 50 singleton calls.
-- **Protocol-level backpressure.**  When the fleet's ``max_inflight`` is
-  saturated, :class:`~repro.exceptions.BackpressureError` guarantees the
-  refused chunks were never consumed; the gateway converts the exception
-  into a ``BUSY`` frame carrying ``retry_after_ms`` (an EWMA of recent
-  tick wall-clock) instead of dropping the connection.  The client
-  retries the same chunk; nothing is ever lost.
+- **One tick at a time.**  Each ``(cohort, stride)`` group is served in
+  turn by ``AsyncFleetServer``, whose ticks run inline on the event loop,
+  so at most one tick is ever in flight.  Chunks that arrive mid-tick wait
+  in the socket buffers and park for the next flush; no chunk is refused.
+  (The ``BUSY`` frame stays in the wire protocol, and the client still
+  retries on one, but this server never sends it.)
 - **Failure isolation per connection.**  A client vanishing mid-CHUNK,
-  mid-tick or mid-handshake releases exactly its own session (waiting
-  out any in-flight tick first); other sessions' verdicts are untouched.
+  after a CHUNK or mid-handshake releases exactly its own session; other
+  sessions' verdicts are untouched.
   Frame-level garbage gets a typed ``ERROR`` frame (code ``PROTOCOL``)
   and the decoder resynchronizes — corruption on one connection never
   poisons another.
@@ -65,19 +65,13 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ...exceptions import (
-    BackpressureError,
-    ConfigurationError,
-    MagnetoError,
-    ProtocolError,
-)
+from ...exceptions import ConfigurationError, MagnetoError, ProtocolError
 from ...utils import Timer
 from ..async_fleet import AsyncFleetServer
 from .protocol import (
     BinaryFrameCodec,
     Frame,
     FrameType,
-    busy_frame,
     error_code_for,
     error_frame,
     verdict_frame,
@@ -137,9 +131,6 @@ class GatewayServer:
     host / port:
         Bind address.  ``port=0`` picks an ephemeral port; read it back
         from :attr:`port` after :meth:`start`.
-    workers / max_inflight:
-        Fleet pool geometry when the gateway owns its fleet (ignored when
-        ``fleet`` is already an ``AsyncFleetServer``).
     batch_window_s:
         The longest a parked chunk waits for other sessions' chunks to
         share its tick (``0`` = never wait).  The wait ends the moment no
@@ -147,9 +138,6 @@ class GatewayServer:
         while its reply is in flight or younger than ``batch_window_s`` +
         the tick-time EWMA, and its previous turnaround was that quick
         too — so silent, slow or disconnected sessions hold nobody up.
-    retry_after_ms:
-        The floor of the ``BUSY`` frame's retry hint; the actual hint is
-        ``max(floor, EWMA of recent tick wall-clock)``.
     max_payload:
         Per-frame payload ceiling handed to each connection's decoder.
     """
@@ -159,32 +147,24 @@ class GatewayServer:
         fleet: Union[AsyncFleetServer, object],
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 2,
-        max_inflight: int = 8,
         batch_window_s: float = 0.002,
-        retry_after_ms: float = 20.0,
         max_payload: int = 1 << 26,
     ) -> None:
         if batch_window_s < 0:
             raise ConfigurationError(
                 f"batch_window_s must be >= 0, got {batch_window_s}"
             )
-        if isinstance(fleet, AsyncFleetServer):
-            self._fleet = fleet
-            self._owns_fleet = False
-        else:
-            self._fleet = AsyncFleetServer(
-                fleet, workers=workers, max_inflight=max_inflight
-            )
-            self._owns_fleet = True
+        self._fleet = (
+            fleet
+            if isinstance(fleet, AsyncFleetServer)
+            else AsyncFleetServer(fleet)
+        )
         self._host = host
         self._requested_port = int(port)
         self.batch_window_s = float(batch_window_s)
-        self.retry_after_floor_ms = float(retry_after_ms)
         self.max_payload = int(max_payload)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set[asyncio.Task] = set()
-        self._group_tasks: Set[asyncio.Task] = set()
         self._pending: Dict[str, _PendingChunk] = {}
         self._live_sessions: Dict[str, _Connection] = {}
         self._wake: Optional[asyncio.Event] = None
@@ -193,7 +173,6 @@ class GatewayServer:
         self._tick_ewma_ms = 0.0
         # counters (surfaced by summary())
         self.connections_total = 0
-        self.busy_refusals = 0
         self.protocol_errors = 0
         self.frames_received = 0
         self.flushes = 0
@@ -236,27 +215,21 @@ class GatewayServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, drop connections, shut the owned fleet down."""
+        """Stop accepting, drop connections, stop the flusher."""
         if self._closed:
             return
         self._closed = True
         if self._server is not None:
             self._server.close()
-        for task in list(self._conn_tasks) + list(self._group_tasks):
-            task.cancel()
-        if self._flusher is not None:
-            self._flusher.cancel()
-        pending = (
-            list(self._conn_tasks)
-            + list(self._group_tasks)
-            + ([self._flusher] if self._flusher else [])
+        pending = list(self._conn_tasks) + (
+            [self._flusher] if self._flusher else []
         )
+        for task in pending:
+            task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
-        if self._owns_fleet:
-            self._fleet.close()
 
     async def __aenter__(self) -> "GatewayServer":
         return await self.start()
@@ -269,7 +242,7 @@ class GatewayServer:
         rollup = dict(self._fleet.summary())
         rollup.update(
             connections_total=float(self.connections_total),
-            busy_refusals=float(self.busy_refusals),
+            busy_refusals=0.0,  # no chunk is refused; the key stays for readers
             protocol_errors=float(self.protocol_errors),
             frames_received=float(self.frames_received),
             live_sessions=float(len(self._live_sessions)),
@@ -299,7 +272,7 @@ class GatewayServer:
             self._conn_tasks.discard(task)
             writer.close()
             if state.session_id is not None:
-                await self._release_session(state.session_id)
+                self._release_session(state.session_id)
 
     async def _connection_loop(self, reader, writer, state) -> None:
         while True:
@@ -337,7 +310,7 @@ class GatewayServer:
 
     async def _reply(self, writer, state, frame: Frame) -> None:
         """Send a frame the device's next CHUNK follows: WELCOME, whatever
-        answers a CHUNK (VERDICT, BUSY, ERROR), the final VERDICT."""
+        answers a CHUNK (VERDICT, ERROR), the final VERDICT."""
         state.replied_at = asyncio.get_running_loop().time()
         await self._send(writer, state, frame)
 
@@ -392,10 +365,12 @@ class GatewayServer:
             )
             return False
         try:
+            # resolve (lazily load) the model first: a cohort whose package
+            # fails to load must not leave a connected session behind
+            engine = self._fleet.registry.engine_for(cohort)
             session = self._fleet.connect(
                 session_id, cohort=cohort, dtype=dtype
             )
-            engine = self._fleet.registry.engine_for(session.cohort)
         except MagnetoError as exc:
             await self._send(
                 writer,
@@ -453,11 +428,6 @@ class GatewayServer:
         self._wake.set()
         try:
             verdicts = await waiter
-        except BackpressureError:
-            self.busy_refusals += 1
-            reply = busy_frame(
-                frame.seq, self._retry_after_ms(), self._fleet.inflight
-            )
         except MagnetoError as exc:
             reply = error_frame(error_code_for(exc), str(exc), seq=frame.seq)
         except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a model blowing up mid-tick must surface as a structured INTERNAL error frame on this one session, not tear down the whole gateway
@@ -494,9 +464,6 @@ class GatewayServer:
     # ------------------------------------------------------------------ #
     # micro-batch flushing
     # ------------------------------------------------------------------ #
-
-    def _retry_after_ms(self) -> float:
-        return max(self.retry_after_floor_ms, self._tick_ewma_ms)
 
     def _wait_deadline(self, wait_from: float) -> float:
         """Loop time until which the parked chunks wait; past = flush now.
@@ -545,9 +512,7 @@ class GatewayServer:
                     timer = None
                 batch, self._pending = self._pending, {}
                 for group in self._group_batch(batch):
-                    task = asyncio.create_task(self._serve_group(group))
-                    self._group_tasks.add(task)
-                    task.add_done_callback(self._group_tasks.discard)
+                    await self._serve_group(group)
         finally:
             if timer is not None:
                 timer.cancel()
@@ -567,6 +532,11 @@ class GatewayServer:
         return list(groups.values())
 
     async def _serve_group(self, group: "List[_PendingChunk]") -> None:
+        """One fleet tick for a group, start to finish; resolves its waiters.
+
+        The tick never suspends, so chunks arriving meanwhile park for the
+        next flush.
+        """
         chunks = {item.session_id: item.chunk for item in group}
         stride = group[0].stride
         with Timer() as timer:
@@ -591,36 +561,19 @@ class GatewayServer:
     # session cleanup
     # ------------------------------------------------------------------ #
 
-    async def _release_session(self, session_id: str) -> None:
-        """Disconnect a dead client's session, waiting out in-flight ticks.
+    def _release_session(self, session_id: str) -> None:
+        """Disconnect a dead client's session.
 
         The session stops being live first — its pacing stamps go with
         its entry, and the flusher is woken so chunks parked waiting for
-        it are served now.  The fleet refuses to disconnect a session
-        whose tick is still in flight (that would void per-session
-        ordering), so a client that died mid-tick is released when a
-        group task completes and its tick has drained.  Sessions already
+        it are served now.  No tick can be in flight here (ticks never
+        suspend), so the fleet session goes at once.  Sessions already
         gone (an explicit disconnect elsewhere) are a no-op.
         """
         self._live_sessions.pop(session_id, None)
         self._wake.set()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + 10.0
-        while session_id in self._fleet.sessions:
-            try:
-                self._fleet.disconnect(session_id)
-                return
-            except ConfigurationError:
-                remaining = deadline - loop.time()
-                if remaining <= 0 or not self._group_tasks:
-                    # stuck, or held by a tick this gateway did not start
-                    # (a caller-owned fleet): its owner disconnects later
-                    return
-                await asyncio.wait(
-                    self._group_tasks,
-                    timeout=remaining,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
+        if session_id in self._fleet.sessions:
+            self._fleet.disconnect(session_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -1,24 +1,24 @@
-"""Fixture: blocking calls on the event loop.  Never imported; parsed by
-reprolint in tests.  Expected: 2x async-blocking (time.sleep + direct
-engine call); the sync closure and the pool submission are legal."""
+"""Fixture: blocking waits on the event loop.  Never imported; parsed by
+reprolint in tests.  Expected: 1x async-blocking (time.sleep); the inline
+engine call, the sync closure and the sync path are legal."""
 
 import asyncio
 import time
 
 
-async def tick(engine, windows, pool):
+async def tick(engine, windows):
     time.sleep(0.01)  # async-blocking: blocks the event loop
-    batch = engine.infer_windows(windows)  # async-blocking: sync engine call
+    batch = engine.infer_windows(windows)  # fine: a tick's compute runs inline
     await asyncio.sleep(0)
-    return batch, pool.submit(engine, "infer_windows", windows)  # fine
+    return batch
 
 
-async def tick_via_pool(handle, windows, pool):
+async def tick_via_executor(engine, windows):
     def payload():
-        return handle.engine.infer_windows(windows)  # fine: pool payload
+        time.sleep(0.01)  # fine: an executor payload, off the event loop
+        return engine.infer_windows(windows)
 
-    future = pool.submit_fn(payload)
-    return await asyncio.wrap_future(future)
+    return await asyncio.get_running_loop().run_in_executor(None, payload)
 
 
 def sync_path(engine, windows):

@@ -22,6 +22,6 @@ def validate(windows: np.ndarray) -> np.ndarray:
     return windows
 
 
-async def tick(pool, engine, windows):
+async def tick(engine, windows):
     await asyncio.sleep(0)
-    return pool.submit(engine, "infer_windows", windows)
+    return engine.infer_windows(validate(windows))

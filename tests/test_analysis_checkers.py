@@ -93,8 +93,17 @@ class TestAsyncHygiene:
             ("async-blocking", n)
             for n in marker_lines(text, "async-blocking")
         ]
-        assert len(expected) == 2
+        assert len(expected) == 1
         assert found(text, AsyncHygieneChecker()) == expected
+
+    def test_inline_engine_call_is_legal(self):
+        """Ticks run their engine calls on the loop: compute, not a wait."""
+        source = (
+            "async def tick(engine, features):\n"
+            "    batch = engine.infer_features(features)\n"
+            "    return batch, engine.infer_windows(features)\n"
+        )
+        assert found(source, AsyncHygieneChecker()) == []
 
     def test_lock_order_fixture(self):
         text = fixture_text("unsorted_locks.py")

@@ -47,14 +47,14 @@ class TestLiveTreeSelfClean:
             assert pragma.justification, violation.format()
 
     def test_known_failure_isolation_sites_are_suppressed(self):
-        """The three broad-except swallows in engine/async_fleet demux."""
+        """The broad-except swallows of the fleet tick and the gateway."""
         report = live_report()
         suppressed = {
             (v.path, v.rule) for v, _ in report.suppressed
         }
         assert ("src/repro/core/engine.py", "broad-except") in suppressed
         assert (
-            "src/repro/serving/async_fleet.py",
+            "src/repro/serving/gateway/server.py",
             "broad-except",
         ) in suppressed
 

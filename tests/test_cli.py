@@ -122,59 +122,6 @@ class TestFleetCommand:
         assert "smoothed fleet accuracy" in out
         assert code == 0
 
-    def test_fleet_async_workers_serves_identically(
-        self, saved_package, capsys
-    ):
-        """--async-workers serves the same windows through the async path."""
-        code = main([
-            "fleet", saved_package,
-            "--sessions", "6", "--ticks", "3", "--seed", "4",
-            "--async-workers", "2",
-        ])
-        out = capsys.readouterr().out
-        assert "served 18 windows across 6 sessions" in out
-        assert "async fan-out" in out and "2 worker threads" in out
-        assert code == 0
-
-    def test_fleet_same_package_cohorts_report_alike_sync_and_async(
-        self, saved_package, tmp_path, capsys
-    ):
-        """Cohorts loaded from one package print the same per-cohort lines
-        whether their ticks are served in-line or fanned out."""
-        import json
-
-        spec = tmp_path / "cohorts.json"
-        spec.write_text(json.dumps({
-            "default": "wrist",
-            "cohorts": {
-                "wrist": {"sessions": 2},
-                "pocket": {"package": saved_package, "sessions": 2},
-            },
-        }))
-
-        def report(*extra):
-            code = main([
-                "fleet", saved_package,
-                "--cohorts", str(spec), "--ticks", "2", "--seed", "4",
-                *extra,
-            ])
-            assert code == 0
-            return [
-                line
-                for line in capsys.readouterr().out.splitlines()
-                if line.startswith(("served", "  cohort", "smoothed"))
-            ]
-
-        lines = report()
-        assert "  cohort wrist: 2 sessions" in "\n".join(lines)
-        assert "  cohort pocket: 2 sessions" in "\n".join(lines)
-        assert report("--async-workers", "2") == lines
-
-    def test_fleet_async_workers_rejects_negative(self, saved_package):
-        assert main([
-            "fleet", saved_package, "--async-workers", "-1",
-        ]) == 2
-
     def test_fleet_cohorts_bad_spec_raises(self, saved_package, tmp_path):
         from repro.exceptions import SerializationError
 
@@ -202,8 +149,8 @@ class TestGatewayCommands:
         args = build_parser().parse_args(["gateway", "pkg.npz"])
         assert args.host == "127.0.0.1"
         assert args.port == 7070
-        assert args.workers == 2
-        assert args.max_inflight == 8
+        assert not hasattr(args, "workers")
+        assert not hasattr(args, "max_inflight")
 
     def test_gateway_bench_defaults(self):
         args = build_parser().parse_args(["gateway-bench", "pkg.npz"])
@@ -211,6 +158,19 @@ class TestGatewayCommands:
         assert args.ticks == 5
         assert args.tick_interval == 0.0
         assert not hasattr(args, "codec")
+        assert not hasattr(args, "workers")
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "pkg.npz", "--async-workers", "2"],
+        ["gateway", "pkg.npz", "--workers", "2"],
+        ["gateway", "pkg.npz", "--max-inflight", "8"],
+        ["gateway-bench", "pkg.npz", "--workers", "2"],
+    ])
+    def test_removed_serving_knobs_are_rejected(self, argv, capsys):
+        """Ticks run inline on the event loop: no pool size, no queue."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert argv[2] in capsys.readouterr().err
 
     def test_gateway_bench_rejects_bad_codec(self, capsys):
         """The gateway has one wire format, so ``--codec`` is no option."""

@@ -279,62 +279,68 @@ class TestGatewayFaultInjection:
         # ... and the fast session was never starved or corrupted
         assert len(fast_verdicts) == 2
 
-    def test_kill_mid_tick_releases_resources_other_sessions_untouched(
+    def test_abort_right_after_chunk_leaves_no_session_behind(
         self, gateway_registry, scenario, monkeypatch
     ):
-        """A session killed while its tick is in flight is fully released."""
+        """A client gone right after its CHUNK is released as soon as its
+        (slow) tick is served; a survivor on another cohort is untouched."""
         import asyncio
-        import threading
+        import time
 
-        from repro.serving import AsyncFleetServer
-        from repro.serving.gateway import GatewayClient, GatewayServer
+        from repro.serving.gateway import (
+            BinaryFrameCodec,
+            GatewayClient,
+            GatewayServer,
+            chunk_frame,
+            hello_frame,
+        )
 
         engine_a = gateway_registry.engine_for("a")
-        release = threading.Event()
         original = engine_a.infer_features
 
-        def blocked(features):
-            release.wait(timeout=30)
+        def slow(features):
+            time.sleep(0.3)  # the victim's tick outlasts the survivor's
             return original(features)
 
-        monkeypatch.setattr(engine_a, "infer_features", blocked)
-        data = scenario.sensor_device.record("walk", 2.0).data
-        window = data[:120]
+        monkeypatch.setattr(engine_a, "infer_features", slow)
+        data = scenario.sensor_device.record("walk", 4.0).data
+        survivor_chunks = [data[i : i + 240] for i in range(0, 960, 240)]
 
         async def body():
-            fleet = AsyncFleetServer(gateway_registry, workers=2)
-            async with GatewayServer(fleet) as gateway:
-                victim = GatewayClient(gateway.host, gateway.port)
-                await victim.connect("victim", cohort="a")
-                victim_task = asyncio.create_task(victim.send_chunk(window))
-                while gateway.fleet.inflight == 0:
-                    await asyncio.sleep(0.005)
-                # kill the connection while its tick is blocked in-engine
-                victim._writer.transport.abort()
-                victim_task.cancel()
-                release.set()
-                # an untouched session on the other cohort serves normally
-                survivor_verdicts = []
-                async with GatewayClient(
+            async with GatewayServer(gateway_registry) as gateway:
+                survivor = GatewayClient(gateway.host, gateway.port)
+                await survivor.connect("survivor", cohort="b")
+                codec = BinaryFrameCodec()
+                reader, writer = await asyncio.open_connection(
                     gateway.host, gateway.port
-                ) as survivor:
-                    await survivor.connect("survivor", cohort="b")
-                    for start in range(0, data.shape[0], 240):
-                        survivor_verdicts.extend(
-                            await survivor.send_chunk(
-                                data[start : start + 240]
-                            )
-                        )
-                    survivor_verdicts.extend(await survivor.finish())
-                # the victim's session drains out of the fleet entirely
-                for _ in range(200):
-                    if "victim" not in gateway.fleet.sessions:
-                        break
-                    await asyncio.sleep(0.01)
-                released = "victim" not in gateway.fleet.sessions
-            fleet.close()
-            return released, survivor_verdicts
+                )
+                writer.write(codec.encode(hello_frame("victim", cohort="a")))
+                await writer.drain()
+                codec.feed(await reader.read(4096))  # WELCOME
+                writer.write(codec.encode(chunk_frame(1, data[:120])))
+                await writer.drain()
+                writer.transport.abort()  # gone before any reply
+                verdicts, victim_seen = [], []
+                for chunk in survivor_chunks:
+                    verdicts.extend(await survivor.send_chunk(chunk))
+                    victim_seen.append("victim" in gateway.fleet.sessions)
+                verdicts.extend(await survivor.finish())
+                left = (
+                    set(gateway.fleet.sessions),
+                    set(gateway._live_sessions),
+                    dict(gateway._pending),
+                )
+                await survivor.aclose()
+            return verdicts, victim_seen, left
 
-        released, survivor_verdicts = self._drive(body())
-        assert released
-        assert len(survivor_verdicts) == 2
+        verdicts, victim_seen, left = self._drive(body())
+        # served inline, the victim's tick completes (and its session
+        # goes) before the survivor's next chunk is answered
+        assert not any(victim_seen[1:])
+        assert left == ({"survivor"}, {"survivor"}, {})
+        ref = gateway_registry.engine_for("b").infer_stream(data[:960])
+        assert [v.activity for v in verdicts] == ref.names
+        np.testing.assert_allclose(
+            [v.confidence for v in verdicts], ref.confidences,
+            rtol=0.0, atol=1e-9,
+        )

@@ -104,7 +104,7 @@ class _Fleet:
 async def _reference(registry, sent, finished):
     """The same chunks per session, served in-process."""
     got = {sid: [] for sid in sent}
-    async with AsyncFleetServer(registry, workers=2) as server:
+    async with AsyncFleetServer(registry) as server:
         for sid in sent:
             server.connect(sid, cohort=_cohort(sid))
         for tick in range(max(len(chunks) for chunks in sent.values())):
@@ -256,11 +256,10 @@ class TestEverySessionIsReaped:
                     dict(gateway._live_sessions),
                     dict(gateway._pending),
                     dict(gateway.fleet.sessions),
-                    dict(gateway.fleet._session_locks),
                     gateway.summary()["live_sessions"],
                 )
 
-        assert drive(body()) == ({}, {}, {}, {}, 0.0)
+        assert drive(body()) == ({}, {}, {}, 0.0)
 
 
 class TestLoadgenCountsEveryWindow:

@@ -5,21 +5,22 @@ pinned identical (1e-9) to in-process
 :class:`~repro.serving.AsyncFleetServer` serving on the same chunking —
 including ragged 1-sample ticks and a mid-stream
 :meth:`~repro.serving.ModelRegistry.publish` hot-swap — and the
-protocol-level contracts hold: ``BUSY`` frames carry a retry-after hint,
-no accepted CHUNK is ever dropped (windows served == windows sent after
-the drain), bytes that are not the binary framing get a typed ``PROTOCOL``
-error and no session, and server-side errors arrive as the same typed
-exceptions the in-process API raises.
+protocol-level contracts hold: every engine call of a tick runs on the
+event-loop thread, chunks that arrive during a slow tick are all served
+in the next flush and never refused ``BUSY``, bytes that are not the
+binary framing get a typed ``PROTOCOL`` error and no session, a HELLO
+whose cohort cannot load leaves no session behind, and server-side
+errors arrive as the same typed exceptions the in-process API raises.
 """
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.exceptions import (
-    BackpressureError,
     ConfigurationError,
     ProtocolError,
     UnknownCohortError,
@@ -85,23 +86,10 @@ def _chunks(data, sizes):
     return out
 
 
-def _blocking(monkeypatch, engine, release: threading.Event, calls=None):
-    """Patch ``engine.infer_features`` to wait for ``release`` first."""
-    original = engine.infer_features
-
-    def blocked(features):
-        if calls is not None:
-            calls.append(features.shape[0])
-        release.wait(timeout=30)
-        return original(features)
-
-    monkeypatch.setattr(engine, "infer_features", blocked)
-
-
 async def _in_process_reference(registry, schedule, cohorts):
     """Serve the same chunk schedule without sockets (the parity pin)."""
     got = {sid: [] for sid in schedule}
-    async with AsyncFleetServer(registry, workers=2) as server:
+    async with AsyncFleetServer(registry) as server:
         for sid in schedule:
             server.connect(sid, cohort=cohorts.get(sid))
         for tick in range(max(len(c) for c in schedule.values())):
@@ -187,7 +175,7 @@ class TestEndToEndParity:
         async def in_process():
             registry.publish("a", engine_a)  # reset to v1
             got = []
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 server.connect("dev", cohort="a")
                 for i, chunk in enumerate(chunk_list):
                     if i == swap_after:
@@ -230,110 +218,108 @@ class TestEndToEndParity:
         assert meta["classes"] == list(engine_b.class_names)
 
 
-class TestBackpressureContract:
-    def test_busy_carries_retry_after_and_nothing_is_dropped(
+def _record_engine_calls(monkeypatch, engine, calls, first_call=None):
+    """Spy on ``engine.infer_features``: record ``(thread, rows, start,
+    end)`` per call; ``first_call()`` runs inside the first call."""
+    original = engine.infer_features
+
+    def recorded(features, dtype=None):
+        start = time.perf_counter()
+        if first_call is not None and not calls:
+            first_call()
+        out = (
+            original(features)
+            if dtype is None
+            else original(features, dtype=dtype)
+        )
+        calls.append((
+            threading.current_thread(), int(features.shape[0]), start,
+            time.perf_counter(),
+        ))
+        return out
+
+    monkeypatch.setattr(engine, "infer_features", recorded)
+
+
+class TestOneTickAtATime:
+    def test_every_engine_call_of_a_gateway_tick_runs_on_the_loop(
         self, registry, engines, scenario, monkeypatch
     ):
-        """Saturate max_inflight: BUSY has retry-after; drain serves all."""
-        engine_a, engine_b = engines
-        release = threading.Event()
-        _blocking(monkeypatch, engine_a, release)
-        data = scenario.sensor_device.record("walk", 4.0).data
-        window = data[:WINDOW]
+        """No worker thread: the gateway's ticks call the engines inline."""
+        data = scenario.sensor_device.record("walk", 8.0).data
+        chunk_list = _chunks(data, RAGGED_SIZES)
+        schedule = {"alice": chunk_list, "bob": chunk_list}
+        cohorts = {"alice": "a", "bob": "b"}
+        reference = drive(_in_process_reference(registry, schedule, cohorts))
+        calls = []
+        for engine in engines:
+            _record_engine_calls(monkeypatch, engine, calls)
 
-        async def body():
-            fleet = AsyncFleetServer(registry, workers=2, max_inflight=1)
-            async with GatewayServer(
-                fleet, batch_window_s=0.0, retry_after_ms=5.0
-            ) as gateway:
-                alice = GatewayClient(gateway.host, gateway.port)
-                bob = GatewayClient(
-                    gateway.host, gateway.port, busy_retries=200
-                )
-                await alice.connect("alice", cohort="a")
-                await bob.connect("bob", cohort="b")
-                # alice's tick blocks inside engine_a → occupies the one
-                # in-flight slot
-                alice_task = asyncio.create_task(alice.send_chunk(window))
-                while gateway.fleet.inflight == 0:
-                    await asyncio.sleep(0.005)
-                # bob's chunk now gets BUSY frames until alice drains;
-                # the client absorbs them and retries the same chunk
-                bob_task = asyncio.create_task(bob.send_chunk(window))
-                while bob.busy_frames_seen == 0:
-                    await asyncio.sleep(0.005)
-                release.set()
-                alice_verdicts = await alice_task
-                bob_verdicts = await bob_task
-                alice_verdicts += await alice.finish()
-                bob_verdicts += await bob.finish()
-                busy_seen = bob.busy_frames_seen
-                refusals = gateway.busy_refusals
-                served = gateway.fleet.summary()["windows_served"]
-                await alice.aclose()
-                await bob.aclose()
-            fleet.close()
-            return alice_verdicts, bob_verdicts, busy_seen, refusals, served
+        served = drive(_gateway_serve(registry, schedule, cohorts))
 
-        alice_verdicts, bob_verdicts, busy_seen, refusals, served = drive(
-            body()
-        )
-        # windows served == windows sent: one full window per session
-        assert len(alice_verdicts) == 1
-        assert len(bob_verdicts) == 1
-        assert busy_seen >= 1
-        assert refusals >= 1
-        assert served == 2.0
+        assert len(calls) >= 2
+        assert {thread for thread, *_ in calls} == {threading.current_thread()}
+        for sid in schedule:
+            assert _verdict_tuples(served[sid]) == _verdict_tuples(
+                reference[sid]
+            )
 
-    def test_busy_frame_meta_has_retry_hint(self, registry, engines,
-                                            scenario, monkeypatch):
-        """The raw BUSY frame exposes retry_after_ms > 0 and inflight."""
-        from repro.serving.gateway import (
-            BinaryFrameCodec,
-            FrameType,
-            chunk_frame,
-            hello_frame,
-        )
-
-        engine_a, engine_b = engines
-        release = threading.Event()
-        _blocking(monkeypatch, engine_a, release)
+    def test_chunks_arriving_during_a_slow_tick_wait_for_the_next_flush(
+        self, registry, engines, scenario, monkeypatch
+    ):
+        """Four devices send while one tick sleeps inside the engine: all
+        four are served together by the next flush, none is refused BUSY."""
+        engine_a, _ = engines
         window = scenario.sensor_device.record("walk", 1.0).data[:WINDOW]
+        ready, go = threading.Event(), threading.Event()
+
+        def slow_tick():
+            go.set()  # the other devices send while this tick runs
+            time.sleep(0.3)
+
+        calls = []
+        _record_engine_calls(monkeypatch, engine_a, calls, first_call=slow_tick)
+
+        async def other_devices(host, port):
+            """Four clients on their own loop (and thread), in lockstep."""
+            clients = [GatewayClient(host, port) for _ in range(4)]
+            for i, client in enumerate(clients):
+                await client.connect(f"dev-{i}", cohort="a")
+            ready.set()
+            assert go.wait(timeout=30)  # this loop has nothing else to run
+            verdicts = await asyncio.gather(
+                *(client.send_chunk(window) for client in clients)
+            )
+            for client in clients:
+                await client.aclose()
+            return verdicts, [c.busy_frames_seen for c in clients]
 
         async def body():
-            fleet = AsyncFleetServer(registry, workers=2, max_inflight=1)
-            async with GatewayServer(
-                fleet, batch_window_s=0.0, retry_after_ms=7.5
-            ) as gateway:
-                blocker = GatewayClient(gateway.host, gateway.port)
-                await blocker.connect("alice", cohort="a")
-                blocked = asyncio.create_task(blocker.send_chunk(window))
-                while gateway.fleet.inflight == 0:
-                    await asyncio.sleep(0.005)
-                # speak the raw protocol for bob to inspect the BUSY frame
-                codec = BinaryFrameCodec()
-                reader, writer = await asyncio.open_connection(
-                    gateway.host, gateway.port
+            async with GatewayServer(registry) as gateway:
+                others = asyncio.get_running_loop().run_in_executor(
+                    None, asyncio.run, other_devices(gateway.host, gateway.port)
                 )
-                writer.write(codec.encode(hello_frame("bob", cohort="b")))
-                writer.write(codec.encode(chunk_frame(1, window)))
-                await writer.drain()
-                frames = []
-                while len(frames) < 2:
-                    frames.extend(codec.feed(await reader.read(4096)))
-                release.set()
-                await blocked
-                writer.close()
-            fleet.close()
-            return frames
+                assert await asyncio.to_thread(ready.wait, 30)
+                async with GatewayClient(gateway.host, gateway.port) as slow:
+                    await slow.connect("slow", cohort="a")
+                    first = await slow.send_chunk(window)
+                    verdicts, busy = await others
+                return first, verdicts, busy, gateway.summary()
 
-        frames = drive(body())
-        assert frames[0].type == FrameType.WELCOME
-        busy = frames[1]
-        assert busy.type == FrameType.BUSY
-        assert busy.meta["retry_after_ms"] >= 7.5
-        assert busy.meta["inflight"] >= 1
-        assert busy.seq == 1
+        first, verdicts, busy, summary = drive(body())
+        assert len(first) == 1
+        assert [len(v) for v in verdicts] == [1, 1, 1, 1]
+        assert busy == [0, 0, 0, 0] and summary["busy_refusals"] == 0
+        # the slow tick served one window; the next call, all four
+        # parked chunks at once, and only after the slow one returned
+        assert [rows for _, rows, _, _ in calls] == [1, 4]
+        assert calls[1][2] >= calls[0][3]
+        assert summary["flushes"] == 2 and summary["ticks"] == 2
+        single = engine_a.infer_windows(window[None, :, :])
+        for got in [first] + verdicts:
+            assert got[0].confidence == pytest.approx(
+                single.confidences[0], abs=1e-9
+            )
 
 
 class TestTypedErrorsOverTheWire:
@@ -437,6 +423,29 @@ class TestTypedErrorsOverTheWire:
         assert frames[0].meta["code"] == "PROTOCOL"
         assert sessions == {}
         assert len(verdicts) == 2
+
+    def test_hello_for_an_unloadable_cohort_leaves_no_session(
+        self, registry, tmp_path
+    ):
+        """The package loads before the session opens: a failed load
+        leaves the id free for the device's next HELLO."""
+        from repro.exceptions import SerializationError
+
+        registry.register_lazy("broken", tmp_path / "missing.npz")
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                async with GatewayClient(gateway.host, gateway.port) as cli:
+                    with pytest.raises(SerializationError):
+                        await cli.connect("dev-1", cohort="broken")
+                sessions = dict(gateway.fleet.sessions)
+                async with GatewayClient(gateway.host, gateway.port) as cli:
+                    welcome = await cli.connect("dev-1", cohort="a")
+                return sessions, welcome
+
+        sessions, welcome = drive(body())
+        assert sessions == {}
+        assert welcome["session_id"] == "dev-1" and welcome["cohort"] == "a"
 
     @pytest.mark.parametrize("stride", ["abc", 2.5, True, 0, -3])
     def test_bad_hello_stride_is_a_fatal_protocol_error(

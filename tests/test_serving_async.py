@@ -1,17 +1,18 @@
-"""Tests for async fleet serving (AsyncFleetServer over a thread pool).
+"""Tests for async fleet serving (AsyncFleetServer, ticks on the loop).
 
 The acceptance bar: ``await step_stream``/``await step`` produce verdicts
 identical (1e-9) to the synchronous ``FleetServer`` at any stride/chunking
-— while per-model batched calls run on worker threads — and the
-concurrency semantics hold: per-session ordering, bounded in-flight ticks
-(typed backpressure error, nothing dropped), hot-swap ``publish`` racing
-an in-flight tick leaves open streams pinned, and one model failing never
-loses another cohort's windows.
+— with every batched engine call on the event-loop thread — and the
+serving semantics hold: gathered ticks of one session serve in call
+order, hot-swap ``publish`` leaves open streams pinned, one model failing
+never loses another cohort's windows, and the deprecated ``workers`` /
+``max_inflight`` keywords warn and change nothing.
 """
 
 import asyncio
 import inspect
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.eval import (
     run_cohort_stream_protocol_async,
 )
 from repro.exceptions import (
-    BackpressureError,
     ConfigurationError,
     DataShapeError,
     UnknownCohortError,
@@ -70,19 +70,6 @@ def _verdict_tuples(verdicts):
     ]
 
 
-def _blocking(monkeypatch, engine, release: threading.Event, calls=None):
-    """Patch ``engine.infer_features`` to wait for ``release`` first."""
-    original = engine.infer_features
-
-    def blocked(features):
-        if calls is not None:
-            calls.append(int(features.shape[0]))
-        assert release.wait(timeout=30), "release event never set"
-        return original(features)
-
-    monkeypatch.setattr(engine, "infer_features", blocked)
-
-
 class TestVerdictParity:
     @pytest.mark.parametrize("stride_map", [None, {"a": WINDOW, "b": 60}])
     def test_step_stream_parity_with_sync_server_ragged_ticks(
@@ -116,7 +103,7 @@ class TestVerdictParity:
 
         async def run():
             got = {sid: [] for sid in session_ids}
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 for sid in session_ids:
                     server.connect(sid, cohort=cohorts[sid])
                 for chunk in ticks():
@@ -158,7 +145,7 @@ class TestVerdictParity:
         )
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 server.connect_many(["a1", "a2"], cohort="a")
                 server.connect("b1", cohort="b")
                 return await server.step(
@@ -175,162 +162,117 @@ class TestVerdictParity:
             )
 
 
-class TestBackpressure:
-    def test_saturation_raises_typed_error_and_drops_nothing(
-        self, registry, engines, scenario, monkeypatch
+def _tick_tasks(*coros):
+    """Schedule ticks as tasks, in this order, before any of them runs."""
+    return [asyncio.ensure_future(coro) for coro in coros]
+
+
+class TestOneTickInFlight:
+    """A tick never suspends, so ticks cannot overlap: no admission queue,
+    no per-session locks, and call order is serving order."""
+
+    def test_gathered_ticks_of_one_session_serve_in_call_order(
+        self, registry, engines, scenario
     ):
-        engine_a, _ = engines
-        data = scenario.sensor_device.record("walk", 4.0).data
-        release = threading.Event()
-        _blocking(monkeypatch, engine_a, release)
+        data = scenario.sensor_device.record("walk", 5.0).data
 
         async def run():
-            async with AsyncFleetServer(
-                registry, workers=1, max_inflight=1
-            ) as server:
-                server.connect("s1", cohort="a")
-                server.connect("s2", cohort="a")
-                inflight = asyncio.create_task(
-                    server.step_stream({"s1": data[:240]})
-                )
-                await asyncio.sleep(0.05)  # let it reach the worker await
-                assert server.inflight == 1
-                with pytest.raises(BackpressureError, match="no chunks"):
-                    await server.step_stream({"s2": data[:240]})
-                # the refused tick consumed nothing
-                s2 = server.session("s2")
-                assert s2.stream is None and s2.windows_seen == 0
-                release.set()
-                first = await inflight
-                assert server.inflight == 0
-                # the slot drained: the retried chunk now serves fully
-                retried = await server.step_stream({"s2": data[:240]})
-                return first, retried
-
-        first, retried = drive(run())
-        assert len(first["s1"]) == 2
-        # same chunk, same model: the retried session saw every window
-        assert _verdict_tuples(retried["s2"]) == _verdict_tuples(first["s1"])
-
-    def test_finish_stream_waits_for_inflight_tick(
-        self, registry, engines, scenario, monkeypatch
-    ):
-        """A flush racing an in-flight tick serializes on the session."""
-        engine_a, _ = engines
-        data = scenario.sensor_device.record("walk", 4.0).data
-        release = threading.Event()
-
-        async def run():
-            async with AsyncFleetServer(
-                registry, workers=2, max_inflight=2
-            ) as server:
+            async with AsyncFleetServer(registry) as server:
                 server.connect("s", cohort="a")
-                _blocking(monkeypatch, engine_a, release)
-                tick = asyncio.create_task(
-                    server.step_stream({"s": data[:300]})
-                )
-                await asyncio.sleep(0.05)
-                flush = asyncio.create_task(server.finish_stream("s"))
-                await asyncio.sleep(0.05)
-                assert not flush.done()  # blocked on the session lock
-                release.set()
-                tick_verdicts = await tick
-                await flush
-                assert server.session("s").stream is None
-                return tick_verdicts
+                ticks = await asyncio.gather(*_tick_tasks(
+                    server.step_stream({"s": data[:300]}),
+                    server.step_stream({"s": data[300:600]}),
+                    server.finish_stream("s"),
+                ))
+                return ticks[0]["s"] + ticks[1]["s"] + ticks[2], server.ticks
 
-        tick_verdicts = drive(run())
-        assert len(tick_verdicts["s"]) == 2  # 300 samples -> 2 windows
-
-    def test_bad_configuration(self, registry):
-        with pytest.raises(ConfigurationError, match="max_inflight"):
-            AsyncFleetServer(registry, max_inflight=0)
-        with pytest.raises(ConfigurationError, match="workers"):
-            AsyncFleetServer(registry, workers=0)
-
-
-class TestOrdering:
-    def test_same_session_ticks_serialize_in_arrival_order(
-        self, registry, engines, scenario, monkeypatch
-    ):
-        """Tick 2 of a session cannot overtake tick 1 mid-await."""
-        engine_a, _ = engines
-        data = scenario.sensor_device.record("walk", 4.0).data
-        release = threading.Event()
-        calls = []
-        # Block only the FIRST engine call, so if tick 2 could run it
-        # would finish well before tick 1.
-        original = engine_a.infer_features
-
-        def first_blocked(features):
-            calls.append(int(features.shape[0]))
-            if len(calls) == 1:
-                assert release.wait(timeout=30)
-            return original(features)
-
-        monkeypatch.setattr(engine_a, "infer_features", first_blocked)
-
-        async def run():
-            async with AsyncFleetServer(
-                registry, workers=2, max_inflight=2
-            ) as server:
-                server.connect("s", cohort="a")
-                t1 = asyncio.create_task(server.step_stream({"s": data[:300]}))
-                await asyncio.sleep(0.05)
-                t2 = asyncio.create_task(
-                    server.step_stream({"s": data[300:600]})
-                )
-                await asyncio.sleep(0.05)
-                assert calls == [2]  # tick 2 still queued on the lock
-                release.set()
-                v1 = await t1
-                v2 = await t2
-                return v1["s"] + v2["s"]
-
-        got = drive(run())
+        got, ticks = drive(run())
         ref = engines[0].infer_stream(data[:600])
+        assert ticks == 2
         assert [v.activity for v in got] == ref.names
         np.testing.assert_allclose(
             [v.confidence for v in got], ref.confidences, **PARITY
         )
 
-
-class TestHotSwapRace:
-    def test_publish_racing_inflight_tick_keeps_stream_pinned(
-        self, engines, scenario, monkeypatch
-    ):
-        engine_v1, engine_v2 = engines
-        registry = ModelRegistry(default_cohort="a")
-        registry.publish("a", engine_v1)
-        data = scenario.sensor_device.record("walk", 6.0).data
-        release = threading.Event()
+    def test_gathered_ticks_overflow_nothing(self, registry, scenario):
+        """Twelve ticks at once: every one served, nothing refused."""
+        data = scenario.sensor_device.record("walk", 2.0).data
+        sids = [f"s{i}" for i in range(12)]
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
-                session = server.connect("s")
-                await server.step_stream({"s": data[:200]})
-                _blocking(monkeypatch, engine_v1, release)
-                inflight = asyncio.create_task(
-                    server.step_stream({"s": data[200:440]})
+            async with AsyncFleetServer(registry) as server:
+                for i, sid in enumerate(sids):
+                    server.connect(sid, cohort="ab"[i % 2])
+                ticks = await asyncio.gather(*_tick_tasks(
+                    *(server.step_stream({sid: data}) for sid in sids)
+                ))
+                return ticks, server.summary()
+
+        ticks, summary = drive(run())
+        assert [len(tick[sid]) for tick, sid in zip(ticks, sids)] == [2] * 12
+        assert summary["ticks"] == 12 and summary["windows_served"] == 24
+
+    def test_disconnect_between_gathered_ticks_is_clean(
+        self, registry, scenario
+    ):
+        """A session disconnected before its scheduled tick runs is simply
+        not connected: that tick raises, the next session's tick serves."""
+        data = scenario.sensor_device.record("walk", 2.0).data
+
+        async def run():
+            async with AsyncFleetServer(registry) as server:
+                server.connect("gone", cohort="a")
+                server.connect("kept", cohort="b")
+                doomed, kept = _tick_tasks(
+                    server.step_stream({"gone": data}),
+                    server.step_stream({"kept": data}),
                 )
-                await asyncio.sleep(0.05)
-                registry.publish("a", engine_v2)  # racing hot-swap
-                release.set()
-                got = await inflight
-                assert session.stream.engine is engine_v1  # still pinned
-                monkeypatch.undo()
-                more = await server.step_stream({"s": data[440:600]})
-                await server.finish_stream("s")
-                # a fresh stream binds the newly published engine
-                await server.step_stream({"s": data[:240]})
-                assert session.stream.engine is engine_v2
-                return got["s"] + more["s"]
+                server.disconnect("gone")  # neither tick has started yet
+                with pytest.raises(ConfigurationError, match="not connected"):
+                    await doomed
+                return (await kept)["kept"], set(server.sessions)
 
-        pinned_verdicts = drive(run())
-        # everything served mid-race came from the pinned v1 engine
-        ref = engine_v1.infer_stream(data[:600])
-        assert [v.activity for v in pinned_verdicts] == ref.names[1:]
+        kept, sessions = drive(run())
+        assert len(kept) == 2 and sessions == {"kept"}
 
+
+class TestDeprecatedKnobs:
+    """``workers`` / ``max_inflight`` outlive the pool by one release."""
+
+    @pytest.mark.parametrize("knobs", [
+        {"workers": 2},
+        {"max_inflight": 8},
+        {"workers": 2, "max_inflight": 8},
+    ])
+    def test_knobs_warn_and_serve_the_same_verdicts(
+        self, registry, scenario, knobs
+    ):
+        data = scenario.sensor_device.record("walk", 3.0).data
+
+        async def serve(server):
+            async with server:
+                server.connect("a1", cohort="a")
+                server.connect("b1", cohort="b")
+                got = await server.step_stream({"a1": data, "b1": data})
+                got["a1"] += await server.finish_stream("a1")
+                return {sid: _verdict_tuples(v) for sid, v in got.items()}
+
+        expected = drive(serve(AsyncFleetServer(registry)))
+        with pytest.warns(DeprecationWarning, match="no effect"):
+            server = AsyncFleetServer(registry, **knobs)
+        assert drive(serve(server)) == expected
+
+    def test_knobs_are_keyword_only(self, registry):
+        with pytest.raises(TypeError):
+            AsyncFleetServer(registry, None, 2)
+
+    def test_no_knob_no_warning(self, registry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            AsyncFleetServer(registry)
+
+
+class TestHotSwapRace:
     def test_windowed_step_resolves_latest_publication(
         self, engines, scenario
     ):
@@ -340,7 +282,7 @@ class TestHotSwapRace:
         window = scenario.sensor_device.record("walk", 1.0).data[:WINDOW]
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 server.connect("s")
                 await server.step({"s": window})
                 registry.publish("a", engine_v2)
@@ -349,6 +291,33 @@ class TestHotSwapRace:
         verdict = drive(run())["s"]
         ref = engine_v2.infer_windows(window[None, :, :])
         assert verdict.activity == ref.names[0]
+
+    def test_registry_handles_track_publications(
+        self, registry, engines, scenario
+    ):
+        """A stream opened after ``publish`` binds the new version's engine."""
+        engine_a, engine_b = engines
+        data = scenario.sensor_device.record("walk", 3.0).data
+
+        async def run():
+            async with AsyncFleetServer(registry) as server:
+                session = server.connect("s", cohort="a")
+                await server.step_stream({"s": data})
+                assert session.stream.engine is engine_a
+                await server.finish_stream("s")
+                registry.publish("a", engine_b)
+                got = await server.step_stream({"s": data})
+                assert session.stream.engine is engine_b
+                with pytest.raises(UnknownCohortError):
+                    server.connect("g", cohort="ghost")
+                return got["s"], server.n_sessions
+
+        verdicts, n_sessions = drive(run())
+        assert registry.version("a") == 2 and registry.version("b") == 1
+        assert [v.activity for v in verdicts] == (
+            engine_b.infer_stream(data).names
+        )
+        assert n_sessions == 1
 
 
 class TestFailureIsolation:
@@ -362,7 +331,7 @@ class TestFailureIsolation:
             raise RuntimeError("model fell over")
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 server.connect("a1", cohort="a")
                 server.connect("b1", cohort="b")
                 await server.step_stream({"a1": data[:200], "b1": data[:200]})
@@ -396,7 +365,7 @@ class TestFailureIsolation:
             raise RuntimeError("model fell over")
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 server.connect("a1", cohort="a")
                 server.connect("b1", cohort="b")
                 monkeypatch.setattr(engine_a, "infer_features", boom)
@@ -406,7 +375,6 @@ class TestFailureIsolation:
                 assert server.ticks == 0
                 assert server.serve_ms == 0.0
                 assert server.summary()["windows_served"] == 0.0
-                assert server.inflight == 0  # the slot was released
                 return True
 
         assert drive(run())
@@ -422,7 +390,7 @@ def _drive_either(kind, registry, body):
     async def run():
         if kind == "sync":
             return await body(FleetServer(registry))
-        async with AsyncFleetServer(registry, workers=2) as server:
+        async with AsyncFleetServer(registry) as server:
             return await body(server)
 
     return drive(run())
@@ -470,7 +438,6 @@ class TestOneTickCore:
             with pytest.raises(DataShapeError, match="'b'.*non-finite"):
                 await _settle(server.step({"a": window, "b": poisoned}))
             assert _serving_state(server) == before
-            assert getattr(server, "inflight", 0) == 0
 
         _drive_either(kind, registry, body)
 
@@ -489,7 +456,6 @@ class TestOneTickCore:
             with pytest.raises(RuntimeError, match="featurize fell over"):
                 await _settle(server.step({"a1": window, "b1": window}))
             assert server.ticks == 1
-            assert getattr(server, "inflight", 0) == 0
             return server.session("a1"), server.session("b1")
 
         a1, b1 = _drive_either(kind, registry, body)
@@ -497,46 +463,6 @@ class TestOneTickCore:
         assert a1.windows_seen == 1
         assert a1.last_verdict.activity == ref.names[0]
         assert b1.windows_seen == 0
-
-
-class TestDisconnectSafety:
-    def test_disconnect_refuses_while_tick_in_flight(
-        self, registry, engines, scenario, monkeypatch
-    ):
-        """Yanking a session from under an awaiting tick is a typed error."""
-        engine_a, _ = engines
-        data = scenario.sensor_device.record("walk", 3.0).data
-        release = threading.Event()
-        _blocking(monkeypatch, engine_a, release)
-
-        async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
-                server.connect("s", cohort="a")
-                tick = asyncio.create_task(server.step_stream({"s": data}))
-                await asyncio.sleep(0.05)
-                with pytest.raises(ConfigurationError, match="in flight"):
-                    server.disconnect("s")
-                release.set()
-                verdicts = await tick
-                server.disconnect("s")  # fine once the tick drained
-                assert server.n_sessions == 0
-                return verdicts
-
-        assert len(drive(run())["s"]) == 3
-
-    def test_unknown_session_never_mints_a_lock(self, registry, scenario):
-        """A refused tick naming a bad id leaks no per-session state."""
-        chunk = scenario.sensor_device.record("walk", 1.0).data
-
-        async def run():
-            async with AsyncFleetServer(registry, workers=1) as server:
-                with pytest.raises(ConfigurationError, match="not connected"):
-                    await server.step_stream({"ghost": chunk})
-                with pytest.raises(ConfigurationError, match="not connected"):
-                    await server.step({"ghost": chunk[:WINDOW]})
-                return len(server._session_locks)
-
-        assert drive(run()) == 0
 
 
 def _recording_threads(monkeypatch, engines, threads):
@@ -552,13 +478,13 @@ def _recording_threads(monkeypatch, engines, threads):
             monkeypatch.setattr(engine, method, recorded)
 
 
-class TestWorkerPool:
-    """The thread pool each ``AsyncFleetServer`` owns for its engine calls."""
+class TestEngineCallsOnTheLoop:
+    """Every engine call of a tick runs inline on the event-loop thread."""
 
-    def test_submit_runs_engine_methods(
+    def test_engine_calls_run_on_the_loop_thread(
         self, registry, engines, scenario, monkeypatch
     ):
-        """step/step_stream/finish_stream call the engines on pool threads."""
+        """step/step_stream/finish_stream call the engines on the loop."""
         data = scenario.sensor_device.record("walk", 3.0).data
         window = data[:WINDOW]
 
@@ -581,66 +507,14 @@ class TestWorkerPool:
         _recording_threads(monkeypatch, engines, threads)
         assert _drive_either("async", registry, serve) == expected
         assert len(threads) >= 4  # one call per model on step + step_stream
-        assert {t.name.split("_")[0] for t in threads} == {"fleet-worker"}
-
-    def test_registry_handles_track_publications(
-        self, registry, engines, scenario
-    ):
-        """A stream opened after ``publish`` binds the new version's engine."""
-        engine_a, engine_b = engines
-        data = scenario.sensor_device.record("walk", 3.0).data
-
-        async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
-                session = server.connect("s", cohort="a")
-                await server.step_stream({"s": data})
-                assert session.stream.engine is engine_a
-                await server.finish_stream("s")
-                registry.publish("a", engine_b)
-                got = await server.step_stream({"s": data})
-                assert session.stream.engine is engine_b
-                with pytest.raises(UnknownCohortError):
-                    server.connect("g", cohort="ghost")
-                return got["s"], server.n_sessions
-
-        verdicts, n_sessions = drive(run())
-        assert registry.version("a") == 2 and registry.version("b") == 1
-        assert [v.activity for v in verdicts] == (
-            engine_b.infer_stream(data).names
-        )
-        assert n_sessions == 1
-
-    def test_close_joins_the_server_pool_threads(
-        self, registry, engines, scenario, monkeypatch
-    ):
-        """Leaving ``async with`` shuts the server's own pool down."""
-        data = scenario.sensor_device.record("walk", 3.0).data
-        threads = []
-        _recording_threads(monkeypatch, engines, threads)
-
-        async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
-                server.connect("a1", cohort="a")
-                server.connect("b1", cohort="b")
-                await server.step_stream({"a1": data, "b1": data})
-                return all(t.is_alive() for t in threads)
-
-        assert drive(run())
-        assert threads and not any(t.is_alive() for t in threads)
-
-    def test_eval_driver_refuses_an_empty_pool(self, registry):
-        segments = {"a": [("walk", np.zeros((240, 22)))]}
-        with pytest.raises(ConfigurationError, match="workers"):
-            drive(
-                run_cohort_stream_protocol_async(registry, segments, workers=0)
-            )
+        assert set(threads) == {threading.current_thread()}
 
 
 def _counting_submit(monkeypatch, engines, submitted):
     """Record ``(engine, method, dtype)`` for every batched engine call.
 
-    One tick's calls run concurrently on the pool, so their order in
-    ``submitted`` is not fixed; compare a tick's calls as a ``Counter``.
+    A tick's calls run one per group in plan order; the tests compare a
+    tick's calls as a ``Counter`` where that order is not the point.
     """
     for engine in engines:
         for method in ("infer_features", "infer_windows"):
@@ -699,7 +573,7 @@ class TestBackboneFusionAsync:
         submitted = []
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 _counting_submit(monkeypatch, engines, submitted)
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
@@ -751,7 +625,7 @@ class TestBackboneFusionAsync:
         submitted = []
 
         async def run():
-            async with AsyncFleetServer(registry, workers=2) as server:
+            async with AsyncFleetServer(registry) as server:
                 _counting_submit(monkeypatch, [engine_x], submitted)
                 server.connect("sx", cohort="x")
                 server.connect("sz", cohort="z")
@@ -779,7 +653,7 @@ class TestBackboneFusionAsync:
         submitted = []
 
         async def run():
-            async with AsyncFleetServer(shared_registry, workers=2) as server:
+            async with AsyncFleetServer(shared_registry) as server:
                 _counting_submit(monkeypatch, shared_engines, submitted)
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
@@ -812,7 +686,7 @@ class TestBackboneFusionAsync:
         submitted = []
 
         async def run():
-            async with AsyncFleetServer(engine_x, workers=2) as server:
+            async with AsyncFleetServer(engine_x) as server:
                 _counting_submit(monkeypatch, [engine_x], submitted)
                 server.connect("s64")
                 server.connect("s32", dtype=np.float32)
@@ -857,7 +731,7 @@ class TestBackboneFusionAsync:
             raise RuntimeError("model fell over")
 
         async def run():
-            async with AsyncFleetServer(shared_registry, workers=2) as server:
+            async with AsyncFleetServer(shared_registry) as server:
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
                 monkeypatch.setattr(
@@ -869,7 +743,6 @@ class TestBackboneFusionAsync:
                 with pytest.raises(RuntimeError, match="fell over"):
                     await getattr(server, entry)(tick)
                 assert server.ticks == 1
-                assert server.inflight == 0
                 return server.session("sx"), server.session("sy")
 
         sx, sy = drive(run())
@@ -889,7 +762,7 @@ class TestBackboneFusionAsync:
 
         async def run():
             got_x = []
-            async with AsyncFleetServer(shared_registry, workers=2) as server:
+            async with AsyncFleetServer(shared_registry) as server:
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
                 first = await server.step_stream(
@@ -966,3 +839,10 @@ class TestAsyncEvalDriver:
             )
         with pytest.raises(ConfigurationError, match="no segments"):
             drive(run_cohort_stream_protocol_async(registry, {"a": []}))
+
+    def test_eval_driver_refuses_an_empty_pool(self, registry):
+        segments = {"a": [("walk", np.zeros((240, 22)))]}
+        with pytest.raises(ConfigurationError, match="workers"):
+            drive(
+                run_cohort_stream_protocol_async(registry, segments, workers=0)
+            )

@@ -200,7 +200,7 @@ def _serve_sync(engine, schedule, **connect):
 
 async def _serve_async(engine, schedule):
     got = {sid: [] for sid in schedule}
-    async with AsyncFleetServer(engine, workers=2) as server:
+    async with AsyncFleetServer(engine) as server:
         for sid in schedule:
             server.connect(sid)
         for tick in range(max(len(c) for c in schedule.values())):
