@@ -14,6 +14,17 @@ prototype squared-norms cached; the cache is keyed on the prototype array's
 identity, so it invalidates automatically whenever the classifier is
 re-fitted after a support-set rebuild.
 
+Inputs are checked once, where they enter.  A chunk is checked by the
+pipeline's ``process_chunk`` (or, in a fleet tick, by the server before
+any stream moves); from there the pipeline's window kernel and the
+engine's model kernel (embed -> Gram distances -> verdicts) run the
+stages back to back, each trusting what the previous one produced.  The
+kernels hold what depends only on configuration — the embed step (the
+network's ``infer`` or its float32 replica's), normalizer casts, the
+consistency of feature, input and embedding widths — and are rebuilt when an object they were built from is
+replaced; learned arrays (weights, prototypes, thresholds) are read on
+every call, so in-place training is seen at once.
+
 On top of the engine, :class:`FleetServer` multiplexes many
 :class:`EdgeSession`\\ s — per-user temporal-smoothing and rejection state —
 through shared batched engine calls, simulating thousands of concurrent
@@ -26,6 +37,7 @@ groups each tick's traffic by the engine serving that cohort.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -48,8 +60,8 @@ from ..exceptions import (
 from ..nn.compress import quantize_tensor
 from ..preprocessing.pipeline import resolve_feature_dtype
 from ..utils import Timer, check_2d, check_3d
-from .ncm import NCMClassifier
-from .openset import UNKNOWN_LABEL, UNKNOWN_NAME, OpenSetNCM, accept_from_distances
+from .ncm import NCMClassifier, softmax_of_distances
+from .openset import UNKNOWN_LABEL, UNKNOWN_NAME, OpenSetNCM, accept_rows
 from .smoothing import HysteresisSmoother
 
 
@@ -64,6 +76,33 @@ def _feature_dtype(dtype):
     if dtype is not None and np.dtype(dtype) == np.float32:
         return np.float32
     return None
+
+
+def _gram_distances(
+    emb: np.ndarray, protos: np.ndarray, proto_sq: np.ndarray
+) -> np.ndarray:
+    """Euclidean distances of checked embeddings (in ``protos``' dtype and
+    width) to every prototype, by the Gram trick."""
+    emb_sq = np.einsum("ij,ij->i", emb, emb)
+    two = protos.dtype.type(2.0)
+    d2 = emb_sq[:, None] - two * (emb @ protos.T) + proto_sq[None, :]
+    zero = protos.dtype.type(0.0)
+    np.maximum(d2, zero, out=d2)  # clamp tiny negatives from cancellation
+    return np.sqrt(d2, out=d2)
+
+
+def _weight_arrays(network) -> Tuple[np.ndarray, ...]:
+    """Every array a float32 replica of ``network`` copies: the parameters
+    and any batch-norm running statistics."""
+    arrays = [param.data for param in network.parameters()]
+    for layer in getattr(network, "layers", ()):
+        if hasattr(layer, "running_mean"):
+            arrays += (layer.running_mean, layer.running_var)
+    return tuple(arrays)
+
+
+def _same_arrays(a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +131,10 @@ class BatchInference:
     @property
     def names(self) -> List[str]:
         """Per-window class names, :data:`UNKNOWN_NAME` where rejected."""
+        class_names = self.class_names
         return [
-            UNKNOWN_NAME if label == UNKNOWN_LABEL else self.class_names[label]
-            for label in self.labels
+            UNKNOWN_NAME if label == UNKNOWN_LABEL else class_names[label]
+            for label in self.labels.tolist()
         ]
 
     def distances_of(self, i: int) -> Dict[str, float]:
@@ -103,6 +143,115 @@ class BatchInference:
             name: float(d)
             for name, d in zip(self.class_names, self.distances[i])
         }
+
+
+class _ModelKernel:
+    """An engine's features -> embeddings pass for one compute dtype.
+
+    Built by :meth:`InferenceEngine._model_kernel` from the engine's
+    pipeline, embedder, classifier and served prototype matrix, and
+    rebuilt when any of them is replaced.  Building it checks that they
+    fit together — the pipeline's feature count against the embedder's
+    input width, the embedding width against the prototypes' — so a
+    misconfigured engine raises :class:`~repro.exceptions.DataShapeError`
+    at its first call and no per-call check is needed.  ``embed`` is the
+    network's own inference pass (its float32 replica on the reduced
+    path), or the embedder's checked ``embed`` for embedders without a
+    network; ``check_features`` is the input check of
+    :meth:`InferenceEngine.infer_features`.
+    """
+
+    __slots__ = (
+        "pipeline", "embedder", "network", "classifier", "protos", "embed",
+        "check_features",
+    )
+
+    def __init__(self, engine: "InferenceEngine", dtype, protos: np.ndarray):
+        self.pipeline = engine.pipeline
+        self.embedder = embedder = engine.embedder
+        self.network = network = getattr(embedder, "network", None)
+        self.classifier = engine.classifier
+        self.protos = protos
+        input_dim = getattr(embedder, "input_dim", None)
+        if (
+            self.pipeline is not None
+            and input_dim is not None
+            and self.pipeline.n_features != input_dim
+        ):
+            raise DataShapeError(
+                f"engine pipeline emits {self.pipeline.n_features} features, "
+                f"its embedder takes {input_dim}"
+            )
+        self.check_features = _unchecked
+        if _feature_dtype(dtype) is np.float32:
+            if network is not None and hasattr(network, "clone"):
+                embed = self._replica_embed(engine)
+                embed_dtype = np.float32
+                self.check_features = functools.partial(
+                    check_2d, "features", n_cols=input_dim, dtype=np.float32
+                )
+            else:
+                def embed(features: np.ndarray) -> np.ndarray:
+                    return np.asarray(embedder.embed(features), dtype=np.float32)
+                embed_dtype = None
+        elif network is not None and hasattr(network, "infer"):
+            embed = network.infer
+            embed_dtype = np.float64
+            self.check_features = functools.partial(
+                check_2d, "features", n_cols=input_dim
+            )
+        else:
+            embed = embedder.embed
+            embed_dtype = None
+        width = getattr(embedder, "embedding_dim", None)
+        if embed_dtype is None or width is None:
+            # An opaque embedder: its embeddings are checked on every call.
+            self.embed = self._checked_embed(embed, protos)
+            return
+        if width != protos.shape[1]:
+            raise DataShapeError(
+                f"engine embedder emits {width}-d embeddings, its prototypes "
+                f"are {protos.shape[1]}-d"
+            )
+        if protos.dtype != embed_dtype:  # a distance-only dtype (float16)
+            self.embed = self._cast_embed(embed, protos.dtype)
+        else:
+            self.embed = embed
+
+    @staticmethod
+    def _replica_embed(engine: "InferenceEngine"):
+        def embed(features: np.ndarray) -> np.ndarray:
+            return engine._float32_embedder().infer(features)
+        return embed
+
+    @staticmethod
+    def _checked_embed(embed, protos: np.ndarray):
+        def checked(features: np.ndarray) -> np.ndarray:
+            return check_2d(
+                "embeddings", embed(features), n_cols=protos.shape[1],
+                dtype=protos.dtype,
+            )
+        return checked
+
+    @staticmethod
+    def _cast_embed(embed, dtype):
+        def cast(features: np.ndarray) -> np.ndarray:
+            return np.asarray(embed(features), dtype=dtype)
+        return cast
+
+    def serves(self, engine: "InferenceEngine", protos: np.ndarray) -> bool:
+        """Whether ``engine`` still holds what this kernel was built from."""
+        return (
+            protos is self.protos
+            and engine.pipeline is self.pipeline
+            and engine.embedder is self.embedder
+            and engine.classifier is self.classifier
+            and getattr(self.embedder, "network", None) is self.network
+        )
+
+
+def _unchecked(features: np.ndarray) -> np.ndarray:
+    return features
 
 
 class InferenceEngine:
@@ -162,10 +311,17 @@ class InferenceEngine:
         self._cached_sq_norms: Optional[np.ndarray] = None
         self._cached_casts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         # Lazily-built float32 replica of the embedder network for the
-        # reduced-precision feature path; keyed on the network object so
-        # retraining (which swaps/mutates parameters via a fresh fit or
-        # ``load_state_dict``) rebuilds it.
-        self._float32_embedder_cache: Optional[Tuple[int, object]] = None
+        # reduced-precision feature path: (network, the weight arrays it
+        # was cast from, replica), so a swapped network or a
+        # ``load_state_dict`` (fresh arrays) rebuilds it.
+        self._float32_embedder_cache: Optional[Tuple[object, tuple, object]] = None
+        # compute dtype -> _ModelKernel (see _model_kernel)
+        self._kernels: Dict[object, _ModelKernel] = {}
+
+    def __getstate__(self) -> Dict:
+        # Model kernels are closures over this engine: a copy builds its
+        # own on first use.
+        return dict(self.__dict__, _kernels={})
 
     # ------------------------------------------------------------------ #
     # classifier plumbing
@@ -204,6 +360,7 @@ class InferenceEngine:
         self._cached_sq_norms = None
         self._cached_casts = {}
         self._float32_embedder_cache = None
+        self._kernels = {}
 
     def _prototype_norms(self, dtype=None) -> Tuple[np.ndarray, np.ndarray]:
         """The served prototype matrix with its cached squared norms.
@@ -257,25 +414,27 @@ class InferenceEngine:
             n_cols=protos.shape[1],
             dtype=protos.dtype,
         )
-        emb_sq = np.einsum("ij,ij->i", emb, emb)
-        two = protos.dtype.type(2.0)
-        d2 = emb_sq[:, None] - two * (emb @ protos.T) + proto_sq[None, :]
-        zero = protos.dtype.type(0.0)
-        np.maximum(d2, zero, out=d2)  # clamp tiny negatives from cancellation
-        return np.sqrt(d2, out=d2)
+        return _gram_distances(emb, protos, proto_sq)
 
     def _verdicts(self, dists: np.ndarray):
-        """argmin / softmax / open-set accept, all from one distance matrix."""
+        """argmin / softmax / open-set accept, all from one distance matrix.
+
+        ``dists`` is the engine's own Gram result, so nothing is
+        re-checked; softmax and acceptance run on its float64 values.
+        """
         k = dists.shape[0]
-        nearest = np.argmin(dists, axis=1).astype(np.int64)
-        proba = NCMClassifier.proba_from_distances(
-            dists, temperature=self.temperature
-        )
+        nearest = np.argmin(dists, axis=1).astype(np.int64, copy=False)
+        if dists.dtype != np.float64:
+            dists = dists.astype(np.float64)
+        proba = softmax_of_distances(dists, self.temperature)
         confidences = proba[np.arange(k), nearest]
         open_set = self.open_set
         if open_set is not None:
-            accepted = accept_from_distances(
-                dists, open_set.thresholds_, open_set.ratio, nearest=nearest
+            accepted = accept_rows(
+                dists,
+                np.asarray(open_set.thresholds_, dtype=np.float64),
+                open_set.ratio,
+                nearest,
             )
             labels = np.where(accepted, nearest, UNKNOWN_LABEL).astype(np.int64)
         else:
@@ -296,6 +455,34 @@ class InferenceEngine:
             accepted=accepted,
             latency_ms=timer.elapsed_ms,
         )
+
+    def _model_kernel(self, dtype):
+        """``(kernel, protos, proto_sq)`` for one compute dtype.
+
+        The prototypes are resolved first — a re-fit drops the float32
+        replica there — and the kernel is rebuilt when it no longer
+        serves this engine (see :class:`_ModelKernel`).
+        """
+        protos, proto_sq = self._prototype_norms(dtype)
+        kernel = self._kernels.get(dtype)
+        if kernel is None or not kernel.serves(self, protos):
+            kernel = _ModelKernel(self, dtype, protos)
+            self._kernels[dtype] = kernel
+        return kernel, protos, proto_sq
+
+    def _run_model(
+        self, features: np.ndarray, dtype, timer: Timer, check: bool = False
+    ) -> BatchInference:
+        """Feature rows -> batch verdicts through the model kernel.
+
+        Rows the engine's own pipeline produced are trusted as they are;
+        ``check=True`` first applies :meth:`infer_features`' input check.
+        """
+        kernel, protos, proto_sq = self._model_kernel(dtype)
+        if check:
+            features = kernel.check_features(features)
+        dists = _gram_distances(kernel.embed(features), protos, proto_sq)
+        return self._assemble(dists, timer)
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -318,9 +505,7 @@ class InferenceEngine:
         arr = check_3d("windows", windows)
         timer = Timer().__enter__()
         features = self.pipeline.process_windows(arr)
-        embeddings = self.embedder.embed(features)
-        dists = self.distances_from_embeddings(embeddings)
-        return self._assemble(dists, timer)
+        return self._run_model(features, None, timer)
 
     def infer_stream(
         self,
@@ -366,7 +551,7 @@ class InferenceEngine:
         features = self.pipeline.process_stream(
             arr, stride=stride, dtype=_feature_dtype(dtype)
         )
-        return self._finish_features(features, dtype, timer)
+        return self._run_model(features, dtype, timer)
 
     def open_stream(
         self,
@@ -410,7 +595,7 @@ class InferenceEngine:
         self._require_pipeline("stream raw chunks")
         timer = Timer().__enter__()
         features = self.pipeline.process_chunk(session.state, chunk)
-        batch = self._finish_features(features, session.dtype, timer)
+        batch = self._run_model(features, session.dtype, timer)
         session.windows_inferred += len(batch)
         return batch
 
@@ -424,7 +609,7 @@ class InferenceEngine:
         self._require_pipeline("stream raw chunks")
         timer = Timer().__enter__()
         features = self.pipeline.finish_stream(session.state)
-        batch = self._finish_features(features, session.dtype, timer)
+        batch = self._run_model(features, session.dtype, timer)
         session.windows_inferred += len(batch)
         return batch
 
@@ -436,16 +621,20 @@ class InferenceEngine:
         the reduced-precision path runs its forward pass in 32 bits end to
         end.  Returns ``None`` for embedders without a clonable network —
         those fall back to a float64 forward cast down afterwards.  The
-        replica is keyed on the network object and additionally dropped
-        whenever the prototype cache rebuilds (a classifier re-fit follows
+        replica is rebuilt when the network object or any of its weight
+        arrays is replaced (``load_state_dict``), and dropped whenever the
+        prototype cache rebuilds (a classifier re-fit follows in-place
         retraining) or :meth:`refresh` is called.
         """
         network = getattr(self.embedder, "network", None)
         if network is None or not hasattr(network, "clone"):
             return None
+        weights = _weight_arrays(network)
         cache = self._float32_embedder_cache
-        if cache is not None and cache[0] is network:
-            return cache[1]
+        if cache is not None and cache[0] is network and _same_arrays(
+            cache[1], weights
+        ):
+            return cache[2]
         replica = network.clone()
         for param in replica.parameters():
             param.data = param.data.astype(np.float32)
@@ -453,35 +642,8 @@ class InferenceEngine:
             if hasattr(layer, "running_mean"):
                 layer.running_mean = layer.running_mean.astype(np.float32)
                 layer.running_var = layer.running_var.astype(np.float32)
-        self._float32_embedder_cache = (network, replica)
+        self._float32_embedder_cache = (network, weights, replica)
         return replica
-
-    def _embed(self, features: np.ndarray, dtype) -> np.ndarray:
-        """Embed feature rows, on the float32 replica when asked.
-
-        ``dtype=np.float32`` runs the whole forward pass in 32 bits (or,
-        lacking a clonable network, embeds in float64 and casts down);
-        anything else is the unchanged float64 path.
-        """
-        if dtype is not None and np.dtype(dtype) == np.float32:
-            replica = self._float32_embedder()
-            if replica is not None:
-                arr = check_2d(
-                    "features",
-                    features,
-                    n_cols=getattr(self.embedder, "input_dim", None),
-                    dtype=np.float32,
-                )
-                return replica.forward(arr, training=False)
-            return np.asarray(self.embedder.embed(features), dtype=np.float32)
-        return self.embedder.embed(features)
-
-    def _finish_features(
-        self, features: np.ndarray, dtype, timer: Timer
-    ) -> BatchInference:
-        embeddings = self._embed(features, dtype)
-        dists = self.distances_from_embeddings(embeddings, dtype=dtype)
-        return self._assemble(dists, timer)
 
     def infer_features(self, features: np.ndarray, dtype=None) -> BatchInference:
         """Normalized feature rows ``(k, d)`` -> batch verdicts.
@@ -491,7 +653,7 @@ class InferenceEngine:
         :meth:`distances_from_embeddings`).
         """
         timer = Timer().__enter__()
-        return self._finish_features(features, dtype, timer)
+        return self._run_model(features, dtype, timer, check=True)
 
     def infer_embeddings(self, embeddings: np.ndarray) -> BatchInference:
         """Pre-embedded rows ``(k, dim)`` -> batch verdicts."""
@@ -988,15 +1150,17 @@ class FleetServer:
         """Fold windowed batches into sessions/counters; re-raise failures."""
         verdicts: Dict[str, SessionVerdict] = {}
         for group, batch in results:
-            names = batch.names
-            for i, session_id in enumerate(group.ids):
+            for session_id, name, confidence, accepted in zip(
+                group.ids,
+                batch.names,
+                batch.confidences.tolist(),
+                batch.accepted.tolist(),
+            ):
                 session = self.sessions[session_id]
                 verdicts[session_id] = session.observe(
-                    names[i], batch.confidences[i], batch.accepted[i]
+                    name, confidence, accepted
                 )
-                self._charge_windows(
-                    session.cohort, 1, int(not batch.accepted[i])
-                )
+                self._charge_windows(session.cohort, 1, int(not accepted))
         self._finish_tick(results, failure, 0.0)
         return {str(sid): verdicts[str(sid)] for sid in windows_by_session}
 
@@ -1109,42 +1273,66 @@ class FleetServer:
     ) -> "Tuple[List[_StreamTickGroup], float]":
         """Validate and featurize a stream tick: the groups to run + ms.
 
-        Groups whose chunks completed no window this tick make no call.
+        Nothing mutates until every chunk is checked.  Sessions are
+        grouped by serving engine identity and compute dtype (a float32
+        session cannot share a batched call with float64 sessions of the
+        same engine).  Groups whose chunks completed no window this tick
+        make no call.
         """
-        groups = self._validate_stream_tick(chunks_by_session, stride)
+        groups: Dict[Tuple[int, Optional[str]], _StreamTickGroup] = {}
+        for session_id, chunk in chunks_by_session.items():
+            self._check_stream_chunk(session_id, chunk, stride, groups)
         with Timer() as timer:
             self._featurize_stream_groups(groups)
         runnable = [group for group in groups.values() if sum(group.counts)]
         return runnable, timer.elapsed_ms
 
-    def _validate_stream_tick(
+    def check_chunk(
         self,
-        chunks_by_session: Mapping[str, np.ndarray],
+        session_id: str,
+        chunk: np.ndarray,
         stride: "Optional[Union[int, Mapping[str, int]]]" = None,
-    ) -> "Dict[Tuple[int, Optional[str]], _StreamTickGroup]":
-        """Validation pass of a stream tick: nothing mutates until every
-        chunk is checked.  Groups sessions by serving engine identity and
-        compute dtype (a float32 session cannot share a batched call with
-        float64 sessions of the same engine)."""
-        groups: Dict[Tuple[int, Optional[str]], _StreamTickGroup] = {}
-        for session_id, chunk in chunks_by_session.items():
-            session = self.session(session_id)  # raises for unknown ids
-            engine = self._stream_engine(session)  # pinned or registry
-            pipeline = engine.pipeline
-            stride_val = self._resolve_stride(session, stride, pipeline)
-            # An open stream keeps the dtype it was opened with even if
-            # the session attribute were mutated mid-stream.
-            dtype_val = (
-                session.stream.dtype
-                if session.stream is not None
-                else session.dtype
+    ) -> np.ndarray:
+        """Check one session's chunk on its own, as :meth:`step_stream` would.
+
+        Raises what a tick holding this chunk would raise for it — an
+        unknown session or cohort, a stride switch mid-stream, a chunk
+        that is not 2-D, has the wrong channel count for its cohort or
+        its open stream, or holds non-finite samples — and returns the
+        chunk as float64.  Nothing moves.  A front end that parks chunks
+        for a shared tick calls this on arrival, so a bad chunk is
+        answered alone and never costs the sessions it would have
+        shared the tick with their chunks.
+        """
+        return self._check_stream_chunk(session_id, chunk, stride)
+
+    def _check_stream_chunk(
+        self,
+        session_id: str,
+        chunk: np.ndarray,
+        stride,
+        groups: "Optional[Dict[Tuple[int, Optional[str]], _StreamTickGroup]]" = None,
+    ) -> np.ndarray:
+        """Every check of one session's chunk; with ``groups`` (a tick's
+        validation pass) the chunk also joins its group, after the check
+        against the group's channel count."""
+        session = self.session(session_id)  # raises for unknown ids
+        engine = self._stream_engine(session)  # pinned or registry
+        pipeline = engine.pipeline
+        stride_val = self._resolve_stride(session, stride, pipeline)
+        # An open stream keeps the dtype it was opened with even if the
+        # session attribute were mutated mid-stream.
+        dtype_val = (
+            session.stream.dtype if session.stream is not None else session.dtype
+        )
+        arr = np.asarray(chunk, dtype=np.float64)
+        if arr.ndim != 2:
+            raise DataShapeError(
+                f"session {session.session_id!r} chunk must be 2-D "
+                f"(samples, channels), got {arr.shape}"
             )
-            arr = np.asarray(chunk, dtype=np.float64)
-            if arr.ndim != 2:
-                raise DataShapeError(
-                    f"session {session.session_id!r} chunk must be 2-D "
-                    f"(samples, channels), got {arr.shape}"
-                )
+        group = None
+        if groups is not None:
             dtype_key = None if dtype_val is None else np.dtype(dtype_val).name
             group = groups.setdefault(
                 (id(engine), dtype_key),
@@ -1158,30 +1346,31 @@ class FleetServer:
                     f"{arr.shape[1]} channels, differs from the batch's "
                     f"{group.n_channels} (session {group.ids[0]!r})"
                 )
-            expected = pipeline.expected_channels
-            if expected is not None and arr.shape[1] != expected:
+        expected = pipeline.expected_channels
+        if expected is not None and arr.shape[1] != expected:
+            raise DataShapeError(
+                f"session {session.session_id!r} chunk has "
+                f"{arr.shape[1]} channels, cohort "
+                f"{session.cohort!r} expects {expected}"
+            )
+        if session.stream is not None:
+            locked = session.stream.state.n_channels
+            if locked is not None and arr.shape[1] != locked:
                 raise DataShapeError(
                     f"session {session.session_id!r} chunk has "
-                    f"{arr.shape[1]} channels, cohort "
-                    f"{session.cohort!r} expects {expected}"
+                    f"{arr.shape[1]} channels, its stream started with "
+                    f"{locked}"
                 )
-            if session.stream is not None:
-                locked = session.stream.state.n_channels
-                if locked is not None and arr.shape[1] != locked:
-                    raise DataShapeError(
-                        f"session {session.session_id!r} chunk has "
-                        f"{arr.shape[1]} channels, its stream started with "
-                        f"{locked}"
-                    )
-            if not np.isfinite(arr).all():
-                raise DataShapeError(
-                    f"session {session.session_id!r} chunk holds non-finite "
-                    f"samples (NaN or inf)"
-                )
+        if not np.isfinite(arr).all():
+            raise DataShapeError(
+                f"session {session.session_id!r} chunk holds non-finite "
+                f"samples (NaN or inf)"
+            )
+        if group is not None:
             group.ids.append(session.session_id)
             group.arrays.append(arr)
             group.strides.append(stride_val)
-        return groups
+        return arr
 
     def _featurize_stream_groups(
         self, groups: "Dict[Tuple[int, Optional[str]], _StreamTickGroup]"
@@ -1191,12 +1380,14 @@ class FleetServer:
         Opens a :class:`StreamSession` (pinning the group's engine) for
         sessions without one, consumes every chunk into its stream state
         and fills each group's per-session feature blocks.  Carry-over is
-        per session; the windows the group's windowed-denoise sessions
-        completed are then stacked and featurized in *one*
-        ``window_features`` call (denoise, extract, normalize once per
-        group, not once per session) and split back by count — the same
-        two halves ``process_chunk`` composes, so a session's rows do not
-        depend on who shared its tick.  Overlapping-stride sessions
+        per session (the chunks were checked by the validation pass, so
+        the pipeline does not check them again); the windows the group's
+        windowed-denoise sessions completed are then stacked and
+        featurized in *one* call of the pipeline's window kernel (denoise,
+        extract, normalize once per group, not once per session) and
+        split back by count — the same two halves ``process_chunk``
+        composes, so a session's rows do not depend on who shared its
+        tick.  Overlapping-stride sessions
         denoise their continuous signal and keep their own
         ``process_chunk``.  From here on the tick's completed windows
         only exist in those blocks — which is why a later per-model
@@ -1217,16 +1408,20 @@ class FleetServer:
                 state = session.stream.state
                 if state.denoise == "windowed":
                     stacked.append(
-                        (len(group.blocks), pipeline.fold_chunk(state, arr))
+                        (
+                            len(group.blocks),
+                            pipeline.fold_chunk(state, arr, validated=True),
+                        )
                     )
                     group.blocks.append(None)
                 else:
-                    group.blocks.append(pipeline.process_chunk(state, arr))
+                    group.blocks.append(
+                        pipeline.process_chunk(state, arr, validated=True)
+                    )
             if not stacked:
                 continue
-            features = pipeline.window_features(
-                np.concatenate([windows for _, windows in stacked], axis=0),
-                _feature_dtype(group.dtype),
+            features = pipeline.window_kernel(_feature_dtype(group.dtype))(
+                np.concatenate([windows for _, windows in stacked], axis=0)
             )
             offset = 0
             for slot, windows in stacked:
@@ -1260,7 +1455,10 @@ class FleetServer:
             str(sid): [] for sid in session_ids
         }
         for group, batch in results:
+            # Python scalars, read once per batch rather than per window.
             names = batch.names
+            confidences = batch.confidences.tolist()
+            accepted = batch.accepted.tolist()
             offset = 0
             for session_id, count in zip(group.ids, group.counts):
                 session = self.sessions[session_id]
@@ -1268,11 +1466,9 @@ class FleetServer:
                 rejected = 0
                 for i in range(offset, offset + count):
                     verdicts[session_id].append(
-                        session.observe(
-                            names[i], batch.confidences[i], batch.accepted[i]
-                        )
+                        session.observe(names[i], confidences[i], accepted[i])
                     )
-                    rejected += int(not batch.accepted[i])
+                    rejected += not accepted[i]
                 self._charge_windows(session.cohort, count, rejected)
                 offset += count
         self._finish_tick(results, failure, featurize_ms, tick=tick)

@@ -18,6 +18,16 @@ from ..utils import check_2d
 from .support_set import SupportSet
 
 
+def softmax_of_distances(dists: np.ndarray, temperature: float) -> np.ndarray:
+    """Row softmax over negative distances: the arithmetic of
+    :meth:`NCMClassifier.proba_from_distances`, for a float64 ``(n, C)``
+    matrix and a positive temperature the caller has already checked."""
+    logits = -dists / temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 class NCMClassifier:
     """Prototype classifier in embedding space.
 
@@ -115,11 +125,7 @@ class NCMClassifier:
         """
         if temperature <= 0:
             raise DataShapeError(f"temperature must be > 0, got {temperature}")
-        dists = check_2d("distances", distances)
-        logits = -dists / temperature
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return softmax_of_distances(check_2d("distances", distances), temperature)
 
     def predict_proba(self, embeddings: np.ndarray, temperature: float = 1.0):
         """Softmax over negative distances — a confidence proxy for the GUI.

@@ -70,6 +70,15 @@ def accept_from_distances(
         )
     if nearest is None:
         nearest = np.argmin(dists, axis=1)
+    return accept_rows(dists, thresholds, ratio, nearest)
+
+
+def accept_rows(
+    dists: np.ndarray, thresholds: np.ndarray, ratio: float, nearest: np.ndarray
+) -> np.ndarray:
+    """The two open-set tests of :func:`accept_from_distances`, for a
+    float64 distance matrix, ``(C,)`` float64 thresholds and the per-row
+    argmin, all of which the caller has already checked."""
     nearest_dist = dists[np.arange(dists.shape[0]), nearest]
     accepted = nearest_dist <= thresholds[nearest]
     if ratio > 0.0 and dists.shape[1] >= 2:

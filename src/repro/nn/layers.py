@@ -15,6 +15,10 @@ Conventions
   ``need_input_grad=False`` the parameter gradients are accumulated exactly
   as before and ``None`` is returned instead of the input gradient — the
   first layer of a network being trained has nobody to hand it to.
+- ``infer(x)`` is the inference-mode arithmetic alone: no dtype cast, no
+  shape check, no cache.  ``forward(x, training=False)`` is the checked
+  entry and returns exactly ``infer``'s bits; a caller that has already
+  checked its input (the engine's window->verdict kernel) calls ``infer``.
 - Parameters are :class:`Parameter` objects; optimizers mutate
   ``param.data`` in place using ``param.grad``.
 """
@@ -62,6 +66,11 @@ class Layer:
     ) -> Optional[np.ndarray]:
         raise NotImplementedError
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference-mode output for an input already of the layer's dtype
+        and shape; layers without their own fall back to ``forward``."""
+        return self.forward(x, training=False)
+
     def parameters(self) -> List[Parameter]:
         return []
 
@@ -104,6 +113,9 @@ class Linear(Layer):
             )
         if training:
             self._x = x
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.data + self.bias.data
 
     def backward(
@@ -142,6 +154,9 @@ class ReLU(Layer):
             x = x.astype(np.float64)
         if training:
             self._mask = x > 0.0
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
 
     def backward(
@@ -167,10 +182,13 @@ class Tanh(Layer):
         x = np.asarray(x)
         if not np.issubdtype(x.dtype, np.floating):
             x = x.astype(np.float64)
-        out = np.tanh(x)
+        out = self.infer(x)
         if training:
             self._out = out
         return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
 
     def backward(
         self, grad_out: np.ndarray, need_input_grad: bool = True
@@ -201,10 +219,13 @@ class Dropout(Layer):
             x = x.astype(np.float64)
         if not training or self.rate == 0.0:
             self._mask = np.ones_like(x)
-            return x
+            return self.infer(x)
         keep = 1.0 - self.rate
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x  # inverted dropout: inference is the identity
 
     def backward(
         self, grad_out: np.ndarray, need_input_grad: bool = True
@@ -257,8 +278,11 @@ class BatchNorm1d(Layer):
             )
             x_hat = (x - mean) / np.sqrt(var + self.eps)
             self._cache = (x_hat, var)
-        else:
-            x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+            return self.gamma.data * x_hat + self.beta.data
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return self.gamma.data * x_hat + self.beta.data
 
     def backward(

@@ -45,6 +45,20 @@ class Sequential(Layer):
             out = layer.forward(out, training=training)
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The inference pass for an input the caller has already checked.
+
+        Each layer's own ``infer`` — the arithmetic of its
+        ``forward(training=False)`` without the per-layer cast and shape
+        check — so the output is ``forward(x, training=False)``'s bits for
+        an ``x`` of the parameters' dtype and the first layer's width.
+        Parameters are read on every call: in-place training and
+        ``load_state_dict`` are seen at once.
+        """
+        for layer in self.layers:
+            x = layer.infer(x)
+        return x
+
     def backward(
         self, grad_out: np.ndarray, need_input_grad: bool = True
     ) -> Optional[np.ndarray]:

@@ -45,7 +45,8 @@ for two ``lfilter`` passes and nothing else.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+import functools
+from typing import Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 from scipy import signal as _signal
@@ -153,11 +154,11 @@ _TRUNCATION_TARGET = 1e-16
 _MAX_TRUNCATION = 4096
 
 
-def _along(x: np.ndarray, axis: int, index) -> np.ndarray:
-    """``x[..., index, ...]`` with ``index`` applied on ``axis``."""
-    full = [slice(None)] * x.ndim
+def _along(ndim: int, axis: int, index) -> tuple:
+    """The index tuple of ``x[..., index, ...]``, ``index`` on ``axis``."""
+    full = [slice(None)] * ndim
     full[axis] = index
-    return x[tuple(full)]
+    return tuple(full)
 
 
 class ZeroPhaseDesign:
@@ -191,6 +192,28 @@ class ZeroPhaseDesign:
         self.lookahead = self.block + self.truncation
         #: Relative error bound of pushed (non-flush) emissions vs ``apply``.
         self.error_bound = rho ** self.truncation
+        # (ndim, axis) -> zero_phase's index tuples and shaped zi
+        self._plans: Dict[Tuple[int, int], tuple] = {}
+
+    def _plan(self, ndim: int, axis: int) -> tuple:
+        """``zero_phase``'s index tuples and shaped ``zi`` for arrays of
+        ``ndim`` dimensions filtered along ``axis``, built once."""
+        plan = self._plans.get((ndim, axis))
+        if plan is None:
+            p = self.padlen
+            zi_shape = [1] * ndim
+            zi_shape[axis] = self.zi.size
+            plan = (
+                _along(ndim, axis, slice(0, 1)),
+                _along(ndim, axis, slice(p, 0, -1)),
+                _along(ndim, axis, slice(-1, None)),
+                _along(ndim, axis, slice(-2, -(p + 2), -1)),
+                _along(ndim, axis, slice(None, None, -1)),
+                _along(ndim, axis, slice(-1 - p, p - 1, -1)),
+                self.zi.reshape(zi_shape),
+            )
+            self._plans[(ndim, axis)] = plan
+        return plan
 
     def zero_phase(self, x: np.ndarray, axis: int) -> np.ndarray:
         """``scipy.signal.filtfilt(b, a, x, axis=axis)``, bit for bit.
@@ -201,28 +224,15 @@ class ZeroPhaseDesign:
         order, against the cached ``zi`` instead of re-solving it per call.
         ``x`` must be longer than ``padlen`` along ``axis``.
         """
-        p = self.padlen
+        first, head, last, tail, reverse, trim, zi = self._plan(x.ndim, axis)
         ext = np.concatenate(
-            (
-                2 * _along(x, axis, slice(0, 1)) - _along(x, axis, slice(p, 0, -1)),
-                x,
-                2 * _along(x, axis, slice(-1, None))
-                - _along(x, axis, slice(-2, -(p + 2), -1)),
-            ),
-            axis=axis,
+            (2 * x[first] - x[head], x, 2 * x[last] - x[tail]), axis=axis
         )
-        zi_shape = [1] * x.ndim
-        zi_shape[axis] = self.zi.size
-        zi = self.zi.reshape(zi_shape)
+        y, _ = _signal.lfilter(self.b, self.a, ext, axis=axis, zi=zi * ext[first])
         y, _ = _signal.lfilter(
-            self.b, self.a, ext, axis=axis,
-            zi=zi * _along(ext, axis, slice(0, 1)),
+            self.b, self.a, y[reverse], axis=axis, zi=zi * y[last]
         )
-        y, _ = _signal.lfilter(
-            self.b, self.a, _along(y, axis, slice(None, None, -1)), axis=axis,
-            zi=zi * _along(y, axis, slice(-1, None)),
-        )
-        return _along(y, axis, slice(-1 - p, p - 1, -1))
+        return y[trim]
 
 
 class ZeroPhaseIIRStream:
@@ -552,9 +562,20 @@ class ButterworthLowpass:
         round-trips through scipy.
         """
         arr = check_3d("windows", windows)
-        if arr.shape[1] <= self._design.padlen:
-            return arr.copy()
-        return self._design.zero_phase(arr, axis=1)
+        return self.batch_kernel(arr.shape[1])(arr)
+
+    def batch_kernel(self, window_len: int) -> Callable[[np.ndarray], np.ndarray]:
+        """:meth:`apply_batch` resolved for one window length.
+
+        The returned callable filters a checked ``(k, window_len,
+        channels)`` float64 stack: the design's zero-phase pass along the
+        sample axis, or a copy for windows too short to extend.  The
+        pipeline's window kernel holds it, so a tick pays for the two
+        ``lfilter`` passes and nothing else.
+        """
+        if window_len <= self._design.padlen:
+            return np.copy
+        return functools.partial(self._design.zero_phase, axis=1)
 
     def make_stream(self) -> ZeroPhaseIIRStream:
         """Chunked applicator with zi carry-over; see

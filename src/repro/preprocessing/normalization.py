@@ -5,11 +5,17 @@ Normalizers follow a tiny fit/transform protocol over 2-D feature matrices
 arrays) so they travel inside the transfer package.  The statistics are
 fitted on the Cloud's campaign data and *never* re-fitted on the Edge —
 re-fitting would silently shift the embedding space under the model.
+
+``transform`` checks its input, then runs ``transform_rows`` — the
+arithmetic alone, which a caller holding rows it built itself (the
+pipeline's window kernel) calls directly.  A float32 block is normalized
+against float32 casts of the fitted statistics, made once per fit rather
+than once per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -22,6 +28,26 @@ from ..exceptions import (
 from ..utils import check_2d
 
 
+def _float32_stats(cache, offset: np.ndarray, divisor: np.ndarray):
+    """``(cache, offset32, divisor32)``: the float32 casts of two fitted
+    arrays, re-made only when either array object was replaced (a fit or
+    ``from_dict`` assigns fresh arrays)."""
+    if cache is None or cache[0] is not offset or cache[1] is not divisor:
+        cache = (
+            offset, divisor, offset.astype(np.float32), divisor.astype(np.float32)
+        )
+    return cache, cache[2], cache[3]
+
+
+def _checked_rows(features, n_cols: int) -> np.ndarray:
+    """``transform``'s input check: 2-D, ``n_cols`` wide, float32 kept and
+    anything else as float64."""
+    arr = check_2d("features", features, n_cols=n_cols, dtype=None)
+    if arr.dtype != np.float32 and arr.dtype != np.float64:
+        arr = np.asarray(arr, dtype=np.float64)
+    return arr
+
+
 class ZScoreNormalizer:
     """Per-feature standardization to zero mean / unit variance.
 
@@ -31,6 +57,7 @@ class ZScoreNormalizer:
     def __init__(self) -> None:
         self.mean_: np.ndarray = None
         self.scale_: np.ndarray = None
+        self._f32: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -50,18 +77,20 @@ class ZScoreNormalizer:
     def transform(self, features: np.ndarray) -> np.ndarray:
         if not self.is_fitted:
             raise NotFittedError("ZScoreNormalizer used before fit()")
-        arr = check_2d(
-            "features", features, n_cols=self.mean_.shape[0], dtype=None
-        )
+        return self.transform_rows(_checked_rows(features, self.mean_.shape[0]))
+
+    def transform_rows(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`transform`'s arithmetic on a fitted normalizer's checked
+        ``(n, n_features)`` float32 or float64 rows.
+
+        A float32 block stays float32 (the reduced-precision fast path),
+        normalized against the statistics' cached float32 casts.
+        """
         if arr.dtype == np.float32:
-            # The reduced-precision fast path: normalize in 32 bits so
-            # float32 feature blocks stay float32 (the fitted statistics
-            # are cast per call — 2 x n_features values, negligible).
-            return (arr - self.mean_.astype(np.float32)) / self.scale_.astype(
-                np.float32
+            self._f32, mean, scale = _float32_stats(
+                self._f32, self.mean_, self.scale_
             )
-        if arr.dtype != np.float64:
-            arr = np.asarray(arr, dtype=np.float64)
+            return (arr - mean) / scale
         return (arr - self.mean_) / self.scale_
 
     def fit_transform(self, features: np.ndarray) -> np.ndarray:
@@ -104,6 +133,7 @@ class MinMaxNormalizer:
         self.clip = bool(clip)
         self.min_: np.ndarray = None
         self.range_: np.ndarray = None
+        self._f32: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -121,17 +151,17 @@ class MinMaxNormalizer:
     def transform(self, features: np.ndarray) -> np.ndarray:
         if not self.is_fitted:
             raise NotFittedError("MinMaxNormalizer used before fit()")
-        arr = check_2d(
-            "features", features, n_cols=self.min_.shape[0], dtype=None
-        )
+        return self.transform_rows(_checked_rows(features, self.min_.shape[0]))
+
+    def transform_rows(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`transform`'s arithmetic on checked rows (see
+        :meth:`ZScoreNormalizer.transform_rows`)."""
         if arr.dtype == np.float32:
-            # Mirror ZScoreNormalizer: float32 blocks normalize in 32 bits.
-            out = (arr - self.min_.astype(np.float32)) / self.range_.astype(
-                np.float32
+            self._f32, low, span = _float32_stats(
+                self._f32, self.min_, self.range_
             )
+            out = (arr - low) / span
         else:
-            if arr.dtype != np.float64:
-                arr = np.asarray(arr, dtype=np.float64)
             out = (arr - self.min_) / self.range_
         if self.clip:
             out = np.clip(out, 0.0, 1.0)

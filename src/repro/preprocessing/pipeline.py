@@ -33,6 +33,12 @@ layout.  Denoisers act column-wise (the denoiser contract), so the
 features are the same bits as denoising every channel.  Extractors
 without a streaming twin (spectral, combined, subclassed) keep all 22.
 
+Windowed (non-overlapping) ticks run through :meth:`window_kernel`: the
+chunk is checked once, by :meth:`process_chunk`, and its completed
+windows then go through read columns -> denoise -> stacked statistics ->
+normalize with no stage re-checking the one before; the kernel holds what
+depends only on configuration and is rebuilt when a stage is replaced.
+
 The normalizer is fitted exactly once (on the Cloud) via
 :meth:`fit_normalizer`; the fitted pipeline round-trips through
 ``to_dict``/``from_dict`` and reports its transfer size.
@@ -41,7 +47,7 @@ The normalizer is fitted exactly once (on the Cloud) via
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -185,6 +191,89 @@ class StreamState:
         return self.windows_out * self.stride
 
 
+class _WindowKernel:
+    """One pipeline's window featurize pass, resolved for one dtype.
+
+    Built by :meth:`PreprocessingPipeline.window_kernel`.  Holds every
+    configuration-only piece of the pass — the read-column index, the
+    denoiser's batch kernel, the normalizer's row transform — and the
+    stages it was built from, so the pipeline can tell when one of them
+    has been replaced.  The stacked statistics are the streaming
+    extractor's ``extract_read_columns``, whose few scalar checks are all
+    the checking the pass still does.
+    """
+
+    __slots__ = (
+        "denoiser", "extractor", "normalizer", "window_len", "_dtype",
+        "_n_features", "_raw", "_normalize", "_empty",
+    )
+
+    def __init__(self, pipeline: "PreprocessingPipeline", dtype) -> None:
+        self.denoiser = pipeline.denoiser
+        self.extractor = pipeline.extractor
+        self.normalizer = pipeline.normalizer
+        self.window_len = pipeline.window_len
+        self._dtype = dtype or np.float64
+        self._n_features = pipeline.n_features
+        denoise = pipeline._windows_denoiser()
+        streaming = pipeline.streaming_extractor
+        if streaming is None:
+            extractor = self.extractor
+
+            def raw(windows: np.ndarray) -> np.ndarray:
+                return PreprocessingPipeline._cast_features(
+                    extractor.extract(denoise(windows)), dtype
+                )
+        else:
+            columns = streaming.read_channels
+            window_len = self.window_len
+
+            def raw(windows: np.ndarray) -> np.ndarray:
+                # Non-overlapping windows partition a signal, so the
+                # denoised stack folds back into one continuous block.
+                denoised = denoise(windows[..., columns])
+                return streaming.extract_read_columns(
+                    denoised.reshape(-1, denoised.shape[2]),
+                    window_len,
+                    stride=window_len,
+                    dtype=dtype,
+                )
+
+        self._raw = raw
+        self._normalize = getattr(
+            self.normalizer, "transform_rows", self.normalizer.transform
+        )
+        self._empty: Optional[np.ndarray] = None
+
+    def raw(self, windows: np.ndarray) -> np.ndarray:
+        """*Unnormalized* feature rows of checked windows."""
+        if windows.shape[0] == 0:
+            return np.empty((0, self._n_features), dtype=self._dtype)
+        return self._raw(windows)
+
+    def serves(self, pipeline: "PreprocessingPipeline") -> bool:
+        """Whether ``pipeline`` still holds the stages this was built from."""
+        return (
+            pipeline.denoiser is self.denoiser
+            and pipeline.extractor is self.extractor
+            and pipeline.normalizer is self.normalizer
+            and pipeline.window_len == self.window_len
+        )
+
+    def __call__(self, windows: np.ndarray) -> np.ndarray:
+        """Normalized feature rows of checked windows."""
+        if self._empty is None:
+            # The checked transform of an empty block: it checks the
+            # normalizer (fitted, as wide as the rows) once, and a copy of
+            # it is every window-less tick's result from then on.
+            self._empty = self.normalizer.transform(
+                np.empty((0, self._n_features), dtype=self._dtype)
+            )
+        if windows.shape[0] == 0:
+            return self._empty.copy()
+        return self._normalize(self._raw(windows))
+
+
 class PreprocessingPipeline:
     """Denoise -> segment -> extract features -> normalize.
 
@@ -237,6 +326,13 @@ class PreprocessingPipeline:
         self.normalizer = normalizer if normalizer is not None else ZScoreNormalizer()
         self._streaming_extractor: Optional[StreamingFeatureExtractor] = None
         self._streaming_source = None  # the extractor the memo was built from
+        # dtype -> _WindowKernel, rebuilt when a stage it holds is replaced
+        self._window_kernels: Dict[object, _WindowKernel] = {}
+
+    def __getstate__(self) -> Dict:
+        # Window kernels are closures over this pipeline's stages: a copy
+        # builds its own on first use.
+        return dict(self.__dict__, _window_kernels={})
 
     # ------------------------------------------------------------------ #
     # properties
@@ -302,6 +398,14 @@ class PreprocessingPipeline:
         if batch_apply is not None:
             return batch_apply(windows)
         return np.stack([self.denoiser.apply(w) for w in windows], axis=0)
+
+    def _windows_denoiser(self) -> Callable[[np.ndarray], np.ndarray]:
+        """:meth:`_denoise_windows` resolved for the pipeline's window
+        length, for denoisers that offer a ``batch_kernel``."""
+        batch_kernel = getattr(self.denoiser, "batch_kernel", None)
+        if batch_kernel is None:
+            return self._denoise_windows
+        return batch_kernel(self.window_len)
 
     def raw_features_of_windows(self, windows: np.ndarray) -> np.ndarray:
         """Denoise each window independently and extract *unnormalized* features."""
@@ -381,6 +485,16 @@ class PreprocessingPipeline:
         ``dtype=np.float32`` runs feature extraction in 32 bits (denoising
         always stays ``float64``); the returned matrix is then ``float32``.
         """
+        arr, stride, denoise, dtype = self._stream_input(
+            data, stride, denoise, dtype
+        )
+        if denoise == "windowed":
+            return self.window_kernel(dtype).raw(self._cut_windows(arr))
+        return self._span_features(arr, stride, dtype)
+
+    def _stream_input(self, data, stride, denoise: str, dtype):
+        """The checks of the whole-stream entry points: ``(arr, stride,
+        denoise, dtype)`` with ``arr`` a float64 ``(n, channels)`` array."""
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise DataShapeError(
@@ -388,21 +502,29 @@ class PreprocessingPipeline:
             )
         # Validate channels up front so short malformed inputs fail the
         # same way long ones do, instead of slipping through the
-        # zero-window early return below.
+        # zero-window early return.
         expected = self.expected_channels
         if expected is not None and arr.shape[1] != expected:
             raise DataShapeError(
                 f"data must have {expected} channels, got {arr.shape[1]}"
             )
         stride, denoise = self._resolve_stream_args(stride, denoise)
-        dtype = resolve_feature_dtype(dtype)
-        if denoise == "windowed":
-            return self._raw_window_features(
-                sliding_windows(arr, self.window_len, stride, copy=False),
-                dtype,
-            )
+        return arr, stride, denoise, resolve_feature_dtype(dtype)
+
+    def _cut_windows(self, data: np.ndarray) -> np.ndarray:
+        """The complete non-overlapping windows of ``(n, channels)`` data,
+        ``(k, window_len, channels)``: a reshape, a view when ``data`` is
+        contiguous."""
+        k = data.shape[0] // self.window_len
+        return data[: k * self.window_len].reshape(
+            k, self.window_len, data.shape[1]
+        )
+
+    def _span_features(self, data: np.ndarray, stride: int, dtype) -> np.ndarray:
+        """Stream-denoise features of a whole signal: its read columns are
+        denoised once, then every window at ``stride`` is extracted."""
         return self._extract_span(
-            self.denoiser.apply(self._read_columns(arr)), stride, dtype
+            self.denoiser.apply(self._read_columns(data)), stride, dtype
         )
 
     def _read_columns(self, data: np.ndarray) -> np.ndarray:
@@ -420,27 +542,26 @@ class PreprocessingPipeline:
             return data
         return data[..., streaming.read_channels]
 
-    def _raw_window_features(self, windows: np.ndarray, dtype) -> np.ndarray:
-        """*Unnormalized* stream-path features of non-overlapping windows.
+    def window_kernel(self, dtype=None) -> "_WindowKernel":
+        """The featurize half of a windowed tick, resolved once per dtype.
 
-        Each ``(window_len, channels)`` window's read columns are denoised
-        in isolation (one batched call), then featurized by the streaming
-        extractor.
+        Calling the returned kernel maps raw non-overlapping windows,
+        ``(k, window_len, channels)`` float64 that the caller has already
+        checked (what :meth:`fold_chunk` hands out), to normalized
+        feature rows: read columns -> denoise each window -> stacked
+        statistics -> normalize, with no stage re-checking what the one
+        before produced.  Its ``raw`` method stops before normalizing.
+        ``dtype`` is ``None`` or ``np.float32`` (see
+        :func:`resolve_feature_dtype`).  The kernel is built on first use
+        and rebuilt when the denoiser, extractor, normalizer or window
+        length is replaced.  Its first call checks the normalizer (fitted,
+        as wide as the extractor's rows) through ``transform``.
         """
-        if windows.shape[0] == 0:
-            return np.empty((0, self.n_features), dtype=dtype or np.float64)
-        denoised = self._denoise_windows(self._read_columns(windows))
-        streaming = self.streaming_extractor
-        if streaming is None:
-            return self._cast_features(self.extractor.extract(denoised), dtype)
-        # Non-overlapping windows partition a signal, so the denoised stack
-        # folds back into one continuous array for the streaming extractor.
-        return streaming.extract_read_columns(
-            denoised.reshape(-1, denoised.shape[2]),
-            self.window_len,
-            stride=self.window_len,
-            dtype=dtype,
-        )
+        kernel = self._window_kernels.get(dtype)
+        if kernel is None or not kernel.serves(self):
+            kernel = _WindowKernel(self, dtype)
+            self._window_kernels[dtype] = kernel
+        return kernel
 
     @staticmethod
     def _cast_features(features: np.ndarray, dtype) -> np.ndarray:
@@ -469,10 +590,13 @@ class PreprocessingPipeline:
                 "pipeline normalizer is not fitted; call fit_normalizer() "
                 "on the Cloud before processing"
             )
+        arr, stride, denoise, dtype = self._stream_input(
+            data, stride, denoise, dtype
+        )
+        if denoise == "windowed":
+            return self.window_kernel(dtype)(self._cut_windows(arr))
         return self.normalizer.transform(
-            self.raw_stream_features(
-                data, stride=stride, denoise=denoise, dtype=dtype
-            )
+            self._span_features(arr, stride, dtype)
         )
 
     # ------------------------------------------------------------------ #
@@ -519,8 +643,17 @@ class PreprocessingPipeline:
             dtype=dtype,
         )
 
-    def _check_chunk(self, state: StreamState, chunk: np.ndarray) -> np.ndarray:
-        """Validate one chunk against the stream's locked geometry."""
+    def _check_chunk(
+        self, state: StreamState, chunk: np.ndarray, validated: bool = False
+    ) -> np.ndarray:
+        """Validate one chunk against the stream's locked geometry.
+
+        ``validated=True``: the caller has made these very checks (see
+        :meth:`process_chunk`); only the stream's channel count is locked.
+        """
+        if validated:
+            state.n_channels = int(chunk.shape[1])
+            return chunk
         if state.finished:
             raise ConfigurationError(
                 "stream is finished; open_stream() a new session"
@@ -598,7 +731,9 @@ class PreprocessingPipeline:
         state.windows_out += k
         return features
 
-    def fold_chunk(self, state: StreamState, chunk: np.ndarray) -> np.ndarray:
+    def fold_chunk(
+        self, state: StreamState, chunk: np.ndarray, validated: bool = False
+    ) -> np.ndarray:
         """Fold a chunk into a windowed stream's carry-over.
 
         Returns the raw windows the chunk completed, ``(k, window_len,
@@ -607,13 +742,15 @@ class PreprocessingPipeline:
         them into feature rows; windows of several streams of one pipeline
         may be stacked into a single such call (what a fleet tick does).
         Only windowed-denoise streams have raw windows to hand out.
+
+        ``validated`` is :meth:`process_chunk`'s.
         """
         if state.denoise != "windowed":
             raise ConfigurationError(
                 "fold_chunk() serves windowed-denoise streams; a "
                 "stream-denoise session goes through process_chunk()"
             )
-        arr = self._check_chunk(state, chunk)
+        arr = self._check_chunk(state, chunk, validated)
         state.samples_in += arr.shape[0]
         if state.buffer is None or state.buffer.shape[0] == 0:
             buffer = arr
@@ -636,18 +773,27 @@ class PreprocessingPipeline:
 
         Batch denoise (each window in isolation) -> streaming extract ->
         normalize: the second half of a windowed :meth:`process_chunk`, so
-        the rows are chunk-invariant by construction.
+        the rows are chunk-invariant by construction.  The windows are
+        checked here, then run through :meth:`window_kernel`.
         """
-        return self.normalizer.transform(
-            self._raw_window_features(windows, dtype)
-        )
+        arr = check_3d("windows", windows)
+        if arr.shape[1] != self.window_len:
+            raise DataShapeError(
+                f"windows must be {self.window_len} samples long, "
+                f"got {arr.shape[1]}"
+            )
+        return self.window_kernel(resolve_feature_dtype(dtype))(arr)
 
     def _chunk_raw_features(
-        self, state: StreamState, chunk: np.ndarray, final: bool = False
+        self,
+        state: StreamState,
+        chunk: np.ndarray,
+        final: bool = False,
+        validated: bool = False,
     ) -> np.ndarray:
         """Stream-denoise mode: push the read columns through the
         denoiser, emit features."""
-        arr = self._check_chunk(state, chunk)
+        arr = self._check_chunk(state, chunk, validated)
         state.samples_in += arr.shape[0]
         emitted = state.denoiser_stream.push(self._read_columns(arr))
         features = self._consume_denoised(state, emitted)
@@ -657,7 +803,9 @@ class PreprocessingPipeline:
                 features = np.concatenate([features, tail], axis=0)
         return features
 
-    def process_chunk(self, state: StreamState, chunk: np.ndarray) -> np.ndarray:
+    def process_chunk(
+        self, state: StreamState, chunk: np.ndarray, validated: bool = False
+    ) -> np.ndarray:
         """One chunk of continuous raw samples -> normalized features.
 
         Returns the feature rows of every window *completed* by this chunk
@@ -669,6 +817,12 @@ class PreprocessingPipeline:
         ``state.chunk_invariant``), in O(chunk) work per call.  A chunk
         holding non-finite samples is refused with ``DataShapeError``
         before the stream state moves.
+
+        ``validated=True`` is for a caller that has already checked the
+        chunk exactly as this method would — a float64 2-D array of the
+        stream's channel count, every sample finite, on an open stream —
+        as a fleet tick does for all its chunks before any stream moves;
+        the chunk is then not checked a second time.
         """
         if not self.is_fitted:
             raise NotFittedError(
@@ -676,10 +830,12 @@ class PreprocessingPipeline:
                 "on the Cloud before processing"
             )
         if state.denoise == "windowed":
-            return self.window_features(
-                self.fold_chunk(state, chunk), state.dtype
+            return self.window_kernel(state.dtype)(
+                self.fold_chunk(state, chunk, validated)
             )
-        return self.normalizer.transform(self._chunk_raw_features(state, chunk))
+        return self.normalizer.transform(
+            self._chunk_raw_features(state, chunk, validated=validated)
+        )
 
     def finish_stream(self, state: StreamState) -> np.ndarray:
         """Close a chunked stream; returns the last windows' features.

@@ -14,12 +14,14 @@ takes the read columns of its 22-channel input first;
 ``extract_read_columns`` is the entry for a signal already cut to them
 (the pipeline's, whose denoiser only ever filters those columns).  Each
 call builds one ``(signals, n)`` series block (raw channel columns plus
-the 3-axis groups whose norms are the derived magnitudes); the call's
-windows are then walked in bounded groups
+the 3-axis groups whose norms are the derived magnitudes) and views its
+windows — by a reshape at the non-overlapping stride, a strided view
+otherwise; the windows are then walked in bounded groups
 (:data:`_STACKED_BLOCK_SAMPLES`), each copied into one contiguous
 ``(windows * signals, window_len)`` block whose rows every statistic
 reduces in a single vectorized call — one sort shared by min, max,
-median and iqr.  Every reduction runs along its row only, so a feature
+median and iqr.  What depends only on the configuration — the series
+plan and slope's centred time axis — is resolved once, not per call.  Every reduction runs along its row only, so a feature
 row reads nothing but its own window's samples: it is bit-identical
 however the recording was chunked and whoever else shared the call, and
 the scratch is bounded by the block, not by the window count.
@@ -31,7 +33,8 @@ odd window lengths, constant signals and the empty case.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import functools
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -160,6 +163,15 @@ def _stacked_zcr(ctx: _StackedWindows) -> np.ndarray:
     return crossings / (w - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _slope_axis(window_len: int) -> Tuple[np.ndarray, float]:
+    """Slope's centred time axis and its squared norm, built once per
+    window length (read-only: every call shares it)."""
+    t_centered = np.arange(window_len, dtype=np.float64) - (window_len - 1) / 2.0
+    t_centered.flags.writeable = False
+    return t_centered, float((t_centered * t_centered).sum())
+
+
 def _stacked_slope(ctx: _StackedWindows) -> np.ndarray:
     w = ctx.window_len
     if w < 2:
@@ -167,8 +179,7 @@ def _stacked_slope(ctx: _StackedWindows) -> np.ndarray:
     # The time axis stays float64 on the float32 fast path too.  Multiply
     # and row-sum rather than a matrix product: BLAS picks its summation
     # order from the whole operand's shape, a row sum only from the row.
-    t_centered = np.arange(w, dtype=np.float64) - (w - 1) / 2.0
-    denom = float((t_centered * t_centered).sum())
+    t_centered, denom = _slope_axis(w)
     return (ctx.centered * t_centered).sum(axis=1) / denom
 
 
@@ -343,21 +354,35 @@ class StreamingFeatureExtractor:
         n_windows = window_count(arr.shape[0], window_len, stride)
         if n_windows == 0:
             return np.empty((0, self.n_features), dtype=target)
-        out = np.empty((n_windows, self.n_features), dtype=target)
-        signals, stats = self.config.signals, self.config.stats
-        series = series_block(arr)
-        signal_step, sample_step = series.strides
-        windows = np.lib.stride_tricks.as_strided(
-            series,
-            shape=(n_windows, len(signals), window_len),
-            strides=(stride * sample_step, signal_step, sample_step),
-            writeable=False,
-        )
+        return self._stacked(series_block(arr), n_windows, window_len, stride)
+
+    def _stacked(
+        self, series: np.ndarray, n_windows: int, window_len: int, stride: int
+    ) -> np.ndarray:
+        """The stacked pass over the first ``n_windows`` windows of a
+        ``(signals, n)`` series block; rows come out in its dtype."""
+        signals = series.shape[0]
+        if stride == window_len:  # non-overlapping: a reshape cuts them
+            windows = (
+                series[:, : n_windows * window_len]
+                .reshape(signals, n_windows, window_len)
+                .transpose(1, 0, 2)
+            )
+        else:
+            signal_step, sample_step = series.strides
+            windows = np.lib.stride_tricks.as_strided(
+                series,
+                shape=(n_windows, signals, window_len),
+                strides=(stride * sample_step, signal_step, sample_step),
+                writeable=False,
+            )
+        out = np.empty((n_windows, self.n_features), dtype=series.dtype)
         step = max(
             1,
             _STACKED_BLOCK_SAMPLES * 8
-            // (series.itemsize * len(signals) * window_len),
+            // (series.itemsize * signals * window_len),
         )
+        stats = self.config.stats
         for first in range(0, n_windows, step):
             ctx = _StackedWindows(
                 np.ascontiguousarray(windows[first : first + step]).reshape(

@@ -39,7 +39,12 @@ Three design points carry the production semantics:
   retries on one, but this server never sends it.)
 - **Failure isolation per connection.**  A client vanishing mid-CHUNK,
   after a CHUNK or mid-handshake releases exactly its own session; other
-  sessions' verdicts are untouched.
+  sessions' verdicts are untouched.  Every chunk is checked on its own
+  when it arrives, before it is parked
+  (:meth:`~repro.serving.FleetServer.check_chunk`): a non-finite, 1-D or
+  wrong-width chunk gets its own non-fatal ``ERROR`` frame and never
+  enters a flush, so the sessions it would have shared a tick with keep
+  their chunks and verdicts.
   Frame-level garbage gets a typed ``ERROR`` frame (code ``PROTOCOL``)
   and the decoder resynchronizes — corruption on one connection never
   poisons another.
@@ -413,6 +418,19 @@ class GatewayServer:
                 ),
             )
             return True
+        try:
+            # Checked alone, so a bad chunk is answered alone and never
+            # costs the sessions of its flush their chunks.
+            chunk = self._fleet.check_chunk(
+                state.session_id, frame.payload, stride=state.stride
+            )
+        except MagnetoError as exc:
+            await self._reply(
+                writer,
+                state,
+                error_frame(error_code_for(exc), str(exc), seq=frame.seq),
+            )
+            return True
         loop = asyncio.get_running_loop()
         waiter: asyncio.Future = loop.create_future()
         now = loop.time()
@@ -422,7 +440,7 @@ class GatewayServer:
             state.session_id,
             state.cohort,
             state.stride,
-            frame.payload,
+            chunk,
             waiter,
         )
         self._wake.set()

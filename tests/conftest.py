@@ -2,10 +2,14 @@
 
 Expensive artifacts (campaign, fitted pipeline, pre-trained package) are
 session-scoped and deliberately small; tests that mutate state get fresh
-copies (``scenario.fresh_edge()``, ``support_set.clone()``).
+copies (``scenario.fresh_edge()``, ``support_set.clone()``).  Set
+``REPRO_TEST_ORDER_SEED=<int>`` to run the suite in one shuffled order.
 """
 
 from __future__ import annotations
+
+import os
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +19,18 @@ from repro.datasets import build_edge_scenario
 from repro.nn import TrainConfig
 from repro.preprocessing import PreprocessingPipeline
 from repro.sensors import generate_campaign
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle the collected tests when ``REPRO_TEST_ORDER_SEED`` is set.
+
+    One integer seed gives one reproducible order (``random.Random(seed)``
+    over the whole collection), so an order that fails can be re-run.
+    Unset, the suite keeps its file order.
+    """
+    seed = os.environ.get("REPRO_TEST_ORDER_SEED")
+    if seed:
+        random.Random(int(seed)).shuffle(items)
 
 
 @pytest.fixture

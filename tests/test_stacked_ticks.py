@@ -447,6 +447,10 @@ def _state_bytes(state):
     )
 
 
+def _same(chunk):
+    return chunk
+
+
 def _poisoned(chunk, value, column=7):
     bad = chunk.copy()
     bad[chunk.shape[0] // 2, column] = value
@@ -612,3 +616,88 @@ class TestNonFiniteRefusal:
             **PARITY,
         )
         assert len(served) > 0
+
+    def test_a_bad_gateway_client_costs_its_tick_mates_nothing(
+        self, edge, walk
+    ):
+        """Two lockstep clients share one cohort, one stride and so every
+        flush; ``b`` poisons 4 of its 20 chunks.  Each bad chunk is refused
+        when it arrives: ``b`` gets exactly those 4 ERROR frames, and ``a``
+        gets none and is served what it is served alone."""
+        registry = ModelRegistry(default_cohort="cohort-0")
+        registry.publish("cohort-0", edge.engine)
+        signal = np.concatenate(walk, axis=0)
+        a_chunks = [signal[i * W : (i + 1) * W] for i in range(20)]
+        b_chunks = [signal[(i + 3) * W : (i + 4) * W] for i in range(20)]
+        poison = {
+            2: lambda c: _poisoned(c, np.nan),
+            7: lambda c: _poisoned(c, np.inf),
+            11: lambda c: _poisoned(c, -np.inf, column=UNREAD["prox"]),
+            16: lambda c: c[:, :21],
+        }
+        refused = []
+
+        async def body():
+            async with GatewayServer(registry, batch_window_s=0.05) as gateway:
+
+                async def client_a():
+                    async with GatewayClient(gateway.host, gateway.port) as a:
+                        await a.connect("a", stride=W)
+                        verdicts = []
+                        for chunk in a_chunks:
+                            verdicts.extend(await a.send_chunk(chunk))
+                        return verdicts + list(await a.finish())
+
+                async def client_b():
+                    async with GatewayClient(gateway.host, gateway.port) as b:
+                        await b.connect("b", stride=W)
+                        for i, chunk in enumerate(b_chunks):
+                            try:
+                                await b.send_chunk(poison.get(i, _same)(chunk))
+                            except DataShapeError as exc:
+                                refused.append((i, str(exc)))
+                        await b.finish()
+
+                served, _ = await asyncio.gather(client_a(), client_b())
+                return served, gateway.summary()["ticks"]
+
+        served, ticks = drive(body())
+        assert [i for i, _ in refused] == sorted(poison)
+        assert all("session 'b'" in message for _, message in refused)
+        assert ticks < 2 * len(a_chunks)  # the clients really shared flushes
+        want = _serve_sync(edge.engine, {"a": a_chunks})["a"]
+        assert len(served) == len(want) == len(a_chunks)
+        assert [(v.activity, v.display, v.accepted) for v in served] == [
+            (v.activity, v.display, v.accepted) for v in want
+        ]
+        np.testing.assert_allclose(
+            [v.confidence for v in served],
+            [v.confidence for v in want],
+            **PARITY,
+        )
+
+    def test_check_chunk_raises_what_a_tick_would_and_moves_nothing(
+        self, edge, walk
+    ):
+        server = FleetServer(edge.engine)
+        server.connect_many(["a", "b"])
+        server.step_stream({"a": walk[0][:170], "b": walk[1][:170]})
+        state = server.session("a").stream.state
+        before = _state_bytes(state)
+        chunk = walk[0][170:400]
+        bad_chunks = {
+            "non-finite": _poisoned(chunk, np.nan),
+            "2-D": chunk[:, 0],
+            "expects 22": chunk[:, :21],
+        }
+        for match, bad in bad_chunks.items():
+            with pytest.raises(DataShapeError, match=f"'a'.*{match}"):
+                server.check_chunk("a", bad)
+            with pytest.raises(DataShapeError, match=f"'a'.*{match}"):
+                server.step_stream({"a": bad, "b": walk[1][170:400]})
+            assert _state_bytes(state) == before
+        with pytest.raises(ConfigurationError, match="mid-stream"):
+            server.check_chunk("a", chunk, stride=60)
+        checked = server.check_chunk("a", chunk.astype(np.float32))
+        assert checked.dtype == np.float64 and checked.shape == chunk.shape
+        assert _state_bytes(state) == before
