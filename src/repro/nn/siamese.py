@@ -166,6 +166,16 @@ class TrainHistory:
         return self.total[-1]
 
 
+def _check_count(name: str, value: object) -> None:
+    """Reject a size that is not a positive integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        )
+    if value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass
 class TrainConfig:
     """Hyper-parameters of Siamese training.
@@ -188,12 +198,8 @@ class TrainConfig:
     positive_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_pairs < 1:
-            raise ConfigurationError(
-                f"batch_pairs must be >= 1, got {self.batch_pairs}"
-            )
+        _check_count("epochs", self.epochs)
+        _check_count("batch_pairs", self.batch_pairs)
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(
                 f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}"
@@ -204,10 +210,8 @@ class TrainConfig:
             )
         # The rest would otherwise surface inside the first batch — after an
         # Edge update has already rewritten the support set.
-        if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
-            raise ConfigurationError(
-                f"pairs_per_epoch must be >= 1 or None, got {self.pairs_per_epoch}"
-            )
+        if self.pairs_per_epoch is not None:
+            _check_count("pairs_per_epoch", self.pairs_per_epoch)
         if not self.lr > 0:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:

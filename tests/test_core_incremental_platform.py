@@ -11,7 +11,7 @@ from repro.core import (
     NetworkLink,
 )
 from repro.datasets import activity_windows
-from repro.exceptions import DataShapeError
+from repro.exceptions import ConfigurationError, DataShapeError
 from repro.nn import TrainConfig
 
 
@@ -46,6 +46,20 @@ class TestIncrementalLearner:
         assert result.n_new_samples == 15
         assert "gesture_hi" in support.class_names
         assert result.history.n_epochs == 4
+
+    def test_non_integer_batch_size_refused_before_the_support_set_moves(
+        self, embedder_and_support, scenario
+    ):
+        # it used to pass TrainConfig, add the class, then fail in the sampler
+        embedder, support = embedder_and_support
+        before = support.class_names
+        windows = activity_windows(scenario.edge_user, "gesture_hi", 6, rng=2)
+        feats = scenario.package.pipeline.process_windows(windows)
+        with pytest.raises(ConfigurationError, match="batch_pairs"):
+            IncrementalLearner(
+                IncrementalConfig(train=TrainConfig(batch_pairs=2.5)), rng=5
+            ).learn_new_class(embedder, support, "gesture_hi", feats)
+        assert support.class_names == before
 
     def test_learn_single_sample_rejected(
         self, learner, embedder_and_support, rng

@@ -14,6 +14,7 @@ from repro.nn import (
     build_mlp,
     sample_pairs,
 )
+from repro.nn.pairs import _WordBlock
 
 
 @pytest.fixture
@@ -235,23 +236,48 @@ PAIR_LABELS = {
     "skewed": np.repeat(np.arange(6), [50, 50, 50, 50, 50, 15]),
     "singletons_only": np.arange(7),
     "single_class": np.zeros(9, dtype=int),
+    # draws over a range of zero read no generator word: a 2-member class
+    # (Floyd's first pick), a singleton side, a choice of two classes
+    "sizes_2_2_1_3": np.repeat(np.arange(4), [2, 2, 1, 3]),
+    "two_classes": np.repeat(np.arange(2), [2, 5]),
+    "one_pair_and_singletons": np.array([0, 0, 1, 2]),
+    "two_samples_one_class": np.zeros(2, dtype=int),
 }
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def assert_same_stream(rng_a, rng_b):
+    """Both generators draw the same from here on, 32-bit half-words included.
+
+    Compared by drawing rather than by ``bit_generator.state``, whose dict
+    holds an array for MT19937.
+    """
+    assert np.array_equal(
+        rng_a.integers(0, 2**32, size=9), rng_b.integers(0, 2**32, size=9)
+    )
+    assert np.array_equal(rng_a.random(4), rng_b.random(4))
 
 
 class TestPairSampler:
     @pytest.mark.parametrize("name", sorted(PAIR_LABELS))
-    def test_draws_match_sequential_reference_for_200_batches(self, name):
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    def test_draws_match_sequential_reference_for_200_batches(
+        self, name, fraction, bit_generator
+    ):
         labels = PAIR_LABELS[name]
-        fast_rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        sampler = PairSampler(labels, positive_fraction=0.5)
+        fast_rng = np.random.Generator(bit_generator(3))
+        ref_rng = np.random.Generator(bit_generator(3))
+        sampler = PairSampler(labels, positive_fraction=fraction)
         for _ in range(200):
             got = sampler.draw(48, fast_rng)
-            want = reference_sample_pairs(labels, 48, ref_rng, 0.5)
+            want = reference_sample_pairs(labels, 48, ref_rng, fraction)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 assert np.array_equal(g, w)
         # nothing downstream of the sampler re-draws either
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_stream(fast_rng, ref_rng)
 
     def test_impossible_side_is_clamped_once(self):
         assert PairSampler(PAIR_LABELS["singletons_only"]).positive_fraction == 0.0
@@ -277,6 +303,38 @@ class TestPairSampler:
             PairSampler(np.zeros((2, 2), dtype=int))
         with pytest.raises(ConfigurationError):
             PairSampler(np.array([0, 0, 1])).draw(0, np.random.default_rng(0))
+
+
+class TestWordBlock:
+    """``_WordBlock.bounded`` is ``Generator.integers(0, r + 1)``, draw for draw."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("r, budget", [
+        (2**31, 1000),  # about half of all words are redrawn
+        (2**31, 3),  # ... with a block refilled each time it runs out
+        (2**32 - 2, 1000),  # the widest range the rule covers
+        (6, 1),  # a one-word block, refilled each time it runs out
+        (0, 4),  # reads nothing
+    ])
+    def test_bounded_matches_integers(self, bit_generator, r, budget):
+        rng = np.random.Generator(bit_generator(17))
+        ref_rng = np.random.Generator(bit_generator(17))
+        rng.integers(5)  # start half-way through a 64-bit output
+        ref_rng.integers(5)
+
+        words = _WordBlock(rng, budget)
+        got = [words.bounded(r) for _ in range(300)]
+        words.release()
+        want = [int(ref_rng.integers(0, r + 1)) for _ in range(300)]
+
+        assert got == want
+        assert_same_stream(rng, ref_rng)
+        if r == 0:
+            assert words.used == 0
+        elif r == 2**31:
+            assert words.used > 400
+        else:
+            assert words.used >= 300
 
 
 def skewed_training_set():
@@ -368,6 +426,10 @@ class TestTrainConfigRejectsEarly:
         dict(positive_fraction=1.5),
         dict(positive_fraction=-0.1),
         dict(pairs_per_epoch=0),
+        dict(pairs_per_epoch=2.5),
+        dict(batch_pairs=2.5),
+        dict(epochs=2.5),
+        dict(epochs=True),
         dict(lr=0.0),
         dict(lr=-1e-3),
         dict(lr=float("nan")),
@@ -380,6 +442,14 @@ class TestTrainConfigRejectsEarly:
     def test_rejected(self, bad):
         with pytest.raises(ConfigurationError, match=next(iter(bad))):
             TrainConfig(**bad)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = TrainConfig(
+            epochs=np.int64(2), batch_pairs=np.int32(8), pairs_per_epoch=np.int64(16)
+        )
+        X, y = skewed_training_set()
+        emb = SiameseEmbedder(build_mlp(10, hidden_dims=(8,), output_dim=4, rng=5))
+        assert SiameseTrainer(cfg, rng=1).train(emb, X, y).n_epochs == 2
 
     def test_optional_fields_accept_none(self):
         cfg = TrainConfig(pairs_per_epoch=None, grad_clip=None)
