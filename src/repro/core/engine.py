@@ -32,7 +32,9 @@ devices at the cost of one forward pass per distinct model per tick.  A
 server built from a bare engine serves the whole fleet from that one model;
 built from a :class:`~repro.serving.registry.ModelRegistry` it binds every
 session to a *cohort* (device class, sampling rate, enrollment size) and
-groups each tick's traffic by the engine serving that cohort.
+groups each tick's traffic by the engine serving that cohort — while the
+windows of cohorts whose pipelines are configured alike are featurized
+in one stacked pass.
 """
 
 from __future__ import annotations
@@ -754,12 +756,13 @@ class _SingleEngineRegistry:
 class _WindowTickGroup:
     """One distinct model's share of a windowed ``step`` tick."""
 
-    __slots__ = ("engine", "ids", "arrays")
+    __slots__ = ("engine", "ids", "arrays", "failure")
 
     def __init__(self, engine: InferenceEngine) -> None:
         self.engine = engine
         self.ids: List[str] = []
         self.arrays: List[np.ndarray] = []
+        self.failure: Optional[Exception] = None  # its model call raised
 
     def run(self) -> BatchInference:
         """The group's one batched engine call, featurization included."""
@@ -772,7 +775,8 @@ class _StreamTickGroup:
     Collects the sessions served by one engine this tick (with their
     validated chunks and resolved strides) through the validation pass,
     then their featurized blocks, so the inference pass can issue one
-    batched call per group.
+    batched call per group.  ``failure`` is the exception that lost the
+    group its windows this tick (featurize or model call), if any.
     """
 
     __slots__ = (
@@ -783,6 +787,7 @@ class _StreamTickGroup:
         "strides",
         "n_channels",
         "blocks",
+        "failure",
     )
 
     def __init__(self, engine: InferenceEngine, dtype=None) -> None:
@@ -793,6 +798,7 @@ class _StreamTickGroup:
         self.strides: List[int] = []
         self.n_channels: Optional[int] = None  # locked by the first chunk
         self.blocks: List[np.ndarray] = []  # per-session feature rows
+        self.failure: Optional[Exception] = None
 
     @property
     def counts(self) -> List[int]:
@@ -808,6 +814,23 @@ class _StreamTickGroup:
         if self.dtype is None:
             return self.engine.infer_features(features)
         return self.engine.infer_features(features, dtype=self.dtype)
+
+
+def _isolated(groups, step: Callable, *args):
+    """``step(*args)``; if it raises, ``None``, with the exception kept as
+    every one of ``groups``' ``failure``."""
+    try:
+        return step(*args)
+    except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a failing featurize or model call loses only the groups it served; the healthy groups still fold, then the failure is reported or re-raised
+        for group in groups:
+            group.failure = exc
+        return None
+
+
+def _first_failure(groups) -> Optional[Exception]:
+    return next(
+        (group.failure for group in groups if group.failure is not None), None
+    )
 
 
 @dataclass(frozen=True)
@@ -898,12 +921,18 @@ class FleetServer:
     cohorts at :meth:`connect` time and a mixed-cohort tick issues exactly
     one batched call per distinct engine — cohorts published with the same
     engine object share a batch, while distinct engines get a call each
-    even when their packages share a backbone.
+    even when their packages share a backbone.  A chunk tick groups its
+    sessions by ``(engine, dtype)`` for the model calls, but featurizes
+    across those groups: one stacked denoise + statistics pass per
+    preprocessing configuration and dtype, so cohorts loaded from one
+    package share it, and each group normalizes its own rows.
 
     Every entry point is one tick core: *plan* (validate, group by model,
     featurize), *run* (each group's ``run()``, inline here in
     :meth:`_run_groups`), *fold* (smoothers, counters, then the first
-    failure re-raised).
+    failure re-raised — or, from :meth:`stream_tick`, reported per
+    session).  A failing featurize pass or model call loses only the
+    groups it served.
     :class:`~repro.serving.async_fleet.AsyncFleetServer` awaits this same
     core, run inline on the event loop.
     """
@@ -1061,49 +1090,44 @@ class FleetServer:
         """
         if not windows_by_session:
             return {}
-        groups = self._group_windows(windows_by_session)
-        results, failure = self._run_groups(groups.values())
-        return self._demux_window_results(windows_by_session, results, failure)
+        groups = list(self._group_windows(windows_by_session).values())
+        results = self._run_groups(groups)
+        return self._demux_window_results(windows_by_session, groups, results)
 
-    def _run_groups(self, groups) -> "Tuple[list, Optional[Exception]]":
+    def _run_groups(self, groups) -> "List[Tuple[object, BatchInference]]":
         """Run each group's batched call inline; collect ``(group, batch)``.
 
-        A failing call must not discard the other models' verdicts: the
-        successes are kept with the first failure, which the fold
-        re-raises only after the healthy groups demux.
+        A failing call must not discard the other models' verdicts: it is
+        kept on its group (``group.failure``), and the fold folds the
+        healthy groups before the failure is reported or re-raised.
         """
         results = []
-        failure: Optional[Exception] = None
         for group in groups:
-            try:
-                results.append((group, group.run()))
-            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: one failing model loses only its own sessions' windows; the first failure is re-raised after healthy models demux
-                if failure is None:
-                    failure = exc
-        return results, failure
+            batch = _isolated((group,), group.run)
+            if batch is not None:
+                results.append((group, batch))
+        return results
 
     def _finish_tick(
         self,
         results: "List[Tuple[object, BatchInference]]",
-        failure: Optional[Exception],
+        failed: bool,
         extra_ms: float,
         tick: bool = True,
     ) -> None:
-        """The accounting every fold ends with; re-raises the failure.
+        """The accounting every fold ends with.
 
         Each successful call's latency is charged.  The tick counts (a
         flush passes ``tick=False``) and ``extra_ms`` — the plan's
         featurize wall-clock — is charged unless every call failed, so a
-        tick on which every model raised leaves all counters untouched.
+        tick on which every group failed leaves all counters untouched.
         """
         for _, batch in results:
             self.serve_ms += batch.latency_ms
-        if failure is None or results:
+        if results or not failed:
             if tick:
                 self.ticks += 1
             self.serve_ms += extra_ms
-        if failure is not None:
-            raise failure
 
     def _group_windows(
         self, windows_by_session: Mapping[str, np.ndarray]
@@ -1144,8 +1168,8 @@ class FleetServer:
     def _demux_window_results(
         self,
         windows_by_session: Mapping[str, np.ndarray],
+        groups: "List[_WindowTickGroup]",
         results: "List[Tuple[_WindowTickGroup, BatchInference]]",
-        failure: Optional[Exception],
     ) -> Dict[str, SessionVerdict]:
         """Fold windowed batches into sessions/counters; re-raise failures."""
         verdicts: Dict[str, SessionVerdict] = {}
@@ -1161,7 +1185,10 @@ class FleetServer:
                     name, confidence, accepted
                 )
                 self._charge_windows(session.cohort, 1, int(not accepted))
-        self._finish_tick(results, failure, 0.0)
+        failure = _first_failure(groups)
+        self._finish_tick(results, failure is not None, 0.0)
+        if failure is not None:
+            raise failure
         return {str(sid): verdicts[str(sid)] for sid in windows_by_session}
 
     def _stream_engine(self, session: EdgeSession) -> InferenceEngine:
@@ -1220,11 +1247,14 @@ class FleetServer:
         :class:`StreamSession`: the chunk is folded into the session's
         carry-over buffer and every window it *completes* — including
         windows straddling the previous tick's boundary — is featurized
-        once through the O(chunk) chunked pipeline path.  Every window of
-        every session then flows through a single batched call *per
-        distinct model* (sessions are grouped by the engine serving their
-        cohort — one call total for a single-model fleet), and each
-        session's verdicts fold through its smoother in window order.
+        once through the O(chunk) chunked pipeline path, in one stacked
+        call per preprocessing configuration and dtype across every
+        cohort of the tick (see :meth:`_featurize_stream_groups`).  Every
+        window of every session then flows through a single batched call
+        *per (engine, dtype) group* (sessions are grouped by the engine
+        serving their cohort and their compute dtype — one call total for
+        a single-model fleet), and each session's verdicts fold through
+        its smoother in window order.
         Across any tick sizes (ragged, even 1-sample) a session's
         concatenated verdicts equal one
         :meth:`InferenceEngine.infer_stream` call over its whole
@@ -1250,42 +1280,75 @@ class FleetServer:
         the model's batch this tick and the session's earlier chunks)
         before any session's stream state advances, and the serving
         counters (``ticks``/``serve_ms``/``windows_served``) only move for
-        models whose batched call succeeds.  If a model raises mid-tick,
-        the other models' verdicts are still folded into their sessions
-        (their stream buffers were already consumed; dropping them would
-        desynchronize smoother and stream state) and the first failure is
-        re-raised afterwards — the failing model's windows for this tick
-        are lost, so callers should ``finish_stream``/``reset`` its
-        sessions before continuing.
+        groups whose batched call succeeds.  If a group fails mid-tick —
+        its featurize pass or its model raises — the other groups'
+        verdicts are still folded into their sessions (their stream
+        buffers were already consumed; dropping them would desynchronize
+        smoother and stream state) and the first failure is re-raised
+        afterwards — the failing group's windows for this tick are lost,
+        so callers should ``finish_stream``/``reset`` its sessions before
+        continuing.  :meth:`stream_tick` is this method without the
+        re-raise.
+        """
+        verdicts, failures = self.stream_tick(chunks_by_session, stride)
+        if failures:
+            raise next(iter(failures.values()))
+        return verdicts
+
+    def stream_tick(
+        self,
+        chunks_by_session: Mapping[str, np.ndarray],
+        stride: "Optional[Union[int, Mapping[str, int]]]" = None,
+    ) -> "Tuple[Dict[str, List[SessionVerdict]], Dict[str, Exception]]":
+        """The stream tick core: plan, run, fold; ``(verdicts, failures)``.
+
+        :meth:`step_stream` is this core plus its re-raise.  ``verdicts``
+        is what ``step_stream`` returns; ``failures`` maps each session of
+        a group that failed this tick to that group's exception, in group
+        order, so a front end serving many clients in one tick can answer
+        each with its own verdicts or its own group's failure.  A chunk
+        that fails validation still refuses the whole tick by raising,
+        before any stream moves.
         """
         if not chunks_by_session:
-            return {}
+            return {}, {}
         groups, featurize_ms = self._plan_stream_tick(chunks_by_session, stride)
-        results, failure = self._run_groups(groups)
-        return self._demux_stream_results(
-            chunks_by_session, results, failure, featurize_ms
+        results = self._run_groups(
+            [
+                group for group in groups
+                if group.failure is None and sum(group.counts)
+            ]
         )
+        failures = {
+            session_id: group.failure
+            for group in groups
+            if group.failure is not None
+            for session_id in group.ids
+        }
+        verdicts = self._demux_stream_results(
+            chunks_by_session, results, bool(failures), featurize_ms
+        )
+        return verdicts, failures
 
     def _plan_stream_tick(
         self,
         chunks_by_session: Mapping[str, np.ndarray],
         stride: "Optional[Union[int, Mapping[str, int]]]" = None,
     ) -> "Tuple[List[_StreamTickGroup], float]":
-        """Validate and featurize a stream tick: the groups to run + ms.
+        """Validate and featurize a stream tick: its groups + featurize ms.
 
         Nothing mutates until every chunk is checked.  Sessions are
         grouped by serving engine identity and compute dtype (a float32
         session cannot share a batched call with float64 sessions of the
-        same engine).  Groups whose chunks completed no window this tick
-        make no call.
+        same engine).  A group whose featurize pass failed carries its
+        ``failure``; one whose chunks completed no window makes no call.
         """
         groups: Dict[Tuple[int, Optional[str]], _StreamTickGroup] = {}
         for session_id, chunk in chunks_by_session.items():
             self._check_stream_chunk(session_id, chunk, stride, groups)
         with Timer() as timer:
             self._featurize_stream_groups(groups)
-        runnable = [group for group in groups.values() if sum(group.counts)]
-        return runnable, timer.elapsed_ms
+        return list(groups.values()), timer.elapsed_ms
 
     def check_chunk(
         self,
@@ -1381,73 +1444,115 @@ class FleetServer:
         sessions without one, consumes every chunk into its stream state
         and fills each group's per-session feature blocks.  Carry-over is
         per session (the chunks were checked by the validation pass, so
-        the pipeline does not check them again); the windows the group's
-        windowed-denoise sessions completed are then stacked and
-        featurized in *one* call of the pipeline's window kernel (denoise,
-        extract, normalize once per group, not once per session) and
-        split back by count — the same two halves ``process_chunk``
-        composes, so a session's rows do not depend on who shared its
-        tick.  Overlapping-stride sessions
-        denoise their continuous signal and keep their own
-        ``process_chunk``.  From here on the tick's completed windows
-        only exist in those blocks — which is why a later per-model
-        failure must not discard the other models' blocks (see
-        :meth:`_demux_stream_results`).
+        the pipeline does not check them again); overlapping-stride
+        sessions denoise their continuous signal and keep their own
+        ``process_chunk``.  The windows that windowed-denoise sessions
+        completed are featurized across groups: the windows of every
+        group whose window kernel has the same configuration key
+        (denoiser and extractor configuration, window length, dtype —
+        every cohort loaded from one package shares one) are stacked
+        into *one* ``raw`` call of the pipeline's window kernel; each
+        group then normalizes its own share with its own normalizer and
+        splits it back by count — the two halves ``process_chunk``
+        composes, row-wise both, so a session's rows do not depend on
+        who shared its tick.
+
+        Failures are isolated per group and kept on it
+        (``group.failure``): a fold or normalizer that raises fails its
+        own group, a shared ``raw`` call that raises fails exactly the
+        groups that shared it.  From here on the tick's completed windows
+        only exist in the blocks — which is why a failing group must not
+        discard the other groups' blocks (see :meth:`stream_tick`).
         """
+        # Stacked windows must agree in width: every built-in extractor
+        # reads the 22-channel layout, a custom one may not.
+        shares: Dict[Tuple[str, Optional[int]], list] = {}
         for group in groups.values():
-            pipeline = group.engine.pipeline
-            stacked: List[Tuple[int, np.ndarray]] = []  # (block slot, windows)
-            for session_id, arr, stride_val in zip(
-                group.ids, group.arrays, group.strides
-            ):
-                session = self.sessions[session_id]
-                if session.stream is None:
-                    session.stream = group.engine.open_stream(
-                        stride=stride_val, dtype=group.dtype
-                    )
-                state = session.stream.state
-                if state.denoise == "windowed":
-                    stacked.append(
-                        (
-                            len(group.blocks),
-                            pipeline.fold_chunk(state, arr, validated=True),
-                        )
-                    )
-                    group.blocks.append(None)
-                else:
-                    group.blocks.append(
-                        pipeline.process_chunk(state, arr, validated=True)
-                    )
-            if not stacked:
-                continue
-            features = pipeline.window_kernel(_feature_dtype(group.dtype))(
-                np.concatenate([windows for _, windows in stacked], axis=0)
+            stacked = _isolated((group,), self._fold_group, group)
+            if stacked:
+                kernel = group.engine.pipeline.window_kernel(
+                    _feature_dtype(group.dtype)
+                )
+                shares.setdefault((kernel.key, group.n_channels), []).append(
+                    (group, kernel, stacked)
+                )
+        for share in shares.values():
+            raw = _isolated(
+                [group for group, _, _ in share],
+                share[0][1].raw,
+                np.concatenate(
+                    [windows for _, _, stacked in share for _, windows in stacked],
+                    axis=0,
+                ),
             )
+            if raw is None:
+                continue
             offset = 0
-            for slot, windows in stacked:
-                count = windows.shape[0]
-                group.blocks[slot] = features[offset : offset + count]
+            for group, kernel, stacked in share:
+                count = sum(windows.shape[0] for _, windows in stacked)
+                features = _isolated(
+                    (group,), kernel.normalize, raw[offset : offset + count]
+                )
                 offset += count
+                if features is None:
+                    continue
+                start = 0
+                for slot, windows in stacked:
+                    group.blocks[slot] = features[start : start + windows.shape[0]]
+                    start += windows.shape[0]
+
+    def _fold_group(
+        self, group: _StreamTickGroup
+    ) -> "List[Tuple[int, np.ndarray]]":
+        """Fold a group's chunks into its sessions' streams.
+
+        Stream-denoise sessions get their feature block here; returns
+        ``(block slot, completed windows)`` of the windowed ones.
+        """
+        pipeline = group.engine.pipeline
+        stacked: List[Tuple[int, np.ndarray]] = []
+        for session_id, arr, stride_val in zip(
+            group.ids, group.arrays, group.strides
+        ):
+            session = self.sessions[session_id]
+            if session.stream is None:
+                session.stream = group.engine.open_stream(
+                    stride=stride_val, dtype=group.dtype
+                )
+            state = session.stream.state
+            if state.denoise == "windowed":
+                stacked.append(
+                    (
+                        len(group.blocks),
+                        pipeline.fold_chunk(state, arr, validated=True),
+                    )
+                )
+                group.blocks.append(None)
+            else:
+                group.blocks.append(
+                    pipeline.process_chunk(state, arr, validated=True)
+                )
+        return stacked
 
     def _demux_stream_results(
         self,
         session_ids,
         results: "List[Tuple[_StreamTickGroup, BatchInference]]",
-        failure: Optional[Exception],
+        failed: bool,
         featurize_ms: float,
         tick: bool = True,
     ) -> Dict[str, List[SessionVerdict]]:
-        """Fold a stream tick's batches into sessions; re-raise failures.
+        """Fold a stream tick's batches into sessions and counters.
 
-        Serving stats move only for models whose batched call succeeded,
-        so an engine exception mid-tick cannot leave the counters claiming
-        service that never happened.  The failing model's windows for this
-        tick are lost with the exception — callers should
+        Serving stats move only for groups whose batched call succeeded,
+        so a failure mid-tick cannot leave the counters claiming service
+        that never happened.  A failed group's windows for this tick are
+        lost with its exception — callers should
         ``finish_stream()``/``reset()`` its sessions — while healthy
         sessions' observed verdicts stay consistent with their stream
-        state (visible via ``EdgeSession.last_verdict`` even though the
-        tick's return value is lost to the raise).  Featurization is part
-        of serving — charged to ``serve_ms`` so the summary throughput
+        state (visible via ``EdgeSession.last_verdict`` even when
+        ``step_stream``'s re-raise loses the tick's return value).
+        Featurization is part of serving — charged to ``serve_ms`` so the summary throughput
         stays comparable with :meth:`step`'s fused timing; a tick whose
         chunks completed no window still counts, charged that time alone.
         """
@@ -1471,7 +1576,7 @@ class FleetServer:
                     rejected += not accepted[i]
                 self._charge_windows(session.cohort, count, rejected)
                 offset += count
-        self._finish_tick(results, failure, featurize_ms, tick=tick)
+        self._finish_tick(results, failed, featurize_ms, tick=tick)
         return verdicts
 
     def finish_stream(self, session_id: str) -> List[SessionVerdict]:
@@ -1487,8 +1592,8 @@ class FleetServer:
         """
         session = self.session(session_id)
         groups, featurize_ms = self._plan_flush(session)
-        results, failure = self._run_groups(groups)
-        return self._demux_flush(session, results, failure, featurize_ms)
+        results = self._run_groups(groups)
+        return self._demux_flush(session, groups, results, featurize_ms)
 
     def _plan_flush(
         self, session: EdgeSession
@@ -1511,17 +1616,21 @@ class FleetServer:
     def _demux_flush(
         self,
         session: EdgeSession,
+        groups: "List[_StreamTickGroup]",
         results: "List[Tuple[_StreamTickGroup, BatchInference]]",
-        failure: Optional[Exception],
         featurize_ms: float,
     ) -> List[SessionVerdict]:
         """Fold a flush like a stream tick that is not counted as one, then
         close the session's stream whether or not its call succeeded."""
         try:
-            return self._demux_stream_results(
-                [session.session_id], results, failure, featurize_ms,
-                tick=False,
+            failure = _first_failure(groups)
+            verdicts = self._demux_stream_results(
+                [session.session_id], results, failure is not None,
+                featurize_ms, tick=False,
             )[session.session_id]
+            if failure is not None:
+                raise failure
+            return verdicts
         finally:
             session.stream = None
 

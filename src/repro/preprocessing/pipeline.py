@@ -38,6 +38,9 @@ chunk is checked once, by :meth:`process_chunk`, and its completed
 windows then go through read columns -> denoise -> stacked statistics ->
 normalize with no stage re-checking the one before; the kernel holds what
 depends only on configuration and is rebuilt when a stage is replaced.
+Everything up to the normalizer is keyed by configuration
+(``_WindowKernel.key``), so pipelines configured alike — every cohort
+loaded from one package — can featurize their windows in one call.
 
 The normalizer is fitted exactly once (on the Cloud) via
 :meth:`fit_normalizer`; the fitted pipeline round-trips through
@@ -63,6 +66,8 @@ from ..sensors.device import Recording
 from .denoise import (
     ButterworthLowpass,
     IdentityFilter,
+    MedianFilter,
+    MovingAverageFilter,
     denoiser_from_dict,
 )
 from .features import FeatureConfig, FeatureExtractor
@@ -191,6 +196,34 @@ class StreamState:
         return self.windows_out * self.stride
 
 
+#: Stage types whose ``to_dict`` payload is everything they compute from.
+_SERIALIZED_STAGES = (
+    ButterworthLowpass,
+    IdentityFilter,
+    MedianFilter,
+    MovingAverageFilter,
+    SpectralFeatureExtractor,
+)
+
+
+def _stage_config(stage):
+    """What a denoiser or extractor computes, as JSON-able data.
+
+    A built-in stage is its exact type and configuration, so two equal
+    but distinct objects (the pipelines of two packages loaded from one
+    file) give equal data.  Any other object, subclasses included, is
+    its own identity: nothing says what else it reads.
+    """
+    kind = type(stage)
+    if kind is FeatureExtractor:
+        return [kind.__name__, stage.config.to_dict()]
+    if kind is CombinedFeatureExtractor:
+        return [kind.__name__, [_stage_config(part) for part in stage.extractors]]
+    if kind in _SERIALIZED_STAGES:
+        return [kind.__name__, stage.to_dict()]
+    return [kind.__qualname__, "object", id(stage)]
+
+
 class _WindowKernel:
     """One pipeline's window featurize pass, resolved for one dtype.
 
@@ -201,10 +234,17 @@ class _WindowKernel:
     has been replaced.  The stacked statistics are the streaming
     extractor's ``extract_read_columns``, whose few scalar checks are all
     the checking the pass still does.
+
+    ``key`` names the configuration-only half, :meth:`raw` (denoiser and
+    extractor configuration, window length, compute dtype): kernels with
+    equal keys compute the same raw rows, row by row, so one of them may
+    featurize the stacked windows of all and each apply its own
+    :meth:`normalize` to its share.  Equal by configuration, not
+    identity; see :func:`_stage_config`.
     """
 
     __slots__ = (
-        "denoiser", "extractor", "normalizer", "window_len", "_dtype",
+        "denoiser", "extractor", "normalizer", "window_len", "key", "_dtype",
         "_n_features", "_raw", "_normalize", "_empty",
     )
 
@@ -214,6 +254,15 @@ class _WindowKernel:
         self.normalizer = pipeline.normalizer
         self.window_len = pipeline.window_len
         self._dtype = dtype or np.float64
+        self.key = json.dumps(
+            [
+                _stage_config(self.denoiser),
+                _stage_config(self.extractor),
+                self.window_len,
+                np.dtype(self._dtype).name,
+            ],
+            sort_keys=True,
+        )
         self._n_features = pipeline.n_features
         denoise = pipeline._windows_denoiser()
         streaming = pipeline.streaming_extractor
@@ -251,6 +300,20 @@ class _WindowKernel:
             return np.empty((0, self._n_features), dtype=self._dtype)
         return self._raw(windows)
 
+    def normalize(self, rows: np.ndarray) -> np.ndarray:
+        """Normalized feature rows of :meth:`raw` rows (of this kernel or
+        of any kernel with an equal ``key``)."""
+        if self._empty is None:
+            # The checked transform of an empty block: it checks the
+            # normalizer (fitted, as wide as the rows) once, and a copy of
+            # it is every window-less tick's result from then on.
+            self._empty = self.normalizer.transform(
+                np.empty((0, self._n_features), dtype=self._dtype)
+            )
+        if rows.shape[0] == 0:
+            return self._empty.copy()
+        return self._normalize(rows)
+
     def serves(self, pipeline: "PreprocessingPipeline") -> bool:
         """Whether ``pipeline`` still holds the stages this was built from."""
         return (
@@ -262,16 +325,7 @@ class _WindowKernel:
 
     def __call__(self, windows: np.ndarray) -> np.ndarray:
         """Normalized feature rows of checked windows."""
-        if self._empty is None:
-            # The checked transform of an empty block: it checks the
-            # normalizer (fitted, as wide as the rows) once, and a copy of
-            # it is every window-less tick's result from then on.
-            self._empty = self.normalizer.transform(
-                np.empty((0, self._n_features), dtype=self._dtype)
-            )
-        if windows.shape[0] == 0:
-            return self._empty.copy()
-        return self._normalize(self._raw(windows))
+        return self.normalize(self.raw(windows))
 
 
 class PreprocessingPipeline:
@@ -550,7 +604,10 @@ class PreprocessingPipeline:
         checked (what :meth:`fold_chunk` hands out), to normalized
         feature rows: read columns -> denoise each window -> stacked
         statistics -> normalize, with no stage re-checking what the one
-        before produced.  Its ``raw`` method stops before normalizing.
+        before produced.  Its ``raw`` method stops before normalizing and
+        its ``normalize`` method is the rest; kernels of distinct
+        pipelines whose ``key`` is equal may share ``raw`` rows (what a
+        fleet tick does across cohorts).
         ``dtype`` is ``None`` or ``np.float32`` (see
         :func:`resolve_feature_dtype`).  The kernel is built on first use
         and rebuilt when the denoiser, extractor, normalizer or window

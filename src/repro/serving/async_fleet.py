@@ -60,7 +60,9 @@ class AsyncFleetServer(FleetServer):
     :meth:`step_stream` and :meth:`finish_stream` become coroutines over
     the synchronous server's own plan → run → fold, so verdicts (to 1e-9
     at any stride/chunking), failure isolation and tick accounting match
-    it exactly.
+    it exactly.  The inherited ``stream_tick`` (the tick core, reporting
+    failures per session) stays a plain call: it never suspends, and the
+    gateway's flusher calls it on the loop.
 
     Parameters
     ----------

@@ -27,14 +27,15 @@ Three design points carry the production semantics:
   most one window, once.
   (The rule this replaced — wake on the first chunk, then sleep the whole
   window unless *every* live session had parked — slept in 91% of
-  lockstep flushes and 100% of paced ones.)  Each flush issues **one**
-  ``AsyncFleetServer.step_stream`` call per ``(cohort, stride)`` group,
-  so a 50-device tick costs the same batched engine passes as in-process
-  serving, not 50 singleton calls.
-- **One tick at a time.**  Each ``(cohort, stride)`` group is served in
-  turn by ``AsyncFleetServer``, whose ticks run inline on the event loop,
-  so at most one tick is ever in flight.  Chunks that arrive mid-tick wait
-  in the socket buffers and park for the next flush; no chunk is refused.
+  lockstep flushes and 100% of paced ones.)  Each flush is **one** fleet
+  tick (:meth:`~repro.serving.FleetServer.stream_tick`) across every
+  cohort — one per stride, when clients asked for different strides — so
+  a 50-device flush costs the same batched engine passes as in-process
+  serving, not 50 singleton calls: one featurize pass per preprocessing
+  configuration and dtype, one model call per ``(engine, dtype)`` group.
+- **One tick at a time.**  Ticks run inline on the event loop, so at
+  most one is ever in flight.  Chunks that arrive mid-tick wait in the
+  socket buffers and park for the next flush; no chunk is refused.
   (The ``BUSY`` frame stays in the wire protocol, and the client still
   retries on one, but this server never sends it.)
 - **Failure isolation per connection.**  A client vanishing mid-CHUNK,
@@ -44,7 +45,10 @@ Three design points carry the production semantics:
   (:meth:`~repro.serving.FleetServer.check_chunk`): a non-finite, 1-D or
   wrong-width chunk gets its own non-fatal ``ERROR`` frame and never
   enters a flush, so the sessions it would have shared a tick with keep
-  their chunks and verdicts.
+  their chunks and verdicts.  A cohort whose model (or featurize pass)
+  raises mid-tick costs only the clients of the groups it served their
+  verdicts: each gets its group's typed ``ERROR`` frame, and every other
+  client of the flush gets its ``VERDICT``.
   Frame-level garbage gets a typed ``ERROR`` frame (code ``PROTOCOL``)
   and the decoder resynchronizes — corruption on one connection never
   poisons another.
@@ -91,11 +95,10 @@ _READ_SIZE = 1 << 16
 class _PendingChunk:
     """One parked CHUNK awaiting the next micro-batch flush."""
 
-    __slots__ = ("session_id", "cohort", "stride", "chunk", "waiter")
+    __slots__ = ("session_id", "stride", "chunk", "waiter")
 
-    def __init__(self, session_id, cohort, stride, chunk, waiter) -> None:
+    def __init__(self, session_id, stride, chunk, waiter) -> None:
         self.session_id = session_id
-        self.cohort = cohort
         self.stride = stride
         self.chunk = chunk
         self.waiter = waiter
@@ -111,14 +114,13 @@ class _Connection:
     """
 
     __slots__ = (
-        "codec", "session_id", "stride", "cohort", "replied_at", "turnaround",
+        "codec", "session_id", "stride", "replied_at", "turnaround",
     )
 
     def __init__(self, codec: BinaryFrameCodec) -> None:
         self.codec = codec
         self.session_id: Optional[str] = None
         self.stride: Optional[int] = None
-        self.cohort: Optional[str] = None
         self.replied_at = 0.0
         self.turnaround = 0.0
 
@@ -384,7 +386,6 @@ class GatewayServer:
             )
             return False
         state.session_id = session.session_id
-        state.cohort = session.cohort
         state.stride = stride
         self._live_sessions[session.session_id] = state
         await self._reply(
@@ -437,11 +438,7 @@ class GatewayServer:
         state.turnaround = now - state.replied_at
         state.replied_at = math.inf  # this chunk's reply is still to come
         self._pending[state.session_id] = _PendingChunk(
-            state.session_id,
-            state.cohort,
-            state.stride,
-            chunk,
-            waiter,
+            state.session_id, state.stride, chunk, waiter
         )
         self._wake.set()
         try:
@@ -530,37 +527,40 @@ class GatewayServer:
                     timer = None
                 batch, self._pending = self._pending, {}
                 for group in self._group_batch(batch):
-                    await self._serve_group(group)
+                    self._serve_group(group)
         finally:
             if timer is not None:
                 timer.cancel()
 
     @staticmethod
     def _group_batch(batch) -> "List[List[_PendingChunk]]":
-        """Split a flush into one engine tick per ``(cohort, stride)``.
+        """Split a flush into one fleet tick per HELLO ``stride``.
 
-        Grouping by cohort keeps model-failure isolation at the cohort
-        boundary (one model raising cannot error another cohort's
-        clients); splitting further by stride lets ``step_stream`` take a
-        single scalar stride per call.
+        ``stream_tick`` takes one stride per call; every cohort shares
+        the tick, so cohorts configured alike share its featurize pass.
+        Failure isolation needs no split: the tick reports each failed
+        group's sessions, and only their waiters get the exception.
         """
-        groups: Dict[Tuple[str, Optional[int]], List[_PendingChunk]] = {}
+        groups: Dict[Optional[int], List[_PendingChunk]] = {}
         for item in batch.values():
-            groups.setdefault((item.cohort, item.stride), []).append(item)
+            groups.setdefault(item.stride, []).append(item)
         return list(groups.values())
 
-    async def _serve_group(self, group: "List[_PendingChunk]") -> None:
+    def _serve_group(self, group: "List[_PendingChunk]") -> None:
         """One fleet tick for a group, start to finish; resolves its waiters.
 
-        The tick never suspends, so chunks arriving meanwhile park for the
-        next flush.
+        Each waiter gets its session's verdicts, or the exception of the
+        fleet group that served it.  The tick never suspends, so chunks
+        arriving meanwhile park for the next flush.
         """
         chunks = {item.session_id: item.chunk for item in group}
         stride = group[0].stride
         with Timer() as timer:
             try:
-                tick = await self._fleet.step_stream(chunks, stride=stride)
-            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: the failure is delivered to every waiter of this cohort group as a typed frame; other groups and the flush loop must keep serving
+                verdicts, failures = self._fleet.stream_tick(
+                    chunks, stride=stride
+                )
+            except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a tick refused whole is delivered to every waiter of this group as a typed frame; other groups and the flush loop must keep serving
                 for item in group:
                     if not item.waiter.done():
                         item.waiter.set_exception(exc)
@@ -572,8 +572,13 @@ class GatewayServer:
             else alpha * timer.elapsed_ms + (1 - alpha) * self._tick_ewma_ms
         )
         for item in group:
-            if not item.waiter.done():
-                item.waiter.set_result(tick.get(item.session_id, []))
+            if item.waiter.done():
+                continue
+            failure = failures.get(item.session_id)
+            if failure is None:
+                item.waiter.set_result(verdicts[item.session_id])
+            else:
+                item.waiter.set_exception(failure)
 
     # ------------------------------------------------------------------ #
     # session cleanup

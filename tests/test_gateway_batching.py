@@ -166,7 +166,8 @@ class TestWhoIsWaitedFor:
     def test_lockstep_clients_share_every_tick(
         self, registry, recordings, served_rows
     ):
-        """4 clients x 10 gathered ticks over 2 cohorts: 20 fleet ticks."""
+        """4 clients x 10 gathered ticks over 2 cohorts: each flush is
+        one fleet tick across both cohorts, so 10 fleet ticks."""
         sids = ("s0", "s1", "s2", "s3")
 
         async def scenario_body(fleet, gateway):
@@ -180,8 +181,7 @@ class TestWhoIsWaitedFor:
 
         took, summary = _serve(registry, recordings, served_rows, scenario_body)
         assert took < 1.0
-        assert summary["ticks"] == 10 * len(COHORTS)
-        assert summary["flushes"] == 10
+        assert summary["ticks"] == summary["flushes"] == 10
         assert summary["flush_deadline_expiries"] == 0
 
     def test_straggler_costs_one_window_once(

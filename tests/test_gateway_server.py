@@ -22,6 +22,7 @@ import pytest
 
 from repro.exceptions import (
     ConfigurationError,
+    MagnetoError,
     ProtocolError,
     UnknownCohortError,
 )
@@ -323,6 +324,65 @@ class TestOneTickAtATime:
 
 
 class TestTypedErrorsOverTheWire:
+    def test_a_failing_cohort_costs_only_its_own_clients(
+        self, registry, engines, scenario, monkeypatch
+    ):
+        """Two cohorts share the flushes and b's engine raises in every
+        tick: b's clients get an ``INTERNAL`` ERROR frame per chunk, and
+        a's clients get the VERDICTs in-process serving gives them."""
+        _, engine_b = engines
+        data = scenario.sensor_device.record("walk", 8.0).data
+        chunk_list = [data[i * WINDOW : (i + 1) * WINDOW] for i in range(8)]
+        cohorts = {"a1": "a", "a2": "a", "b1": "b", "b2": "b"}
+        reference = drive(
+            _in_process_reference(
+                registry, {"a1": chunk_list, "a2": chunk_list}, cohorts
+            )
+        )
+
+        def boom(features, dtype=None):
+            raise RuntimeError("model fell over")
+
+        monkeypatch.setattr(engine_b, "infer_features", boom)
+
+        async def body():
+            async with GatewayServer(registry, batch_window_s=0.05) as gateway:
+
+                async def client(sid):
+                    async with GatewayClient(gateway.host, gateway.port) as cli:
+                        await cli.connect(sid, cohort=cohorts[sid])
+                        verdicts, errors = [], []
+                        for chunk in chunk_list:
+                            try:
+                                verdicts.extend(await cli.send_chunk(chunk))
+                            except MagnetoError as exc:
+                                errors.append(exc)
+                        verdicts.extend(await cli.finish())
+                        return verdicts, errors
+
+                served = await asyncio.gather(*(client(s) for s in cohorts))
+                return dict(zip(cohorts, served)), gateway.summary()
+
+        served, summary = drive(body())
+        assert summary["flushes"] < 2 * len(chunk_list)  # cohorts shared them
+        for sid in ("b1", "b2"):
+            verdicts, errors = served[sid]
+            assert verdicts == []
+            assert len(errors) == len(chunk_list)
+            # INTERNAL is the code of an untyped server-side failure
+            assert all(type(exc) is MagnetoError for exc in errors)
+            assert all("model fell over" in str(exc) for exc in errors)
+        for sid in ("a1", "a2"):
+            verdicts, errors = served[sid]
+            assert errors == []
+            assert len(verdicts) == len(chunk_list)
+            assert _verdict_tuples(verdicts) == _verdict_tuples(reference[sid])
+            np.testing.assert_allclose(
+                [v.confidence for v in verdicts],
+                [v.confidence for v in reference[sid]],
+                **PARITY,
+            )
+
     def test_unknown_cohort_raises_typed_exception_client_side(
         self, registry
     ):

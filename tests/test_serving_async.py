@@ -10,6 +10,7 @@ never loses another cohort's windows, and the deprecated ``workers`` /
 """
 
 import asyncio
+import copy
 import inspect
 import threading
 import warnings
@@ -421,6 +422,24 @@ class _FeaturizeFails:
         raise RuntimeError("featurize fell over")
 
 
+class _NormalizerFails:
+    """A fitted normalizer whose ``fail_on``-th row transform raises."""
+
+    def __init__(self, normalizer, fail_on):
+        self._normalizer = normalizer
+        self._fail_on = fail_on
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._normalizer, name)
+
+    def transform_rows(self, rows):
+        self.calls += 1
+        if self.calls == self._fail_on:
+            raise RuntimeError("featurize fell over")
+        return self._normalizer.transform_rows(rows)
+
+
 @pytest.mark.parametrize("kind", ["sync", "async"])
 class TestOneTickCore:
     """Both servers plan, run and fold a tick with the same code."""
@@ -463,6 +482,54 @@ class TestOneTickCore:
         assert a1.windows_seen == 1
         assert a1.last_verdict.activity == ref.names[0]
         assert b1.windows_seen == 0
+
+    def test_step_stream_featurize_failure_keeps_other_cohorts_whole(
+        self, kind, registry, engines, scenario, monkeypatch
+    ):
+        """Cohort b's featurize raises on tick 4 of 10: the tick re-raises
+        it, yet cohort a's verdicts over the whole recording are still its
+        ``infer_stream`` — its window of that tick was not dropped."""
+        engine_a, engine_b = engines
+        pipeline_b = copy.deepcopy(engine_b.pipeline)  # b's alone
+        pipeline_b.normalizer = _NormalizerFails(pipeline_b.normalizer, 4)
+        monkeypatch.setattr(engine_b, "pipeline", pipeline_b)
+        data = scenario.sensor_device.record("walk", 10.0).data
+        chunks = [data[i * WINDOW : (i + 1) * WINDOW] for i in range(10)]
+
+        async def body(server):
+            server.connect("a1", cohort="a")
+            server.connect("b1", cohort="b")
+            a1 = server.session("a1")
+            got, raised = [], []
+            for tick, chunk in enumerate(chunks):
+                seen = a1.windows_seen
+                try:
+                    served = await _settle(
+                        server.step_stream({"a1": chunk, "b1": chunk})
+                    )
+                except RuntimeError as exc:
+                    raised.append((tick, str(exc)))
+                    # the re-raise loses the tick's return value, not
+                    # what a1 observed: every window it consumed
+                    stream = a1.stream
+                    assert stream.windows_inferred == stream.state.windows_out
+                    if a1.windows_seen > seen:
+                        got.append(a1.last_verdict)
+                    continue
+                got.extend(served["a1"])
+            got.extend(await _settle(server.finish_stream("a1")))
+            return got, raised, server.session("b1").windows_seen, server.ticks
+
+        got, raised, b_seen, ticks = _drive_either(kind, registry, body)
+        ref = engine_a.infer_stream(data)
+        assert raised == [(3, "featurize fell over")]
+        assert np.array_equal([v.activity for v in got], ref.names)
+        assert np.array_equal([v.accepted for v in got], ref.accepted)
+        np.testing.assert_allclose(
+            [v.confidence for v in got], ref.confidences, **PARITY
+        )
+        assert b_seen == 9  # b lost only the failing tick's window
+        assert ticks == 10  # the failing tick still served cohort a
 
 
 def _recording_threads(monkeypatch, engines, threads):

@@ -12,6 +12,12 @@ Two contracts on top of the 1e-9 chunked-stream parity of
   alone and the same session inside a stacked fleet group — sync fleet,
   async fleet and a live TCP gateway.  Verdict scores keep the 1e-9
   budget (the embedder's matrix product does see the batch).
+- **One featurize call across cohorts configured alike.**  Cohorts that
+  load one package hold distinct but equal pipelines; a tick stacks their
+  windows into one denoise + statistics call, and each cohort's rows and
+  verdicts are exactly what it is served alone.  A different window
+  length, denoiser or dtype gets a call of its own, and a failing shared
+  call fails exactly the cohorts that shared it.
 - **Non-finite refusal.**  A chunk holding NaN/inf is refused with
   ``DataShapeError`` before any stream state moves: the pipeline state is
   byte-identical after the refusal, a fleet tick refuses whole, and the
@@ -30,10 +36,12 @@ from hypothesis import strategies as st
 from repro.core import FleetServer, InferenceEngine
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
+    ButterworthLowpass,
     CombinedFeatureExtractor,
     FeatureExtractor,
     PreprocessingPipeline,
     SpectralFeatureExtractor,
+    StreamingFeatureExtractor,
 )
 from repro.sensors import SensorDevice
 from repro.serving import AsyncFleetServer, ModelRegistry
@@ -423,6 +431,255 @@ class TestMixedGroups:
                 np.concatenate(served_rows[sid]), np.concatenate(rows), **PARITY
             )
             assert len(grouped[sid]) == np.concatenate(rows).shape[0] > 0
+
+
+# ---------------------------------------------------------------------- #
+# one featurize pass across cohorts configured alike
+# ---------------------------------------------------------------------- #
+
+COHORTS = ("c0", "c1", "c2")
+
+
+@pytest.fixture(scope="module")
+def package_path(scenario, tmp_path_factory):
+    path = tmp_path_factory.mktemp("package") / "package.npz"
+    scenario.package.save(path)
+    return path
+
+
+def _package_registry(package_path, cohorts=COHORTS):
+    """Every cohort loads its own engine (and pipeline) from one file."""
+    registry = ModelRegistry(default_cohort=cohorts[0])
+    for cohort in cohorts:
+        registry.register_lazy(cohort, package_path)
+    return registry
+
+
+def _spy_calls(monkeypatch, cls, method):
+    """Record the row count of every ``cls.method`` call, on any instance."""
+    calls = []
+    original = getattr(cls, method)
+
+    def spy(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        calls.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(cls, method, spy)
+    return calls
+
+
+def _serve_ticks(server, schedule, calls=None):
+    """Serve ``schedule`` tick by tick; with ``calls`` (a spy's list),
+    also the number of featurize calls each tick made."""
+    got = {sid: [] for sid in schedule}
+    per_tick = []
+    for tick in range(max(len(c) for c in schedule.values())):
+        chunks = {sid: c[tick] for sid, c in schedule.items() if tick < len(c)}
+        before = len(calls) if calls is not None else 0
+        for sid, verdicts in server.step_stream(chunks).items():
+            got[sid].extend(verdicts)
+        if calls is not None:
+            per_tick.append(len(calls) - before)
+    return got, per_tick
+
+
+def _verdict_rows(verdicts):
+    return [(v.activity, v.display, v.accepted, v.confidence) for v in verdicts]
+
+
+class TestCrossCohortShare:
+    """Cohorts whose pipelines are configured alike share one ``raw`` call
+    per tick; everything else about their service is what it is alone."""
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_cohorts_of_one_package_share_one_call_and_serve_as_alone(
+        self, package_path, walk, served_rows, monkeypatch, dtype
+    ):
+        registry = _package_registry(package_path)
+        pipelines = [registry.engine_for(c).pipeline for c in COHORTS]
+        assert len({id(p) for p in pipelines}) == 3
+        keys = {p.window_kernel(dtype).key for p in pipelines}
+        assert len(keys) == 1
+        cohort_of = {f"s{i}": COHORTS[i % 3] for i in range(6)}
+        schedule = {
+            sid: _chunks(walk[i % 3][i * 7 :], TICKS)
+            for i, sid in enumerate(cohort_of)
+        }
+
+        def fleet(sids):
+            server = FleetServer(registry)
+            for sid in sids:
+                server.connect(sid, cohort=cohort_of[sid], dtype=dtype)
+            return server
+
+        calls = _spy_calls(
+            monkeypatch, StreamingFeatureExtractor, "extract_read_columns"
+        )
+        shared, per_tick = _serve_ticks(fleet(list(schedule)), schedule, calls)
+        completed = [
+            any(
+                served_rows[sid][tick].shape[0]
+                for sid in schedule
+                if tick < len(served_rows[sid])
+            )
+            for tick in range(len(per_tick))
+        ]
+        assert per_tick == [int(done) for done in completed]
+        assert sum(per_tick) >= 4
+        rows_shared = {sid: list(served_rows[sid]) for sid in schedule}
+        for cohort in COHORTS:
+            sids = [sid for sid in schedule if cohort_of[sid] == cohort]
+            served_rows.clear()
+            alone, _ = _serve_ticks(
+                fleet(sids), {sid: schedule[sid] for sid in sids}
+            )
+            for sid in sids:
+                assert len(served_rows[sid]) == len(rows_shared[sid])
+                for got, want in zip(rows_shared[sid], served_rows[sid]):
+                    assert np.array_equal(got, want)
+                assert _verdict_rows(shared[sid]) == _verdict_rows(alone[sid])
+                assert len(shared[sid]) > 0
+
+    @pytest.mark.parametrize("differs", ["window_len", "denoiser", "float32"])
+    def test_a_different_configuration_makes_its_own_call(
+        self, package_path, walk, served_rows, monkeypatch, differs
+    ):
+        registry = _package_registry(package_path)
+        odd = registry.engine_for("c2").pipeline
+        if differs == "window_len":
+            odd.window_len = odd.stride = 100
+        elif differs == "denoiser":
+            odd.denoiser = ButterworthLowpass(cutoff_hz=20.0)
+        server = FleetServer(registry)
+        for cohort in COHORTS:
+            dtype = np.float32 if differs == "float32" and cohort == "c2" else None
+            server.connect(cohort, cohort=cohort, dtype=dtype)
+        keys = {
+            cohort: server.registry.engine_for(cohort).pipeline.window_kernel(
+                np.float32 if differs == "float32" and cohort == "c2" else None
+            ).key
+            for cohort in COHORTS
+        }
+        assert keys["c0"] == keys["c1"] != keys["c2"]
+        calls = _spy_calls(
+            monkeypatch, StreamingFeatureExtractor, "extract_read_columns"
+        )
+        chunks = {cohort: walk[i][: 2 * W] for i, cohort in enumerate(COHORTS)}
+        server.step_stream(chunks)
+        assert sorted(calls) == [2, 4]  # c0 + c1 stacked, c2 on its own
+        for cohort in COHORTS:
+            pipeline = server.session(cohort).stream.engine.pipeline
+            state = pipeline.open_stream(dtype=server.session(cohort).dtype)
+            want = pipeline.process_chunk(state, chunks[cohort])
+            assert np.array_equal(served_rows[cohort][0], want)
+
+    def test_extractors_without_a_streaming_twin_share_too(
+        self, edge, walk, served_rows, monkeypatch
+    ):
+        """Keys of extractors with no ``config`` (combined) are built from
+        their parts: two equal combined pipelines share one call."""
+        extractor = CombinedFeatureExtractor(
+            [FeatureExtractor(), SpectralFeatureExtractor()]
+        )
+        fitted = PreprocessingPipeline(extractor=extractor)
+        windows = np.stack([d[:W] for d in walk] * 4, axis=0)
+        fitted.fit_normalizer(windows + np.arange(12)[:, None, None])
+        dim = fitted.n_features
+
+        class Projection:
+            input_dim = dim
+
+            def embed(self, features):
+                return np.asarray(features)[:, : edge.ncm.prototypes_.shape[1]]
+
+        registry = ModelRegistry(default_cohort="x")
+        pipelines = {}
+        for cohort in ("x", "y"):
+            pipelines[cohort] = PreprocessingPipeline.from_dict(fitted.to_dict())
+            registry.publish(
+                cohort,
+                InferenceEngine(Projection(), edge.ncm, pipeline=pipelines[cohort]),
+            )
+        assert (
+            pipelines["x"].window_kernel().key
+            == pipelines["y"].window_kernel().key
+        )
+        calls = _spy_calls(monkeypatch, CombinedFeatureExtractor, "extract")
+        server = FleetServer(registry)
+        server.connect("x", cohort="x")
+        server.connect("y", cohort="y")
+        chunks = {"x": walk[0][: W + 5], "y": walk[1][: 3 * W]}
+        out = server.step_stream(chunks)
+        assert calls == [4]
+        assert len(out["x"]) == 1 and len(out["y"]) == 3
+        for cohort, chunk in chunks.items():
+            state = pipelines[cohort].open_stream()
+            np.testing.assert_allclose(
+                served_rows[cohort][0],
+                pipelines[cohort].process_chunk(state, chunk),
+                **PARITY,
+            )
+
+    def test_a_failing_shared_call_fails_exactly_the_groups_that_shared_it(
+        self, package_path, walk, monkeypatch
+    ):
+        registry = _package_registry(package_path)
+        registry.engine_for("c2").pipeline.denoiser = ButterworthLowpass(
+            cutoff_hz=20.0
+        )
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("statistics fell over")
+
+        server = FleetServer(registry)
+        for cohort in COHORTS:
+            server.connect(cohort, cohort=cohort)
+        for cohort in ("c0", "c1"):
+            streaming = registry.engine_for(cohort).pipeline.streaming_extractor
+            monkeypatch.setattr(streaming, "extract_read_columns", boom)
+        chunks = {cohort: walk[i][:W] for i, cohort in enumerate(COHORTS)}
+        verdicts, failures = server.stream_tick(chunks)
+        assert list(failures) == ["c0", "c1"]
+        assert failures["c0"] is failures["c1"]
+        assert str(failures["c0"]) == "statistics fell over"
+        assert len(verdicts["c2"]) == 1 and verdicts["c0"] == verdicts["c1"] == []
+        assert server.session("c2").windows_seen == 1
+        assert server.ticks == 1
+        with pytest.raises(RuntimeError, match="statistics fell over"):
+            server.step_stream(
+                {cohort: walk[i][W : 2 * W] for i, cohort in enumerate(COHORTS)}
+            )
+        assert server.session("c2").windows_seen == 2
+
+    def test_a_gateway_flush_makes_one_call_across_cohorts(
+        self, package_path, walk, monkeypatch
+    ):
+        """Lockstep clients of three cohorts: one fleet tick and one
+        featurize call per flush."""
+        registry = _package_registry(package_path)
+        calls = _spy_calls(
+            monkeypatch, StreamingFeatureExtractor, "extract_read_columns"
+        )
+        signal = np.concatenate(walk, axis=0)
+
+        async def body():
+            async with GatewayServer(registry, batch_window_s=0.05) as gateway:
+
+                async def one(i):
+                    async with GatewayClient(gateway.host, gateway.port) as c:
+                        await c.connect(f"d{i}", cohort=COHORTS[i % 3])
+                        for k in range(8):
+                            start = (i + k) * W
+                            await c.send_chunk(signal[start : start + W])
+                        await c.finish()
+
+                await asyncio.gather(*(one(i) for i in range(6)))
+                return gateway.summary()
+
+        summary = drive(body())
+        assert summary["ticks"] == summary["flushes"] == len(calls)
+        assert summary["windows_served"] == 6 * 8 == sum(calls)
 
 
 # ---------------------------------------------------------------------- #
