@@ -12,7 +12,7 @@ one monolithic pass costs, plus per-tick dispatch.
 This bench times three ways of classifying the same continuous recording:
 
 - ``monolithic``    — one fused ``engine.infer_stream`` call (lower bound),
-- ``chunked``       — a single-session :class:`~repro.core.engine.FleetServer`
+- ``chunked``       — a single-session :class:`~repro.serving.fleet.FleetServer`
   fed fixed-size raw ticks through ``step_stream`` (the serving loop),
 - ``rebuffered``    — the naive fix: grow a buffer, re-run ``infer_stream``
   on it every tick, keep the new verdicts (O(n^2) strawman),
@@ -36,9 +36,10 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core import CloudConfig, FleetServer
+from repro.core import CloudConfig
 from repro.datasets import build_edge_scenario
 from repro.nn import TrainConfig
+from repro.serving import FleetServer
 
 RECORDING_SECONDS = 240.0
 #: Samples per serving tick (40 windows at window_len=120).  The ratio to

@@ -5,7 +5,7 @@ The seed classified strictly one window at a time; the batched
 denoise -> features -> normalize -> embed -> NCM pass over ``(k, window_len,
 channels)`` stacks.  This bench measures windows/sec for the per-window
 loop and for engine batches of growing size, plus a 100-session
-:class:`~repro.core.engine.FleetServer` tick, and asserts the headline
+:class:`~repro.serving.fleet.FleetServer` tick, and asserts the headline
 speedup (batch-256 at least 5x the per-window loop).
 
 Run under pytest with the shared bench scenario, or standalone to record a
@@ -25,9 +25,10 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core import CloudConfig, FleetServer
+from repro.core import CloudConfig
 from repro.datasets import activity_windows, build_edge_scenario
 from repro.nn import TrainConfig
+from repro.serving import FleetServer
 
 BATCH_SIZES = (1, 32, 256)
 FLEET_SESSIONS = 100

@@ -2,7 +2,7 @@
 
 A population-scale fleet is heterogeneous: device classes, sampling rates
 and enrollment sizes each want their own model package.  The cohort-aware
-:class:`~repro.core.engine.FleetServer` binds every session to a cohort in
+:class:`~repro.serving.fleet.FleetServer` binds every session to a cohort in
 a :class:`~repro.serving.registry.ModelRegistry` and still batches each
 tick into **one engine call per distinct model**, so splitting a fleet
 across k models costs k smaller batched calls instead of per-session
@@ -38,10 +38,10 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 from conftest import build_cohort_fleet_setup
 
-from repro.core import CloudConfig, FleetServer
+from repro.core import CloudConfig
 from repro.datasets import build_edge_scenario
 from repro.nn import TrainConfig
-from repro.serving import ModelRegistry
+from repro.serving import FleetServer, ModelRegistry
 
 #: Samples per serving tick (10 windows at window_len=120) — small enough
 #: that per-tick dispatch matters, large enough that the tick is not pure

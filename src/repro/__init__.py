@@ -49,7 +49,7 @@ Subpackages:
 
 - :mod:`repro.core` — the paper's contribution (platform, privacy,
   incremental learning, NCM, support set, transfer package) plus the
-  batched :class:`~repro.core.engine.InferenceEngine` / fleet server,
+  batched :class:`~repro.core.engine.InferenceEngine`,
 - :mod:`repro.nn` — numpy neural substrate (Siamese net, losses, optim),
 - :mod:`repro.sensors` — synthetic 22-channel sensor campaign,
 - :mod:`repro.preprocessing` — denoise/segment/normalize/80 features,
@@ -57,8 +57,10 @@ Subpackages:
 - :mod:`repro.eval` — metrics, incremental protocol (plus per-cohort
   stream rollups), baselines,
 - :mod:`repro.edge_runtime` — device resource model and the demo app,
-- :mod:`repro.serving` — the multi-model cohort layer
-  (:class:`~repro.serving.registry.ModelRegistry`, fleet specs).
+- :mod:`repro.serving` — fleet serving and the multi-model cohort layer
+  (:class:`~repro.serving.fleet.FleetServer`,
+  :class:`~repro.serving.registry.ModelRegistry`, fleet specs, the TCP
+  gateway).
 """
 
 from .core import (
@@ -66,8 +68,6 @@ from .core import (
     CloudConfig,
     CloudInitializer,
     EdgeDevice,
-    EdgeSession,
-    FleetServer,
     IncrementalConfig,
     InferenceEngine,
     InferenceResult,
@@ -75,7 +75,6 @@ from .core import (
     NCMClassifier,
     NetworkLink,
     PrivacyGuard,
-    SessionVerdict,
     SupportSet,
     TransferPackage,
 )
@@ -90,7 +89,7 @@ from .exceptions import (
     UnknownActivityError,
     UnknownCohortError,
 )
-from .serving import ModelRegistry
+from .serving import EdgeSession, FleetServer, ModelRegistry, SessionVerdict
 
 __version__ = "1.0.0"
 

@@ -1,9 +1,9 @@
 """``async-blocking`` / ``lock-order`` / ``blind-sleep`` — event-loop hygiene.
 
-The serving core runs on one event loop: ``AsyncFleetServer`` serves
+The serving core runs on one event loop: the gateway's flusher serves
 each tick inline (its batched engine calls included — measured faster
-than handing them to a thread pool), and the gateway's flusher and
-connections share that loop.  Nothing on it may *wait* by blocking, and
+than handing them to a thread pool), and its connections share that
+loop.  Nothing on it may *wait* by blocking, and
 any code that takes several ``asyncio.Lock``s must take them in
 **sorted** key order (two tasks locking ``{a, b}`` and ``{b, a}`` in
 arrival order deadlock).  Both contracts are invisible in a diff until
@@ -25,8 +25,9 @@ payloads and may block):
   serving core (:data:`BLIND_SLEEP_PATHS`): a task that sleeps cannot see
   the arrival or disconnect it is waiting out — the gateway's flusher slept
   its whole batch window in 91% of lockstep flushes that way.  Wait on an
-  event with a deadline instead.  Load generators and clients pace and
-  back off by sleeping on purpose and are out of scope by path.
+  event with a deadline instead.  The gateway client is in scope too: it
+  never backs off, since no chunk is refused.  Load generators pace by
+  sleeping on purpose and are out of scope by path.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = ["AsyncHygieneChecker"]
 #: Files (posix path suffixes) where waiting must be event-driven.
 BLIND_SLEEP_PATHS = (
     "serving/gateway/server.py",
+    "serving/gateway/client.py",
     "serving/async_fleet.py",
 )
 

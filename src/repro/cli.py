@@ -10,7 +10,7 @@ Five subcommands cover the platform lifecycle without writing any Python:
                (optionally multi-model: ``--cohorts spec.json`` serves
                each cohort from its own package via a ModelRegistry)
 ``gateway``    expose a fleet over TCP: framed HELLO/CHUNK/FINISH
-               sessions served through the async fleet server
+               sessions, each flush served as one fleet tick
 ``gateway-bench``  replay N simulated devices against a gateway and
                report p50/p95/p99 tick latency (optionally a
                saturation ramp)
@@ -40,13 +40,13 @@ from .core import (
     CloudConfig,
     CloudInitializer,
     EdgeDevice,
-    FleetServer,
     TransferPackage,
 )
 from .edge_runtime import MagnetoApp, render_prediction, render_session
 from .nn import TrainConfig
 from .serving import (
     DEFAULT_COHORT,
+    FleetServer,
     ModelRegistry,
     load_cohort_spec,
     registry_from_specs,
@@ -377,8 +377,8 @@ def _cmd_gateway(args) -> int:
     """Serve a fleet over TCP until interrupted.
 
     Every connection is one device session speaking the binary framed
-    wire protocol; chunks are micro-batched per cohort into single
-    :class:`~repro.serving.async_fleet.AsyncFleetServer` ticks, so socket
+    wire protocol; each flush of chunks is one
+    :class:`~repro.serving.FleetServer` tick across cohorts, so socket
     serving keeps the in-process batching economics.
     """
     registry = _gateway_registry(args)
@@ -446,8 +446,7 @@ def _cmd_gateway_bench(args) -> int:
                   f"({stats['windows_per_sec']:.0f} windows/s)")
             print(f"tick latency: p50 {stats['p50_ms']:.1f} ms, "
                   f"p95 {stats['p95_ms']:.1f} ms, "
-                  f"p99 {stats['p99_ms']:.1f} ms; "
-                  f"BUSY refusals absorbed: {stats['busy_frames']}")
+                  f"p99 {stats['p99_ms']:.1f} ms")
             if args.saturation:
                 counts, n = [], args.devices
                 for _ in range(4):
@@ -462,8 +461,7 @@ def _cmd_gateway_bench(args) -> int:
                 for step in ramp["steps"]:
                     print(f"  {int(step['devices']):>5} devices: "
                           f"{step['windows_per_sec']:8.0f} windows/s, "
-                          f"p95 {step['p95_ms']:.1f} ms, "
-                          f"busy {int(step['busy_frames'])}")
+                          f"p95 {step['p95_ms']:.1f} ms")
                 print(f"saturation point: "
                       f"{ramp['saturation_devices']} devices")
 

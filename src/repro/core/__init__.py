@@ -8,15 +8,7 @@ set, and Edge-side incremental learning / calibration.
 from .cloud import CloudConfig, CloudInitializer, PretrainReport
 from .drift import DriftMonitor
 from .edge import EdgeDevice, InferenceResult
-from .engine import (
-    DEFAULT_COHORT,
-    BatchInference,
-    EdgeSession,
-    FleetServer,
-    InferenceEngine,
-    SessionVerdict,
-    StreamSession,
-)
+from .engine import BatchInference, InferenceEngine, StreamSession
 from .incremental import (
     IncrementalConfig,
     IncrementalLearner,
@@ -46,15 +38,12 @@ from .transfer import CohortHead, TransferPackage, engine_from_head
 __all__ = [
     "BatchInference",
     "CLOUD_TO_EDGE",
-    "DEFAULT_COHORT",
     "CloudConfig",
     "CohortHead",
     "CloudInitializer",
     "DriftMonitor",
     "EDGE_TO_CLOUD",
     "EdgeDevice",
-    "EdgeSession",
-    "FleetServer",
     "HysteresisSmoother",
     "IncrementalConfig",
     "IncrementalLearner",
@@ -69,7 +58,6 @@ __all__ = [
     "PrivacyGuard",
     "ProvisioningReport",
     "SELECTION_STRATEGIES",
-    "SessionVerdict",
     "StreamSession",
     "SupportSet",
     "TransferPackage",

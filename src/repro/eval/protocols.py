@@ -15,8 +15,6 @@ per-window calls, so high-overlap evaluation sweeps stay tractable.
 
 from __future__ import annotations
 
-import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -218,24 +216,6 @@ class _StreamAccumulator:
         self.confidence_sum = 0.0
         self.latency_ms = 0.0
 
-    def merge(self, other: "_StreamAccumulator") -> None:
-        """Fold another accumulator's raw counts into this one.
-
-        Because everything is kept as counts/sums (never ratios), merging
-        per-cohort accumulators reproduces exactly what one interleaved
-        accumulator would have counted — the property the async cohort
-        driver relies on for its exact combined rollup.
-        """
-        for label, n in other.total_by.items():
-            self.total_by[label] = self.total_by.get(label, 0) + n
-        for label, n in other.correct_by.items():
-            self.correct_by[label] = self.correct_by.get(label, 0) + n
-        self.n_windows += other.n_windows
-        self.n_correct += other.n_correct
-        self.n_rejected += other.n_rejected
-        self.confidence_sum += other.confidence_sum
-        self.latency_ms += other.latency_ms
-
     def add(self, batch, label: str) -> None:
         """Fold one engine batch of a ``label``-segment into the counts."""
         self.latency_ms += batch.latency_ms
@@ -372,7 +352,7 @@ def run_cohort_stream_protocol(
 
     ``stride`` may be one int for every cohort or a ``{cohort: stride}``
     mapping (cohorts absent from the mapping use their pipeline stride),
-    mirroring :meth:`~repro.core.engine.FleetServer.step_stream`;
+    mirroring :meth:`~repro.serving.fleet.FleetServer.step_stream`;
     ``chunk_len`` switches every cohort to the chunked serving path.
     Unknown cohorts raise :class:`~repro.exceptions.UnknownCohortError`;
     a cohort whose segments never complete a window raises
@@ -402,84 +382,6 @@ def run_cohort_stream_protocol(
             ):
                 acc.add(batch, label)
                 combined.add(batch, label)
-        per_cohort[cohort_key] = acc.result()
-    return CohortStreamEvalResult(
-        per_cohort=per_cohort, combined=combined.result()
-    )
-
-
-def _accumulate_cohort_segments(
-    engine: InferenceEngine,
-    segments: Sequence[Tuple[str, np.ndarray]],
-    stride: Optional[int],
-    chunk_len: Optional[int],
-) -> _StreamAccumulator:
-    """One cohort's whole evaluation, as one thread-pool task."""
-    acc = _StreamAccumulator()
-    for label, samples in segments:
-        for batch in _segment_batches(engine, samples, stride, chunk_len):
-            acc.add(batch, label)
-    return acc
-
-
-async def run_cohort_stream_protocol_async(
-    registry,
-    segments_by_cohort: Mapping[str, Sequence[Tuple[str, np.ndarray]]],
-    stride: Optional[Union[int, Mapping[str, int]]] = None,
-    chunk_len: Optional[int] = None,
-    workers: int = 2,
-) -> CohortStreamEvalResult:
-    """Async :func:`run_cohort_stream_protocol`: cohorts evaluate in parallel.
-
-    The fan-out twin of the cohort protocol for multi-model sweeps: every
-    cohort's labeled segments are evaluated as one task on a thread pool
-    of ``workers`` created for this call (so a k-cohort evaluation
-    overlaps up to ``min(k, workers)`` engines' wall-clock), then the raw
-    window counts are merged **in cohort order** into the same exact
-    combined rollup the serial protocol produces — per-cohort and combined
-    accuracies, window and rejection counts are identical; only the
-    latency fields reflect the parallel run's timing.
-
-    Errors mirror the serial protocol: unknown cohorts raise
-    :class:`~repro.exceptions.UnknownCohortError` before any evaluation
-    runs, a cohort whose segments never complete a window raises
-    :class:`~repro.exceptions.DataShapeError`.
-    """
-    if not segments_by_cohort:
-        raise ConfigurationError("segments_by_cohort must be non-empty")
-    if chunk_len is not None and chunk_len < 1:
-        raise ConfigurationError(f"chunk_len must be >= 1, got {chunk_len}")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    jobs = []
-    for cohort_id, segments in segments_by_cohort.items():
-        cohort_key = str(cohort_id)
-        if not segments:
-            raise ConfigurationError(
-                f"cohort {cohort_key!r} has no segments"
-            )
-        cohort_stride = (
-            stride.get(cohort_key) if isinstance(stride, Mapping) else stride
-        )
-        engine = registry.engine_for(cohort_key)
-        jobs.append((cohort_key, engine, list(segments), cohort_stride))
-    loop = asyncio.get_running_loop()
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        accumulators = await asyncio.gather(*(
-            loop.run_in_executor(
-                executor,
-                _accumulate_cohort_segments,
-                engine,
-                segments,
-                cohort_stride,
-                chunk_len,
-            )
-            for _, engine, segments, cohort_stride in jobs
-        ))
-    per_cohort: Dict[str, StreamEvalResult] = {}
-    combined = _StreamAccumulator()
-    for (cohort_key, *_), acc in zip(jobs, accumulators):
-        combined.merge(acc)
         per_cohort[cohort_key] = acc.result()
     return CohortStreamEvalResult(
         per_cohort=per_cohort, combined=combined.result()

@@ -34,22 +34,9 @@ class UnknownCohortError(ConfigurationError):
     """A cohort id was requested that the model registry does not serve.
 
     Raised by :class:`~repro.serving.registry.ModelRegistry` lookups and by
-    :class:`~repro.core.engine.FleetServer` when a session is bound to (or
+    :class:`~repro.serving.fleet.FleetServer` when a session is bound to (or
     served from) a cohort with no published or registered package.  Derives
     from :class:`ConfigurationError` so existing handlers keep working.
-    """
-
-
-class BackpressureError(MagnetoError):
-    """A gateway peer refused a chunk and every retry of it.
-
-    Raised by :class:`~repro.serving.gateway.client.GatewayClient` when a
-    server keeps answering a chunk with ``BUSY`` frames (the wire
-    protocol's "nothing consumed, retry after") past the client's retry
-    budget.  The refused chunk consumed **nothing** server-side, so the
-    caller still holds it and can retry later.  This package's own
-    :class:`~repro.serving.gateway.GatewayServer` never refuses a chunk:
-    one that arrives mid-tick waits for the next flush.
     """
 
 

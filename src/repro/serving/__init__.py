@@ -4,21 +4,20 @@ Everything needed to serve a heterogeneous device fleet from one process:
 
 - :class:`~repro.serving.registry.ModelRegistry` — model packages keyed by
   cohort id, with a default cohort, lazy loading and hot-swap publishing;
-- :class:`~repro.core.engine.FleetServer` (re-exported) — binds each
-  session to a cohort and issues one batched engine call per distinct
-  model per tick;
-- :class:`~repro.serving.async_fleet.AsyncFleetServer` — the asyncio
-  driver of the same tick: ``await step_stream(...)`` runs it inline on
-  the event loop (same verdicts; one tick in flight at a time, so each
-  session's chunks are served in call order);
+- :class:`~repro.serving.fleet.FleetServer` — binds each session to a
+  cohort and issues one batched engine call per distinct model per tick;
+  the one fleet class, serving both the in-process API and the gateway;
+- :class:`~repro.serving.async_fleet.AsyncFleetServer` — ``await``
+  wrappers over the same tick, run inline on the event loop;
 - :class:`~repro.serving.cohorts.CohortSpec` /
   :func:`~repro.serving.cohorts.load_cohort_spec` — declarative fleet
   layouts for the CLI and benchmarks;
 - :class:`~repro.serving.gateway.GatewayServer` /
   :class:`~repro.serving.gateway.GatewayClient` — the TCP ingestion
   edge: framed ``HELLO``/``CHUNK``/``FINISH`` sessions served through
-  the async fleet with per-cohort micro-batched ticks (a chunk that
-  arrives mid-tick waits for the next flush) and structured error codes.
+  one :class:`FleetServer` with micro-batched ticks across cohorts (a
+  chunk that arrives mid-tick waits for the next flush) and structured
+  error codes.
 
 Quickstart::
 
@@ -38,12 +37,6 @@ Quickstart::
                                             # finish_stream()
 """
 
-from ..core.engine import (
-    DEFAULT_COHORT,
-    EdgeSession,
-    FleetServer,
-    SessionVerdict,
-)
 from ..core.transfer import CohortHead, engine_from_head
 from .async_fleet import AsyncFleetServer
 from .cohorts import (
@@ -53,8 +46,9 @@ from .cohorts import (
     parse_fleet_spec,
     registry_from_specs,
 )
+from .fleet import EdgeSession, FleetServer, SessionVerdict
 from .gateway import GatewayClient, GatewayServer
-from .registry import ModelRegistry, engine_from_package
+from .registry import DEFAULT_COHORT, ModelRegistry, engine_from_package
 
 __all__ = [
     "AsyncFleetServer",

@@ -1,10 +1,10 @@
 """Async fleet serving: the fleet tick as coroutines, served on the loop.
 
 :class:`AsyncFleetServer` is the synchronous
-:class:`~repro.core.engine.FleetServer` behind an ``await``: every entry
+:class:`~repro.serving.fleet.FleetServer` behind an ``await``: every entry
 point runs the same tick core — *plan* (validate, group by model,
 featurize), *run* (one batched engine call per group, inline in
-:meth:`~repro.core.engine.FleetServer._run_groups`), *fold* (smoothers,
+:meth:`~repro.serving.fleet.FleetServer._run_groups`), *fold* (smoothers,
 counters) — on the event loop's own thread.  A tick never suspends
 between plan and fold, so two ticks are never in flight at once: chunks
 of one session are served in call order, a session cannot be
@@ -46,8 +46,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from ..core.engine import FleetServer, InferenceEngine, SessionVerdict
+from ..core.engine import InferenceEngine
 from ..core.smoothing import HysteresisSmoother
+from .fleet import FleetServer, SessionVerdict
 
 __all__ = ["AsyncFleetServer"]
 

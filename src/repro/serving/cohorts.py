@@ -150,7 +150,7 @@ def registry_from_specs(
     raises :class:`~repro.exceptions.ConfigurationError`.  Cohorts naming
     the same package path load the file once and share one engine object
     (the registry builds one engine per package object), so the
-    :class:`~repro.core.engine.FleetServer` — which groups each tick by
+    :class:`~repro.serving.fleet.FleetServer` — which groups each tick by
     engine identity — serves them from a single shared batch, and
     :meth:`~repro.serving.registry.ModelRegistry.package_for` still works
     for device provisioning.

@@ -3,10 +3,9 @@
 The serving stack's socket edge.  :mod:`~repro.serving.gateway.protocol`
 defines the wire format (one length-prefixed binary framing),
 :class:`GatewayServer` accepts per-session ``HELLO``/``CHUNK``/``FINISH``
-frames and serves them through
-:class:`~repro.serving.AsyncFleetServer` with per-cohort micro-batched
-ticks, :class:`GatewayClient` drives one device session with transparent
-``BUSY`` retry, and :mod:`~repro.serving.gateway.loadgen` replays
+frames and serves them through one
+:class:`~repro.serving.FleetServer` with micro-batched ticks across
+cohorts, :class:`GatewayClient` drives one device session, and :mod:`~repro.serving.gateway.loadgen` replays
 simulated fleets to measure tick-latency percentiles and the saturation
 point (the ``repro gateway-bench`` CLI).
 """
@@ -19,7 +18,6 @@ from .protocol import (
     BinaryFrameCodec,
     Frame,
     FrameType,
-    busy_frame,
     chunk_frame,
     error_code_for,
     error_frame,
@@ -40,7 +38,6 @@ __all__ = [
     "LoadReport",
     "MAGIC",
     "PROTOCOL_VERSION",
-    "busy_frame",
     "chunk_frame",
     "error_code_for",
     "error_frame",

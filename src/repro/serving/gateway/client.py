@@ -7,15 +7,13 @@ and blocks for the verdicts it completed, :meth:`finish` flushes the
 session tail.  Server-side failures come back as the **same typed
 exception** the in-process API raises (``ERROR`` frames are rebuilt via
 :func:`~repro.serving.gateway.protocol.exception_for`), so code written
-against :class:`~repro.core.engine.FleetServer` ports over unchanged.
+against :class:`~repro.serving.fleet.FleetServer` ports over unchanged.
 
-Backpressure is handled in-line: a ``BUSY`` frame makes
-:meth:`send_chunk` sleep the server's ``retry_after_ms`` hint and resend
-the *same* chunk (the protocol guarantees a refused chunk consumed
-nothing), up to ``busy_retries`` times before surfacing
-:class:`~repro.exceptions.BackpressureError` to the caller.  This
-package's :class:`~repro.serving.gateway.GatewayServer` never sends
-``BUSY``; the retry serves peers that do.
+The client never sleeps and never resends: the server parks a chunk that
+arrives mid-tick for the next flush rather than refusing it, so any reply
+other than ``VERDICT`` or ``ERROR`` — a ``BUSY`` frame included — is a
+:class:`~repro.exceptions.ProtocolError`.  A refused handshake closes the
+connection, so the same client can ``connect`` again.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ...core.engine import SessionVerdict
-from ...exceptions import BackpressureError, ConfigurationError, ProtocolError
+from ...exceptions import ConfigurationError, ProtocolError
+from ..fleet import SessionVerdict
 from .protocol import (
     BinaryFrameCodec,
     Frame,
@@ -49,22 +47,12 @@ class GatewayClient:
     ----------
     host / port:
         The gateway's bind address.
-    busy_retries:
-        How many ``BUSY`` refusals :meth:`send_chunk` absorbs (sleeping
-        the server's retry hint each time) before raising
-        :class:`~repro.exceptions.BackpressureError`.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        busy_retries: int = 64,
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self._host = host
         self._port = int(port)
         self._codec = BinaryFrameCodec()
-        self.busy_retries = int(busy_retries)
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._inbox: List[Frame] = []
@@ -72,6 +60,7 @@ class GatewayClient:
         self.cohort: Optional[str] = None
         self.window_len: Optional[int] = None
         self.classes: List[str] = []
+        # Always 0 (no retry on BUSY); the e2e benchmark reads it.
         self.busy_frames_seen = 0
         self._seq = 0
 
@@ -91,22 +80,25 @@ class GatewayClient:
         ``dtype="float32"`` asks the server to serve this session on the
         reduced-precision fast path (``"float64"``/``None`` is the
         canonical math; anything else is rejected with a fatal error).
+        A refused handshake closes the connection before it raises.
         """
         if self._writer is not None:
             raise ConfigurationError("client is already connected")
         self._reader, self._writer = await asyncio.open_connection(
             self._host, self._port
         )
-        await self._write(
-            hello_frame(session_id, cohort=cohort, stride=stride, dtype=dtype)
-        )
-        frame = await self._read_frame()
-        if frame.type == FrameType.ERROR:
-            raise exception_for(frame.meta.get("code"), frame.meta.get("message"))
-        if frame.type != FrameType.WELCOME:
-            raise ProtocolError(
-                f"expected WELCOME, server sent {frame.type.name}"
+        try:
+            await self._write(
+                hello_frame(
+                    session_id, cohort=cohort, stride=stride, dtype=dtype
+                )
             )
+            frame = await self._read_frame()
+            if frame.type != FrameType.WELCOME:
+                self._raise_for(frame)
+        except BaseException:
+            await self.aclose()
+            raise
         self.session_id = frame.meta.get("session_id")
         self.cohort = frame.meta.get("cohort")
         self.window_len = frame.meta.get("window_len")
@@ -122,6 +114,7 @@ class GatewayClient:
                 pass  # the far side may already be gone; closing is closing
             self._writer = None
             self._reader = None
+            self._inbox.clear()
 
     async def __aenter__(self) -> "GatewayClient":
         return self
@@ -136,28 +129,16 @@ class GatewayClient:
     async def send_chunk(self, chunk: np.ndarray) -> List[SessionVerdict]:
         """Ship one tick of raw samples; returns the verdicts it completed.
 
-        Retries ``BUSY`` refusals transparently (the server never consumed
-        a refused chunk, so resending the same bytes is exact); all other
-        ``ERROR`` frames re-raise as the typed repro exception.
+        ``ERROR`` frames re-raise as the typed repro exception; any other
+        reply but ``VERDICT`` raises :class:`ProtocolError`.
         """
         self._require_session()
         self._seq += 1
-        frame = chunk_frame(self._seq, chunk)
-        for _ in range(self.busy_retries + 1):
-            await self._write(frame)
-            reply = await self._read_frame()
-            if reply.type == FrameType.VERDICT:
-                return self._parse_verdicts(reply)
-            if reply.type == FrameType.BUSY:
-                self.busy_frames_seen += 1
-                retry_ms = float(reply.meta.get("retry_after_ms", 20.0))
-                await asyncio.sleep(retry_ms / 1000.0)
-                continue
-            self._raise_for(reply)
-        raise BackpressureError(
-            f"gateway refused the chunk {self.busy_retries + 1} times "
-            f"(session {self.session_id!r})"
-        )
+        await self._write(chunk_frame(self._seq, chunk))
+        reply = await self._read_frame()
+        if reply.type == FrameType.VERDICT:
+            return self._parse_verdicts(reply)
+        self._raise_for(reply)
 
     async def finish(self) -> List[SessionVerdict]:
         """Flush the session's held-back tail; returns the final verdicts."""

@@ -3,18 +3,14 @@
 :func:`run_load` replays a fixed chunk schedule through N concurrent
 :class:`~repro.serving.gateway.client.GatewayClient` sessions against a
 live gateway and reports per-tick round-trip latency percentiles
-(p50/p95/p99), BUSY refusals absorbed, and windows served — the numbers
-the ``repro gateway-bench`` CLI prints.
+(p50/p95/p99) and windows served — the numbers the ``repro
+gateway-bench`` CLI prints.
 :func:`find_saturation` ramps the device count over the same schedule and
 records the saturation point: the largest fleet the gateway still scales
-for (throughput gain ≥ ``min_gain`` per step and no BUSY refusals).
-:class:`~repro.serving.gateway.server.GatewayServer` never refuses a
-chunk — one that arrives mid-tick waits for the next flush — so against
-it the BUSY count is always 0 and saturation shows as latency instead;
-the count is kept for peers that do answer ``BUSY``.
+for (throughput gain ≥ ``min_gain`` per step).
 
 Everything here is measurement plumbing; no inference happens outside
-the gateway's own :class:`~repro.serving.AsyncFleetServer` path.
+the gateway's own :class:`~repro.serving.FleetServer` path.
 """
 
 from __future__ import annotations
@@ -46,18 +42,12 @@ def percentiles(latencies_ms: Sequence[float]) -> Dict[str, float]:
 
 @dataclass
 class LoadReport:
-    """What one :func:`run_load` replay measured.
-
-    ``busy_frames`` counts the ``BUSY`` refusals the clients absorbed:
-    always 0 against this package's ``GatewayServer``, which queues a
-    chunk that arrives mid-tick for the next flush instead.
-    """
+    """What one :func:`run_load` replay measured."""
 
     devices: int
     ticks: int
     wall_s: float
     latencies_ms: List[float] = field(default_factory=list)
-    busy_frames: int = 0
     windows_served: int = 0
 
     @property
@@ -86,7 +76,6 @@ class LoadReport:
             "p50_ms": stats["p50_ms"],
             "p95_ms": stats["p95_ms"],
             "p99_ms": stats["p99_ms"],
-            "busy_frames": self.busy_frames,
             "windows_served": self.windows_served,
             "windows_per_sec": self.windows_per_sec,
         }
@@ -116,7 +105,6 @@ async def _drive_device(
         # runs, and would overwrite what other devices add meanwhile
         tail = await client.finish()
         counters["windows"] += len(tail)
-        counters["busy"] += client.busy_frames_seen
 
 
 async def run_load(
@@ -144,7 +132,7 @@ async def run_load(
         raise ConfigurationError("run_load needs at least one device")
     cohorts = cohorts or {}
     latencies_ms: List[float] = []
-    counters = {"windows": 0, "busy": 0}
+    counters = {"windows": 0}
     start = time.perf_counter()
     await asyncio.gather(
         *(
@@ -169,7 +157,6 @@ async def run_load(
         ticks=n_ticks,
         wall_s=wall_s,
         latencies_ms=latencies_ms,
-        busy_frames=counters["busy"],
         windows_served=counters["windows"],
     )
 
@@ -187,9 +174,7 @@ async def find_saturation(
     Each step replays ``make_device_chunks(n)`` at full speed and keeps
     the throughput (windows/sec).  The saturation point is the last
     device count that still *improved* throughput by ``min_gain`` over
-    the previous step with zero BUSY refusals; the first step that fails
-    either test ends the ramp.  ``GatewayServer`` never sends ``BUSY``,
-    so against it the throughput gain alone decides.
+    the previous step; the first step that does not ends the ramp.
     """
     steps: List[Dict[str, float]] = []
     saturation = int(device_counts[0])
@@ -202,10 +187,7 @@ async def find_saturation(
             stride=stride,
         )
         steps.append(report.to_dict())
-        scaled = (
-            report.busy_frames == 0
-            and report.windows_per_sec >= prev_throughput * min_gain
-        )
+        scaled = report.windows_per_sec >= prev_throughput * min_gain
         if steps[:-1] and not scaled:
             break
         saturation = int(count)

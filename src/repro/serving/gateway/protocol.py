@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from ...exceptions import (
-    BackpressureError,
     ConfigurationError,
     DataShapeError,
     MagnetoError,
@@ -64,7 +63,6 @@ __all__ = [
     "FrameType",
     "MAGIC",
     "PROTOCOL_VERSION",
-    "busy_frame",
     "chunk_frame",
     "error_code_for",
     "error_frame",
@@ -97,7 +95,7 @@ class FrameType(enum.IntEnum):
     CHUNK = 3  # c->s: one tick of raw samples (payload = (n, ch) array)
     VERDICT = 4  # s->c: the windows a chunk/finish completed
     FINISH = 5  # c->s: flush the session's held-back tail
-    BUSY = 6  # s->c: backpressure — nothing consumed, retry after
+    BUSY = 6  # reserved: no peer sends it; a client treats it as unexpected
     ERROR = 7  # s->c: typed failure (code from the exception taxonomy)
 
 
@@ -193,17 +191,6 @@ def finish_frame(seq: int) -> Frame:
     return Frame(FrameType.FINISH, {"seq": int(seq)})
 
 
-def busy_frame(seq: Optional[int], retry_after_ms: float, inflight: int) -> Frame:
-    return Frame(
-        FrameType.BUSY,
-        {
-            "seq": seq,
-            "retry_after_ms": float(retry_after_ms),
-            "inflight": int(inflight),
-        },
-    )
-
-
 def error_frame(
     code: str,
     message: str,
@@ -223,7 +210,6 @@ def error_frame(
 #: Most-derived first: ``error_code_for`` walks this in order.
 _CODE_BY_CLASS: Tuple[Tuple[Type[MagnetoError], str], ...] = (
     (ProtocolError, "PROTOCOL"),
-    (BackpressureError, "BACKPRESSURE"),
     (UnknownCohortError, "UNKNOWN_COHORT"),
     (DataShapeError, "DATA_SHAPE"),
     (NotFittedError, "NOT_FITTED"),

@@ -4,7 +4,7 @@
 TCP connection speaks the :mod:`~repro.serving.gateway.protocol` binary
 framing, carries **one device session** (``HELLO`` → ``CHUNK``* →
 ``FINISH``), and every chunk is served through the in-process
-:class:`~repro.serving.AsyncFleetServer` — the gateway owns no inference
+:class:`~repro.serving.FleetServer` — the gateway owns no inference
 code of its own, so gateway verdicts are pinned identical (1e-9) to
 in-process serving by construction.
 
@@ -36,8 +36,7 @@ Three design points carry the production semantics:
 - **One tick at a time.**  Ticks run inline on the event loop, so at
   most one is ever in flight.  Chunks that arrive mid-tick wait in the
   socket buffers and park for the next flush; no chunk is refused.
-  (The ``BUSY`` frame stays in the wire protocol, and the client still
-  retries on one, but this server never sends it.)
+  (``BUSY`` stays a reserved frame type on the wire; no peer sends it.)
 - **Failure isolation per connection.**  A client vanishing mid-CHUNK,
   after a CHUNK or mid-handshake releases exactly its own session; other
   sessions' verdicts are untouched.  Every chunk is checked on its own
@@ -70,13 +69,13 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ...exceptions import ConfigurationError, MagnetoError, ProtocolError
 from ...utils import Timer
-from ..async_fleet import AsyncFleetServer
+from ..fleet import FleetServer
 from .protocol import (
     BinaryFrameCodec,
     Frame,
@@ -130,11 +129,10 @@ class GatewayServer:
 
     Parameters
     ----------
-    fleet:
-        An existing :class:`~repro.serving.AsyncFleetServer` to serve
-        through (the caller keeps ownership), or anything its constructor
-        accepts — a :class:`~repro.serving.ModelRegistry`, an engine — in
-        which case the gateway builds and owns one.
+    registry:
+        What to serve: a :class:`~repro.serving.ModelRegistry`, or an
+        engine served as its default cohort.  The gateway builds and
+        owns one :class:`~repro.serving.FleetServer` over it.
     host / port:
         Bind address.  ``port=0`` picks an ephemeral port; read it back
         from :attr:`port` after :meth:`start`.
@@ -151,7 +149,7 @@ class GatewayServer:
 
     def __init__(
         self,
-        fleet: Union[AsyncFleetServer, object],
+        registry: object,
         host: str = "127.0.0.1",
         port: int = 0,
         batch_window_s: float = 0.002,
@@ -161,11 +159,7 @@ class GatewayServer:
             raise ConfigurationError(
                 f"batch_window_s must be >= 0, got {batch_window_s}"
             )
-        self._fleet = (
-            fleet
-            if isinstance(fleet, AsyncFleetServer)
-            else AsyncFleetServer(fleet)
-        )
+        self._fleet = FleetServer(registry)
         self._host = host
         self._requested_port = int(port)
         self.batch_window_s = float(batch_window_s)
@@ -192,7 +186,7 @@ class GatewayServer:
     # ------------------------------------------------------------------ #
 
     @property
-    def fleet(self) -> AsyncFleetServer:
+    def fleet(self) -> FleetServer:
         return self._fleet
 
     @property
@@ -249,7 +243,7 @@ class GatewayServer:
         rollup = dict(self._fleet.summary())
         rollup.update(
             connections_total=float(self.connections_total),
-            busy_refusals=0.0,  # no chunk is refused; the key stays for readers
+            busy_refusals=0.0,  # always 0; the e2e benchmark reads the key
             protocol_errors=float(self.protocol_errors),
             frames_received=float(self.frames_received),
             live_sessions=float(len(self._live_sessions)),
@@ -463,7 +457,7 @@ class GatewayServer:
             )
             return False
         try:
-            verdicts = await self._fleet.finish_stream(state.session_id)
+            verdicts = self._fleet.finish_stream(state.session_id)
         except MagnetoError as exc:
             await self._send(
                 writer,

@@ -7,13 +7,13 @@ catalog of those packages: engines are keyed by ``cohort_id``, one cohort
 is the default, packages can be registered lazily (loaded from disk on
 first use) and hot-swapped at runtime via :meth:`ModelRegistry.publish`.
 
-A :class:`~repro.core.engine.FleetServer` constructed from a registry binds
+A :class:`~repro.serving.fleet.FleetServer` constructed from a registry binds
 every session to a cohort and issues one batched engine call per distinct
 model per tick, so a mixed-cohort fleet keeps the single-model batch
 speedup.  Sessions with an open chunk stream stay pinned to the engine
 they started on: a :meth:`~ModelRegistry.publish` mid-stream only affects
 sessions (re)opened afterwards — see
-:meth:`~repro.core.engine.FleetServer.step_stream`.
+:meth:`~repro.serving.fleet.FleetServer.step_stream`.
 """
 
 from __future__ import annotations
@@ -21,10 +21,14 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from ..core.engine import DEFAULT_COHORT, InferenceEngine
+from ..core.engine import InferenceEngine
 from ..core.ncm import NCMClassifier
 from ..core.transfer import TransferPackage
 from ..exceptions import ConfigurationError, UnknownCohortError
+
+#: The cohort served when the caller never names one (registry defaults,
+#: and a fleet built from a bare engine).
+DEFAULT_COHORT = "default"
 
 #: What can be published or lazily registered: a ready engine, a transfer
 #: package (an engine is built from it), or — for lazy sources — a path to
@@ -55,7 +59,7 @@ class ModelRegistry:
     ----------
     default_cohort:
         The cohort served when a caller does not name one (a
-        :class:`~repro.core.engine.FleetServer` binds sessions connected
+        :class:`~repro.serving.fleet.FleetServer` binds sessions connected
         without a cohort here).
     expected_channels:
         Optional channel-count contract.  A registry serves one physical

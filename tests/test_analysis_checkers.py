@@ -121,13 +121,13 @@ class TestAsyncHygiene:
         assert len(expected) == 3
         for path in (
             "src/repro/serving/gateway/server.py",
+            "src/repro/serving/gateway/client.py",
             "src/repro/serving/async_fleet.py",
         ):
             assert found(text, AsyncHygieneChecker(), path=path) == expected
 
     @pytest.mark.parametrize("path", [
         "src/repro/serving/gateway/loadgen.py",
-        "src/repro/serving/gateway/client.py",
         "tests/test_gateway_server.py",
     ])
     def test_pacing_and_backoff_may_sleep(self, path):

@@ -52,7 +52,7 @@ class TestLiveTreeSelfClean:
         suppressed = {
             (v.path, v.rule) for v, _ in report.suppressed
         }
-        assert ("src/repro/core/engine.py", "broad-except") in suppressed
+        assert ("src/repro/serving/fleet.py", "broad-except") in suppressed
         assert (
             "src/repro/serving/gateway/server.py",
             "broad-except",

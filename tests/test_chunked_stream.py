@@ -14,12 +14,7 @@ on the zero-window early return, and ``window_count`` argument checks.
 import numpy as np
 import pytest
 
-from repro.core import (
-    FleetServer,
-    HysteresisSmoother,
-    InferenceEngine,
-    StreamSession,
-)
+from repro.core import HysteresisSmoother, InferenceEngine, StreamSession
 from repro.edge_runtime import EdgeRuntime
 from repro.eval import run_stream_protocol
 from repro.exceptions import ConfigurationError, DataShapeError, NotFittedError
@@ -31,6 +26,7 @@ from repro.preprocessing import (
     PreprocessingPipeline,
     window_count,
 )
+from repro.serving import FleetServer
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 W = 120  # the default window length of every pipeline in these tests

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    EdgeSession,
-    FleetServer,
     HysteresisSmoother,
     InferenceEngine,
     NCMClassifier,
@@ -29,6 +27,7 @@ from repro.preprocessing import (
     MovingAverageFilter,
     PreprocessingPipeline,
 )
+from repro.serving import EdgeSession, FleetServer
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 

@@ -12,11 +12,12 @@ rewired through it: ``FleetServer.step_stream``, ``EdgeRuntime``,
 import numpy as np
 import pytest
 
-from repro.core import FleetServer, HysteresisSmoother, InferenceEngine
+from repro.core import HysteresisSmoother, InferenceEngine
 from repro.edge_runtime import EdgeRuntime
 from repro.eval import run_stream_protocol
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import segment_recording, sliding_windows
+from repro.serving import FleetServer
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 

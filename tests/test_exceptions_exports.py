@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro.exceptions import (
-    BackpressureError,
     ConfigurationError,
     DataShapeError,
     MagnetoError,
@@ -21,7 +20,6 @@ from repro.exceptions import (
 
 class TestExceptionHierarchy:
     @pytest.mark.parametrize("exc_cls", [
-        BackpressureError,
         ConfigurationError,
         DataShapeError,
         NotFittedError,

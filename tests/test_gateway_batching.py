@@ -8,7 +8,7 @@ a flusher that sleeps the window whenever some live session has not
 parked misses these bounds by the whole window.
 
 In every scenario the verdicts each session got over the wire equal
-``AsyncFleetServer`` serving the same chunks in-process (rows exact,
+``FleetServer`` serving the same chunks in-process (rows exact,
 scores 1e-9): the policy decides *when* ``step_stream`` runs and with
 whom, never what a session contributes to it.
 """
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.sensors import SensorDevice
-from repro.serving import AsyncFleetServer, ModelRegistry
+from repro.serving import FleetServer, ModelRegistry
 from repro.serving.gateway import GatewayClient, GatewayServer
 
 from test_stacked_ticks import (  # noqa: F401  (served_rows is a fixture)
@@ -101,20 +101,20 @@ class _Fleet:
             await self.clients[sid].aclose()
 
 
-async def _reference(registry, sent, finished):
+def _reference(registry, sent, finished):
     """The same chunks per session, served in-process."""
     got = {sid: [] for sid in sent}
-    async with AsyncFleetServer(registry) as server:
-        for sid in sent:
-            server.connect(sid, cohort=_cohort(sid))
-        for tick in range(max(len(chunks) for chunks in sent.values())):
-            chunks = {
-                sid: c[tick] for sid, c in sent.items() if tick < len(c)
-            }
-            for sid, verdicts in (await server.step_stream(chunks)).items():
-                got[sid].extend(verdicts)
-        for sid in finished.intersection(sent):
-            got[sid].extend(await server.finish_stream(sid))
+    server = FleetServer(registry)
+    for sid in sent:
+        server.connect(sid, cohort=_cohort(sid))
+    for tick in range(max(len(chunks) for chunks in sent.values())):
+        chunks = {
+            sid: c[tick] for sid, c in sent.items() if tick < len(c)
+        }
+        for sid, verdicts in server.step_stream(chunks).items():
+            got[sid].extend(verdicts)
+    for sid in finished.intersection(sent):
+        got[sid].extend(server.finish_stream(sid))
     return got
 
 
@@ -135,7 +135,7 @@ def _serve(registry, recordings, served_rows, scenario_body):
     rows_gateway = {k: list(v) for k, v in served_rows.items()}
     served_rows.clear()
     sent = {sid: chunks for sid, chunks in fleet.sent.items() if chunks}
-    reference = drive(_reference(registry, sent, fleet.finished))
+    reference = _reference(registry, sent, fleet.finished)
     for sid in sent:
         _assert_same_service(
             reference, fleet.got, served_rows, rows_gateway, sid=sid

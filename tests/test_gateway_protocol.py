@@ -292,7 +292,6 @@ class TestFrameConstructors:
 
         for cls in [
             exc.ProtocolError,
-            exc.BackpressureError,
             exc.UnknownCohortError,
             exc.DataShapeError,
             exc.NotFittedError,

@@ -2,7 +2,7 @@
 
 The acceptance bar: verdicts received over a real localhost socket are
 pinned identical (1e-9) to in-process
-:class:`~repro.serving.AsyncFleetServer` serving on the same chunking —
+:class:`~repro.serving.FleetServer` serving on the same chunking —
 including ragged 1-sample ticks and a mid-stream
 :meth:`~repro.serving.ModelRegistry.publish` hot-swap — and the
 protocol-level contracts hold: every engine call of a tick runs on the
@@ -26,7 +26,8 @@ from repro.exceptions import (
     ProtocolError,
     UnknownCohortError,
 )
-from repro.serving import AsyncFleetServer, ModelRegistry
+from repro.sensors import SensorDevice
+from repro.serving import FleetServer, ModelRegistry
 from repro.serving.gateway import (
     BinaryFrameCodec,
     Frame,
@@ -87,23 +88,23 @@ def _chunks(data, sizes):
     return out
 
 
-async def _in_process_reference(registry, schedule, cohorts):
+def _in_process_reference(registry, schedule, cohorts):
     """Serve the same chunk schedule without sockets (the parity pin)."""
     got = {sid: [] for sid in schedule}
-    async with AsyncFleetServer(registry) as server:
-        for sid in schedule:
-            server.connect(sid, cohort=cohorts.get(sid))
-        for tick in range(max(len(c) for c in schedule.values())):
-            chunks = {
-                sid: chunk_list[tick]
-                for sid, chunk_list in schedule.items()
-                if tick < len(chunk_list)
-            }
-            result = await server.step_stream(chunks)
-            for sid, verdicts in result.items():
-                got[sid].extend(verdicts)
-        for sid in schedule:
-            got[sid].extend(await server.finish_stream(sid))
+    server = FleetServer(registry)
+    for sid in schedule:
+        server.connect(sid, cohort=cohorts.get(sid))
+    for tick in range(max(len(c) for c in schedule.values())):
+        chunks = {
+            sid: chunk_list[tick]
+            for sid, chunk_list in schedule.items()
+            if tick < len(chunk_list)
+        }
+        result = server.step_stream(chunks)
+        for sid, verdicts in result.items():
+            got[sid].extend(verdicts)
+    for sid in schedule:
+        got[sid].extend(server.finish_stream(sid))
     return got
 
 
@@ -150,7 +151,7 @@ class TestEndToEndParity:
         schedule = {"alice": chunk_list, "bob": chunk_list}
         cohorts = {"alice": "a", "bob": "b"}
 
-        reference = drive(_in_process_reference(registry, schedule, cohorts))
+        reference = _in_process_reference(registry, schedule, cohorts)
         served = drive(_gateway_serve(registry, schedule, cohorts))
 
         assert sum(len(v) for v in reference.values()) > 0
@@ -173,18 +174,16 @@ class TestEndToEndParity:
         chunk_list = _chunks(data, [240, 240, 240, 240])
         swap_after = 2  # publish after this many chunks
 
-        async def in_process():
+        def in_process():
             registry.publish("a", engine_a)  # reset to v1
             got = []
-            async with AsyncFleetServer(registry) as server:
-                server.connect("dev", cohort="a")
-                for i, chunk in enumerate(chunk_list):
-                    if i == swap_after:
-                        registry.publish("a", engine_b)
-                    got.extend(
-                        (await server.step_stream({"dev": chunk}))["dev"]
-                    )
-                got.extend(await server.finish_stream("dev"))
+            server = FleetServer(registry)
+            server.connect("dev", cohort="a")
+            for i, chunk in enumerate(chunk_list):
+                if i == swap_after:
+                    registry.publish("a", engine_b)
+                got.extend(server.step_stream({"dev": chunk})["dev"])
+            got.extend(server.finish_stream("dev"))
             return got
 
         async def over_the_wire():
@@ -200,7 +199,7 @@ class TestEndToEndParity:
                     got.extend(await cli.finish())
             return got
 
-        reference = drive(in_process())
+        reference = in_process()
         served = drive(over_the_wire())
         assert _verdict_tuples(served) == _verdict_tuples(reference)
         assert len(served) > 0
@@ -251,7 +250,7 @@ class TestOneTickAtATime:
         chunk_list = _chunks(data, RAGGED_SIZES)
         schedule = {"alice": chunk_list, "bob": chunk_list}
         cohorts = {"alice": "a", "bob": "b"}
-        reference = drive(_in_process_reference(registry, schedule, cohorts))
+        reference = _in_process_reference(registry, schedule, cohorts)
         calls = []
         for engine in engines:
             _record_engine_calls(monkeypatch, engine, calls)
@@ -334,10 +333,8 @@ class TestTypedErrorsOverTheWire:
         data = scenario.sensor_device.record("walk", 8.0).data
         chunk_list = [data[i * WINDOW : (i + 1) * WINDOW] for i in range(8)]
         cohorts = {"a1": "a", "a2": "a", "b1": "b", "b2": "b"}
-        reference = drive(
-            _in_process_reference(
-                registry, {"a1": chunk_list, "a2": chunk_list}, cohorts
-            )
+        reference = _in_process_reference(
+            registry, {"a1": chunk_list, "a2": chunk_list}, cohorts
         )
 
         def boom(features, dtype=None):
@@ -393,6 +390,23 @@ class TestTypedErrorsOverTheWire:
                         await cli.connect("dev", cohort="nope")
 
         drive(body())
+
+    def test_a_refused_hello_leaves_the_client_free_to_retry(self, registry):
+        data = SensorDevice(rng=36).record("walk", 2.0).data
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                async with GatewayClient(gateway.host, gateway.port) as cli:
+                    with pytest.raises(UnknownCohortError):
+                        await cli.connect("dev", cohort="nope")
+                    welcome = await cli.connect("dev", cohort="a")
+                    verdicts = await cli.send_chunk(data)
+                    return welcome, verdicts, set(gateway.fleet.sessions)
+
+        welcome, verdicts, sessions = drive(body())
+        assert welcome["cohort"] == "a"
+        assert len(verdicts) == 2
+        assert sessions == {"dev"}
 
     def test_duplicate_session_id_raises_configuration_error(self, registry):
         async def body():

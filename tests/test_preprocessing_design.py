@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from repro.core import FleetServer, InferenceEngine
+from repro.core import InferenceEngine
 from repro.preprocessing import (
     DERIVED_SIGNALS,
     ButterworthLowpass,
@@ -45,7 +45,7 @@ from repro.sensors.channels import (
     N_CHANNELS,
     group_indices,
 )
-from repro.serving import ModelRegistry
+from repro.serving import FleetServer, ModelRegistry
 
 W = 120
 

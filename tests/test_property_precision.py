@@ -22,9 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import FleetServer
 from repro.preprocessing import ButterworthLowpass
-from repro.serving import ModelRegistry
+from repro.serving import FleetServer, ModelRegistry
 from repro.serving.gateway import GatewayClient, GatewayServer
 
 W = 120  # the default pipeline window length

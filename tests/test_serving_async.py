@@ -19,18 +19,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import FleetServer
-from repro.eval import (
-    run_cohort_stream_protocol,
-    run_cohort_stream_protocol_async,
-)
 from repro.exceptions import (
     ConfigurationError,
     DataShapeError,
     UnknownCohortError,
 )
 from repro.sensors import SensorDevice
-from repro.serving import AsyncFleetServer, ModelRegistry
+from repro.serving import AsyncFleetServer, FleetServer, ModelRegistry
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 WINDOW = 120  # the default pipeline window length
@@ -854,62 +849,3 @@ class TestBackboneFusionAsync:
         np.testing.assert_allclose(
             [v.confidence for v in got_x], ref.confidences, **PARITY
         )
-
-
-class TestAsyncEvalDriver:
-    def test_matches_serial_cohort_protocol_exactly(
-        self, registry, scenario
-    ):
-        segments = {
-            "a": [
-                ("walk", scenario.sensor_device.record("walk", 3.0).data),
-                ("run", scenario.sensor_device.record("run", 3.0).data),
-            ],
-            "b": [
-                (
-                    "gesture_hi",
-                    scenario.sensor_device.record("gesture_hi", 3.0).data,
-                ),
-            ],
-        }
-        serial = run_cohort_stream_protocol(registry, segments, chunk_len=100)
-        parallel = drive(
-            run_cohort_stream_protocol_async(
-                registry, segments, chunk_len=100, workers=2
-            )
-        )
-        assert parallel.combined.n_windows == serial.combined.n_windows
-        assert (
-            parallel.combined.overall_accuracy
-            == serial.combined.overall_accuracy
-        )
-        assert (
-            parallel.combined.per_activity_windows
-            == serial.combined.per_activity_windows
-        )
-        for cohort in segments:
-            got, ref = parallel.cohort(cohort), serial.cohort(cohort)
-            assert got.n_windows == ref.n_windows
-            assert got.per_activity_accuracy == ref.per_activity_accuracy
-            assert got.mean_confidence == pytest.approx(
-                ref.mean_confidence, abs=1e-12
-            )
-
-    def test_error_paths_match_serial_protocol(self, registry):
-        with pytest.raises(ConfigurationError):
-            drive(run_cohort_stream_protocol_async(registry, {}))
-        with pytest.raises(UnknownCohortError):
-            drive(
-                run_cohort_stream_protocol_async(
-                    registry, {"ghost": [("walk", np.zeros((240, 22)))]}
-                )
-            )
-        with pytest.raises(ConfigurationError, match="no segments"):
-            drive(run_cohort_stream_protocol_async(registry, {"a": []}))
-
-    def test_eval_driver_refuses_an_empty_pool(self, registry):
-        segments = {"a": [("walk", np.zeros((240, 22)))]}
-        with pytest.raises(ConfigurationError, match="workers"):
-            drive(
-                run_cohort_stream_protocol_async(registry, segments, workers=0)
-            )

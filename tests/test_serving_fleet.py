@@ -10,7 +10,7 @@ hot-swap until ``finish_stream``.
 import numpy as np
 import pytest
 
-from repro.core import FleetServer, InferenceEngine
+from repro.core import InferenceEngine
 from repro.edge_runtime import EdgeRuntime
 from repro.eval import run_cohort_stream_protocol, run_stream_protocol
 from repro.exceptions import (
@@ -20,7 +20,7 @@ from repro.exceptions import (
 )
 from repro.preprocessing import PreprocessingPipeline
 from repro.sensors import SensorDevice
-from repro.serving import DEFAULT_COHORT, ModelRegistry
+from repro.serving import DEFAULT_COHORT, FleetServer, ModelRegistry
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FleetServer, InferenceEngine
+from repro.core import InferenceEngine
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     ButterworthLowpass,
@@ -44,7 +44,7 @@ from repro.preprocessing import (
     StreamingFeatureExtractor,
 )
 from repro.sensors import SensorDevice
-from repro.serving import AsyncFleetServer, ModelRegistry
+from repro.serving import AsyncFleetServer, FleetServer, ModelRegistry
 from repro.serving.gateway import GatewayClient, GatewayServer
 
 PARITY = dict(rtol=0.0, atol=1e-9)

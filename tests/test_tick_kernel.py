@@ -15,10 +15,10 @@ engine variants are the closed-set default, an ``OpenSetNCM`` engine, a
 import numpy as np
 import pytest
 
-from repro.core import FleetServer, InferenceEngine, OpenSetNCM
+from repro.core import InferenceEngine, OpenSetNCM
 from repro.exceptions import DataShapeError
 from repro.preprocessing import FeatureConfig, PreprocessingPipeline
-from repro.serving import ModelRegistry
+from repro.serving import FleetServer, ModelRegistry
 
 W = 120
 VARIANTS = ("closed", "open_set", "quantized", "float32")
