@@ -16,9 +16,9 @@ Run:  python examples/demo_app_gesture.py
 from repro.core import CloudConfig
 from repro.datasets import build_edge_scenario
 from repro.edge_runtime import (
-    EdgeRuntime,
     MagnetoApp,
     MIDRANGE_PHONE,
+    ResourceAccountant,
     render_event_log,
     render_prediction,
     render_session,
@@ -41,7 +41,7 @@ def main() -> None:
         rng=2024,
     )
     edge = scenario.fresh_edge(rng=3)
-    runtime = EdgeRuntime(edge, MIDRANGE_PHONE)
+    edge.accountant = ResourceAccountant(MIDRANGE_PHONE)
     app = MagnetoApp(edge, scenario.sensor_device)
 
     # --- Fig. 3 (a, b): live inference on existing activities --------- #
@@ -61,7 +61,6 @@ def main() -> None:
     result = app.learn_staged("gesture_hi")
     print(f"re-training finished after {result.history.n_epochs} epochs "
           f"(final loss {result.history.final_loss():.4f})")
-    runtime._charge_retraining()
 
     # --- Fig. 3 (e): recognize the new activity ------------------------ #
     print("\n=== participant performs 'Gesture Hi' again ===")
@@ -74,8 +73,10 @@ def main() -> None:
     print("\n=== app event log ===")
     print(render_event_log(app.events))
 
-    summary = runtime.summary()
+    summary = edge.accountant.summary(edge.footprint_bytes())
     print("\n=== resource accounting ===")
+    print(f"inferences: {summary['inferences']:.0f}, "
+          f"re-trainings: {summary['retrainings']:.0f}")
     print(f"footprint: {format_bytes(summary['footprint_bytes'])} "
           f"(budget {format_bytes(summary['storage_budget_bytes'])})")
     print(f"modeled compute: {summary['modeled_compute_ms'] / 1e3:.1f} s, "

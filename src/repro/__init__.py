@@ -56,7 +56,8 @@ Subpackages:
 - :mod:`repro.datasets` — splits, loaders, experiment scenarios,
 - :mod:`repro.eval` — metrics, incremental protocol (plus per-cohort
   stream rollups), baselines,
-- :mod:`repro.edge_runtime` — device resource model and the demo app,
+- :mod:`repro.edge_runtime` — device resource model, the budget accountant
+  an ``EdgeDevice`` consults before an update commits, and the demo app,
 - :mod:`repro.serving` — fleet serving and the multi-model cohort layer
   (:class:`~repro.serving.fleet.FleetServer`,
   :class:`~repro.serving.registry.ModelRegistry`, fleet specs, the TCP

@@ -6,7 +6,9 @@ Cloud-to-Edge interaction), then performs everything locally:
 
 - real-time inference of one-second windows (pipeline -> embedding -> NCM),
 - incremental learning of new activities and calibration of existing ones,
-- footprint accounting,
+- footprint accounting, and an optional budget ``accountant``
+  (:class:`~repro.edge_runtime.resources.ResourceAccountant`) that is
+  charged every verdict and asked to admit every update before it commits,
 - privacy enforcement: every transfer is routed through its
   :class:`~repro.core.privacy.PrivacyGuard`, so an attempted upload of user
   data raises instead of leaking.
@@ -53,8 +55,10 @@ class EdgeDevice:
         guard: Optional[PrivacyGuard] = None,
         incremental_config: Optional[IncrementalConfig] = None,
         rng: RngLike = None,
+        accountant=None,
     ) -> None:
         self.guard = guard if guard is not None else PrivacyGuard(enforce=True)
+        self.accountant = accountant
         self._learner = IncrementalLearner(incremental_config, rng=ensure_rng(rng))
         self.pipeline = None
         self.embedder = None
@@ -145,7 +149,7 @@ class EdgeDevice:
             raise DataShapeError(
                 f"window must be 2-D (samples, channels), got {arr.shape}"
             )
-        batch = self.engine.infer_windows(arr[None, :, :])
+        batch = self._charged(self.engine.infer_windows(arr[None, :, :]))
         winner = int(batch.nearest[0])
         return InferenceResult(
             activity=self.ncm.class_names_[winner],
@@ -157,7 +161,7 @@ class EdgeDevice:
     def infer_windows(self, windows: np.ndarray) -> BatchInference:
         """Classify a batch of raw windows in one vectorized engine pass."""
         self._require_ready()
-        return self.engine.infer_windows(windows)
+        return self._charged(self.engine.infer_windows(windows))
 
     def infer_stream(
         self, data: np.ndarray, stride: Optional[int] = None, dtype=None
@@ -168,7 +172,7 @@ class EdgeDevice:
         :meth:`~repro.core.engine.InferenceEngine.infer_stream`.
         """
         self._require_ready()
-        return self.engine.infer_stream(data, stride=stride, dtype=dtype)
+        return self._charged(self.engine.infer_stream(data, stride=stride, dtype=dtype))
 
     def open_stream(
         self, stride: Optional[int] = None, denoise: str = "auto", dtype=None
@@ -187,12 +191,19 @@ class EdgeDevice:
     ) -> BatchInference:
         """Classify every window completed by one raw chunk, O(chunk)."""
         self._require_ready()
-        return self.engine.infer_chunk(session, chunk)
+        return self._charged(self.engine.infer_chunk(session, chunk))
 
     def finish_stream(self, session: StreamSession) -> BatchInference:
         """Close a chunked session; classify the flushed last windows."""
         self._require_ready()
-        return self.engine.finish_stream(session)
+        return self._charged(self.engine.finish_stream(session))
+
+    def _charged(self, batch: BatchInference) -> BatchInference:
+        if self.accountant is not None:
+            self.accountant.charge_inference(
+                self.embedder.network, len(batch), batch.latency_ms
+            )
+        return batch
 
     def infer_features(self, features: np.ndarray) -> np.ndarray:
         """Classify pre-processed feature rows; returns integer labels."""
@@ -233,6 +244,29 @@ class EdgeDevice:
             return self.process_recording(data)
         return check_2d("features", data)
 
+    def _update(
+        self, learn, name: str, data: Union[Recording, np.ndarray], merge=False
+    ) -> UpdateResult:
+        """Featurize, admit the projected footprint, then re-train, rebuild
+        the prototypes and charge the session.  A refused update raises
+        before the support set, any generator or the embedder has moved."""
+        self._require_ready()
+        features = self._features_from(data)
+        if self.accountant is not None:
+            self.accountant.admit(
+                self.footprint_bytes()
+                + self.support_set.size_delta_bytes(name, *features.shape, merge=merge)
+            )
+        result = learn(self.embedder, self.support_set, name, features)
+        self._rebuild_classifier()
+        if self.accountant is not None:
+            self.accountant.charge_retraining(
+                self.embedder.network,
+                self.support_set.total_samples,
+                self._learner.config.train,
+            )
+        return result
+
     def learn_activity(
         self, name: str, data: Union[Recording, np.ndarray]
     ) -> UpdateResult:
@@ -241,34 +275,19 @@ class EdgeDevice:
         This is the Figure 3(c-e) flow: record ~20-30 s, update the support
         set, re-train jointly with distillation, rebuild prototypes.
         """
-        self._require_ready()
-        result = self._learner.learn_new_class(
-            self.embedder, self.support_set, name, self._features_from(data)
-        )
-        self._rebuild_classifier()
-        return result
+        return self._update(self._learner.learn_new_class, name, data)
 
     def calibrate_activity(
         self, name: str, data: Union[Recording, np.ndarray]
     ) -> UpdateResult:
         """Re-calibrate an existing activity with the user's own data."""
-        self._require_ready()
-        result = self._learner.calibrate_class(
-            self.embedder, self.support_set, name, self._features_from(data)
-        )
-        self._rebuild_classifier()
-        return result
+        return self._update(self._learner.calibrate_class, name, data)
 
     def reinforce_activity(
         self, name: str, data: Union[Recording, np.ndarray]
     ) -> UpdateResult:
         """Blend fresh samples of an existing activity into the support set."""
-        self._require_ready()
-        result = self._learner.reinforce_class(
-            self.embedder, self.support_set, name, self._features_from(data)
-        )
-        self._rebuild_classifier()
-        return result
+        return self._update(self._learner.reinforce_class, name, data, merge=True)
 
     # ------------------------------------------------------------------ #
     # footprint & privacy

@@ -235,6 +235,21 @@ class SupportSet:
         ]
         return np.concatenate(xs, axis=0), np.concatenate(ys)
 
+    def size_delta_bytes(
+        self, name: str, n_rows: int, n_features: int, merge: bool = False
+    ) -> int:
+        """Float32 bytes the set gains (negative: loses) once ``n_rows`` new
+        rows of class ``name`` are stored, selected down to capacity.
+
+        ``merge`` keeps the class's current rows in the selection
+        (:meth:`extend_class`); otherwise the new rows replace them
+        (:meth:`add_class`, :meth:`replace_class`).  Shapes alone decide
+        it, so an update can be refused before anything moves.
+        """
+        old = self._store.get(name, np.empty((0, n_features)))
+        kept = min(n_rows + (old.shape[0] if merge else 0), self.capacity_per_class)
+        return (kept * n_features - old.size) * np.dtype(np.float32).itemsize
+
     def size_bytes(self, dtype=np.float32) -> int:
         """Storage cost at ``dtype`` precision (paper quotes 32-bit)."""
         return sum(

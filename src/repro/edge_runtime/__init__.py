@@ -1,4 +1,4 @@
-"""Simulated edge-device runtime: resource model, budgets, and the demo app."""
+"""Simulated edge-device runtime: resource model, device budget accountant, demo app."""
 
 from .app import AppEvent, AppState, MagnetoApp, PredictionFrame
 from .journal import ActivityJournal, ActivitySegment
@@ -14,11 +14,12 @@ from .resources import (
     MIDRANGE_PHONE,
     RASPBERRY_PI,
     DeviceSpec,
+    ResourceAccountant,
     ResourceModel,
+    RuntimeStats,
     forward_flops,
     training_flops,
 )
-from .runtime import EdgeRuntime, RuntimeStats
 
 __all__ = [
     "ActivityJournal",
@@ -27,12 +28,12 @@ __all__ = [
     "AppState",
     "DEVICE_PRESETS",
     "DeviceSpec",
-    "EdgeRuntime",
     "FLAGSHIP_PHONE",
     "MagnetoApp",
     "MIDRANGE_PHONE",
     "PredictionFrame",
     "RASPBERRY_PI",
+    "ResourceAccountant",
     "ResourceModel",
     "RuntimeStats",
     "confidence_bar",

@@ -233,6 +233,12 @@ class TrainConfig:
                 f"positive_fraction must be in [0, 1], got {self.positive_fraction}"
             )
 
+    def batches_per_epoch(self, n_samples: int) -> int:
+        """Contrastive batches one epoch over ``n_samples`` rows runs:
+        ``pairs_per_epoch`` (default 4 per row) in batches of ``batch_pairs``."""
+        pairs = self.pairs_per_epoch if self.pairs_per_epoch is not None else 4 * n_samples
+        return max(1, int(np.ceil(pairs / self.batch_pairs)))
+
 
 class SiameseTrainer:
     """Trains a :class:`SiameseEmbedder` with contrastive (+ distillation) loss."""
@@ -280,10 +286,7 @@ class SiameseTrainer:
         network = embedder.network
         optimizer = self._make_optimizer(embedder)
         sampler = PairSampler(y, cfg.positive_fraction)
-        pairs_per_epoch = (
-            cfg.pairs_per_epoch if cfg.pairs_per_epoch is not None else 4 * X.shape[0]
-        )
-        n_batches = max(1, int(np.ceil(pairs_per_epoch / cfg.batch_pairs)))
+        n_batches = cfg.batches_per_epoch(X.shape[0])
 
         history = TrainHistory()
         for _ in range(cfg.epochs):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import HysteresisSmoother, InferenceEngine, StreamSession
-from repro.edge_runtime import EdgeRuntime
+from repro.edge_runtime import ResourceAccountant
 from repro.eval import run_stream_protocol
 from repro.exceptions import ConfigurationError, DataShapeError, NotFittedError
 from repro.preprocessing import (
@@ -633,14 +633,14 @@ class TestFleetStepStream:
 
 class TestRuntimeAndProtocolChunked:
     def test_runtime_charges_chunked_windows(self, edge, recording):
-        runtime = EdgeRuntime(edge)
-        session = runtime.open_stream()
+        edge.accountant = ResourceAccountant()
+        session = edge.open_stream()
         for start in range(0, recording.data.shape[0], 100):
-            runtime.infer_chunk(session, recording.data[start : start + 100])
-        runtime.finish_stream(session)
+            edge.infer_chunk(session, recording.data[start : start + 100])
+        edge.finish_stream(session)
         ref = edge.engine.infer_stream(recording.data)
-        assert runtime.stats.inferences == len(ref)
-        assert runtime.stats.compute_energy_joules > 0.0
+        assert edge.accountant.stats.inferences == len(ref)
+        assert edge.accountant.stats.compute_energy_joules > 0.0
 
     def test_stream_protocol_chunked_matches_monolithic(self, edge, scenario):
         segments = [

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import EdgeDevice, IncrementalConfig, NetworkLink
+from repro.core import (
+    EdgeDevice,
+    IncrementalConfig,
+    NetworkLink,
+    SupportSet,
+    TransferPackage,
+)
 from repro.datasets import activity_windows, train_test_windows
+from repro.edge_runtime import MIDRANGE_PHONE, ResourceAccountant
 from repro.exceptions import (
     ConfigurationError,
     DataShapeError,
     NotFittedError,
     PrivacyViolationError,
+    ResourceExceededError,
 )
 from repro.nn import TrainConfig
 from repro.sensors import SensorDevice
@@ -208,6 +216,78 @@ class TestRefusedRecordings:
         # had already taken the new class
         with pytest.raises(ConfigurationError, match="positive_fraction"):
             IncrementalConfig(train=TrainConfig(positive_fraction=1.5))
+
+
+def seeded_device(scenario):
+    """A fresh device whose learner *and* support-set generators are its
+    own and seeded, so two of them update bit-identically."""
+    package = scenario.package
+    support = SupportSet.from_arrays(
+        package.support_set.to_arrays(),
+        capacity_per_class=package.support_set.capacity_per_class,
+        selection=package.support_set.selection,
+        rng=9,
+    )
+    edge = EdgeDevice(rng=5)
+    edge.install(TransferPackage(
+        pipeline=package.pipeline,
+        embedder=package.embedder.clone(),
+        support_set=support,
+    ))
+    return edge
+
+
+UPDATES = [
+    ("learn_activity", "gesture_hi"),
+    ("calibrate_activity", "walk"),
+    ("reinforce_activity", "walk"),
+]
+
+
+class TestStorageBudget:
+    """The budget is asked before an update moves anything."""
+
+    @pytest.mark.parametrize("operation, activity", UPDATES)
+    def test_refused_update_leaves_no_trace(
+        self, scenario, recorder, operation, activity
+    ):
+        rec = recorder.record(activity, 15.0)
+        refused = seeded_device(scenario)
+        refused.accountant = ResourceAccountant(
+            MIDRANGE_PHONE, storage_budget_fraction=1e-7
+        )
+        before = device_state(refused)
+        with pytest.raises(ResourceExceededError, match="exceeds storage budget"):
+            getattr(refused, operation)(activity, rec)
+        assert device_state(refused) == before
+        assert refused.accountant.stats.retrainings == 0
+
+        # No generator draw was spent on the refusal: once the budget is
+        # raised the same update lands bit-identically to a device that
+        # never saw it.
+        refused.accountant = ResourceAccountant(MIDRANGE_PHONE)
+        getattr(refused, operation)(activity, rec)
+        clean = seeded_device(scenario)
+        getattr(clean, operation)(activity, rec)
+        assert device_state(refused) == device_state(clean)
+
+    @pytest.mark.parametrize("operation, activity", UPDATES)
+    def test_projected_footprint_is_the_committed_one(
+        self, edge, recorder, operation, activity
+    ):
+        features = edge.process_recording(recorder.record(activity, 40.0))
+        merge = operation == "reinforce_activity"
+        projected = edge.footprint_bytes() + edge.support_set.size_delta_bytes(
+            activity, *features.shape, merge=merge
+        )
+        getattr(edge, operation)(activity, features)
+        assert edge.footprint_bytes() == projected
+
+    def test_update_that_fits_is_charged_once(self, edge, recorder):
+        edge.accountant = ResourceAccountant(MIDRANGE_PHONE)
+        edge.reinforce_activity("walk", recorder.record("walk", 10.0))
+        assert edge.accountant.stats.retrainings == 1
+        assert edge.accountant.stats.modeled_compute_ms > 0.0
 
 
 class TestPrivacy:

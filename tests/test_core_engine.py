@@ -19,7 +19,7 @@ from repro.core import (
     UNKNOWN_NAME,
 )
 from repro.core.openset import accept_from_distances
-from repro.edge_runtime import EdgeRuntime
+from repro.edge_runtime import ResourceAccountant
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     ButterworthLowpass,
@@ -378,16 +378,16 @@ class TestFleetServer:
         assert verdict.display == verdict.activity
 
 
-class TestRuntimeBatchAccounting:
+class TestDeviceBatchAccounting:
     def test_infer_windows_charges_per_window(self, edge, windows):
-        runtime = EdgeRuntime(edge)
-        batch = runtime.infer_windows(windows[:8])
+        edge.accountant = ResourceAccountant()
+        batch = edge.infer_windows(windows[:8])
         assert len(batch) == 8
-        assert runtime.stats.inferences == 8
-        assert runtime.stats.compute_energy_joules > 0.0
-        assert runtime.stats.wall_clock_ms > 0.0
+        assert edge.accountant.stats.inferences == 8
+        assert edge.accountant.stats.compute_energy_joules > 0.0
+        assert edge.accountant.stats.wall_clock_ms > 0.0
 
     def test_empty_batch_charges_nothing(self, edge):
-        runtime = EdgeRuntime(edge)
-        runtime.infer_windows(np.empty((0, 120, 22)))
-        assert runtime.stats.inferences == 0
+        edge.accountant = ResourceAccountant()
+        edge.infer_windows(np.empty((0, 120, 22)))
+        assert edge.accountant.stats.inferences == 0

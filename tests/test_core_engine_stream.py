@@ -5,7 +5,7 @@ verdicts are *identical* (distances to 1e-9, labels/accepts exactly) to
 ``segment_recording`` + ``infer_windows`` on the same recording; at
 overlapping strides it matches the continuous-denoise batch oracle
 (``process_recording`` semantics).  Plus the serving/accounting layers
-rewired through it: ``FleetServer.step_stream``, ``EdgeRuntime``,
+rewired through it: ``FleetServer.step_stream``, device accounting,
 ``run_stream_protocol`` and the reduced-precision distance path.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import HysteresisSmoother, InferenceEngine
-from repro.edge_runtime import EdgeRuntime
+from repro.edge_runtime import ResourceAccountant
 from repro.eval import run_stream_protocol
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import segment_recording, sliding_windows
@@ -173,15 +173,15 @@ class TestFleetStreamServing:
 
 class TestRuntimeAndProtocol:
     def test_runtime_charges_streamed_windows(self, edge, recording):
-        runtime = EdgeRuntime(edge)
-        batch = runtime.infer_stream(recording.data)
-        assert runtime.stats.inferences == len(batch) == 6
-        assert runtime.stats.compute_energy_joules > 0.0
+        edge.accountant = ResourceAccountant()
+        batch = edge.infer_stream(recording.data)
+        assert edge.accountant.stats.inferences == len(batch) == 6
+        assert edge.accountant.stats.compute_energy_joules > 0.0
 
     def test_runtime_empty_stream_charges_nothing(self, edge):
-        runtime = EdgeRuntime(edge)
-        runtime.infer_stream(np.zeros((50, 22)))
-        assert runtime.stats.inferences == 0
+        edge.accountant = ResourceAccountant()
+        edge.infer_stream(np.zeros((50, 22)))
+        assert edge.accountant.stats.inferences == 0
 
     def test_run_stream_protocol_bookkeeping(self, edge, scenario):
         segments = [

@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.core import IncrementalConfig
 from repro.edge_runtime import (
     AppState,
-    EdgeRuntime,
     MagnetoApp,
     MIDRANGE_PHONE,
+    ResourceAccountant,
     confidence_bar,
     render_event_log,
     render_prediction,
     render_session,
+    training_flops,
 )
 from repro.exceptions import (
     ConfigurationError,
     ResourceExceededError,
     UnknownActivityError,
 )
+from repro.nn import TrainConfig
 
 
 @pytest.fixture
@@ -25,37 +28,57 @@ def app(edge, scenario):
     return MagnetoApp(edge, scenario.sensor_device)
 
 
-class TestEdgeRuntime:
-    def test_inference_accounted(self, edge, scenario):
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE)
-        rec = scenario.sensor_device.record("walk", 1.0)
-        runtime.infer_window(rec.data)
-        assert runtime.stats.inferences == 1
-        assert runtime.stats.compute_energy_joules > 0
-        assert runtime.stats.wall_clock_ms > 0
+@pytest.fixture
+def accounted(edge):
+    edge.accountant = ResourceAccountant(MIDRANGE_PHONE)
+    return edge
 
-    def test_learning_accounted_and_storage_checked(self, edge, scenario):
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE)
+
+class TestDeviceAccounting:
+    def test_inference_accounted(self, accounted, scenario):
+        rec = scenario.sensor_device.record("walk", 1.0)
+        accounted.infer_window(rec.data)
+        stats = accounted.accountant.stats
+        assert stats.inferences == 1
+        assert stats.compute_energy_joules > 0
+        assert stats.wall_clock_ms > 0
+
+    def test_learning_accounted_and_storage_checked(self, accounted, scenario):
         rec = scenario.sensor_device.record("gesture_hi", 15.0)
-        runtime.learn_activity("gesture_hi", rec)
-        assert runtime.stats.retrainings == 1
-        assert runtime.check_storage() > 0
+        accounted.learn_activity("gesture_hi", rec)
+        assert accounted.accountant.stats.retrainings == 1
+        assert accounted.accountant.admit(accounted.footprint_bytes()) > 0
 
     def test_storage_budget_enforced(self, edge):
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE,
-                              storage_budget_fraction=1e-7)
+        accountant = ResourceAccountant(MIDRANGE_PHONE,
+                                        storage_budget_fraction=1e-7)
         with pytest.raises(ResourceExceededError):
-            runtime.check_storage()
+            accountant.admit(edge.footprint_bytes())
 
-    def test_summary_keys(self, edge):
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE)
-        summary = runtime.summary()
+    def test_summary_keys(self, accounted):
+        summary = accounted.accountant.summary(accounted.footprint_bytes())
         assert {"inferences", "retrainings", "footprint_bytes",
                 "storage_budget_bytes"} <= set(summary)
 
-    def test_bad_fraction_rejected(self, edge):
+    def test_bad_fraction_rejected(self):
         with pytest.raises(ResourceExceededError):
-            EdgeRuntime(edge, MIDRANGE_PHONE, storage_budget_fraction=0.0)
+            ResourceAccountant(MIDRANGE_PHONE, storage_budget_fraction=0.0)
+
+    def test_retraining_charge_follows_pairs_per_epoch(self, scenario):
+        # 16 pairs per epoch in batches of 48 is one batch per epoch,
+        # whatever the support set's size.
+        train = TrainConfig(epochs=2, batch_pairs=48, pairs_per_epoch=16)
+        edge = scenario.fresh_edge(
+            incremental_config=IncrementalConfig(train=train), rng=5
+        )
+        edge.accountant = ResourceAccountant(MIDRANGE_PHONE)
+        edge.learn_activity(
+            "gesture_hi", scenario.sensor_device.record("gesture_hi", 15.0)
+        )
+        flops = training_flops(edge.embedder.network, 96, n_batches=1, epochs=2)
+        assert edge.accountant.stats.modeled_compute_ms == pytest.approx(
+            edge.accountant.model.latency_ms(flops)
+        )
 
 
 class TestAppStates:
@@ -113,6 +136,17 @@ class TestAppStates:
 
 
 class TestDemoScenario:
+    def test_demo_flow_is_accounted(self, accounted, scenario):
+        app = MagnetoApp(accounted, scenario.sensor_device)
+        frames = app.run_demo_scenario(
+            new_label="hi", performed_new_activity="gesture_hi",
+            warmup_activities=["still"], infer_s=3.0, record_s=15.0,
+        )
+        stats = accounted.accountant.stats
+        assert stats.inferences == sum(len(f) for f in frames.values()) == 6
+        assert stats.retrainings == 1
+        assert stats.wall_clock_ms > 0.0
+
     def test_figure3_flow(self, app):
         frames = app.run_demo_scenario(
             new_label="hi", performed_new_activity="gesture_hi",

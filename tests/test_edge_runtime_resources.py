@@ -14,7 +14,7 @@ from repro.edge_runtime import (
     training_flops,
 )
 from repro.exceptions import ConfigurationError
-from repro.nn import BatchNorm1d, Linear, ReLU, Sequential, build_mlp
+from repro.nn import BatchNorm1d, Linear, ReLU, Sequential, TrainConfig, build_mlp
 
 
 class TestDeviceSpecs:
@@ -97,7 +97,7 @@ class TestResourceModel:
     def test_retraining_cost_structure(self):
         net = build_mlp(10, hidden_dims=(8,), output_dim=4, rng=0)
         cost = ResourceModel().retraining_cost(
-            net, n_samples=100, batch_pairs=32, epochs=10
+            net, n_samples=100, train=TrainConfig(batch_pairs=32, epochs=10)
         )
         assert cost["latency_s"] > 0
         assert cost["energy_joules"] > 0
@@ -106,9 +106,18 @@ class TestResourceModel:
     def test_retraining_cost_grows_with_epochs(self):
         net = build_mlp(10, hidden_dims=(8,), output_dim=4, rng=0)
         model = ResourceModel()
-        c5 = model.retraining_cost(net, 100, 32, 5)
-        c10 = model.retraining_cost(net, 100, 32, 10)
+        c5 = model.retraining_cost(net, 100, TrainConfig(batch_pairs=32, epochs=5))
+        c10 = model.retraining_cost(net, 100, TrainConfig(batch_pairs=32, epochs=10))
         assert c10["flops"] == pytest.approx(2 * c5["flops"])
+
+    def test_retraining_cost_follows_pairs_per_epoch(self):
+        # The trainer runs ceil(16 / 48) = 1 batch per epoch here, not the
+        # ceil(4 * 100 / 48) = 9 of the default pair budget.
+        net = build_mlp(10, hidden_dims=(8,), output_dim=4, rng=0)
+        train = TrainConfig(batch_pairs=48, pairs_per_epoch=16, epochs=3)
+        assert train.batches_per_epoch(100) == 1
+        cost = ResourceModel().retraining_cost(net, 100, train)
+        assert cost["flops"] == training_flops(net, 96, n_batches=1, epochs=3)
 
     def test_fits_in_ram(self):
         model = ResourceModel(MIDRANGE_PHONE)

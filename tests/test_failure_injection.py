@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import EdgeDevice, TransferPackage
-from repro.edge_runtime import EdgeRuntime, MIDRANGE_PHONE
+from repro.edge_runtime import MIDRANGE_PHONE, ResourceAccountant
 from repro.exceptions import (
     ConfigurationError,
     DataShapeError,
@@ -94,20 +94,20 @@ class TestDegradedSensorData:
 
 class TestResourceExhaustion:
     def test_learning_blocked_when_storage_starved(self, edge, scenario):
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE,
-                              storage_budget_fraction=1e-6)
+        edge.accountant = ResourceAccountant(MIDRANGE_PHONE,
+                                             storage_budget_fraction=1e-6)
         rec = scenario.sensor_device.record("gesture_hi", 15.0)
         with pytest.raises(ResourceExceededError):
-            runtime.learn_activity("gesture_hi", rec)
-        # The model itself did learn (the check happens after the update);
-        # what matters is the budget violation is loud, not silent.
-        assert "gesture_hi" in edge.classes
+            edge.learn_activity("gesture_hi", rec)
+        # The budget is asked before the update, so the class was not learned.
+        assert "gesture_hi" not in edge.classes
+        assert "gesture_hi" not in edge.support_set
 
     def test_paper_footprint_fits_midrange_budget(self, edge):
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE,
-                              storage_budget_fraction=0.0001)
+        accountant = ResourceAccountant(MIDRANGE_PHONE,
+                                        storage_budget_fraction=0.0001)
         # 0.01% of 64 GB = ~6.5 MB — the paper's 5 MB claim must fit.
-        assert runtime.check_storage() < runtime.storage_budget_bytes
+        assert accountant.admit(edge.footprint_bytes()) < accountant.storage_budget_bytes
 
 
 class TestAdversarialLearning:

@@ -10,7 +10,7 @@ from repro.core import (
     TransferPackage,
 )
 from repro.datasets import activity_windows, build_edge_scenario
-from repro.edge_runtime import EdgeRuntime, MagnetoApp, MIDRANGE_PHONE
+from repro.edge_runtime import MagnetoApp, MIDRANGE_PHONE, ResourceAccountant
 from repro.eval import accuracy
 from repro.exceptions import PrivacyViolationError
 from repro.nn import TrainConfig
@@ -70,19 +70,18 @@ class TestFullLifecycle:
 
 
 class TestAppOnRuntime:
-    """The demo app running on the resource-accounted runtime."""
+    """The demo app running on a resource-accounted device."""
 
     def test_demo_with_resource_accounting(self, scenario):
         edge = scenario.fresh_edge(rng=11)
-        runtime = EdgeRuntime(edge, MIDRANGE_PHONE)
+        edge.accountant = ResourceAccountant(MIDRANGE_PHONE)
         app = MagnetoApp(edge, scenario.sensor_device)
 
         app.run_demo_scenario(
             new_label="wave", performed_new_activity="gesture_hi",
             warmup_activities=["still"], infer_s=3.0, record_s=15.0,
         )
-        runtime._charge_retraining()  # account the session explicitly
-        assert runtime.check_storage() > 0
+        assert edge.accountant.admit(edge.footprint_bytes()) > 0
         assert "wave" in edge.classes
 
 

@@ -10,8 +10,7 @@ hot-swap until ``finish_stream``.
 import numpy as np
 import pytest
 
-from repro.core import InferenceEngine
-from repro.edge_runtime import EdgeRuntime
+from repro.core import EdgeDevice, InferenceEngine
 from repro.eval import run_cohort_stream_protocol, run_stream_protocol
 from repro.exceptions import (
     ConfigurationError,
@@ -710,26 +709,37 @@ class TestCohortEvalProtocol:
             result.cohort("b")
 
 
-class TestEdgeRuntimeCohorts:
-    def test_for_cohort_provisions_from_registry(self, scenario):
+class TestCohortProvisioning:
+    """A device is provisioned from a cohort with
+    ``EdgeDevice().install(registry.package_for(cohort))``."""
+
+    def test_provisions_from_registry(self, scenario):
         registry = ModelRegistry(default_cohort="wrist")
         registry.publish("wrist", scenario.package)
-        runtime = EdgeRuntime.for_cohort(registry)
-        assert runtime.cohort == "wrist"
-        assert runtime.edge.is_ready
-        assert runtime.check_storage() > 0
+        device = EdgeDevice()
+        device.install(registry.package_for())
+        assert device.is_ready
+        assert device.footprint_bytes() > 0
 
-    def test_for_cohort_bare_engine_raises(self, edge):
+    def test_bare_engine_raises(self, edge):
         registry = ModelRegistry(default_cohort="wrist")
         registry.publish("wrist", edge.engine)
         with pytest.raises(ConfigurationError, match="bare engine"):
-            EdgeRuntime.for_cohort(registry, "wrist")
+            registry.package_for("wrist")
 
-    def test_for_cohort_unknown_cohort_raises(self, scenario):
+    def test_unknown_cohort_raises(self, scenario):
         registry = ModelRegistry()
         registry.publish(DEFAULT_COHORT, scenario.package)
         with pytest.raises(UnknownCohortError):
-            EdgeRuntime.for_cohort(registry, "ghost")
+            registry.package_for("ghost")
 
-    def test_standalone_runtime_has_no_cohort(self, edge):
-        assert EdgeRuntime(edge).cohort is None
+    def test_provisioned_device_matches_the_cohort_engine(self, scenario):
+        registry = ModelRegistry(default_cohort="wrist")
+        registry.publish("wrist", scenario.package)
+        device = EdgeDevice()
+        device.install(registry.package_for("wrist"))
+        windows = SensorDevice(rng=5).record("walk", 6.0).data.reshape(6, 120, 22)
+        ours = device.infer_windows(windows[:6])
+        theirs = registry.engine_for("wrist").infer_windows(windows[:6])
+        assert ours.names == theirs.names
+        np.testing.assert_array_equal(ours.distances, theirs.distances)
