@@ -16,18 +16,18 @@ from repro.eval import accuracy, print_table
 from repro.nn import TrainConfig
 from repro.preprocessing import (
     CombinedFeatureExtractor,
-    FeatureExtractor,
     SpectralFeatureExtractor,
+    StreamingFeatureExtractor,
 )
 from repro.utils import Timer
 
 
 def _variants():
     return {
-        "statistical (paper)": FeatureExtractor(),
+        "statistical (paper)": StreamingFeatureExtractor(),
         "spectral": SpectralFeatureExtractor(),
         "statistical+spectral": CombinedFeatureExtractor(
-            [FeatureExtractor(), SpectralFeatureExtractor()]
+            [StreamingFeatureExtractor(), SpectralFeatureExtractor()]
         ),
     }
 

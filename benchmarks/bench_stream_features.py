@@ -2,7 +2,9 @@
 
 A continuous recording used to be featurized per *window*: the seed's
 consumption model calls ``FeatureExtractor.extract_one`` on each window as
-it arrives, and even the batched path copies a ``(k, window_len, channels)``
+it arrives (that per-window extractor is now the parity reference of
+``tests/reference_features.py``, imported from there), and even the
+batched path copies a ``(k, window_len, channels)``
 cube out of the stride-tricks view and re-derives every signal per window —
 with 50% overlap each sample is paid for twice, at 90% overlap ten times.
 :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor` computes
@@ -26,19 +28,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 import time
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 import pytest
 
-from repro.preprocessing import (
-    FeatureExtractor,
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+)
+from reference_features import FeatureExtractor  # noqa: E402
+from repro.preprocessing import (  # noqa: E402
     StreamingFeatureExtractor,
     sliding_windows,
     window_count,
 )
-from repro.sensors import SensorDevice, sample_user
+from repro.sensors import SensorDevice, sample_user  # noqa: E402
 
 OVERLAPS = (0.0, 0.5, 0.9)
 WINDOW_LEN = 120

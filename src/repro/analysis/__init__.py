@@ -4,7 +4,7 @@ Mechanizes ROADMAP.md's standing contracts as six project-specific
 static checks (see each module's docstring for the full rule rationale):
 
 - :mod:`~repro.analysis.entry_points` — inference routes through
-  ``InferenceEngine``; no out-of-layer ``FeatureExtractor`` /
+  ``InferenceEngine``; no out-of-layer ``StreamingFeatureExtractor`` /
   ``sliding_windows`` / NCM-distance calls,
 - :mod:`~repro.analysis.exception_taxonomy` — raises use
   ``repro.exceptions`` types; broad excepts re-raise or justify,

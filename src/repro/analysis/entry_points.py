@@ -3,7 +3,7 @@
 ROADMAP invariant: every window->verdict path goes through
 ``repro.core.engine.InferenceEngine``.  Concretely, only the ``core`` and
 ``preprocessing`` layers may touch the pipeline's internals —
-``FeatureExtractor`` / ``StreamingFeatureExtractor`` (feature pricing),
+``StreamingFeatureExtractor`` (feature pricing),
 ``sliding_windows`` (segmentation), and the NCM *distance* internals
 (``NCMClassifier.distances`` / ``proba_from_distances``).  Serving, edge,
 eval and CLI code referencing any of those directly is re-implementing a
@@ -24,9 +24,7 @@ from .core import Checker, SourceFile, Violation
 __all__ = ["EntryPointChecker"]
 
 #: Names only ``core``/``preprocessing`` may reference.
-RESTRICTED_NAMES = frozenset(
-    {"FeatureExtractor", "StreamingFeatureExtractor", "sliding_windows"}
-)
+RESTRICTED_NAMES = frozenset({"StreamingFeatureExtractor", "sliding_windows"})
 
 #: Method names that expose raw NCM distance internals.
 RESTRICTED_METHODS = frozenset({"distances", "proba_from_distances"})

@@ -98,14 +98,17 @@ class CloudInitializer:
                 "campaign dataset too small to pre-train on"
             )
 
-        # (1) the pre-processing function, fitted once on campaign data.
+        # (1) the pre-processing function, fitted once on campaign data:
+        # the campaign is featurized once, and the normalizer fitted on
+        # those rows normalizes them.
         pipeline = PreprocessingPipeline(
             window_len=cfg.window_len,
             feature_config=cfg.feature_config,
             extractor=cfg.extractor,
         )
-        pipeline.fit_normalizer(dataset.windows)
-        features = pipeline.process_windows(dataset.windows)
+        raw = pipeline.raw_features_of_windows(dataset.windows)
+        pipeline.normalizer.fit(raw)
+        features = pipeline.normalizer.transform(raw)
 
         # (2) the initial ML model: Siamese pre-training.
         network = build_mlp(

@@ -144,12 +144,9 @@ class EdgeDevice:
         (no second distance computation).
         """
         self._require_ready()
-        arr = np.asarray(window, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataShapeError(
-                f"window must be 2-D (samples, channels), got {arr.shape}"
-            )
-        batch = self._charged(self.engine.infer_windows(arr[None, :, :]))
+        batch = self._charged(
+            self.engine.infer_windows(np.asarray(window, dtype=np.float64)[None])
+        )
         winner = int(batch.nearest[0])
         return InferenceResult(
             activity=self.ncm.class_names_[winner],

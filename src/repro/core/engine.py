@@ -39,7 +39,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, DataShapeError, NotFittedError
 from ..nn.compress import quantize_tensor
-from ..utils import Timer, check_2d, check_3d
+from ..utils import Timer, check_2d
 from .ncm import NCMClassifier, softmax_of_distances
 from .openset import UNKNOWN_LABEL, UNKNOWN_NAME, OpenSetNCM, accept_rows
 
@@ -481,9 +481,8 @@ class InferenceEngine:
         through denoise, features, normalize, embed, distances, rejection.
         """
         self._require_pipeline("infer raw windows, or use infer_features()")
-        arr = check_3d("windows", windows)
         timer = Timer().__enter__()
-        features = self.pipeline.process_windows(arr)
+        features = self.pipeline.process_windows(windows)
         return self._run_model(features, None, timer)
 
     def infer_stream(

@@ -20,7 +20,6 @@ from .features import (
     DERIVED_SIGNALS,
     STATISTICS,
     FeatureConfig,
-    FeatureExtractor,
 )
 from .normalization import (
     MinMaxNormalizer,
@@ -51,7 +50,6 @@ __all__ = [
     "DEFAULT_STATS",
     "DERIVED_SIGNALS",
     "FeatureConfig",
-    "FeatureExtractor",
     "IdentityFilter",
     "LocalDenoiserStream",
     "MedianFilter",

@@ -1,4 +1,4 @@
-"""Hand-crafted statistical feature extraction.
+"""The statistical feature grid: which signals, which statistics.
 
 The paper extracts **80 statistical features** per one-second window using a
 linear-time extractor.  We realize that as a configurable grid:
@@ -17,17 +17,21 @@ phone placement.
 
 Statistics (all linear-time): mean, std, min, max, median, iqr, rms, mad,
 zero-crossing rate (of the de-meaned signal) and linear slope.
+
+:data:`STATISTICS` holds each one's definition over a ``(k, n)`` block of
+series; the extractor that computes the grid is
+:class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, DataShapeError
-from ..sensors.channels import CHANNEL_INDEX, N_CHANNELS, group_indices
+from ..exceptions import ConfigurationError
+from ..sensors.channels import CHANNEL_INDEX
 
 #: Derived magnitude signals -> the channel group whose norm they take.
 DERIVED_SIGNALS: Dict[str, str] = {
@@ -177,66 +181,3 @@ class FeatureConfig:
             signals=tuple(payload["signals"]),
             stats=tuple(payload["stats"]),
         )
-
-
-class FeatureExtractor:
-    """Vectorized extractor of statistical features from raw windows.
-
-    ``extract`` maps ``(k, window_len, 22)`` raw windows to a ``(k,
-    n_features)`` matrix; ``extract_one`` handles a single ``(window_len,
-    22)`` window.  Feature order is ``signal-major``: all statistics of the
-    first signal, then the second, etc. — see :meth:`feature_names`.
-    """
-
-    def __init__(self, config: FeatureConfig = None) -> None:
-        self.config = config if config is not None else FeatureConfig()
-
-    @property
-    def n_features(self) -> int:
-        return self.config.n_features
-
-    def feature_names(self) -> List[str]:
-        """Names like ``accel_mag:std`` in extraction order."""
-        return [
-            f"{sig}:{stat}"
-            for sig in self.config.signals
-            for stat in self.config.stats
-        ]
-
-    def _signal_series(self, windows: np.ndarray, signal: str) -> np.ndarray:
-        """The (k, n) series for one configured signal."""
-        if signal in DERIVED_SIGNALS:
-            idx = group_indices(DERIVED_SIGNALS[signal])
-            return np.linalg.norm(windows[:, :, idx], axis=2)
-        return windows[:, :, CHANNEL_INDEX[signal]]
-
-    def extract(self, windows: np.ndarray) -> np.ndarray:
-        arr = np.asarray(windows, dtype=np.float64)
-        if arr.ndim != 3:
-            raise DataShapeError(
-                f"windows must be 3-D (k, window_len, channels), got {arr.shape}"
-            )
-        if arr.shape[2] != N_CHANNELS:
-            raise DataShapeError(
-                f"windows must have {N_CHANNELS} channels, got {arr.shape[2]}"
-            )
-        if arr.shape[1] < 1:
-            raise DataShapeError("windows must contain at least one sample")
-        k = arr.shape[0]
-        out = np.empty((k, self.n_features))
-        col = 0
-        for sig in self.config.signals:
-            series = self._signal_series(arr, sig)
-            for stat in self.config.stats:
-                out[:, col] = STATISTICS[stat](series)
-                col += 1
-        return out
-
-    def extract_one(self, window: np.ndarray) -> np.ndarray:
-        """Features of a single window, shape ``(n_features,)``."""
-        arr = np.asarray(window, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataShapeError(
-                f"window must be 2-D (window_len, channels), got {arr.shape}"
-            )
-        return self.extract(arr[None, :, :])[0]

@@ -8,14 +8,12 @@ entry points:
 - :meth:`process_recording` — continuous raw recording -> feature matrix
   (denoise once, then features at the pipeline's stride, then normalize),
   the Edge's recording flow (learning and calibrating an activity);
-- :meth:`process_windows` — already-segmented raw windows -> features
-  through the reference extractor on all channels: the Cloud campaign
-  processing and pre-segmented inference;
-- :meth:`process_stream` — continuous raw samples -> feature matrix through
-  the :class:`~repro.preprocessing.streaming.StreamingFeatureExtractor`
-  path: no window cube is ever materialized, and at the default
-  non-overlapping stride the per-window verdicts match
-  :meth:`process_windows` on the segmented recording exactly;
+- :meth:`process_windows` — already-segmented raw windows -> features:
+  the Cloud campaign processing and pre-segmented inference;
+- :meth:`process_stream` — continuous raw samples -> feature matrix: no
+  window cube is ever materialized, and at the default non-overlapping
+  stride the rows are :meth:`process_windows`'s on the segmented
+  recording, bit for bit;
 - :meth:`open_stream` / :meth:`process_chunk` / :meth:`finish_stream` — the
   *chunked* twin of :meth:`process_stream` for unbounded recordings that
   arrive tick by tick: a :class:`StreamState` carries the sample tail that
@@ -23,21 +21,22 @@ entry points:
   across chunks, so no window straddling a chunk boundary is ever lost and
   no buffered sample is ever re-featurized.
 
-Every entry point but :meth:`process_windows` (and its
-:meth:`fit_normalizer` twin) takes only the channels the streaming
-extractor reads (its ``read_channels``, 15 of 22 for the default config)
-*before* denoising, so no channel that no feature reads is ever filtered,
-and a stream's denoiser state holds those columns only.  Chunks are still
-validated, finiteness-checked and channel-locked on the full 22-channel
-layout.  Denoisers act column-wise (the denoiser contract), so the
-features are the same bits as denoising every channel.  Extractors
-without a streaming twin (spectral, combined, subclassed) keep all 22.
+Every extractor speaks one protocol: ``read_channels`` (the sensor
+channels its features read, 15 of 22 for the default statistical grid)
+and ``extract_read_columns(read, window_len, stride, dtype)`` over a
+signal cut to them.  Every entry point takes those columns *before*
+denoising, so no channel that no feature reads is ever filtered, and a
+stream's denoiser state holds those columns only.  Inputs are still
+validated (and chunks finiteness-checked) on the full 22-channel
+layout.  Denoisers act column-wise (the denoiser contract), so
+the features are the same bits as denoising every channel.
 
-Windowed (non-overlapping) ticks run through :meth:`window_kernel`: the
-chunk is checked once, by :meth:`process_chunk`, and its completed
-windows then go through read columns -> denoise -> stacked statistics ->
-normalize with no stage re-checking the one before; the kernel holds what
-depends only on configuration and is rebuilt when a stage is replaced.
+Every windowed featurization — :meth:`process_windows`, the normalizer's
+fit and non-overlapping stream ticks — runs through :meth:`window_kernel`:
+the input is checked once, by its entry point, and the windows then go
+through read columns -> denoise -> extract -> normalize with
+no stage re-checking the one before; the kernel holds what depends only
+on configuration and is rebuilt when a stage is replaced.
 Everything up to the normalizer is keyed by configuration
 (``_WindowKernel.key``), so pipelines configured alike — every cohort
 loaded from one package — can featurize their windows in one call.
@@ -70,9 +69,9 @@ from .denoise import (
     MovingAverageFilter,
     denoiser_from_dict,
 )
-from .features import FeatureConfig, FeatureExtractor
+from .features import FeatureConfig
 from .normalization import ZScoreNormalizer, normalizer_from_dict
-from .segmentation import sliding_windows, window_count
+from .segmentation import window_count
 from .spectral import (
     CombinedFeatureExtractor,
     SpectralConfig,
@@ -83,7 +82,7 @@ from .streaming import StreamingFeatureExtractor
 
 def extractor_to_dict(extractor) -> Dict:
     """Serialize any supported feature extractor to a plain dict."""
-    if isinstance(extractor, FeatureExtractor):
+    if isinstance(extractor, StreamingFeatureExtractor):
         return {"kind": "statistical", "config": extractor.config.to_dict()}
     if isinstance(extractor, SpectralFeatureExtractor):
         return {"kind": "spectral", "config": extractor.config.to_dict()}
@@ -104,7 +103,9 @@ def extractor_from_dict(payload: Dict):
     except (KeyError, TypeError):
         raise SerializationError(f"invalid extractor payload: {payload!r}") from None
     if kind == "statistical":
-        return FeatureExtractor(FeatureConfig.from_dict(payload["config"]))
+        return StreamingFeatureExtractor(
+            FeatureConfig.from_dict(payload["config"])
+        )
     if kind == "spectral":
         return SpectralFeatureExtractor(
             SpectralConfig.from_dict(payload["config"])
@@ -215,7 +216,7 @@ def _stage_config(stage):
     its own identity: nothing says what else it reads.
     """
     kind = type(stage)
-    if kind is FeatureExtractor:
+    if kind is StreamingFeatureExtractor:
         return [kind.__name__, stage.config.to_dict()]
     if kind is CombinedFeatureExtractor:
         return [kind.__name__, [_stage_config(part) for part in stage.extractors]]
@@ -229,11 +230,11 @@ class _WindowKernel:
 
     Built by :meth:`PreprocessingPipeline.window_kernel`.  Holds every
     configuration-only piece of the pass — the read-column index, the
-    denoiser's batch kernel, the normalizer's row transform — and the
-    stages it was built from, so the pipeline can tell when one of them
-    has been replaced.  The stacked statistics are the streaming
-    extractor's ``extract_read_columns``, whose few scalar checks are all
-    the checking the pass still does.
+    denoiser's window-stack kernel, the normalizer's row transform — and
+    the stages it was built from, so the pipeline can tell when one of
+    them has been replaced.  The features are the extractor's
+    ``extract_read_columns``, whose few scalar checks are all the
+    checking the pass still does.
 
     ``key`` names the configuration-only half, :meth:`raw` (denoiser and
     extractor configuration, window length, compute dtype): kernels with
@@ -245,7 +246,7 @@ class _WindowKernel:
 
     __slots__ = (
         "denoiser", "extractor", "normalizer", "window_len", "key", "_dtype",
-        "_n_features", "_raw", "_normalize", "_empty",
+        "_n_features", "_denoise", "_normalize", "_empty",
     )
 
     def __init__(self, pipeline: "PreprocessingPipeline", dtype) -> None:
@@ -264,31 +265,7 @@ class _WindowKernel:
             sort_keys=True,
         )
         self._n_features = pipeline.n_features
-        denoise = pipeline._windows_denoiser()
-        streaming = pipeline.streaming_extractor
-        if streaming is None:
-            extractor = self.extractor
-
-            def raw(windows: np.ndarray) -> np.ndarray:
-                return PreprocessingPipeline._cast_features(
-                    extractor.extract(denoise(windows)), dtype
-                )
-        else:
-            columns = streaming.read_channels
-            window_len = self.window_len
-
-            def raw(windows: np.ndarray) -> np.ndarray:
-                # Non-overlapping windows partition a signal, so the
-                # denoised stack folds back into one continuous block.
-                denoised = denoise(windows[..., columns])
-                return streaming.extract_read_columns(
-                    denoised.reshape(-1, denoised.shape[2]),
-                    window_len,
-                    stride=window_len,
-                    dtype=dtype,
-                )
-
-        self._raw = raw
+        self._denoise = pipeline._windows_denoiser()
         self._normalize = getattr(
             self.normalizer, "transform_rows", self.normalizer.transform
         )
@@ -298,7 +275,15 @@ class _WindowKernel:
         """*Unnormalized* feature rows of checked windows."""
         if windows.shape[0] == 0:
             return np.empty((0, self._n_features), dtype=self._dtype)
-        return self._raw(windows)
+        # Non-overlapping windows partition a signal, so the denoised
+        # stack folds back into one continuous block.
+        denoised = self._denoise(windows[..., self.extractor.read_channels])
+        return self.extractor.extract_read_columns(
+            denoised.reshape(-1, denoised.shape[2]),
+            self.window_len,
+            stride=self.window_len,
+            dtype=self._dtype,
+        )
 
     def normalize(self, rows: np.ndarray) -> np.ndarray:
         """Normalized feature rows of :meth:`raw` rows (of this kernel or
@@ -346,9 +331,10 @@ class PreprocessingPipeline:
         The statistical feature grid; defaults to the paper's 80 features.
         Ignored when ``extractor`` is given.
     extractor:
-        Any feature extractor (statistical, spectral or combined) — the
-        paper's "more advanced feature extractors can be ... integrated"
-        hook.  Defaults to the statistical extractor built from
+        Any feature extractor (statistical, spectral or combined; anything
+        with ``read_channels`` and ``extract_read_columns``) — the paper's
+        "more advanced feature extractors can be ... integrated" hook.
+        Defaults to the statistical extractor built from
         ``feature_config``.
     normalizer:
         A fit/transform normalizer; defaults to z-score.
@@ -375,11 +361,11 @@ class PreprocessingPipeline:
         self.window_len = int(window_len)
         self.stride = int(stride) if stride is not None else self.window_len
         self.extractor = (
-            extractor if extractor is not None else FeatureExtractor(feature_config)
+            extractor
+            if extractor is not None
+            else StreamingFeatureExtractor(feature_config)
         )
         self.normalizer = normalizer if normalizer is not None else ZScoreNormalizer()
-        self._streaming_extractor: Optional[StreamingFeatureExtractor] = None
-        self._streaming_source = None  # the extractor the memo was built from
         # dtype -> _WindowKernel, rebuilt when a stage it holds is replaced
         self._window_kernels: Dict[object, _WindowKernel] = {}
 
@@ -401,92 +387,81 @@ class PreprocessingPipeline:
         return getattr(self.normalizer, "is_fitted", False)
 
     @property
-    def expected_channels(self) -> Optional[int]:
-        """The channel count the configured extractor requires, if known.
-
-        All built-in extractors (statistical, spectral, combined) operate
-        on the fixed sensor layout; user-supplied extractor types return
-        ``None`` (unknown) and validate their own inputs.
-        """
-        if isinstance(
-            self.extractor,
-            (FeatureExtractor, SpectralFeatureExtractor, CombinedFeatureExtractor),
-        ):
-            return N_CHANNELS
-        return None
+    def expected_channels(self) -> int:
+        """The channel count of every input: the sensor layout the
+        extractor's ``read_channels`` index."""
+        return N_CHANNELS
 
     @property
-    def streaming_extractor(self) -> Optional[StreamingFeatureExtractor]:
-        """The streaming twin of the configured extractor.
+    def streaming_extractor(self):
+        """The configured extractor, under the name stream code reads it."""
+        return self.extractor
 
-        Only the plain statistical :class:`FeatureExtractor` has a streaming
-        implementation (subclasses may override statistics, so they fall
-        back too); spectral/combined extractors return ``None`` and the
-        stream entry points degrade to the zero-copy windowed path.  The
-        memo is keyed on the extractor object's identity, so reassigning
-        ``self.extractor`` re-derives it.
-        """
-        if self._streaming_source is not self.extractor:
-            self._streaming_source = self.extractor
-            self._streaming_extractor = (
-                StreamingFeatureExtractor(self.extractor.config)
-                if type(self.extractor) is FeatureExtractor
-                else None
+    def _require_fitted(self) -> None:
+        if not self.is_fitted:
+            raise NotFittedError(
+                "pipeline normalizer is not fitted; call fit_normalizer() "
+                "on the Cloud before processing"
             )
-        return self._streaming_extractor
 
     # ------------------------------------------------------------------ #
-    # fitting (Cloud side)
+    # windows (the Cloud's fit and pre-segmented inference)
     # ------------------------------------------------------------------ #
-
-    def _denoise_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Denoise a ``(k, window_len, channels)`` stack window by window.
-
-        Denoisers that support a batch axis (``apply_batch``) filter the
-        whole stack in one vectorized call; others fall back to a
-        per-window loop.
-        """
-        if windows.shape[0] == 0:
-            return windows
-        batch_apply = getattr(self.denoiser, "apply_batch", None)
-        if batch_apply is not None:
-            return batch_apply(windows)
-        return np.stack([self.denoiser.apply(w) for w in windows], axis=0)
 
     def _windows_denoiser(self) -> Callable[[np.ndarray], np.ndarray]:
-        """:meth:`_denoise_windows` resolved for the pipeline's window
-        length, for denoisers that offer a ``batch_kernel``."""
+        """Denoise a ``(k, window_len, channels)`` stack window by window:
+        the denoiser's ``batch_kernel`` for the pipeline's window length,
+        else a per-window loop."""
         batch_kernel = getattr(self.denoiser, "batch_kernel", None)
-        if batch_kernel is None:
-            return self._denoise_windows
-        return batch_kernel(self.window_len)
+        if batch_kernel is not None:
+            return batch_kernel(self.window_len)
+        apply = self.denoiser.apply
+        return lambda windows: np.stack([apply(w) for w in windows], axis=0)
+
+    def _check_windows(self, windows: np.ndarray) -> np.ndarray:
+        """``windows`` as a float64 ``(k, window_len, N_CHANNELS)`` cube,
+        else ``DataShapeError``."""
+        arr = check_3d("windows", windows)
+        if arr.shape[2] != N_CHANNELS:
+            raise DataShapeError(
+                f"windows must have {N_CHANNELS} channels, got {arr.shape[2]}"
+            )
+        if arr.shape[1] != self.window_len:
+            raise DataShapeError(
+                f"windows must be {self.window_len} samples long, "
+                f"got {arr.shape[1]}"
+            )
+        return arr
 
     def raw_features_of_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Denoise each window independently and extract *unnormalized* features."""
-        arr = check_3d("windows", windows)
-        return self.extractor.extract(self._denoise_windows(arr))
+        """Denoise each window independently and extract *unnormalized*
+        float64 features."""
+        return self.window_kernel().raw(self._check_windows(windows))
 
     def fit_normalizer(self, windows: np.ndarray) -> "PreprocessingPipeline":
         """Fit the normalizer on raw windows (the Cloud campaign data)."""
         self.normalizer.fit(self.raw_features_of_windows(windows))
         return self
 
-    # ------------------------------------------------------------------ #
-    # processing (both sides)
-    # ------------------------------------------------------------------ #
+    def process_windows(self, windows: np.ndarray, dtype=None) -> np.ndarray:
+        """Raw windows ``(k, window_len, 22)`` -> normalized features ``(k, d)``.
 
-    def process_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Raw windows ``(k, window_len, 22)`` -> normalized features ``(k, d)``."""
-        if not self.is_fitted:
-            raise NotFittedError(
-                "pipeline normalizer is not fitted; call fit_normalizer() "
-                "on the Cloud before processing"
-            )
-        return self.normalizer.transform(self.raw_features_of_windows(windows))
+        Each window is denoised in isolation, so the rows are bit for bit
+        those of a non-overlapping stream through the same windows.
+        ``dtype=np.float32`` extracts and normalizes in 32 bits (see
+        :func:`resolve_feature_dtype`).
+        """
+        self._require_fitted()
+        arr = self._check_windows(windows)
+        return self.window_kernel(resolve_feature_dtype(dtype))(arr)
 
     def process_window(self, window: np.ndarray) -> np.ndarray:
         """One raw window -> one normalized feature vector ``(d,)``."""
-        return self.process_windows(np.asarray(window)[None, :, :])[0]
+        return self.process_windows(np.asarray(window)[None])[0]
+
+    # ------------------------------------------------------------------ #
+    # streams (both sides)
+    # ------------------------------------------------------------------ #
 
     def _resolve_stream_args(
         self, stride: Optional[int], denoise: str
@@ -557,10 +532,9 @@ class PreprocessingPipeline:
         # Validate channels up front so short malformed inputs fail the
         # same way long ones do, instead of slipping through the
         # zero-window early return.
-        expected = self.expected_channels
-        if expected is not None and arr.shape[1] != expected:
+        if arr.shape[1] != N_CHANNELS:
             raise DataShapeError(
-                f"data must have {expected} channels, got {arr.shape[1]}"
+                f"data must have {N_CHANNELS} channels, got {arr.shape[1]}"
             )
         stride, denoise = self._resolve_stream_args(stride, denoise)
         return arr, stride, denoise, resolve_feature_dtype(dtype)
@@ -578,59 +552,33 @@ class PreprocessingPipeline:
         """Stream-denoise features of a whole signal: its read columns are
         denoised once, then every window at ``stride`` is extracted."""
         return self._extract_span(
-            self.denoiser.apply(self._read_columns(data)), stride, dtype
+            self.denoiser.apply(data[:, self.extractor.read_channels]),
+            stride,
+            dtype,
         )
 
-    def _read_columns(self, data: np.ndarray) -> np.ndarray:
-        """The channels (last axis) of raw ``data`` the features read.
-
-        The streaming extractor reads only its ``read_channels`` (15 of 22
-        for the default config), so those columns are taken *before*
-        denoising and nothing else is ever filtered.  A denoiser acts
-        column-wise — the interface contract every shipped one meets — so
-        the taken columns denoise to the same bits.  Extractors without a
-        streaming twin keep every channel.
-        """
-        streaming = self.streaming_extractor
-        if streaming is None:
-            return data
-        return data[..., streaming.read_channels]
-
     def window_kernel(self, dtype=None) -> "_WindowKernel":
-        """The featurize half of a windowed tick, resolved once per dtype.
+        """The pipeline's one window featurizer, resolved once per dtype.
 
-        Calling the returned kernel maps raw non-overlapping windows,
-        ``(k, window_len, channels)`` float64 that the caller has already
-        checked (what :meth:`fold_chunk` hands out), to normalized
-        feature rows: read columns -> denoise each window -> stacked
-        statistics -> normalize, with no stage re-checking what the one
+        Calling the returned kernel maps raw windows, ``(k, window_len,
+        channels)`` float64 that the caller has already checked (what
+        :meth:`fold_chunk` hands out, or :meth:`process_windows` checks),
+        to normalized feature rows: read columns -> denoise each window
+        -> extract -> normalize, with no stage re-checking what the one
         before produced.  Its ``raw`` method stops before normalizing and
         its ``normalize`` method is the rest; kernels of distinct
         pipelines whose ``key`` is equal may share ``raw`` rows (what a
-        fleet tick does across cohorts).
-        ``dtype`` is ``None`` or ``np.float32`` (see
-        :func:`resolve_feature_dtype`).  The kernel is built on first use
-        and rebuilt when the denoiser, extractor, normalizer or window
-        length is replaced.  Its first call checks the normalizer (fitted,
-        as wide as the extractor's rows) through ``transform``.
+        fleet tick does across cohorts).  ``dtype`` is ``None`` or
+        ``np.float32`` (see :func:`resolve_feature_dtype`).  The kernel is
+        built on first use and rebuilt when a stage is replaced.  Its
+        first normalize checks the normalizer (fitted, as wide as the
+        extractor's rows) through ``transform``.
         """
         kernel = self._window_kernels.get(dtype)
         if kernel is None or not kernel.serves(self):
             kernel = _WindowKernel(self, dtype)
             self._window_kernels[dtype] = kernel
         return kernel
-
-    @staticmethod
-    def _cast_features(features: np.ndarray, dtype) -> np.ndarray:
-        """Cast a fallback (windowed-extractor) feature block to ``dtype``.
-
-        The batched extractor computes in ``float64``; the reduced-precision
-        stream contract is only about the *emitted* dtype for extractors
-        without a streaming twin.
-        """
-        if dtype is None:
-            return features
-        return np.asarray(features, dtype=dtype)
 
     def process_stream(
         self, data: np.ndarray, stride: Optional[int] = None,
@@ -642,11 +590,7 @@ class PreprocessingPipeline:
         features extract and normalize in 32 bits (see
         :meth:`raw_stream_features`).
         """
-        if not self.is_fitted:
-            raise NotFittedError(
-                "pipeline normalizer is not fitted; call fit_normalizer() "
-                "on the Cloud before processing"
-            )
+        self._require_fitted()
         arr, stride, denoise, dtype = self._stream_input(
             data, stride, denoise, dtype
         )
@@ -720,15 +664,9 @@ class PreprocessingPipeline:
             raise DataShapeError(
                 f"chunk must be 2-D (samples, channels), got {arr.shape}"
             )
-        expected = self.expected_channels
-        if expected is not None and arr.shape[1] != expected:
+        if arr.shape[1] != N_CHANNELS:
             raise DataShapeError(
-                f"chunk must have {expected} channels, got {arr.shape[1]}"
-            )
-        if state.n_channels is not None and arr.shape[1] != state.n_channels:
-            raise DataShapeError(
-                f"chunk has {arr.shape[1]} channels, stream started with "
-                f"{state.n_channels}"
+                f"chunk must have {N_CHANNELS} channels, got {arr.shape[1]}"
             )
         # Refused before any state moves: a NaN sorts last and silently
         # corrupts median/iqr/mad, and once inside the carried IIR ``zi``
@@ -742,16 +680,8 @@ class PreprocessingPipeline:
         self, span: np.ndarray, stride: int, dtype=None
     ) -> np.ndarray:
         """Unnormalized features of every window of a denoised span of the
-        :meth:`_read_columns`."""
-        streaming = self.streaming_extractor
-        if streaming is None:
-            return self._cast_features(
-                self.extractor.extract(
-                    sliding_windows(span, self.window_len, stride, copy=False)
-                ),
-                dtype,
-            )
-        return streaming.extract_read_columns(
+        extractor's read columns."""
+        return self.extractor.extract_read_columns(
             span, self.window_len, stride=stride, dtype=dtype
         )
 
@@ -795,7 +725,7 @@ class PreprocessingPipeline:
 
         Returns the raw windows the chunk completed, ``(k, window_len,
         channels)`` with ``k`` possibly zero — a read-only view, valid until
-        the caller's chunk array is reused.  :meth:`window_features` turns
+        the caller's chunk array is reused.  :meth:`window_kernel` turns
         them into feature rows; windows of several streams of one pipeline
         may be stacked into a single such call (what a fleet tick does).
         Only windowed-denoise streams have raw windows to hand out.
@@ -825,22 +755,6 @@ class PreprocessingPipeline:
         windows.flags.writeable = False
         return windows
 
-    def window_features(self, windows: np.ndarray, dtype=None) -> np.ndarray:
-        """Raw non-overlapping windows -> normalized stream-path features.
-
-        Batch denoise (each window in isolation) -> streaming extract ->
-        normalize: the second half of a windowed :meth:`process_chunk`, so
-        the rows are chunk-invariant by construction.  The windows are
-        checked here, then run through :meth:`window_kernel`.
-        """
-        arr = check_3d("windows", windows)
-        if arr.shape[1] != self.window_len:
-            raise DataShapeError(
-                f"windows must be {self.window_len} samples long, "
-                f"got {arr.shape[1]}"
-            )
-        return self.window_kernel(resolve_feature_dtype(dtype))(arr)
-
     def _chunk_raw_features(
         self,
         state: StreamState,
@@ -852,7 +766,7 @@ class PreprocessingPipeline:
         denoiser, emit features."""
         arr = self._check_chunk(state, chunk, validated)
         state.samples_in += arr.shape[0]
-        emitted = state.denoiser_stream.push(self._read_columns(arr))
+        emitted = state.denoiser_stream.push(arr[:, self.extractor.read_channels])
         features = self._consume_denoised(state, emitted)
         if final:
             tail = self._consume_denoised(state, state.denoiser_stream.finish())
@@ -881,11 +795,7 @@ class PreprocessingPipeline:
         as a fleet tick does for all its chunks before any stream moves;
         the chunk is then not checked a second time.
         """
-        if not self.is_fitted:
-            raise NotFittedError(
-                "pipeline normalizer is not fitted; call fit_normalizer() "
-                "on the Cloud before processing"
-            )
+        self._require_fitted()
         if state.denoise == "windowed":
             return self.window_kernel(state.dtype)(
                 self.fold_chunk(state, chunk, validated)
@@ -904,19 +814,12 @@ class PreprocessingPipeline:
         :meth:`process_stream` on the whole recording.  The state is
         closed: further :meth:`process_chunk` calls raise.
         """
-        if not self.is_fitted:
-            raise NotFittedError(
-                "pipeline normalizer is not fitted; call fit_normalizer() "
-                "on the Cloud before processing"
-            )
+        self._require_fitted()
         if state.finished:
             raise ConfigurationError(
                 "stream is finished; open_stream() a new session"
             )
-        channels = state.n_channels
-        if channels is None:  # no chunk ever arrived; satisfy validation
-            channels = self.expected_channels or 0
-        empty = np.empty((0, channels))
+        empty = np.empty((0, N_CHANNELS))
         if state.denoise == "windowed":
             features = self.process_chunk(state, empty)
         else:
@@ -935,11 +838,7 @@ class PreprocessingPipeline:
         """
         if recording.n_samples < self.window_len:
             return np.empty((0, self.n_features))
-        if not self.is_fitted:
-            raise NotFittedError(
-                "pipeline normalizer is not fitted; call fit_normalizer() "
-                "on the Cloud before processing"
-            )
+        self._require_fitted()
         features = self.raw_stream_features(
             recording.data, stride=self.stride, denoise="stream"
         )
@@ -966,7 +865,7 @@ class PreprocessingPipeline:
             if "extractor" in payload:
                 extractor = extractor_from_dict(payload["extractor"])
             else:  # legacy payloads carried the statistical config directly
-                extractor = FeatureExtractor(
+                extractor = StreamingFeatureExtractor(
                     FeatureConfig.from_dict(payload["feature_config"])
                 )
             pipeline = cls(

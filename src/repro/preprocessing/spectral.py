@@ -14,10 +14,15 @@ window's FFT magnitude spectrum —
 - ``band_*``        energy fractions of fixed bands (0.5-3, 3-8, 8-20,
   20-60 Hz: body motion, fast motion, vehicle vibration, high-frequency).
 
-:class:`SpectralFeatureExtractor` mirrors the statistical extractor's
-interface, and :class:`CombinedFeatureExtractor` concatenates any number
-of extractors so the pipeline can run statistical + spectral features
-together (ablated in ``benchmarks/bench_feature_ablation.py``).
+:class:`SpectralFeatureExtractor` speaks the statistical extractor's
+protocol — ``read_channels`` plus ``extract_read_columns(read, window_len,
+stride, dtype)`` — so the pipeline's window kernel and stream paths run
+it like any other extractor, and :class:`CombinedFeatureExtractor`
+concatenates any number of extractors so the pipeline can run
+statistical + spectral features together (ablated in
+``benchmarks/bench_feature_ablation.py``).  Both also featurize window
+cubes (``extract``/``extract_one``), as thin wrappers over the same
+method.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, DataShapeError
 from ..sensors.channels import CHANNEL_INDEX, N_CHANNELS
-from .features import DERIVED_SIGNALS, FeatureExtractor
+from .features import DERIVED_SIGNALS, FeatureConfig
+from .segmentation import window_count
+from .streaming import StreamingFeatureExtractor
 
 #: (name, lo_hz, hi_hz) energy bands; chosen to separate body motion,
 #: fast motion, vehicle vibration and high-frequency content.
@@ -96,18 +103,65 @@ class SpectralConfig:
         )
 
 
-class SpectralFeatureExtractor:
+class _WindowCubes:
+    """``extract``/``extract_one`` of raw window cubes, for an extractor
+    with ``read_channels`` and ``extract_read_columns``."""
+
+    def extract(self, windows: np.ndarray) -> np.ndarray:
+        """``(k, window_len, 22)`` raw windows -> ``(k, n_features)``: their
+        read columns, stacked into the one signal they partition, through
+        ``extract_read_columns``."""
+        arr = np.asarray(windows, dtype=np.float64)
+        if arr.ndim != 3:
+            raise DataShapeError(
+                f"windows must be 3-D (k, window_len, channels), got {arr.shape}"
+            )
+        if arr.shape[2] != N_CHANNELS:
+            raise DataShapeError(
+                f"windows must have {N_CHANNELS} channels, got {arr.shape[2]}"
+            )
+        k, window_len, _ = arr.shape
+        read = arr[..., self.read_channels].reshape(k * window_len, -1)
+        return self.extract_read_columns(read, window_len)
+
+    def extract_one(self, window: np.ndarray) -> np.ndarray:
+        """Features of a single window, shape ``(n_features,)``."""
+        arr = np.asarray(window, dtype=np.float64)
+        if arr.ndim != 2:
+            raise DataShapeError(
+                f"window must be 2-D (window_len, channels), got {arr.shape}"
+            )
+        return self.extract(arr[None, :, :])[0]
+
+
+def _check_read(read: np.ndarray, read_channels: np.ndarray) -> np.ndarray:
+    """``read`` as float64 ``(n, len(read_channels))``, else ``DataShapeError``."""
+    arr = np.asarray(read, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != len(read_channels):
+        raise DataShapeError(
+            f"read columns must be 2-D (n, {len(read_channels)}), "
+            f"got {arr.shape}"
+        )
+    return arr
+
+
+class SpectralFeatureExtractor(_WindowCubes):
     """Frequency-domain features per configured signal.
 
-    Same interface as :class:`~repro.preprocessing.features.FeatureExtractor`:
-    ``extract((k, n, 22)) -> (k, n_features)`` plus ``feature_names()``.
+    ``read_channels`` are the channels its signals read (9 for the
+    default motion magnitudes), resolved by the statistical extractor's
+    series plan; ``extract_read_columns`` builds that plan's series block
+    and runs :meth:`_spectral_block` over each signal's windows, always
+    in float64, casting the rows to the requested dtype.
     Linear-ithmic time (FFT) per window — still edge-friendly.
     """
 
     def __init__(self, config: SpectralConfig = None) -> None:
         self.config = config if config is not None else SpectralConfig()
-        # Reuse the statistical extractor's signal resolution logic.
-        self._resolver = FeatureExtractor()
+        self._plan = StreamingFeatureExtractor(
+            FeatureConfig(signals=self.config.signals)
+        )
+        self.read_channels = self._plan.read_channels
 
     @property
     def n_features(self) -> int:
@@ -151,48 +205,55 @@ class SpectralFeatureExtractor:
         out[silent] = 0.0
         return out
 
-    def extract(self, windows: np.ndarray) -> np.ndarray:
-        arr = np.asarray(windows, dtype=np.float64)
-        if arr.ndim != 3:
-            raise DataShapeError(
-                f"windows must be 3-D (k, window_len, channels), got {arr.shape}"
-            )
-        if arr.shape[2] != N_CHANNELS:
-            raise DataShapeError(
-                f"windows must have {N_CHANNELS} channels, got {arr.shape[2]}"
-            )
-        if arr.shape[1] < 2:
+    def extract_read_columns(
+        self, read: np.ndarray, window_len: int, stride: int = None,
+        dtype=None,
+    ) -> np.ndarray:
+        """Spectral rows of every window of ``read``, the ``(n,
+        len(read_channels))`` columns of a signal, at ``stride``
+        (default ``window_len``)."""
+        arr = _check_read(read, self.read_channels)
+        if window_len < 2:
             raise DataShapeError("windows need >= 2 samples for a spectrum")
-        blocks = [
-            self._spectral_block(self._resolver._signal_series(arr, sig))
-            for sig in self.config.signals
-        ]
-        return np.concatenate(blocks, axis=1)
-
-    def extract_one(self, window: np.ndarray) -> np.ndarray:
-        arr = np.asarray(window, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataShapeError(
-                f"window must be 2-D (window_len, channels), got {arr.shape}"
-            )
-        return self.extract(arr[None, :, :])[0]
+        stride = window_len if stride is None else stride
+        if stride < 1:
+            raise ConfigurationError(f"stride must be >= 1, got {stride}")
+        n_windows = window_count(arr.shape[0], window_len, stride)
+        if n_windows == 0:
+            return np.empty((0, self.n_features), dtype=dtype)
+        series = self._plan._read_series_block(arr)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            series, window_len, axis=1
+        )[:, : (n_windows - 1) * stride + 1 : stride]
+        out = np.concatenate(
+            [self._spectral_block(signal) for signal in windows], axis=1
+        )
+        return out if dtype is None else out.astype(dtype, copy=False)
 
     def to_dict(self) -> Dict:
         return {"kind": "spectral", "config": self.config.to_dict()}
 
 
-class CombinedFeatureExtractor:
+class CombinedFeatureExtractor(_WindowCubes):
     """Concatenation of several extractors into one feature vector.
 
-    Any object with ``extract``, ``extract_one``, ``n_features`` and
-    ``feature_names`` composes — the statistical and spectral extractors in
-    particular.
+    Any extractor with ``read_channels``, ``extract_read_columns``,
+    ``n_features`` and ``feature_names`` composes — the statistical and
+    spectral extractors in particular.  The combination reads the union
+    of its parts' channels; each part reads its own columns of it.
     """
 
     def __init__(self, extractors: Sequence) -> None:
         if not extractors:
             raise ConfigurationError("extractors must be non-empty")
         self.extractors = list(extractors)
+        self.read_channels = np.unique(
+            np.concatenate([e.read_channels for e in self.extractors])
+        )
+        self._part_columns = [
+            np.searchsorted(self.read_channels, e.read_channels)
+            for e in self.extractors
+        ]
 
     @property
     def n_features(self) -> int:
@@ -204,15 +265,18 @@ class CombinedFeatureExtractor:
             names.extend(extractor.feature_names())
         return names
 
-    def extract(self, windows: np.ndarray) -> np.ndarray:
+    def extract_read_columns(
+        self, read: np.ndarray, window_len: int, stride: int = None,
+        dtype=None,
+    ) -> np.ndarray:
+        """Every part's rows of its own columns of ``read``, concatenated."""
+        arr = _check_read(read, self.read_channels)
         return np.concatenate(
-            [e.extract(windows) for e in self.extractors], axis=1
+            [
+                part.extract_read_columns(
+                    arr[:, columns], window_len, stride=stride, dtype=dtype
+                )
+                for part, columns in zip(self.extractors, self._part_columns)
+            ],
+            axis=1,
         )
-
-    def extract_one(self, window: np.ndarray) -> np.ndarray:
-        arr = np.asarray(window, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DataShapeError(
-                f"window must be 2-D (window_len, channels), got {arr.shape}"
-            )
-        return self.extract(arr[None, :, :])[0]

@@ -1,12 +1,15 @@
-"""Streaming statistical feature extraction over continuous recordings.
+"""The statistical feature extractor: every window of a continuous signal.
 
-:class:`~repro.preprocessing.features.FeatureExtractor` prices a continuous
-recording per *window*: with 50% overlap every sample is featurized twice,
-and at 90% overlap ten times, on top of the ``(k, window_len, channels)``
-cube the segmentation copies out of the stride-tricks view.
-:class:`StreamingFeatureExtractor` computes the same ``(k, n_features)``
-matrix straight from the continuous ``(n, channels)`` signal, without ever
-materializing the window cube, in one implementation: the *stacked* pass.
+A per-window extractor prices a continuous recording per *window*: with
+50% overlap every sample is featurized twice, and at 90% overlap ten
+times, on top of the ``(k, window_len, channels)`` cube the segmentation
+copies out.  :class:`StreamingFeatureExtractor` computes the same
+``(k, n_features)`` matrix straight from the continuous ``(n, channels)``
+signal, without ever materializing the window cube, in one
+implementation: the *stacked* pass.  It is the pipeline's statistical
+extractor, whatever the stride: non-overlapping windows are a reshape of
+the signal they partition, so a window stack folds back into one.
+
 The constructor resolves the configured signals into ``read_channels``
 (the sorted channels any signal reads: 15 of 22 for the default grid)
 and a series plan in the coordinates of those columns.  ``extract``
@@ -26,9 +29,11 @@ row reads nothing but its own window's samples: it is bit-identical
 however the recording was chunked and whoever else shared the call, and
 the scratch is bounded by the block, not by the window count.
 
-Every statistic matches ``FeatureExtractor`` to 1e-9 (most bit-exactly);
-``tests/test_preprocessing_streaming.py`` pins that contract across strides,
-odd window lengths, constant signals and the empty case.
+Every statistic matches its plain per-window definition in
+:data:`~repro.preprocessing.features.STATISTICS` to 1e-9 (most
+bit-exactly); ``tests/test_preprocessing_streaming.py`` pins that contract
+against the reference extractor of ``tests/reference_features.py`` across
+strides, odd window lengths, constant signals and the empty case.
 """
 
 from __future__ import annotations
@@ -202,9 +207,10 @@ class StreamingFeatureExtractor:
     """Window features of a continuous recording without window cubes.
 
     ``extract`` maps a continuous ``(n, channels)`` signal straight to the
-    ``(k, n_features)`` matrix that
-    ``FeatureExtractor().extract(sliding_windows(signal, w, stride))`` would
-    produce, in the same signal-major feature order.  Statistics without a
+    ``(k, n_features)`` matrix of the statistics of every window
+    ``sliding_windows(signal, w, stride)`` cuts, in signal-major feature
+    order (all statistics of the first signal, then the second; see
+    :meth:`feature_names`).  Statistics without a
     stacked implementation (e.g. ones registered into
     :data:`~repro.preprocessing.features.STATISTICS` by users) transparently
     fall back to the batched implementation over each block's rows.

@@ -354,10 +354,11 @@ class FleetServer:
         Sessions are grouped by the engine currently serving their cohort
         and every group is classified in a single fused engine call, so a
         mixed-cohort tick costs one forward pass per distinct model — not
-        one per session.  Window shapes must agree *within* each model's
-        batch (cohorts may legitimately differ, e.g. different window
-        lengths per device class).  All windows are validated before any
-        engine runs.  Returns the per-session verdicts in input order.
+        one per session.  Each window must be its cohort's
+        ``(window_len, channels)`` (cohorts may legitimately differ, e.g.
+        different window lengths per device class).  All windows are
+        validated before any engine runs.  Returns the per-session
+        verdicts in input order.
 
         Failure isolation and tick accounting mirror :meth:`step_stream`
         exactly: if a model raises, the other models' batched calls still
@@ -423,18 +424,15 @@ class FleetServer:
             session = self.session(session_id)  # raises for unknown ids
             engine = self._serving_engine(session)  # raises unknown cohorts
             arr = np.asarray(window, dtype=np.float64)
-            if arr.ndim != 2:
-                raise DataShapeError(
-                    f"session {session.session_id!r} window must be 2-D "
-                    f"(samples, channels), got {arr.shape}"
-                )
-            group = groups.setdefault(id(engine), _WindowTickGroup(engine))
-            if group.arrays and arr.shape != group.arrays[0].shape:
+            pipeline = engine.pipeline
+            shape = (pipeline.window_len, pipeline.expected_channels)
+            if arr.shape != shape:
                 raise DataShapeError(
                     f"session {session.session_id!r} window shape {arr.shape} "
-                    f"differs from the batch shape {group.arrays[0].shape} "
-                    f"(session {group.ids[0]!r})"
+                    f"is not cohort {session.cohort!r}'s (samples, channels) "
+                    f"{shape}"
                 )
+            group = groups.setdefault(id(engine), _WindowTickGroup(engine))
             if not np.isfinite(arr).all():
                 raise DataShapeError(
                     f"session {session.session_id!r} window holds non-finite "
@@ -689,7 +687,7 @@ class FleetServer:
                     f"{group.n_channels} (session {group.ids[0]!r})"
                 )
         expected = pipeline.expected_channels
-        if expected is not None and arr.shape[1] != expected:
+        if arr.shape[1] != expected:
             raise DataShapeError(
                 f"session {session.session_id!r} chunk has "
                 f"{arr.shape[1]} channels, cohort "
@@ -743,16 +741,14 @@ class FleetServer:
         only exist in the blocks — which is why a failing group must not
         discard the other groups' blocks (see :meth:`stream_tick`).
         """
-        # Stacked windows must agree in width: every built-in extractor
-        # reads the 22-channel layout, a custom one may not.
-        shares: Dict[Tuple[str, Optional[int]], list] = {}
+        shares: Dict[str, list] = {}
         for group in groups.values():
             stacked = _isolated((group,), self._fold_group, group)
             if stacked:
                 kernel = group.engine.pipeline.window_kernel(
                     _feature_dtype(group.dtype)
                 )
-                shares.setdefault((kernel.key, group.n_channels), []).append(
+                shares.setdefault(kernel.key, []).append(
                     (group, kernel, stacked)
                 )
         for share in shares.values():

@@ -65,7 +65,7 @@ class ModelRegistry:
         Optional channel-count contract.  A registry serves one physical
         sensor fleet, so every published package must agree on the sensor
         layout; when ``None`` the contract locks to the first published
-        (or lazily loaded) package whose pipeline reports a channel count.
+        (or lazily loaded) package.
         Publishing a package with a mismatched channel count raises
         :class:`~repro.exceptions.ConfigurationError`.
 
@@ -156,8 +156,6 @@ class ModelRegistry:
                 f"pipeline; fleet serving needs raw windows/chunks in"
             )
         channels = pipeline.expected_channels
-        if channels is None:
-            return  # custom extractors validate their own inputs
         if self._expected_channels is None:
             self._expected_channels = int(channels)
         elif int(channels) != self._expected_channels:

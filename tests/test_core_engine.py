@@ -10,6 +10,7 @@ and real scenario data, plus the serving semantics of the fleet layer.
 import numpy as np
 import pytest
 
+from reference_features import FeatureExtractor
 from repro.core import (
     HysteresisSmoother,
     InferenceEngine,
@@ -254,7 +255,7 @@ class TestBatchDenoise:
             batched.raw_features_of_windows(windows),
             np.stack(
                 [
-                    reference.extractor.extract_one(
+                    FeatureExtractor().extract_one(
                         reference.denoiser.apply(w)
                     )
                     for w in windows
@@ -269,7 +270,7 @@ class TestBatchDenoise:
             [fitted_pipeline.denoiser.apply(w) for w in windows], axis=0
         )
         expected = fitted_pipeline.normalizer.transform(
-            fitted_pipeline.extractor.extract(looped)
+            FeatureExtractor().extract(looped)
         )
         np.testing.assert_allclose(
             fitted_pipeline.process_windows(windows), expected, **PARITY

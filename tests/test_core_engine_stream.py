@@ -12,6 +12,7 @@ rewired through it: ``FleetServer.step_stream``, device accounting,
 import numpy as np
 import pytest
 
+from reference_features import FeatureExtractor
 from repro.core import HysteresisSmoother, InferenceEngine
 from repro.edge_runtime import ResourceAccountant
 from repro.eval import run_stream_protocol
@@ -49,7 +50,7 @@ class TestInferStreamParity:
         denoised = pipeline.denoiser.apply(recording.data)
         windows = sliding_windows(denoised, pipeline.window_len, stride)
         features = pipeline.normalizer.transform(
-            pipeline.extractor.extract(windows)
+            FeatureExtractor().extract(windows)
         )
         ref = edge.engine.infer_features(features)
         got = edge.infer_stream(recording.data, stride=stride)

@@ -399,12 +399,13 @@ class TestDenoisersAreColumnWise:
         )
 
     def test_batch(self, recording, name):
-        """``apply_batch``, or the per-window loop for denoisers without it."""
+        """``batch_kernel``, or the per-window loop for denoisers without it."""
         pipeline = PreprocessingPipeline(denoiser=DENOISERS[name])
         windows = recording[: 12 * W].reshape(12, W, N_CHANNELS)
+        denoise = pipeline._windows_denoiser()
         assert np.array_equal(
-            pipeline._denoise_windows(windows[..., self.take]),
-            pipeline._denoise_windows(windows)[..., self.take],
+            denoise(windows[..., self.take]),
+            denoise(windows)[..., self.take],
         )
 
     def test_make_stream(self, recording, name):

@@ -1,14 +1,14 @@
-"""Unit tests for the statistical feature extractor."""
+"""Unit tests for the statistical feature grid and its reference extractor."""
 
 import numpy as np
 import pytest
 
+from reference_features import FeatureExtractor
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     DEFAULT_SIGNALS,
     DEFAULT_STATS,
     FeatureConfig,
-    FeatureExtractor,
 )
 from repro.preprocessing.features import STATISTICS
 from repro.sensors import SensorDevice, channel_index, group_indices

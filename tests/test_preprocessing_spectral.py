@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from reference_features import FeatureExtractor
 from repro.exceptions import ConfigurationError, DataShapeError, SerializationError
 from repro.preprocessing import (
     CombinedFeatureExtractor,
-    FeatureExtractor,
     PreprocessingPipeline,
     SPECTRAL_STATS,
     SpectralConfig,
     SpectralFeatureExtractor,
+    StreamingFeatureExtractor,
     extractor_from_dict,
     extractor_to_dict,
 )
@@ -122,18 +123,17 @@ class TestSpectralExtraction:
 class TestCombinedExtractor:
     def test_concatenates_features(self):
         combined = CombinedFeatureExtractor(
-            [FeatureExtractor(), SpectralFeatureExtractor()]
+            [StreamingFeatureExtractor(), SpectralFeatureExtractor()]
         )
         assert combined.n_features == 80 + 24
         assert len(combined.feature_names()) == 104
 
     def test_output_is_column_concat(self, rng):
-        stat = FeatureExtractor()
         spec = SpectralFeatureExtractor()
-        combined = CombinedFeatureExtractor([stat, spec])
+        combined = CombinedFeatureExtractor([StreamingFeatureExtractor(), spec])
         windows = rng.normal(size=(3, 120, 22))
         out = combined.extract(windows)
-        assert np.allclose(out[:, :80], stat.extract(windows))
+        assert np.allclose(out[:, :80], FeatureExtractor().extract(windows))
         assert np.allclose(out[:, 80:], spec.extract(windows))
 
     def test_empty_rejected(self):
@@ -148,10 +148,12 @@ class TestCombinedExtractor:
 
 class TestExtractorSerialization:
     def test_statistical_roundtrip(self, rng):
-        original = FeatureExtractor()
+        original = StreamingFeatureExtractor()
         rebuilt = extractor_from_dict(extractor_to_dict(original))
-        windows = rng.normal(size=(2, 60, 22))
-        assert np.allclose(rebuilt.extract(windows), original.extract(windows))
+        data = rng.normal(size=(120, 22))
+        assert np.allclose(
+            rebuilt.extract(data, 60), original.extract(data, 60)
+        )
 
     def test_spectral_roundtrip(self, rng):
         original = SpectralFeatureExtractor(
@@ -163,7 +165,7 @@ class TestExtractorSerialization:
 
     def test_combined_roundtrip(self, rng):
         original = CombinedFeatureExtractor(
-            [FeatureExtractor(), SpectralFeatureExtractor()]
+            [StreamingFeatureExtractor(), SpectralFeatureExtractor()]
         )
         rebuilt = extractor_from_dict(extractor_to_dict(original))
         windows = rng.normal(size=(2, 60, 22))
@@ -190,7 +192,7 @@ class TestPipelineWithCustomExtractor:
     def test_combined_pipeline_roundtrip(self, tiny_campaign):
         pipeline = PreprocessingPipeline(
             extractor=CombinedFeatureExtractor(
-                [FeatureExtractor(), SpectralFeatureExtractor()]
+                [StreamingFeatureExtractor(), SpectralFeatureExtractor()]
             )
         )
         pipeline.fit_normalizer(tiny_campaign.windows[:20])

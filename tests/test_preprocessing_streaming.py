@@ -3,6 +3,7 @@
 The streaming extractor's contract is that
 ``StreamingFeatureExtractor().extract(data, w, stride)`` equals
 ``FeatureExtractor().extract(sliding_windows(data, w, stride))`` to 1e-9
+(the per-window reference of ``reference_features.py``)
 for every statistic, across strides, odd window lengths, constant signals
 (the zcr/slope edge cases) and the empty no-complete-window case.  These
 tests pin that contract column by column, plus the zero-copy / dtype
@@ -12,10 +13,10 @@ semantics of ``sliding_windows`` the streaming path rests on.
 import numpy as np
 import pytest
 
+from reference_features import FeatureExtractor
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     FeatureConfig,
-    FeatureExtractor,
     PreprocessingPipeline,
     SpectralFeatureExtractor,
     StreamingFeatureExtractor,
@@ -24,7 +25,7 @@ from repro.preprocessing import (
 from repro.preprocessing import streaming as streaming_module
 from repro.preprocessing.features import DEFAULT_STATS, STATISTICS
 from repro.sensors import SensorDevice
-from repro.sensors.channels import N_CHANNELS
+from repro.sensors.channels import N_CHANNELS, group_indices
 
 PARITY = dict(rtol=0.0, atol=1e-9)
 
@@ -296,14 +297,22 @@ class TestPipelineStreamingPlumbing:
         pipeline = PreprocessingPipeline()
         first = pipeline.streaming_extractor
         assert first is not None
-        pipeline.extractor = FeatureExtractor(
+        pipeline.extractor = StreamingFeatureExtractor(
             FeatureConfig(signals=("accel_mag",), stats=("mean",))
         )
         second = pipeline.streaming_extractor
         assert second is not first
         assert second.config is pipeline.extractor.config
-        pipeline.extractor = SpectralFeatureExtractor()
-        assert pipeline.streaming_extractor is None
+        # spectral goes through the same kernel, with its own read channels
+        spectral = SpectralFeatureExtractor()
+        pipeline.extractor = spectral
+        assert pipeline.streaming_extractor is spectral
+        assert pipeline.window_kernel().extractor is spectral
+        assert spectral.read_channels.tolist() == sorted(
+            group_indices("accelerometer")
+            + group_indices("gyroscope")
+            + group_indices("linear_acceleration")
+        )
 
 
 class TestStackedRows:

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference_features import FeatureExtractor
 from repro.preprocessing import (
     FeatureConfig,
-    FeatureExtractor,
     MinMaxNormalizer,
     MovingAverageFilter,
     ZScoreNormalizer,

@@ -38,7 +38,6 @@ from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     ButterworthLowpass,
     CombinedFeatureExtractor,
-    FeatureExtractor,
     PreprocessingPipeline,
     SpectralFeatureExtractor,
     StreamingFeatureExtractor,
@@ -155,7 +154,7 @@ class TestRowsAcrossChunkSchedules:
         chunked = _stream_rows(fitted_pipeline, data, [77, 1, 300], W)
         assert np.array_equal(chunked, fitted_pipeline.process_stream(data))
 
-    def test_process_chunk_is_fold_then_window_features(self, fitted_pipeline, rng):
+    def test_process_chunk_is_fold_then_process_windows(self, fitted_pipeline, rng):
         """The windowed tick is literally the composition the fleet uses."""
         data = rng.normal(size=(400, 22))
         a = fitted_pipeline.open_stream()
@@ -165,7 +164,7 @@ class TestRowsAcrossChunkSchedules:
             assert windows.shape[1:] == (W, 22)
             assert np.array_equal(
                 fitted_pipeline.process_chunk(a, chunk),
-                fitted_pipeline.window_features(windows),
+                fitted_pipeline.process_windows(windows),
             )
             assert a.samples_in == b.samples_in
             assert a.windows_out == b.windows_out
@@ -403,16 +402,19 @@ class TestMixedGroups:
         assert served_rows["w1"][0].shape == (0, edge.pipeline.n_features)
 
     @pytest.mark.parametrize("kind", ["spectral", "combined"])
-    def test_extractor_without_a_streaming_twin(self, edge, walk, kind, served_rows):
-        """Group stacking does not need the streaming extractor: spectral
-        and combined extractors take the batched fallback on the stack."""
+    def test_spectral_and_combined_extractors(self, edge, walk, kind, served_rows):
+        """Group stacking runs any extractor: spectral and combined go
+        through the window kernel with their own read channels."""
         extractor = SpectralFeatureExtractor()
         if kind == "combined":
-            extractor = CombinedFeatureExtractor([FeatureExtractor(), extractor])
+            extractor = CombinedFeatureExtractor(
+                [StreamingFeatureExtractor(), extractor]
+            )
         pipeline = PreprocessingPipeline(extractor=extractor)
         windows = np.stack([d[:W] for d in walk] * 4, axis=0)
         pipeline.fit_normalizer(windows + np.arange(12)[:, None, None])
-        assert pipeline.streaming_extractor is None
+        assert pipeline.window_kernel().extractor is extractor
+        assert len(extractor.read_channels) == (15 if kind == "combined" else 9)
         dim = pipeline.n_features
 
         class Projection:
@@ -574,13 +576,13 @@ class TestCrossCohortShare:
             want = pipeline.process_chunk(state, chunks[cohort])
             assert np.array_equal(served_rows[cohort][0], want)
 
-    def test_extractors_without_a_streaming_twin_share_too(
+    def test_combined_extractors_share_too(
         self, edge, walk, served_rows, monkeypatch
     ):
         """Keys of extractors with no ``config`` (combined) are built from
         their parts: two equal combined pipelines share one call."""
         extractor = CombinedFeatureExtractor(
-            [FeatureExtractor(), SpectralFeatureExtractor()]
+            [StreamingFeatureExtractor(), SpectralFeatureExtractor()]
         )
         fitted = PreprocessingPipeline(extractor=extractor)
         windows = np.stack([d[:W] for d in walk] * 4, axis=0)
@@ -605,7 +607,9 @@ class TestCrossCohortShare:
             pipelines["x"].window_kernel().key
             == pipelines["y"].window_kernel().key
         )
-        calls = _spy_calls(monkeypatch, CombinedFeatureExtractor, "extract")
+        calls = _spy_calls(
+            monkeypatch, CombinedFeatureExtractor, "extract_read_columns"
+        )
         server = FleetServer(registry)
         server.connect("x", cohort="x")
         server.connect("y", cohort="y")

@@ -203,13 +203,13 @@ class TestKernelsAreBuiltOnce:
         windows = walk[: 3 * W].reshape(3, W, walk.shape[1])
         kernel = pipeline.window_kernel()
         assert pipeline.window_kernel() is kernel
-        rows = pipeline.window_features(windows)
+        rows = pipeline.process_windows(windows)
         assert np.array_equal(kernel(windows), rows)
         pipeline.normalizer = type(edge.pipeline.normalizer).from_dict(
             edge.pipeline.normalizer.to_dict()
         )
         assert pipeline.window_kernel() is not kernel
-        assert np.array_equal(pipeline.window_features(windows), rows)
+        assert np.array_equal(pipeline.process_windows(windows), rows)
 
     def test_engine_model_kernel_is_kept_across_ticks(self, edge, walk):
         engine, _ = _make(edge, "closed")
@@ -235,6 +235,6 @@ def test_pipelines_and_engines_pickle_after_serving(edge, walk):
     windows = walk[: 2 * W].reshape(2, W, walk.shape[1])
     pipeline = pickle.loads(pickle.dumps(engine.pipeline))
     assert np.array_equal(
-        pipeline.window_features(windows),
-        engine.pipeline.window_features(windows),
+        pipeline.process_windows(windows),
+        engine.pipeline.process_windows(windows),
     )
