@@ -28,8 +28,10 @@ signal cut to them.  Every entry point takes those columns *before*
 denoising, so no channel that no feature reads is ever filtered, and a
 stream's denoiser state holds those columns only.  Inputs are still
 validated (and chunks finiteness-checked) on the full 22-channel
-layout.  Denoisers act column-wise (the denoiser contract), so
-the features are the same bits as denoising every channel.
+layout.  Denoisers act column-wise (the denoiser contract), so the
+features are those of denoising every channel: the same bits, except
+that the Butterworth window operator's last bits may depend on how many
+columns it multiplies (within its 1e-9 contract).
 
 Every windowed featurization — :meth:`process_windows`, the normalizer's
 fit and non-overlapping stream ticks — runs through :meth:`window_kernel`:

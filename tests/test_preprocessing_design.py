@@ -7,9 +7,13 @@ construction, ``StreamingFeatureExtractor`` resolves its configured signals
 into a series plan at construction, and ``fold_chunk`` hands out its
 windows as a reshape view.  The contracts pinned here:
 
-- ``apply``/``apply_batch`` return exactly ``scipy.signal.filtfilt``'s bits;
+- ``apply`` and windows longer than ``_MAX_OPERATOR_LEN`` return exactly
+  ``scipy.signal.filtfilt``'s bits; the window kernel up to that length is
+  one cached operator per window length, within 1e-9 relative of
+  ``filtfilt``, and a window's bits do not depend on its neighbours;
 - once a pipeline is built, ticks need nothing of ``scipy.signal`` but
-  ``lfilter`` (the design is never re-derived per call);
+  ``lfilter`` (the design is never re-derived per call), and windowed
+  ticks not even that;
 - the series plan and the stacked pass's strided view give the same bits
   as per-signal ``np.linalg.norm`` columns windowed by
   ``sliding_window_view``;
@@ -19,6 +23,7 @@ windows as a reshape view.  The contracts pinned here:
 - ``fold_chunk``'s windows are read-only.
 """
 
+import pickle
 import types
 
 import numpy as np
@@ -48,6 +53,13 @@ from repro.sensors.channels import (
 from repro.serving import FleetServer, ModelRegistry
 
 W = 120
+
+
+def _assert_within_contract(got, want):
+    """``got`` is ``want`` within 1e-9 relative to ``want``'s magnitude:
+    the window operator's contract."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +96,7 @@ class TestZeroPhaseIsFiltfilt:
     def test_apply_batch(self, lowpass, rng, n, k):
         windows = rng.normal(size=(k, n, 22))
         b, a = self._ba()
-        assert np.array_equal(
+        _assert_within_contract(
             lowpass.apply_batch(windows),
             scipy.signal.filtfilt(b, a, windows, axis=1),
         )
@@ -117,7 +129,7 @@ class TestZeroPhaseIsFiltfilt:
         assert np.array_equal(
             out, scipy.signal.filtfilt(b, a, x.astype(np.float64), axis=0)
         )
-        assert np.array_equal(
+        _assert_within_contract(
             lowpass.apply_batch(windows),
             scipy.signal.filtfilt(b, a, windows.astype(np.float64), axis=1),
         )
@@ -136,6 +148,80 @@ class TestZeroPhaseIsFiltfilt:
         assert first._zi_unit is second._zi_unit
         assert (first.truncation, first.block, first.lookahead) == (92, 184, 276)
         assert first.error_bound < 1e-15
+
+
+# ---------------------------------------------------------------------- #
+# the window kernel is one cached operator per window length
+# ---------------------------------------------------------------------- #
+
+
+class TestWindowOperator:
+    @pytest.fixture(scope="class")
+    def lowpass(self):
+        return ButterworthLowpass()
+
+    def _filtfilt(self, windows):
+        b, a = scipy.signal.butter(4, 30.0, btype="low", fs=120.0)
+        return scipy.signal.filtfilt(b, a, windows, axis=1)
+
+    @pytest.mark.parametrize(
+        "n", [16, 17, 60, W, denoise_module._MAX_OPERATOR_LEN]
+    )
+    @pytest.mark.parametrize("k", [1, 3, 256])
+    def test_batch_kernel_is_filtfilt_within_contract(self, lowpass, rng, n, k):
+        windows = rng.normal(size=(k, n, 15)) * 40.0 + 1000.0
+        _assert_within_contract(
+            lowpass.batch_kernel(n)(windows), self._filtfilt(windows)
+        )
+
+    def test_float32_input_filters_in_float64(self, lowpass, rng):
+        windows = rng.normal(size=(4, W, 15)) * 40.0 + 1000.0
+        got = lowpass.batch_kernel(W)(windows.astype(np.float32))
+        assert got.dtype == np.float64
+        _assert_within_contract(
+            got, self._filtfilt(windows.astype(np.float32).astype(np.float64))
+        )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_longer_windows_are_filtfilt_bits(self, lowpass, rng, k):
+        n = denoise_module._MAX_OPERATOR_LEN + 1
+        windows = rng.normal(size=(k, n, 15)) * 40.0 + 1000.0
+        assert np.array_equal(
+            lowpass.batch_kernel(n)(windows), self._filtfilt(windows)
+        )
+
+    def test_a_window_keeps_its_bits_in_any_stack(self, lowpass, rng):
+        """What the fleet's shared ``raw`` rests on: window ``i`` of a
+        stack is that window filtered alone, bit for bit."""
+        kernel = lowpass.batch_kernel(W)
+        windows = rng.normal(size=(12, W, 15)) * 40.0 + 1000.0
+        for k in range(1, 13):
+            stacked = kernel(windows[:k])
+            for i in range(k):
+                assert np.array_equal(stacked[i], kernel(windows[i:i + 1])[0])
+
+    def test_one_operator_across_kernels_and_dtypes(self):
+        pipeline = PreprocessingPipeline()
+        operator = pipeline.denoiser._design.window_operator(W)
+        assert operator.shape == (W, W) and not operator.flags.writeable
+        kernels = []
+        for _ in range(3):  # the first build, then two rebuilds
+            kernels += [pipeline.window_kernel(d) for d in (None, np.float32)]
+            pipeline.extractor = StreamingFeatureExtractor()
+        assert len({id(kernel) for kernel in kernels}) == 6
+        assert all(kernel._denoise.args[0] is operator for kernel in kernels)
+
+    def test_operator_is_not_pickled(self):
+        lowpass = ButterworthLowpass()
+        operator = lowpass.batch_kernel(W).args[0]
+        payload = pickle.dumps(lowpass)
+        assert len(payload) < operator.nbytes
+        copy = pickle.loads(payload)
+        assert copy._design._operators == {}
+        assert np.array_equal(
+            copy._design.window_operator(W),
+            lowpass._design.window_operator(W),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -213,6 +299,43 @@ class TestDesignIsHoisted:
         assert after[0][1] == before[0][1]
         assert after[1] == before[1] and len(after[1]) > 0
         assert np.array_equal(after[2], before[2])
+
+    def test_windowed_ticks_need_no_scipy_signal(
+        self, scenario, recording, monkeypatch
+    ):
+        """Once built, a windowed edge tick and a windowed fleet tick
+        multiply by the operator and call nothing of ``scipy.signal``."""
+        edge = scenario.fresh_edge(rng=5)
+
+        def ticks():
+            session = edge.open_stream()
+            distances = [
+                edge.infer_chunk(session, recording[start:start + W]).distances
+                for start in range(0, 6 * W, W)
+            ]
+            server = FleetServer(edge.engine)
+            server.connect_many(["a", "b"])
+            tick = server.step_stream(
+                {"a": recording[:3 * W], "b": recording[W:4 * W]}, stride=W
+            )
+            return distances, [
+                (v.activity, v.confidence) for sid in "ab" for v in tick[sid]
+            ]
+
+        before = ticks()
+
+        def lfilter(*args, **kwargs):
+            raise AssertionError("a windowed tick ran lfilter")
+
+        monkeypatch.setattr(
+            denoise_module, "_signal", types.SimpleNamespace(lfilter=lfilter)
+        )
+        after = ticks()
+        assert len(after[1]) == 6
+        assert all(
+            np.array_equal(x, y) for x, y in zip(after[0], before[0])
+        )
+        assert after[1] == before[1]
 
     def test_stub_really_removes_filtfilt(self, monkeypatch):
         _only_lfilter(monkeypatch)
@@ -316,6 +439,26 @@ def _lfilter_widths(monkeypatch):
     return widths
 
 
+def _operator_inputs(monkeypatch):
+    """Record the shape of every window stack the Butterworth window
+    kernel multiplies by its operator."""
+    shapes = []
+    batch_kernel = ButterworthLowpass.batch_kernel
+
+    def spied(self, window_len):
+        kernel = batch_kernel(self, window_len)
+        assert kernel.func is np.matmul  # the operator path
+
+        def multiply(windows):
+            shapes.append(windows.shape)
+            return kernel(windows)
+
+        return multiply
+
+    monkeypatch.setattr(ButterworthLowpass, "batch_kernel", spied)
+    return shapes
+
+
 class _Projection:
     """A fixed linear map from any feature width to the NCM's."""
 
@@ -354,8 +497,11 @@ def test_ticks_filter_only_the_read_channels(
     edge, recording, monkeypatch, name
 ):
     """An edge tick, a fleet tick with a windowed and a stride-30 session,
-    and ``process_recording`` hand ``lfilter`` the read columns only."""
+    and ``process_recording`` filter the read columns only: the windowed
+    ones through the window operator, the continuous ones through
+    ``lfilter``."""
     config = CONFIGS[name]
+    operator_inputs = _operator_inputs(monkeypatch)
     pipeline = PreprocessingPipeline(feature_config=config)
     pipeline.fit_normalizer(recording[: 12 * W].reshape(12, W, N_CHANNELS))
     engine = InferenceEngine(
@@ -371,8 +517,12 @@ def test_ticks_filter_only_the_read_channels(
     # 15 for the default config (test_default_config_reads_15_of_22_channels)
     read = len(pipeline.streaming_extractor.read_channels)
     assert read < N_CHANNELS  # every config leaves some channel unread
-    # 3-D: a windowed batch; 2-D: a continuous or chunked signal
-    assert {ndim for ndim, _ in widths} == {2, 3}
+    # windowed batches: the fit's, the edge tick's and the fleet's
+    # windowed session's
+    assert len(operator_inputs) == 3
+    assert {shape[1:] for shape in operator_inputs} == {(W, read)}
+    # 2-D: a continuous or chunked signal
+    assert {ndim for ndim, _ in widths} == {2}
     assert {channels for _, channels in widths} == {read}
 
 

@@ -54,15 +54,9 @@ class BenchGate:
 
 
 #: The manifest.  Order is execution order (cheapest first, so a broken
-#: engine fails the run early).  Benchmarks not listed here still run
+#: build fails the run early).  Benchmarks not listed here still run
 #: under plain ``pytest benchmarks/<file>`` manually but are not CI gates.
 GATES: List[BenchGate] = [
-    BenchGate(
-        name="engine",
-        file="bench_engine_throughput.py",
-        smoke_budget=30,
-        claim="batch-256 engine >= 5x the per-window loop",
-    ),
     BenchGate(
         name="stream",
         file="bench_stream_features.py",
