@@ -1,6 +1,6 @@
 """``repro.analysis`` — reprolint, the repo's AST-based invariant checker.
 
-Mechanizes ROADMAP.md's standing contracts as six project-specific
+Mechanizes ROADMAP.md's standing contracts as seven project-specific
 static checks (see each module's docstring for the full rule rationale):
 
 - :mod:`~repro.analysis.entry_points` — inference routes through
@@ -13,8 +13,10 @@ static checks (see each module's docstring for the full rule rationale):
 - :mod:`~repro.analysis.async_hygiene` — no blocking calls on the event
   loop; per-session locks acquired in sorted order,
 - :mod:`~repro.analysis.design_hoist` — preprocessing solves filter
-  designs (``butter``, ``lfilter_zi``, ``roots``, ``filtfilt``) at
-  construction, never per call,
+  designs (``butter``, ``lfilter_zi``, ``roots``, ``filtfilt``, the
+  numpy ``design_lfilter`` loop) at construction, never per call,
+- :mod:`~repro.analysis.lazy_imports` — no module-scope import of a
+  ``scipy`` submodule in the library,
 - :mod:`~repro.analysis.bench_manifest` — benchmarks, baselines and the
   CI gate manifest agree.
 
@@ -44,6 +46,7 @@ from .core import (
 from .design_hoist import PerCallDesignChecker
 from .entry_points import EntryPointChecker
 from .exception_taxonomy import ExceptionTaxonomyChecker
+from .lazy_imports import LazyScipyChecker
 
 #: The default per-file checker battery, in reporting order.
 DEFAULT_CHECKERS = (
@@ -52,6 +55,7 @@ DEFAULT_CHECKERS = (
     ArrayAliasingChecker,
     AsyncHygieneChecker,
     PerCallDesignChecker,
+    LazyScipyChecker,
 )
 
 #: Repo-layout checkers (run once per lint, not per file).
@@ -66,6 +70,7 @@ __all__ = [
     "DEFAULT_REPO_CHECKERS",
     "EntryPointChecker",
     "ExceptionTaxonomyChecker",
+    "LazyScipyChecker",
     "LintReport",
     "PerCallDesignChecker",
     "Pragma",

@@ -77,7 +77,11 @@ class EdgeDevice:
         """Install the transfer package; returns the simulated download ms.
 
         The download is audited as a Cloud-to-Edge transfer (always
-        permitted by Definition 1).
+        permitted by Definition 1).  The device takes ownership of
+        ``package``: its pipeline, embedder and support set become the
+        device's, and :meth:`learn_activity` / :meth:`calibrate_activity`
+        change them in place.  Install ``package.copy()`` to keep the
+        original as it is (``ModelRegistry.package_for`` hands out copies).
         """
         n_bytes = package.serialized_bytes()
         download_ms = link.transfer_ms(n_bytes) if link is not None else 0.0

@@ -143,6 +143,15 @@ class TransferPackage:
             support_set=support,
         )
 
+    def copy(self) -> "TransferPackage":
+        """An independent package of the same bytes: the lossless
+        :meth:`save` encoding, loaded back.  Nothing is shared, so a device
+        that installs and personalises the copy leaves this one as it is."""
+        buffer = io.BytesIO()
+        np.savez(buffer, **self._collect_arrays())
+        buffer.seek(0)
+        return type(self).load(buffer)
+
     def serialized_bytes(self) -> int:
         """Size of the on-the-wire ``.npz`` encoding (what the link moves)."""
         buffer = io.BytesIO()

@@ -40,14 +40,24 @@ chunking*, and matches monolithic ``apply`` to well under the pipeline's
 
 Everything about the Butterworth filter that depends only on its
 configuration — coefficients, pad length, ``lfilter_zi``, pole radius and
-the stream's truncation/block sizes — is one :class:`ZeroPhaseDesign`
-built in ``ButterworthLowpass.__init__``; ``apply``, ``apply_batch`` and
-every stream opened by ``make_stream`` share it.  For one window length
-the zero-phase pass is a linear map, so the design also derives, once per
+the stream's truncation/block sizes — is one :class:`ZeroPhaseDesign`,
+built by the first ``ButterworthLowpass`` of that ``(order, cutoff_hz,
+sampling_hz)`` in the process and shared by every later one (every
+cohort, every package reload); ``apply``, ``apply_batch`` and every
+stream opened by ``make_stream`` share it.  For one window length the
+zero-phase pass is a linear map, so the design also derives, once per
 length, the ``(n, n)`` matrix of that map
 (:meth:`ZeroPhaseDesign.window_operator`): a window kernel up to
 ``_MAX_OPERATOR_LEN`` samples is one matrix product per window instead of
 two ``lfilter`` passes, equal to ``filtfilt`` within 1e-9 relative.
+
+The design and the window operators are computed in numpy
+(:mod:`~repro.preprocessing.iir_design`, scipy's operations in scipy's
+order, so the same bits).  ``scipy.signal`` is imported by the first
+``lfilter`` call — ``apply``, a window longer than ``_MAX_OPERATOR_LEN``,
+a :class:`ZeroPhaseIIRStream` — and ``scipy.ndimage`` by the first
+:meth:`MedianFilter.apply`.  A process that filters only short windows
+(serving at stride = window) imports neither.
 """
 
 from __future__ import annotations
@@ -56,11 +66,29 @@ import functools
 from typing import Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
-from scipy import signal as _signal
-from scipy.ndimage import median_filter as _median_filter
 
 from ..exceptions import ConfigurationError, DataShapeError, SerializationError
 from ..utils import check_3d
+from .iir_design import butter, design_lfilter, lfilter_zi
+
+#: ``scipy.signal`` once the first :func:`_lfilter` has run, ``None``
+#: before: importing it costs about 0.45 s and 66 MB, which a process that
+#: only multiplies windows by their operator never pays.
+_signal = None
+
+#: ``scipy.ndimage`` once the first :meth:`MedianFilter.apply` has run.
+_ndimage = None
+
+
+def _lfilter(b, a, x, zi, axis):
+    """``scipy.signal.lfilter(b, a, x, axis=axis, zi=zi)``, importing
+    ``scipy.signal`` on the first call."""
+    global _signal
+    if _signal is None:
+        import scipy.signal
+
+        _signal = scipy.signal
+    return _signal.lfilter(b, a, x, axis=axis, zi=zi)
 
 
 class LocalDenoiserStream:
@@ -192,7 +220,7 @@ class ZeroPhaseDesign:
         self.b = np.asarray(b, dtype=np.float64)
         self.a = np.asarray(a, dtype=np.float64)
         self.padlen = 3 * max(self.b.shape[0], self.a.shape[0])
-        self.zi = _signal.lfilter_zi(self.b, self.a)
+        self.zi = lfilter_zi(self.b, self.a)
         poles = np.roots(self.a)
         rho = float(np.max(np.abs(poles))) if poles.size else 0.0
         if 0.0 < rho < 1.0:
@@ -211,11 +239,6 @@ class ZeroPhaseDesign:
         self._plans: Dict[Tuple[int, int], tuple] = {}
         # window length -> window_operator, derived on first use
         self._operators: Dict[int, np.ndarray] = {}
-
-    def __getstate__(self) -> Dict:
-        # Operators are derived from the coefficients: a copy builds its
-        # own on first use instead of carrying ~115 KB per window length.
-        return dict(self.__dict__, _operators={})
 
     def _plan(self, ndim: int, axis: int) -> tuple:
         """``zero_phase``'s index tuples and shaped ``zi`` for arrays of
@@ -237,37 +260,44 @@ class ZeroPhaseDesign:
             self._plans[(ndim, axis)] = plan
         return plan
 
-    def zero_phase(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """``scipy.signal.filtfilt(b, a, x, axis=axis)``, bit for bit.
-
-        The same recipe (odd extension by ``padlen``, forward ``lfilter``
-        from ``zi * x[0]``, backward ``lfilter`` over the reversed output
-        from ``zi * y[-1]``, trim) with the same operations in the same
-        order, against the cached ``zi`` instead of re-solving it per call.
-        ``x`` must be longer than ``padlen`` along ``axis``.
-        """
+    def _two_passes(self, x: np.ndarray, axis: int, lfilter) -> np.ndarray:
+        """``filtfilt``'s recipe along ``axis`` with ``lfilter(b, a, x,
+        zi)`` for both passes: odd extension by ``padlen``, a forward pass
+        from ``zi * x[0]``, a backward pass over the reversed output from
+        ``zi * y[-1]``, trim."""
         first, head, last, tail, reverse, trim, zi = self._plan(x.ndim, axis)
         ext = np.concatenate(
             (2 * x[first] - x[head], x, 2 * x[last] - x[tail]), axis=axis
         )
-        y, _ = _signal.lfilter(self.b, self.a, ext, axis=axis, zi=zi * ext[first])
-        y, _ = _signal.lfilter(
-            self.b, self.a, y[reverse], axis=axis, zi=zi * y[last]
-        )
+        y, _ = lfilter(self.b, self.a, ext, zi * ext[first])
+        y, _ = lfilter(self.b, self.a, y[reverse], zi * y[last])
         return y[trim]
+
+    def zero_phase(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """``scipy.signal.filtfilt(b, a, x, axis=axis)``, bit for bit.
+
+        The same recipe through ``lfilter`` with the same operations in the
+        same order, against the cached ``zi`` instead of re-solving it per
+        call.  ``x`` must be longer than ``padlen`` along ``axis``.
+        """
+        return self._two_passes(x, axis, functools.partial(_lfilter, axis=axis))
 
     def window_operator(self, n: int) -> np.ndarray:
         """The ``(n, n)`` matrix ``M`` with ``M @ x == zero_phase(x, 0)``
         for length-``n`` signals ``x``, up to rounding.
 
-        Column ``j`` is the filter's response to the unit sample at ``j``,
-        i.e. ``zero_phase(np.eye(n), axis=0)``.  Built on first use and
-        cached per ``n``, so every kernel of this design shares one
-        read-only array.  ``n`` must exceed ``padlen``.
+        Column ``j`` is the filter's response to the unit sample at ``j``:
+        ``zero_phase``'s recipe run on ``np.eye(n)`` through numpy's
+        :func:`~repro.preprocessing.iir_design.design_lfilter`, the same
+        bits as ``zero_phase(np.eye(n), axis=0)`` without importing
+        ``scipy.signal``.  The loop takes a few ms per operator, so the
+        operator is built on first use and cached per ``n``: every kernel
+        of this design (and every filter sharing it) shares one read-only
+        array.  ``n`` must exceed ``padlen``.
         """
         operator = self._operators.get(n)
         if operator is None:
-            operator = self.zero_phase(np.eye(n), axis=0)
+            operator = self._two_passes(np.eye(n), 0, design_lfilter)
             operator.flags.writeable = False
             self._operators[n] = operator
         return operator
@@ -352,17 +382,15 @@ class ZeroPhaseIIRStream:
         p = self._pad
         ext = 2.0 * raw[0] - raw[p:0:-1]
         zi = self._zi_unit[:, None] * ext[0]
-        _, zf = _signal.lfilter(self._b, self._a, ext, axis=0, zi=zi)
-        self._yf, self._zf = _signal.lfilter(
-            self._b, self._a, raw, axis=0, zi=zf
-        )
+        _, zf = _lfilter(self._b, self._a, ext, zi, axis=0)
+        self._yf, self._zf = _lfilter(self._b, self._a, raw, zf, axis=0)
 
     def _backward_tail(self, segment: np.ndarray, keep: int) -> np.ndarray:
         """Backward-filter ``segment`` reversed; return last ``keep`` rows
         in forward order.  Warm start at the segment's (fixed) right edge."""
         rev = segment[::-1]
         zi = self._zi_unit[:, None] * rev[0]
-        back, _ = _signal.lfilter(self._b, self._a, rev, axis=0, zi=zi)
+        back, _ = _lfilter(self._b, self._a, rev, zi, axis=0)
         return np.ascontiguousarray(back[-keep:][::-1])
 
     def _emit_ready(self) -> np.ndarray:
@@ -416,9 +444,7 @@ class ZeroPhaseIIRStream:
             self._start(self._raw_head)
             self._raw_head = None
         elif arr.shape[0]:
-            yf, self._zf = _signal.lfilter(
-                self._b, self._a, arr, axis=0, zi=self._zf
-            )
+            yf, self._zf = _lfilter(self._b, self._a, arr, self._zf, axis=0)
             self._yf = np.concatenate([self._yf, yf], axis=0)
         return self._emit_ready()
 
@@ -441,12 +467,10 @@ class ZeroPhaseIIRStream:
             return out
         p = self._pad
         ext = 2.0 * self._raw_tail[-1] - self._raw_tail[-2::-1]
-        yf_ext, _ = _signal.lfilter(
-            self._b, self._a, ext, axis=0, zi=self._zf
-        )
+        yf_ext, _ = _lfilter(self._b, self._a, ext, self._zf, axis=0)
         rev = np.concatenate([self._yf, yf_ext], axis=0)[::-1]
         zi = self._zi_unit[:, None] * rev[0]
-        back, _ = _signal.lfilter(self._b, self._a, rev, axis=0, zi=zi)
+        back, _ = _lfilter(self._b, self._a, rev, zi, axis=0)
         pending = self._n_in - self._n_out
         out = np.ascontiguousarray(back[p : p + pending][::-1])
         self._yf = None
@@ -533,9 +557,13 @@ class MedianFilter:
         arr = np.asarray(data, dtype=np.float64)
         if self.size == 1 or arr.shape[0] == 0:
             return arr.copy()
-        if arr.ndim == 1:
-            return _median_filter(arr, size=self.size, mode="nearest")
-        return _median_filter(arr, size=(self.size, 1), mode="nearest")
+        global _ndimage
+        if _ndimage is None:
+            import scipy.ndimage
+
+            _ndimage = scipy.ndimage
+        size = self.size if arr.ndim == 1 else (self.size, 1)
+        return _ndimage.median_filter(arr, size=size, mode="nearest")
 
     def make_stream(self) -> LocalDenoiserStream:
         """Chunked applicator: output ``i`` needs inputs up to ``i + size//2``."""
@@ -552,12 +580,19 @@ class MedianFilter:
         return isinstance(other, MedianFilter) and other.size == self.size
 
 
+#: ``(order, cutoff_hz, sampling_hz)`` -> the one :class:`ZeroPhaseDesign`
+#: of that configuration in this process.
+_DESIGNS: Dict[Tuple[int, float, float], ZeroPhaseDesign] = {}
+
+
 class ButterworthLowpass:
     """Zero-phase Butterworth low-pass (``scipy.signal.filtfilt`` semantics).
 
     ``cutoff_hz`` must be below the Nyquist frequency of ``sampling_hz``.
-    The filter design is solved once, here.  ``apply`` and the streams of
-    :meth:`make_stream` run ``lfilter`` and return ``filtfilt``'s bits (see
+    The filter design is solved here, by the first filter of this
+    configuration in the process; later ones, ``from_dict`` and pickle
+    copies share it.  ``apply`` and the streams of :meth:`make_stream` run
+    ``lfilter`` and return ``filtfilt``'s bits (see
     :meth:`ZeroPhaseDesign.zero_phase`); the window kernel
     (:meth:`batch_kernel`, :meth:`apply_batch`) multiplies by the design's
     window operator and equals ``filtfilt`` within 1e-9 relative.
@@ -580,11 +615,18 @@ class ButterworthLowpass:
         self.cutoff_hz = float(cutoff_hz)
         self.sampling_hz = float(sampling_hz)
         self.order = int(order)
-        self._design = ZeroPhaseDesign(
-            *_signal.butter(
-                self.order, self.cutoff_hz, btype="low", fs=self.sampling_hz
+        key = (self.order, self.cutoff_hz, self.sampling_hz)
+        design = _DESIGNS.get(key)
+        if design is None:
+            design = _DESIGNS[key] = ZeroPhaseDesign(
+                *butter(self.order, self.cutoff_hz, fs=self.sampling_hz)
             )
-        )
+        self._design = design
+
+    def __reduce__(self):
+        # A copy is rebuilt from the configuration, so it shares this
+        # process's design and carries no window operator (~115 KB each).
+        return type(self), (self.cutoff_hz, self.sampling_hz, self.order)
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         arr = np.asarray(data, dtype=np.float64)

@@ -275,22 +275,29 @@ class ModelRegistry:
         )
 
     def package_for(self, cohort_id: Optional[str] = None) -> TransferPackage:
-        """The transfer package behind a cohort, for device provisioning.
+        """A copy of the transfer package behind a cohort, for device
+        provisioning.
 
-        Only available when the cohort was published from (or lazily
-        loaded as) a :class:`~repro.core.transfer.TransferPackage`;
-        cohorts published as bare engines raise
-        :class:`~repro.exceptions.ConfigurationError`.
+        Each call returns an independent
+        :meth:`~repro.core.transfer.TransferPackage.copy`, what a device
+        would download: :meth:`~repro.core.edge.EdgeDevice.install` takes
+        ownership of its package and on-device learning changes it in
+        place, which must not reach the published cohort's weights,
+        support set or engine.  Only available when the cohort was
+        published from (or lazily loaded as) a
+        :class:`~repro.core.transfer.TransferPackage`; cohorts published
+        as bare engines raise :class:`~repro.exceptions.ConfigurationError`.
         """
         key = self.default_cohort if cohort_id is None else str(cohort_id)
         self.engine_for(key)  # resolve lazily / raise UnknownCohortError
         try:
-            return self._packages[key]
+            package = self._packages[key]
         except KeyError:
             raise ConfigurationError(
                 f"cohort {key!r} was published as a bare engine; no "
                 f"transfer package is available to provision devices from"
             ) from None
+        return package.copy()
 
     def describe(self) -> Dict[str, Dict[str, object]]:
         """Catalog snapshot: per cohort, load state / version / classes."""

@@ -18,7 +18,7 @@ from repro.core import CloudConfig
 from repro.datasets import build_edge_scenario
 from repro.nn import TrainConfig
 from repro.preprocessing import PreprocessingPipeline
-from repro.sensors import generate_campaign
+from repro.sensors import SensorDevice, generate_campaign
 
 
 def pytest_collection_modifyitems(config, items):
@@ -89,3 +89,15 @@ def scenario():
 def edge(scenario):
     """A freshly provisioned edge device (safe to mutate)."""
     return scenario.fresh_edge(rng=5)
+
+
+@pytest.fixture
+def recorder(scenario):
+    """The edge user's phone on a generator of its own.
+
+    ``scenario.sensor_device`` is one stateful generator shared by the whole
+    session, so what it records depends on which tests ran first.  A test
+    that asserts on what a recording is classified as (learn/calibrate,
+    float32 flip rates) must see the same recording in every test order.
+    """
+    return SensorDevice(user=scenario.edge_user, rng=2024)

@@ -16,6 +16,7 @@ from repro.analysis import (
     DEFAULT_CHECKERS,
     EntryPointChecker,
     ExceptionTaxonomyChecker,
+    LazyScipyChecker,
     PerCallDesignChecker,
     lint_source,
 )
@@ -265,6 +266,58 @@ class TestPerCallDesign:
             source, PerCallDesignChecker(),
             path="src/repro/preprocessing/x.py",
         ) == [("per-call-design", 2)]
+
+    def test_design_loop_only_in_constructors_and_window_operator(self):
+        source = (
+            "from .iir_design import design_lfilter\n"
+            "class Design:\n"
+            "    def __init__(self, b, a, x, zi):\n"
+            "        self.y = design_lfilter(b, a, x, zi)\n"
+            "    def window_operator(self, n):\n"
+            "        return self._passes(n, design_lfilter)\n"
+            "    def apply(self, x):\n"
+            "        return design_lfilter(self.b, self.a, x, self.zi)\n"
+            "    def kernel(self):\n"
+            "        return functools.partial(iir_design.design_lfilter)\n"
+        )
+        violations = lint_source(
+            source, [PerCallDesignChecker()],
+            path="src/repro/preprocessing/denoise.py",
+        )
+        assert [(v.rule, v.line) for v in violations] == [
+            ("per-call-design", 8), ("per-call-design", 10)
+        ]
+        assert "design_lfilter in apply" in violations[0].message
+
+
+class TestEagerScipy:
+    path = "src/repro/preprocessing/denoise.py"
+
+    def test_fixture_violations(self):
+        text = fixture_text("eager_scipy.py")
+        expected = [
+            ("eager-scipy", n) for n in marker_lines(text, "eager-scipy")
+        ]
+        assert len(expected) == 6
+        assert found(text, LazyScipyChecker(), path=self.path) == expected
+
+    def test_message_names_the_submodule(self):
+        text = fixture_text("eager_scipy.py")
+        messages = [
+            v.message
+            for v in lint_source(text, [LazyScipyChecker()], path=self.path)
+        ]
+        assert "scipy.signal" in messages[0]
+        assert "scipy.fft" in messages[-1]
+
+    @pytest.mark.parametrize("path", [
+        "benchmarks/e2e/scenario.py",
+        "tests/test_preprocessing_design.py",
+        "tools/cold_start.py",
+    ])
+    def test_outside_the_library_exempt(self, path):
+        text = fixture_text("eager_scipy.py")
+        assert found(text, LazyScipyChecker(), path=path) == []
 
 
 class TestStrictPragmas:

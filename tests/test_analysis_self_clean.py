@@ -106,6 +106,56 @@ class TestFilterDesignHoisted:
         assert run_lint.main(["--list-rules"]) == 0
         assert "per-call-design" in capsys.readouterr().out
 
+    def test_design_loop_is_still_run_somewhere(self):
+        """The loop half of the rule is live too: ``window_operator``
+        hands ``design_lfilter`` on, and under another name it is
+        flagged."""
+        from repro.analysis import PerCallDesignChecker, lint_source
+
+        denoise = REPO_ROOT / "src" / "repro" / "preprocessing" / "denoise.py"
+        text = denoise.read_text(encoding="utf-8")
+        moved = text.replace(
+            "    def window_operator(self, n", "    def operator(self, n"
+        )
+        hits = lint_source(
+            moved, [PerCallDesignChecker()],
+            path="src/repro/preprocessing/denoise.py",
+        )
+        assert [v.message.split(" is ")[0] for v in hits] == [
+            "design_lfilter in operator"
+        ]
+
+
+class TestScipyImportedLazily:
+    """``eager-scipy``: the library imports scipy submodules in the
+    functions that use them."""
+
+    def test_library_clean_with_no_suppression(self):
+        report = live_report()
+        assert not [v for v in report.violations if v.rule == "eager-scipy"]
+        assert not [
+            v for v, _ in report.suppressed if v.rule == "eager-scipy"
+        ]
+
+    def test_the_denoiser_import_it_replaced_is_flagged(self):
+        from repro.analysis import LazyScipyChecker, lint_source
+
+        denoise = REPO_ROOT / "src" / "repro" / "preprocessing" / "denoise.py"
+        text = denoise.read_text(encoding="utf-8").replace(
+            "import numpy as np\n",
+            "import numpy as np\nfrom scipy import signal as _signal\n",
+            1,
+        )
+        hits = lint_source(
+            text, [LazyScipyChecker()],
+            path="src/repro/preprocessing/denoise.py",
+        )
+        assert [v.rule for v in hits] == ["eager-scipy"]
+
+    def test_rule_listed(self, capsys):
+        assert run_lint.main(["--list-rules"]) == 0
+        assert "eager-scipy" in capsys.readouterr().out
+
 
 class TestRunLintCli:
     @pytest.mark.parametrize("fixture", [

@@ -1,0 +1,48 @@
+"""``tools/cold_start.py``: serving at stride = window imports no scipy
+submodule.
+
+The check needs an interpreter that has not imported scipy yet, and this
+one has, so the script runs as a subprocess on the scenario's package.
+"""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "tools" / "cold_start.py"
+
+
+@pytest.fixture(scope="module")
+def package_path(scenario, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cold") / "package.npz"
+    scenario.package.save(path)
+    return str(path)
+
+
+def _run(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_windowed_serving_imports_no_scipy_signal(package_path):
+    result = _run(str(SCRIPT), package_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("import repro.serving: ")
+    assert lines[-1] == "cold start: ok"
+
+
+def test_an_eager_import_fails_the_check(package_path):
+    """The check is not vacuous: a process that imported ``scipy.signal``
+    before serving fails it."""
+    prelude = (
+        "import runpy, sys, scipy.signal; "
+        f"sys.argv = [{str(SCRIPT)!r}, {package_path!r}]; "
+        f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')"
+    )
+    result = _run("-c", prelude)
+    assert result.returncode == 1
+    assert "window imported ['scipy.signal'" in result.stdout

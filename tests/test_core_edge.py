@@ -20,7 +20,6 @@ from repro.exceptions import (
     ResourceExceededError,
 )
 from repro.nn import TrainConfig
-from repro.sensors import SensorDevice
 
 
 class TestInstallation:
@@ -92,18 +91,6 @@ class TestInference:
         edge.infer_window(rec.data)  # warm up
         latencies = [edge.infer_window(rec.data).latency_ms for _ in range(5)]
         assert np.median(latencies) < 50.0
-
-
-@pytest.fixture
-def recorder(scenario):
-    """The edge user's phone on a generator of its own.
-
-    ``scenario.sensor_device`` is one stateful generator shared by the whole
-    session, so what it records depends on which tests ran first.  The
-    learn/calibrate tests assert on what the device recognizes afterwards
-    and must see the same recordings in every test order.
-    """
-    return SensorDevice(user=scenario.edge_user, rng=2024)
 
 
 class TestIncrementalLearning:

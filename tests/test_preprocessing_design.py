@@ -11,6 +11,9 @@ windows as a reshape view.  The contracts pinned here:
   ``scipy.signal.filtfilt``'s bits; the window kernel up to that length is
   one cached operator per window length, within 1e-9 relative of
   ``filtfilt``, and a window's bits do not depend on its neighbours;
+- the design (``butter``, ``lfilter_zi``) and the window operator are
+  computed in numpy with scipy's bits, once per filter configuration per
+  process, so building a filter needs nothing of ``scipy.signal``;
 - once a pipeline is built, ticks need nothing of ``scipy.signal`` but
   ``lfilter`` (the design is never re-derived per call), and windowed
   ticks not even that;
@@ -40,8 +43,10 @@ from repro.preprocessing import (
     MovingAverageFilter,
     PreprocessingPipeline,
     StreamingFeatureExtractor,
+    denoiser_from_dict,
 )
 from repro.preprocessing import denoise as denoise_module
+from repro.preprocessing import iir_design
 from repro.preprocessing import streaming as streaming_module
 from repro.sensors import SensorDevice
 from repro.sensors.channels import (
@@ -212,16 +217,70 @@ class TestWindowOperator:
         assert all(kernel._denoise.args[0] is operator for kernel in kernels)
 
     def test_operator_is_not_pickled(self):
+        """A pickle carries the configuration only; the copy it loads as
+        shares this process's design and operator."""
         lowpass = ButterworthLowpass()
         operator = lowpass.batch_kernel(W).args[0]
         payload = pickle.dumps(lowpass)
         assert len(payload) < operator.nbytes
         copy = pickle.loads(payload)
-        assert copy._design._operators == {}
+        assert copy == lowpass and copy._design is lowpass._design
+        assert copy._design.window_operator(W) is operator
+
+
+# ---------------------------------------------------------------------- #
+# the design is scipy's, computed in numpy
+# ---------------------------------------------------------------------- #
+
+
+class TestNumpyDesign:
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_butter_and_lfilter_zi_are_scipys(self, order):
+        for fs in (50.0, 100.0, 120.0, 200.0, 1000.0):
+            for share in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45):
+                b, a = iir_design.butter(order, share * fs, fs=fs)
+                want_b, want_a = scipy.signal.butter(
+                    order, share * fs, btype="low", fs=fs
+                )
+                zi = iir_design.lfilter_zi(b, a)
+                want_zi = scipy.signal.lfilter_zi(want_b, want_a)
+                for got, want in ((b, want_b), (a, want_a), (zi, want_zi)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (order, fs, share)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 8])
+    def test_design_lfilter_is_lfilter(self, rng, order):
+        b, a = scipy.signal.butter(order, 30.0, btype="low", fs=120.0)
+        x = rng.normal(size=(300, 7)) * 40.0 + 1000.0
+        zi = rng.normal(size=(order, 7))
+        y, zf = iir_design.design_lfilter(b, a, x, zi)
+        want_y, want_zf = scipy.signal.lfilter(b, a, x, axis=0, zi=zi)
+        assert np.array_equal(y, want_y) and np.array_equal(zf, want_zf)
+
+    @pytest.mark.parametrize("order, n", [
+        (order, n)
+        for order in (2, 4, 6)
+        for n in (16, 17, 60, W, denoise_module._MAX_OPERATOR_LEN)
+        if n > 3 * (order + 1)  # longer than padlen: shorter ones are copied
+    ])
+    def test_window_operator_is_filtfilt_of_the_identity(self, order, n):
+        lowpass = ButterworthLowpass(order=order)
+        b, a = scipy.signal.butter(order, 30.0, btype="low", fs=120.0)
         assert np.array_equal(
-            copy._design.window_operator(W),
-            lowpass._design.window_operator(W),
+            lowpass._design.window_operator(n),
+            scipy.signal.filtfilt(b, a, np.eye(n), axis=0),
         )
+
+    def test_one_design_per_configuration(self):
+        first, second = ButterworthLowpass(), ButterworthLowpass(30, 120, 4)
+        copy = denoiser_from_dict(first.to_dict())
+        assert first._design is second._design is copy._design
+        assert (
+            first.batch_kernel(W).args[0]
+            is second.batch_kernel(W).args[0]
+            is copy.batch_kernel(W).args[0]
+        )
+        assert ButterworthLowpass(order=2)._design is not first._design
 
 
 # ---------------------------------------------------------------------- #
@@ -337,10 +396,25 @@ class TestDesignIsHoisted:
         )
         assert after[1] == before[1]
 
-    def test_stub_really_removes_filtfilt(self, monkeypatch):
-        _only_lfilter(monkeypatch)
-        with pytest.raises(AttributeError):
-            ButterworthLowpass()
+    def test_design_needs_no_scipy_signal(self, monkeypatch):
+        """The design and its window operator are numpy's: with every
+        ``_signal`` attribute raising, a filter of a configuration no
+        other test uses builds the same ``b``, ``a``, ``zi`` and ``M``."""
+        config = dict(cutoff_hz=17.0, sampling_hz=95.0, order=3)
+        b, a = scipy.signal.butter(3, 17.0, btype="low", fs=95.0)
+        zi = scipy.signal.lfilter_zi(b, a)
+        want = scipy.signal.filtfilt(b, a, np.eye(W), axis=0)
+
+        class NoScipySignal:
+            def __getattr__(self, name):
+                raise AssertionError(f"the design used scipy.signal.{name}")
+
+        monkeypatch.setattr(denoise_module, "_signal", NoScipySignal())
+        monkeypatch.setattr(denoise_module, "_DESIGNS", {})
+        design = ButterworthLowpass(**config)._design
+        assert np.array_equal(design.b, b) and np.array_equal(design.a, a)
+        assert np.array_equal(design.zi, zi)
+        assert np.array_equal(design.window_operator(W), want)
 
 
 # ---------------------------------------------------------------------- #

@@ -98,19 +98,19 @@ def _flip_rate(ref_labels, ref_accepted, got_labels, got_accepted):
 
 
 class TestFloat32FlipRate:
-    def test_engine_layer(self, edge, scenario):
-        recording = scenario.sensor_device.record("walk", 6.0)
+    def test_engine_layer(self, edge, recorder):
+        recording = recorder.record("walk", 6.0)
         ref = edge.infer_stream(recording.data, stride=4)
         got = edge.infer_stream(recording.data, stride=4, dtype=np.float32)
         assert len(ref) == len(got) > 100
         rate = _flip_rate(ref.labels, ref.accepted, got.labels, got.accepted)
         assert rate <= MAX_FLIP_RATE
 
-    def test_fleet_layer(self, edge, scenario):
+    def test_fleet_layer(self, edge, recorder):
         server = FleetServer(edge.engine)
         server.connect("f64")
         server.connect("f32", dtype=np.float32)
-        chunk = scenario.sensor_device.record("walk", 4.0).data
+        chunk = recorder.record("walk", 4.0).data
         out = server.step_stream({"f64": chunk, "f32": chunk}, stride=4)
         ref = list(out["f64"]) + list(server.finish_stream("f64"))
         got = list(out["f32"]) + list(server.finish_stream("f32"))
@@ -123,10 +123,10 @@ class TestFloat32FlipRate:
         )
         assert rate <= MAX_FLIP_RATE
 
-    def test_gateway_layer(self, edge, scenario):
+    def test_gateway_layer(self, edge, recorder):
         registry = ModelRegistry(default_cohort="a")
         registry.publish("a", edge.engine)
-        data = scenario.sensor_device.record("walk", 4.0).data
+        data = recorder.record("walk", 4.0).data
         chunks = [data[:240], data[240:]]
 
         async def drive(gateway, session_id, dtype):

@@ -733,6 +733,41 @@ class TestCohortProvisioning:
         with pytest.raises(UnknownCohortError):
             registry.package_for("ghost")
 
+    def test_learning_on_a_provisioned_device_leaves_the_cohort(
+        self, scenario
+    ):
+        """``install`` takes ownership of its package; ``package_for``
+        hands out a copy, so personalising the device changes nothing the
+        registry serves."""
+        registry = ModelRegistry(default_cohort="wrist")
+        registry.publish("wrist", scenario.package)
+        engine = registry.engine_for("wrist")
+        windows = SensorDevice(rng=5).record("walk", 6.0).data.reshape(6, 120, 22)
+        before = engine.infer_windows(windows)
+        package = scenario.package
+
+        def published():
+            return [
+                {name: arr.tobytes() for name, arr in arrays.items()}
+                for arrays in (
+                    package.support_set.to_arrays(),
+                    package.embedder.network.state_dict(),
+                )
+            ]
+
+        support_and_weights = published()
+        device = EdgeDevice(rng=3)
+        device.install(registry.package_for("wrist"))
+        recorder = SensorDevice(user=scenario.edge_user, rng=2024)
+        device.learn_activity("gesture_hi", recorder.record("gesture_hi", 20.0))
+        assert "gesture_hi" in device.classes
+        after = registry.engine_for("wrist").infer_windows(windows)
+        assert registry.engine_for("wrist") is engine
+        assert after.names == before.names
+        assert np.array_equal(after.distances, before.distances)
+        assert "gesture_hi" not in engine.class_names
+        assert published() == support_and_weights
+
     def test_provisioned_device_matches_the_cohort_engine(self, scenario):
         registry = ModelRegistry(default_cohort="wrist")
         registry.publish("wrist", scenario.package)

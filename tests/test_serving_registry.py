@@ -1,5 +1,6 @@
 """Tests for the multi-model cohort registry and fleet specifications."""
 
+import io
 import json
 
 import numpy as np
@@ -20,6 +21,13 @@ from repro.serving import (
     parse_fleet_spec,
     registry_from_specs,
 )
+
+
+def _package_bytes(package):
+    """The package's lossless ``save`` encoding, in memory."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **package._collect_arrays())
+    return buffer.getvalue()
 
 
 @pytest.fixture
@@ -158,9 +166,12 @@ class TestModelRegistry:
             registry.unpublish(DEFAULT_COHORT)
 
     def test_package_for_round_trips(self, scenario):
+        """An independent copy of the published package, byte for byte."""
         registry = ModelRegistry()
         registry.publish("wrist", scenario.package)
-        assert registry.package_for("wrist") is scenario.package
+        copy = registry.package_for("wrist")
+        assert copy is not scenario.package
+        assert _package_bytes(copy) == _package_bytes(scenario.package)
 
     def test_package_for_bare_engine_raises(self, edge):
         registry = ModelRegistry()
@@ -284,4 +295,6 @@ class TestFleetSpec:
         engines = {registry.engine_for(c) for c in ("wrist", "pocket", "belt")}
         assert len(engines) == 1  # loaded once, FleetServer batches once
         # the package stays available for device provisioning
-        assert registry.package_for("wrist") is registry.package_for("belt")
+        assert _package_bytes(registry.package_for("wrist")) == _package_bytes(
+            registry.package_for("belt")
+        )
