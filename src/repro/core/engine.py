@@ -88,7 +88,11 @@ def _same_arrays(a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]) -> bool:
 class BatchInference:
     """The vectorized verdict of one engine call over ``k`` windows.
 
-    All arrays are indexed by window; ``labels[i]`` is
+    All arrays are indexed by window.  A verdict holds three arrays —
+    ``nearest``, ``distances`` and ``accepted`` — and the engine's softmax
+    ``temperature``; ``labels``, ``confidences`` and ``proba`` are derived
+    from them on every access (not cached), with the same arithmetic and
+    bits the engine call would have produced.  ``labels[i]`` is
     :data:`~repro.core.openset.UNKNOWN_LABEL` where window ``i`` was
     rejected by the open-set tests (closed-set engines accept everything,
     so there ``labels`` equals ``nearest``).  Slotted: a caller that keeps
@@ -96,16 +100,33 @@ class BatchInference:
     """
 
     class_names: Tuple[str, ...]
-    labels: np.ndarray  # (k,) int64, UNKNOWN_LABEL where rejected
     nearest: np.ndarray  # (k,) int64 nearest prototype, rejection ignored
-    confidences: np.ndarray  # (k,) softmax probability of the nearest class
-    distances: np.ndarray  # (k, n_classes)
-    proba: np.ndarray  # (k, n_classes)
+    distances: np.ndarray  # (k, n_classes), in the engine's compute dtype
     accepted: np.ndarray  # (k,) bool
+    temperature: float  # softmax temperature of the confidence proxy
     latency_ms: float  # wall-clock of the whole batch
 
     def __len__(self) -> int:
-        return int(self.labels.shape[0])
+        return int(self.nearest.shape[0])
+
+    @property
+    def labels(self) -> np.ndarray:
+        """``(k,)`` int64: ``nearest``, ``UNKNOWN_LABEL`` where rejected."""
+        return np.where(self.accepted, self.nearest, UNKNOWN_LABEL).astype(
+            np.int64, copy=False
+        )
+
+    @property
+    def proba(self) -> np.ndarray:
+        """``(k, n_classes)`` float64 softmax over the negative distances."""
+        return softmax_of_distances(
+            self.distances.astype(np.float64, copy=False), self.temperature
+        )
+
+    @property
+    def confidences(self) -> np.ndarray:
+        """``(k,)`` softmax probability of each window's nearest class."""
+        return self.proba[np.arange(self.nearest.shape[0]), self.nearest]
 
     @property
     def names(self) -> List[str]:
@@ -395,43 +416,31 @@ class InferenceEngine:
         )
         return _gram_distances(emb, protos, proto_sq)
 
-    def _verdicts(self, dists: np.ndarray):
-        """argmin / softmax / open-set accept, all from one distance matrix.
+    def _assemble(self, dists: np.ndarray, timer: Timer) -> BatchInference:
+        """argmin and open-set accept from one distance matrix.
 
         ``dists`` is the engine's own Gram result, so nothing is
-        re-checked; softmax and acceptance run on its float64 values.
+        re-checked; acceptance runs on its float64 values, like the
+        verdict's derived ``proba``.
         """
-        k = dists.shape[0]
         nearest = np.argmin(dists, axis=1).astype(np.int64, copy=False)
-        if dists.dtype != np.float64:
-            dists = dists.astype(np.float64)
-        proba = softmax_of_distances(dists, self.temperature)
-        confidences = proba[np.arange(k), nearest]
         open_set = self.open_set
         if open_set is not None:
             accepted = accept_rows(
-                dists,
+                dists.astype(np.float64, copy=False),
                 np.asarray(open_set.thresholds_, dtype=np.float64),
                 open_set.ratio,
                 nearest,
             )
-            labels = np.where(accepted, nearest, UNKNOWN_LABEL).astype(np.int64)
         else:
-            accepted = np.ones(k, dtype=bool)
-            labels = nearest
-        return labels, nearest, confidences, proba, accepted
-
-    def _assemble(self, dists: np.ndarray, timer: Timer) -> BatchInference:
-        labels, nearest, confidences, proba, accepted = self._verdicts(dists)
+            accepted = np.ones(dists.shape[0], dtype=bool)
         timer.__exit__()
         return BatchInference(
             class_names=self.class_names,
-            labels=labels,
             nearest=nearest,
-            confidences=confidences,
             distances=dists,
-            proba=proba,
             accepted=accepted,
+            temperature=self.temperature,
             latency_ms=timer.elapsed_ms,
         )
 

@@ -16,24 +16,32 @@ and a series plan in the coordinates of those columns.  ``extract``
 takes the read columns of its 22-channel input first;
 ``extract_read_columns`` is the entry for a signal already cut to them
 (the pipeline's, whose denoiser only ever filters those columns).  Each
-call builds one ``(signals, n)`` series block (raw channel columns plus
-the 3-axis groups whose norms are the derived magnitudes) and views its
-windows — by a reshape at the non-overlapping stride, a strided view
-otherwise; the windows are then walked in bounded groups
-(:data:`_STACKED_BLOCK_SAMPLES`), each copied into one contiguous
-``(windows * signals, window_len)`` block whose rows every statistic
-reduces in a single vectorized call — one sort shared by min, max,
-median and iqr.  What depends only on the configuration — the series
-plan and slope's centred time axis — is resolved once, not per call.  Every reduction runs along its row only, so a feature
-row reads nothing but its own window's samples: it is bit-identical
-however the recording was chunked and whoever else shared the call, and
-the scratch is bounded by the block, not by the window count.
+call builds one ``(signals, n)`` series block from a single gather of
+the columns it needs (raw channels plus the 3-axis groups whose norms
+are the derived magnitudes) and views its windows — by a reshape at the
+non-overlapping stride, a strided view otherwise.  The windows are then
+walked in bounded groups (:data:`_STACKED_BLOCK_SAMPLES`), each copied
+into one contiguous ``(windows * signals, window_len)`` block of rows.
+A one-window tick's cost is numpy's per-call overhead, not arithmetic,
+so the statistics share their reductions rather than each making its
+own: one row sum gives the means, which mean reports and std, zcr and
+slope centre by; one sort and one take of its columns give min, max,
+the median's halves and both quartiles' neighbours, whose lerps run as
+one multiply-add; and each result is reduced or written straight into
+its output column.  What depends only on the configuration — the series
+plan, the sorted columns and lerp weights per window length, slope's
+centred time axis — is resolved once, not per call.  Every reduction runs along its row only, so a feature row
+reads nothing but its own window's samples: it is bit-identical however
+the recording was chunked and whoever else shared the call, and the
+scratch is bounded by the block, not by the window count.
 
 Every statistic matches its plain per-window definition in
 :data:`~repro.preprocessing.features.STATISTICS` to 1e-9 (most
 bit-exactly); ``tests/test_preprocessing_streaming.py`` pins that contract
 against the reference extractor of ``tests/reference_features.py`` across
-strides, odd window lengths, constant signals and the empty case.
+strides, odd window lengths, constant signals and the empty case, and
+pins the fused reductions to the exact bits of the per-statistic stacked
+pass they replaced (kept there as ``stacked_features``).
 """
 
 from __future__ import annotations
@@ -49,29 +57,6 @@ from .features import DERIVED_SIGNALS, STATISTICS, FeatureConfig
 from .segmentation import window_count
 
 
-def _lerp_quantile(ctx, q: float) -> np.ndarray:
-    """``np.percentile(..., method="linear")`` from the shared partition.
-
-    ``ctx`` is anything with ``window_len`` and ``part_col`` — a
-    :class:`_StackedWindows`.
-
-    Replicates numpy's virtual-index arithmetic and its ``_lerp`` (including
-    the ``t >= 0.5`` rewrite) so the result is bit-identical to
-    ``np.percentile`` on the same windows.
-    """
-    window_len = ctx.window_len
-    virtual = q * (window_len - 1)
-    lo = int(np.floor(virtual))
-    hi = min(lo + 1, window_len - 1)
-    t = virtual - lo
-    a = ctx.part_col(lo)
-    b = ctx.part_col(hi)
-    diff = b - a
-    if t >= 0.5:
-        return b - diff * (1.0 - t)
-    return a + diff * t
-
-
 #: Float64 samples per stacked scratch block, i.e. a byte budget of
 #: ``8 *`` this: the pass walks the call's windows in groups that fit it
 #: (all signals counted; a float32 block holds twice the samples), so its
@@ -85,87 +70,61 @@ def _lerp_quantile(ctx, q: float) -> np.ndarray:
 _STACKED_BLOCK_SAMPLES: int = 3 << 13
 
 
-def _middle(ordered: np.ndarray) -> np.ndarray:
-    """Per-row median of row-sorted data — ``np.median``'s exact halving."""
-    w = ordered.shape[1]
-    if w % 2:
-        return ordered[:, (w - 1) // 2]
-    return (ordered[:, w // 2 - 1] + ordered[:, w // 2]) / 2.0
+def _lerp_plan(q: float, window_len: int) -> Tuple[int, int, int, float]:
+    """``np.percentile(..., method="linear")`` at ``q`` as one
+    multiply-add: ``(lo, hi, base, weight)`` with the quantile
+    ``sorted[base] + (sorted[hi] - sorted[lo]) * weight``.
 
-
-class _StackedWindows:
-    """Lazy caches shared by the stacked statistics of one block of rows.
-
-    ``rows`` is ``(windows * signals, window_len)``: one window of one
-    signal per row.  Everything below reduces along the row only, so a
-    result never depends on which other rows share the block.
+    numpy's ``_lerp`` computes ``a + diff * t``, or ``b - diff * (1 - t)``
+    for ``t >= 0.5``; IEEE subtraction is addition of the negation and
+    rounding is sign-symmetric, so the second is ``b + diff * -(1 - t)``
+    bit for bit, and either branch is the one expression.
     """
-
-    def __init__(self, rows: np.ndarray) -> None:
-        self.rows = rows
-        self.window_len = rows.shape[1]
-        self._means: Optional[np.ndarray] = None
-        self._centered: Optional[np.ndarray] = None
-        self._ordered: Optional[np.ndarray] = None
-        self._medians: Optional[np.ndarray] = None
-
-    @property
-    def means(self) -> np.ndarray:
-        if self._means is None:
-            self._means = self.rows.sum(axis=1) / self.window_len
-        return self._means
-
-    @property
-    def centered(self) -> np.ndarray:
-        if self._centered is None:
-            self._centered = self.rows - self.means[:, None]
-        return self._centered
-
-    @property
-    def ordered(self) -> np.ndarray:
-        """Every row sorted: the one sort min, max, median and iqr share."""
-        if self._ordered is None:
-            self._ordered = np.sort(self.rows, axis=1)
-        return self._ordered
-
-    def part_col(self, i: int) -> np.ndarray:
-        return self.ordered[:, i]
-
-    @property
-    def medians(self) -> np.ndarray:
-        if self._medians is None:
-            self._medians = _middle(self.ordered)
-        return self._medians
+    virtual = q * (window_len - 1)
+    lo = int(np.floor(virtual))
+    hi = min(lo + 1, window_len - 1)
+    t = virtual - lo
+    if t >= 0.5:
+        return lo, hi, hi, -(1.0 - t)
+    return lo, hi, lo, t
 
 
-def _stacked_std(ctx: _StackedWindows) -> np.ndarray:
-    centered = ctx.centered
-    return np.sqrt((centered * centered).sum(axis=1) / ctx.window_len)
+@functools.lru_cache(maxsize=32)
+def _order_plan(window_len: int, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted columns min, max, median and iqr read, and iqr's two
+    lerp weights in ``dtype``, built once per window length and dtype.
+
+    The columns are, in order: min, max, the median's lower and upper
+    halves (one column twice at an odd length), the lower and the upper
+    neighbours of the 25th and the 75th percentile, and the two
+    percentiles' lerp bases (:func:`_lerp_plan`).
+    """
+    lo25, hi25, base25, weight25 = _lerp_plan(0.25, window_len)
+    lo75, hi75, base75, weight75 = _lerp_plan(0.75, window_len)
+    columns = np.array(
+        [0, window_len - 1, (window_len - 1) // 2, window_len // 2,
+         lo25, lo75, hi25, hi75, base25, base75],
+        dtype=np.intp,
+    )
+    # a python float times a float32 array is a float32 multiply: the
+    # weights are rounded to the rows' dtype the same way
+    weights = np.array([weight25, weight75], dtype=dtype)
+    columns.flags.writeable = False
+    weights.flags.writeable = False
+    return columns, weights
 
 
-def _stacked_rms(ctx: _StackedWindows) -> np.ndarray:
-    return np.sqrt((ctx.rows * ctx.rows).sum(axis=1) / ctx.window_len)
-
-
-def _stacked_iqr(ctx: _StackedWindows) -> np.ndarray:
-    return _lerp_quantile(ctx, 0.75) - _lerp_quantile(ctx, 0.25)
-
-
-def _stacked_mad(ctx: _StackedWindows) -> np.ndarray:
-    deviations = ctx.rows - ctx.medians[:, None]
-    np.abs(deviations, out=deviations)
-    deviations.sort(axis=1)
-    return _middle(deviations)
-
-
-def _stacked_zcr(ctx: _StackedWindows) -> np.ndarray:
-    w = ctx.window_len
-    if w < 2:
-        return np.zeros(ctx.rows.shape[0])
-    # Exact zeros count as positive, like the reference's sign fix-up.
-    positive = ctx.centered >= 0
-    crossings = np.count_nonzero(positive[:, 1:] != positive[:, :-1], axis=1)
-    return crossings / (w - 1)
+def _middle(
+    lower: np.ndarray, upper: np.ndarray, odd: bool, out: np.ndarray
+) -> None:
+    """The per-row median of row-sorted data, from its two middle columns
+    (the same one at an odd length), into ``out`` — ``np.median``'s
+    exact halving."""
+    if odd:
+        out[...] = lower
+    else:
+        np.add(lower, upper, out=out)
+        np.divide(out, 2.0, out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,30 +136,155 @@ def _slope_axis(window_len: int) -> Tuple[np.ndarray, float]:
     return t_centered, float((t_centered * t_centered).sum())
 
 
-def _stacked_slope(ctx: _StackedWindows) -> np.ndarray:
+class _StackedWindows:
+    """One block of windows and the reductions its statistics share.
+
+    ``rows`` is ``(windows * signals, window_len)``: one window of one
+    signal per row, copied contiguous.  The shared results — the row
+    means, the centred rows, the sorted rows' columns min, max, median
+    and iqr read (one sort and one take), the medians — are computed the
+    first time a statistic asks.  Everything reduces along the row only,
+    so a result never depends on which other rows share the block.
+    """
+
+    def __init__(self, windows: np.ndarray) -> None:
+        self.window_len = windows.shape[2]
+        self.rows = np.ascontiguousarray(windows).reshape(-1, self.window_len)
+        self._means: Optional[np.ndarray] = None
+        self._centered: Optional[np.ndarray] = None
+        self._order: Optional[np.ndarray] = None
+        self._medians: Optional[np.ndarray] = None
+
+    @property
+    def means(self) -> np.ndarray:
+        if self._means is None:
+            means = np.add.reduce(self.rows, axis=1)
+            self._means = np.divide(means, self.window_len, out=means)
+        return self._means
+
+    @property
+    def centered(self) -> np.ndarray:
+        if self._centered is None:
+            self._centered = np.subtract(self.rows, self.means[:, None])
+        return self._centered
+
+    @property
+    def order(self) -> np.ndarray:
+        """``(rows, 10)``: the sorted rows' columns of :func:`_order_plan`."""
+        if self._order is None:
+            columns, _ = _order_plan(self.window_len, self.rows.dtype)
+            self._order = np.sort(self.rows, axis=1).take(columns, axis=1)
+        return self._order
+
+    @property
+    def medians(self) -> np.ndarray:
+        if self._medians is None:
+            order = self.order
+            self._medians = np.empty(order.shape[0], order.dtype)
+            _middle(
+                order[:, 2], order[:, 3], self.window_len % 2, self._medians
+            )
+        return self._medians
+
+
+def _stacked_mean(ctx: _StackedWindows, out: np.ndarray) -> None:
+    out[...] = ctx.means
+
+
+def _root_mean_square(rows: np.ndarray, out: np.ndarray) -> None:
+    np.add.reduce(rows * rows, axis=1, out=out)
+    np.divide(out, rows.shape[1], out=out)
+    np.sqrt(out, out=out)
+
+
+def _stacked_std(ctx: _StackedWindows, out: np.ndarray) -> None:
+    _root_mean_square(ctx.centered, out)
+
+
+def _stacked_rms(ctx: _StackedWindows, out: np.ndarray) -> None:
+    _root_mean_square(ctx.rows, out)
+
+
+def _stacked_min(ctx: _StackedWindows, out: np.ndarray) -> None:
+    out[...] = ctx.order[:, 0]
+
+
+def _stacked_max(ctx: _StackedWindows, out: np.ndarray) -> None:
+    out[...] = ctx.order[:, 1]
+
+
+def _stacked_median(ctx: _StackedWindows, out: np.ndarray) -> None:
+    out[...] = ctx.medians
+
+
+def _stacked_iqr(ctx: _StackedWindows, out: np.ndarray) -> None:
+    _, weights = _order_plan(ctx.window_len, ctx.rows.dtype)
+    order = ctx.order
+    # both percentiles at once: (rows, 2) differences, weights and bases
+    quartiles = np.subtract(order[:, 6:8], order[:, 4:6])
+    np.multiply(quartiles, weights, out=quartiles)
+    np.add(order[:, 8:10], quartiles, out=quartiles)
+    np.subtract(quartiles[:, 1], quartiles[:, 0], out=out)
+
+
+def _stacked_mad(ctx: _StackedWindows, out: np.ndarray) -> None:
+    deviations = np.subtract(ctx.rows, ctx.medians[:, None])
+    np.abs(deviations, out=deviations)
+    deviations.sort(axis=1)
+    w = ctx.window_len
+    _middle(deviations[:, (w - 1) // 2], deviations[:, w // 2], w % 2, out)
+
+
+def _stacked_zcr(ctx: _StackedWindows, out: np.ndarray) -> None:
     w = ctx.window_len
     if w < 2:
-        return np.zeros(ctx.rows.shape[0])
+        out[...] = 0.0
+        return
+    # Exact zeros count as positive, like the reference's sign fix-up.
+    positive = ctx.centered >= 0
+    crossings = np.add.reduce(
+        positive[:, 1:] != positive[:, :-1], axis=1, dtype=np.intp
+    )
+    np.divide(crossings, w - 1, out=out)
+
+
+def _stacked_slope(ctx: _StackedWindows, out: np.ndarray) -> None:
+    w = ctx.window_len
+    if w < 2:
+        out[...] = 0.0
+        return
     # The time axis stays float64 on the float32 fast path too.  Multiply
     # and row-sum rather than a matrix product: BLAS picks its summation
     # order from the whole operand's shape, a row sum only from the row.
     t_centered, denom = _slope_axis(w)
-    return (ctx.centered * t_centered).sum(axis=1) / denom
+    np.divide(np.add.reduce(ctx.centered * t_centered, axis=1), denom, out=out)
 
 
-#: Statistic name -> stacked implementation over a :class:`_StackedWindows`.
-_STACKED_STATISTICS: Dict[str, Callable[[_StackedWindows], np.ndarray]] = {
-    "mean": lambda ctx: ctx.means,
+#: Statistic name -> stacked implementation: it writes the statistic of
+#: every row of a :class:`_StackedWindows` into the given column.
+_STACKED_STATISTICS: Dict[
+    str, Callable[[_StackedWindows, np.ndarray], None]
+] = {
+    "mean": _stacked_mean,
     "std": _stacked_std,
-    "min": lambda ctx: ctx.ordered[:, 0],
-    "max": lambda ctx: ctx.ordered[:, -1],
-    "median": lambda ctx: ctx.medians,
+    "min": _stacked_min,
+    "max": _stacked_max,
+    "median": _stacked_median,
     "iqr": _stacked_iqr,
     "rms": _stacked_rms,
     "mad": _stacked_mad,
     "zcr": _stacked_zcr,
     "slope": _stacked_slope,
 }
+
+
+def _slots(rows: List[int]):
+    """Series rows as an index: a slice when they are one ascending run
+    (the default grid's derived and raw signals are), so writing them is a
+    plain copy, else an index array."""
+    if rows and rows == list(range(rows[0], rows[-1] + 1)):
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows, dtype=np.intp)
 
 
 class StreamingFeatureExtractor:
@@ -240,12 +324,15 @@ class StreamingFeatureExtractor:
         #: (15 of 22 for the default config).  The plan below indexes the
         #: ``(n, len(read_channels))`` block of these columns.
         self.read_channels = np.union1d(raw_channels, group_channels)
-        self._raw_slots = np.array([j for j, _ in raw], dtype=np.intp)
-        self._raw_columns = np.searchsorted(self.read_channels, raw_channels)
-        self._derived_slots = np.array([j for j, _ in derived], dtype=np.intp)
-        self._derived_groups = np.searchsorted(
-            self.read_channels, group_channels
+        # One gather takes every column the series block is built from:
+        # the derived groups' axes, then the raw channels.
+        self._gather = np.searchsorted(
+            self.read_channels,
+            np.concatenate([group_channels.ravel(), raw_channels]),
         )
+        self._n_derived = len(derived)
+        self._raw_slots = _slots([j for j, _ in raw])
+        self._derived_slots = _slots([j for j, _ in derived])
 
     @property
     def n_features(self) -> int:
@@ -263,21 +350,22 @@ class StreamingFeatureExtractor:
         """The ``(signals, n)`` block of every configured signal's series,
         from the ``(n, len(read_channels))`` block of the read columns.
 
-        One gather for the raw channels, one for the derived groups, whose
-        norm ``sqrt(add.reduce(g * g))`` is ``np.linalg.norm``'s own
-        arithmetic — the same bits as a per-signal ``norm`` call.  Signal
-        rows, not columns: each gather copies whole channels, and each
-        series is contiguous for the windows cut from it.
+        One gather takes the derived groups' axes and the raw channels;
+        a group's norm ``sqrt(add.reduce(g * g))`` is ``np.linalg.norm``'s
+        own arithmetic — the same bits as a per-signal ``norm`` call.
+        Signal rows, not columns: the gather copies whole channels, and
+        each series is contiguous for the windows cut from it.
         """
-        channels = read.T
+        axes = 3 * self._n_derived
+        taken = read.T[self._gather]
+        groups = taken[:axes].reshape(self._n_derived, 3, read.shape[0])
         series = np.empty(
             (len(self.config.signals), read.shape[0]), dtype=read.dtype
         )
-        series[self._raw_slots] = channels[self._raw_columns]
-        groups = channels[self._derived_groups]
-        series[self._derived_slots] = np.sqrt(
-            np.add.reduce(groups * groups, axis=1)
-        )
+        # squared in place: the gather's result is this call's own copy
+        norms = np.add.reduce(np.multiply(groups, groups, out=groups), axis=1)
+        series[self._derived_slots] = np.sqrt(norms, out=norms)
+        series[self._raw_slots] = taken[axes:]
         return series
 
     def _series_block(self, data: np.ndarray) -> np.ndarray:
@@ -390,17 +478,13 @@ class StreamingFeatureExtractor:
         )
         stats = self.config.stats
         for first in range(0, n_windows, step):
-            ctx = _StackedWindows(
-                np.ascontiguousarray(windows[first : first + step]).reshape(
-                    -1, window_len
-                )
-            )
+            ctx = _StackedWindows(windows[first : first + step])
             # signal-major feature order: one row per (window, signal)
             features = out[first : first + step].reshape(-1, len(stats))
             for col, stat in enumerate(stats):
                 stacked = _STACKED_STATISTICS.get(stat)
-                features[:, col] = (
-                    STATISTICS[stat](ctx.rows) if stacked is None
-                    else stacked(ctx)
-                )
+                if stacked is None:
+                    features[:, col] = STATISTICS[stat](ctx.rows)
+                else:
+                    stacked(ctx, features[:, col])
         return out

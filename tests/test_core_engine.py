@@ -19,7 +19,9 @@ from repro.core import (
     UNKNOWN_LABEL,
     UNKNOWN_NAME,
 )
-from repro.core.openset import accept_from_distances
+from repro.core.engine import BatchInference
+from repro.core.ncm import softmax_of_distances
+from repro.core.openset import accept_from_distances, accept_rows
 from repro.edge_runtime import ResourceAccountant
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
@@ -141,6 +143,79 @@ class TestBatchedParity:
         engine = InferenceEngine(edge.embedder, edge.ncm)
         with pytest.raises(ConfigurationError):
             engine.infer_windows(np.zeros((1, 120, 22)))
+
+
+class TestDerivedVerdictFields:
+    """A verdict stores ``nearest``, ``distances`` and ``accepted``;
+    ``labels``, ``confidences`` and ``proba`` are recomputed from them on
+    each access, with the engine's own arithmetic, bit for bit."""
+
+    @pytest.fixture(params=["closed-set", "open-set"])
+    def engine(self, request, edge):
+        if request.param == "closed-set":
+            return InferenceEngine(
+                edge.embedder, edge.ncm, pipeline=edge.pipeline
+            )
+        open_ncm = OpenSetNCM(quantile=0.9, slack=1.0, ratio=0.2)
+        open_ncm.fit_from_support_set(edge.embedder, edge.support_set)
+        return InferenceEngine(
+            edge.embedder, open_ncm, pipeline=edge.pipeline, temperature=0.7
+        )
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_derived_fields_are_the_engine_arithmetic(
+        self, engine, scenario, rng, dtype
+    ):
+        # scenario windows, then garbage the open-set engine rejects
+        data = np.concatenate(
+            [
+                scenario.base_test.windows[:10].reshape(-1, 22),
+                rng.normal(size=(1200, 22)) * 40.0,
+            ]
+        )
+        batch = engine.infer_stream(data, stride=60, dtype=dtype)
+        assert batch.distances.dtype == (dtype or np.float64)
+        assert batch.temperature == engine.temperature
+        dists = batch.distances.astype(np.float64)
+        proba = softmax_of_distances(dists, engine.temperature)
+        assert np.array_equal(batch.proba, proba)
+        assert np.array_equal(
+            batch.confidences, proba[np.arange(len(batch)), batch.nearest]
+        )
+        assert np.array_equal(
+            batch.nearest, np.argmin(batch.distances, axis=1)
+        )
+        open_set = engine.open_set
+        if open_set is None:
+            assert batch.accepted.all()
+        else:
+            assert np.array_equal(
+                batch.accepted,
+                accept_rows(
+                    dists, open_set.thresholds_, open_set.ratio, batch.nearest
+                ),
+            )
+            assert not batch.accepted.all()  # the garbage is rejected
+        labels = batch.labels
+        assert labels.dtype == np.int64
+        assert np.array_equal(
+            labels, np.where(batch.accepted, batch.nearest, UNKNOWN_LABEL)
+        )
+
+    def test_derived_fields_are_not_cached(self, engine, windows):
+        batch = engine.infer_windows(windows)
+        for name in ("labels", "confidences", "proba"):
+            assert getattr(batch, name) is not getattr(batch, name)
+
+    def test_a_verdict_holds_three_arrays(self, engine, windows):
+        batch = engine.infer_windows(windows)
+        assert not hasattr(batch, "__dict__")
+        held = {
+            name
+            for name in BatchInference.__slots__
+            if isinstance(getattr(batch, name), np.ndarray)
+        }
+        assert held == {"nearest", "distances", "accepted"}
 
 
 class TestPrototypeCache:

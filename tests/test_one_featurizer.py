@@ -146,11 +146,14 @@ def test_spectral_kernel_rows_are_the_reference_arithmetic(
     pipeline = PreprocessingPipeline(extractor=spectral)
     windows = sliding_windows(recording, W, W)
     # The kernel filters the read columns only, and the window operator's
-    # bits can depend on the column count: denoise those same columns and
-    # scatter them back into the 22-channel layout.
+    # bits can depend on the column count and on the layout of its input
+    # (docs/precision.md): denoise those same columns, gathered the way the
+    # kernel gathers them, and scatter them back into the 22-channel layout.
     read = spectral.read_channels
     denoised = pipeline.denoiser.apply_batch(windows)
-    denoised[..., read] = pipeline.denoiser.batch_kernel(W)(windows[..., read])
+    denoised[..., read] = pipeline.denoiser.batch_kernel(W)(
+        np.take(windows, read, axis=2)
+    )
     want = _reference_spectral_rows(spectral, denoised)
     got = pipeline.window_kernel(dtype).raw(windows)
     assert got.dtype == (dtype or np.float64)

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from reference_features import stacked_rows_features
 from repro.core import InferenceEngine
 from repro.preprocessing import (
     DERIVED_SIGNALS,
@@ -42,6 +43,7 @@ from repro.preprocessing import (
     MedianFilter,
     MovingAverageFilter,
     PreprocessingPipeline,
+    SpectralFeatureExtractor,
     StreamingFeatureExtractor,
     denoiser_from_dict,
 )
@@ -448,14 +450,10 @@ def _reference_stacked(config, data, stride):
     windows = np.lib.stride_tricks.sliding_window_view(
         series, W, axis=0
     )[::stride]
-    ctx = streaming_module._StackedWindows(
-        np.ascontiguousarray(windows).reshape(-1, W)
+    rows = np.ascontiguousarray(windows).reshape(-1, W)
+    return stacked_rows_features(rows, config.stats).reshape(
+        windows.shape[0], config.n_features
     )
-    out = np.empty((windows.shape[0], config.n_features), dtype=data.dtype)
-    features = out.reshape(-1, len(config.stats))
-    for col, stat in enumerate(config.stats):
-        features[:, col] = streaming_module._STACKED_STATISTICS[stat](ctx)
-    return out
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -515,7 +513,7 @@ def _lfilter_widths(monkeypatch):
 
 def _operator_inputs(monkeypatch):
     """Record the shape of every window stack the Butterworth window
-    kernel multiplies by its operator."""
+    kernel multiplies by its operator, and whether it is C-contiguous."""
     shapes = []
     batch_kernel = ButterworthLowpass.batch_kernel
 
@@ -525,12 +523,14 @@ def _operator_inputs(monkeypatch):
 
         def multiply(windows):
             shapes.append(windows.shape)
+            contiguous.append(windows.flags.c_contiguous)
             return kernel(windows)
 
         return multiply
 
+    contiguous = []
     monkeypatch.setattr(ButterworthLowpass, "batch_kernel", spied)
-    return shapes
+    return shapes, contiguous
 
 
 class _Projection:
@@ -575,7 +575,7 @@ def test_ticks_filter_only_the_read_channels(
     ones through the window operator, the continuous ones through
     ``lfilter``."""
     config = CONFIGS[name]
-    operator_inputs = _operator_inputs(monkeypatch)
+    operator_inputs, contiguous = _operator_inputs(monkeypatch)
     pipeline = PreprocessingPipeline(feature_config=config)
     pipeline.fit_normalizer(recording[: 12 * W].reshape(12, W, N_CHANNELS))
     engine = InferenceEngine(
@@ -595,9 +595,50 @@ def test_ticks_filter_only_the_read_channels(
     # windowed session's
     assert len(operator_inputs) == 3
     assert {shape[1:] for shape in operator_inputs} == {(W, read)}
+    # gathered C-contiguous: BLAS's contiguous path, not a strided stack
+    assert contiguous == [True] * 3
     # 2-D: a continuous or chunked signal
     assert {ndim for ndim, _ in widths} == {2}
     assert {channels for _, channels in widths} == {read}
+
+
+def _layouts(recording):
+    """The same ``(k, W, 22)`` window stack as a C-ordered array, an
+    F-ordered array and a strided view of the recording (every other
+    window)."""
+    view = np.lib.stride_tricks.sliding_window_view(recording, W, axis=0)[
+        :: 2 * W
+    ].transpose(0, 2, 1)
+    return {
+        "C": np.ascontiguousarray(view),
+        "F": np.asfortranarray(view),
+        "view": view,
+    }
+
+
+@pytest.mark.parametrize("dtype", [None, np.float32])
+@pytest.mark.parametrize(
+    "extractor",
+    [
+        StreamingFeatureExtractor(),
+        StreamingFeatureExtractor(CONFIGS["raw-only"]),
+        SpectralFeatureExtractor(),
+    ],
+    ids=["default", "raw-only", "spectral"],
+)
+def test_kernel_rows_do_not_depend_on_the_stack_layout(
+    recording, extractor, dtype
+):
+    """The kernel gathers its read columns C-contiguous whatever the
+    stack's layout, so the operator product — whose last bits can depend
+    on its input's layout — sees one layout and gives one set of bits."""
+    stacks = _layouts(recording)
+    assert not stacks["view"].flags.c_contiguous
+    assert stacks["F"].flags.f_contiguous
+    kernel = PreprocessingPipeline(extractor=extractor).window_kernel(dtype)
+    rows = {name: kernel.raw(stack) for name, stack in stacks.items()}
+    assert np.array_equal(rows["F"], rows["C"])
+    assert np.array_equal(rows["view"], rows["C"])
 
 
 DENOISERS = {

@@ -8,12 +8,17 @@ for every statistic, across strides, odd window lengths, constant signals
 (the zcr/slope edge cases) and the empty no-complete-window case.  These
 tests pin that contract column by column, plus the zero-copy / dtype
 semantics of ``sliding_windows`` the streaming path rests on.
+
+The fused stacked pass (shared reductions, one sort and take, one
+multiply-and-row-sum for std and rms) must moreover return the exact bits
+of the per-statistic stacked pass it replaced, kept as
+``reference_features.stacked_features``: ``TestFusedPassBitIdentity``.
 """
 
 import numpy as np
 import pytest
 
-from reference_features import FeatureExtractor
+from reference_features import FeatureExtractor, stacked_features
 from repro.exceptions import ConfigurationError, DataShapeError
 from repro.preprocessing import (
     FeatureConfig,
@@ -149,6 +154,97 @@ class TestStreamingParity:
             streaming.extract(np.zeros((100, N_CHANNELS)), 0)
         with pytest.raises(ConfigurationError):
             streaming.extract(np.zeros((100, N_CHANNELS)), 10, stride=0)
+
+
+# ---------------------------------------------------------------------- #
+# the fused pass returns the per-statistic pass's bits
+# ---------------------------------------------------------------------- #
+
+
+def _signal(kind, rng, n):
+    """A continuous (n, 22) signal: offset-heavy normal, small integers
+    (ties in every sort, exact zeros after centring) or constant."""
+    if kind == "normal":
+        return continuous_data(rng, n)
+    if kind == "integer":
+        return rng.integers(-4, 5, size=(n, N_CHANNELS)).astype(np.float64)
+    return np.full((n, N_CHANNELS), 3.7)
+
+
+FUSED_CONFIGS = {
+    "default": FeatureConfig(),
+    "subset": FeatureConfig(
+        signals=("baro", "accel_mag"), stats=("iqr", "rms", "median")
+    ),
+    "repeated": FeatureConfig(
+        signals=("gyro_z", "gyro_z", "grav_mag"),
+        stats=("slope", "mad", "zcr", "mad"),
+    ),
+    "no-centring": FeatureConfig(signals=("light",), stats=("rms", "max")),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestFusedPassBitIdentity:
+    @pytest.mark.parametrize("kind", ["normal", "integer", "constant"])
+    def test_every_window_length(self, dtype, kind):
+        """Every length from 1 to 200, odd and even, at a non-overlapping
+        and an overlapping stride."""
+        rng = np.random.default_rng(2029)
+        streaming = StreamingFeatureExtractor()
+        for window_len in range(1, 201):
+            for stride in (window_len, max(1, window_len // 3)):
+                data = _signal(kind, rng, 3 * stride + window_len)
+                got = streaming.extract(
+                    data, window_len, stride=stride, dtype=dtype
+                )
+                want = stacked_features(
+                    streaming.config, data, window_len, stride, dtype
+                )
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want), (window_len, stride)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CONFIGS))
+    @pytest.mark.parametrize("window_len,stride", [
+        (120, 120), (120, 7), (61, 61), (2, 1), (1, 1), (64, 16),
+    ])
+    def test_configurations(self, rng, dtype, name, window_len, stride):
+        config = FUSED_CONFIGS[name]
+        data = _signal("normal", rng, 900)
+        got = StreamingFeatureExtractor(config).extract(
+            data, window_len, stride=stride, dtype=dtype
+        )
+        want = stacked_features(config, data, window_len, stride, dtype)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["normal", "integer"])
+    def test_calls_past_one_block(self, dtype, kind):
+        """389 windows span many scratch blocks, the last one ragged."""
+        data = _signal(kind, np.random.default_rng(7), 4000)
+        streaming = StreamingFeatureExtractor()
+        got = streaming.extract(data, 120, stride=10, dtype=dtype)
+        per_block = streaming_module._STACKED_BLOCK_SAMPLES * 8 // (
+            np.dtype(dtype).itemsize * 8 * 120
+        )
+        assert got.shape[0] > 3 * per_block
+        assert np.array_equal(
+            got, stacked_features(streaming.config, data, 120, 10, dtype)
+        )
+
+    def test_user_statistic_falls_back(self, rng, dtype):
+        STATISTICS["ptp"] = lambda s: s.max(axis=1) - s.min(axis=1)
+        try:
+            config = FeatureConfig(
+                signals=("gyro_mag", "baro"), stats=("ptp", "median", "std")
+            )
+            data = _signal("normal", rng, 4000)
+            got = StreamingFeatureExtractor(config).extract(
+                data, 120, stride=10, dtype=dtype
+            )
+            want = stacked_features(config, data, 120, 10, dtype)
+        finally:
+            del STATISTICS["ptp"]
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.preprocessing import ButterworthLowpass
+from repro.sensors import BASE_ACTIVITIES
 from repro.serving import FleetServer, ModelRegistry
 from repro.serving.gateway import GatewayClient, GatewayServer
 
@@ -97,24 +98,43 @@ def _flip_rate(ref_labels, ref_accepted, got_labels, got_accepted):
     return flips / max(1, len(ref_labels))
 
 
+#: Seconds of each base activity in the scored recording.  At stride 4 the
+#: 300 s give 8971 windows per layer, so the 1e-3 contract is resolvable:
+#: a legitimate near-tie flip is 1.1e-4 of them, and the bound fails at
+#: the ninth flip, not the first.  (This recording flips 3 labels at the
+#: engine layer; 1 in 5460 windows was measured over 60 other recordings.)
+SECONDS_PER_ACTIVITY = 60.0
+STRIDE = 4
+MIN_SCORED = 1 / MAX_FLIP_RATE
+
+
+@pytest.fixture
+def long_recording(recorder):
+    return np.concatenate(
+        [
+            recorder.record(activity, SECONDS_PER_ACTIVITY).data
+            for activity in BASE_ACTIVITIES
+        ]
+    )
+
+
 class TestFloat32FlipRate:
-    def test_engine_layer(self, edge, recorder):
-        recording = recorder.record("walk", 6.0)
-        ref = edge.infer_stream(recording.data, stride=4)
-        got = edge.infer_stream(recording.data, stride=4, dtype=np.float32)
-        assert len(ref) == len(got) > 100
+    def test_engine_layer(self, edge, long_recording):
+        ref = edge.infer_stream(long_recording, stride=STRIDE)
+        got = edge.infer_stream(long_recording, stride=STRIDE, dtype=np.float32)
+        assert len(ref) == len(got) > 2 * MIN_SCORED
         rate = _flip_rate(ref.labels, ref.accepted, got.labels, got.accepted)
         assert rate <= MAX_FLIP_RATE
 
-    def test_fleet_layer(self, edge, recorder):
+    def test_fleet_layer(self, edge, long_recording):
         server = FleetServer(edge.engine)
         server.connect("f64")
         server.connect("f32", dtype=np.float32)
-        chunk = recorder.record("walk", 4.0).data
-        out = server.step_stream({"f64": chunk, "f32": chunk}, stride=4)
+        chunk = long_recording
+        out = server.step_stream({"f64": chunk, "f32": chunk}, stride=STRIDE)
         ref = list(out["f64"]) + list(server.finish_stream("f64"))
         got = list(out["f32"]) + list(server.finish_stream("f32"))
-        assert len(ref) == len(got) > 0
+        assert len(ref) == len(got) > 2 * MIN_SCORED
         rate = _flip_rate(
             [v.activity for v in ref],
             [v.accepted for v in ref],
@@ -123,15 +143,14 @@ class TestFloat32FlipRate:
         )
         assert rate <= MAX_FLIP_RATE
 
-    def test_gateway_layer(self, edge, recorder):
+    def test_gateway_layer(self, edge, long_recording):
         registry = ModelRegistry(default_cohort="a")
         registry.publish("a", edge.engine)
-        data = recorder.record("walk", 4.0).data
-        chunks = [data[:240], data[240:]]
+        chunks = np.array_split(long_recording, 10)
 
         async def drive(gateway, session_id, dtype):
             async with GatewayClient(gateway.host, gateway.port) as client:
-                await client.connect(session_id, dtype=dtype)
+                await client.connect(session_id, stride=STRIDE, dtype=dtype)
                 verdicts = []
                 for chunk in chunks:
                     verdicts.extend(await client.send_chunk(chunk))
@@ -145,7 +164,7 @@ class TestFloat32FlipRate:
                 return ref, got
 
         ref, got = asyncio.run(asyncio.wait_for(body(), timeout=60))
-        assert len(ref) == len(got) > 0
+        assert len(ref) == len(got) > 2 * MIN_SCORED
         rate = _flip_rate(
             [v.activity for v in ref],
             [v.accepted for v in ref],
