@@ -278,15 +278,6 @@ _STACKED_STATISTICS: Dict[
 }
 
 
-def _slots(rows: List[int]):
-    """Series rows as an index: a slice when they are one ascending run
-    (the default grid's derived and raw signals are), so writing them is a
-    plain copy, else an index array."""
-    if rows and rows == list(range(rows[0], rows[-1] + 1)):
-        return slice(rows[0], rows[-1] + 1)
-    return np.array(rows, dtype=np.intp)
-
-
 class StreamingFeatureExtractor:
     """Window features of a continuous recording without window cubes.
 
@@ -331,8 +322,8 @@ class StreamingFeatureExtractor:
             np.concatenate([group_channels.ravel(), raw_channels]),
         )
         self._n_derived = len(derived)
-        self._raw_slots = _slots([j for j, _ in raw])
-        self._derived_slots = _slots([j for j, _ in derived])
+        self._raw_slots = np.array([j for j, _ in raw], dtype=np.intp)
+        self._derived_slots = np.array([j for j, _ in derived], dtype=np.intp)
 
     @property
     def n_features(self) -> int:

@@ -9,8 +9,8 @@ for every statistic, across strides, odd window lengths, constant signals
 tests pin that contract column by column, plus the zero-copy / dtype
 semantics of ``sliding_windows`` the streaming path rests on.
 
-The fused stacked pass (shared reductions, one sort and take, one
-multiply-and-row-sum for std and rms) must moreover return the exact bits
+The fused stacked pass (shared means and centred rows, one sort and
+take) must moreover return the exact bits
 of the per-statistic stacked pass it replaced, kept as
 ``reference_features.stacked_features``: ``TestFusedPassBitIdentity``.
 """

@@ -144,26 +144,7 @@ class TestFloat32FlipRate:
         assert rate <= MAX_FLIP_RATE
 
     def test_gateway_layer(self, edge, long_recording):
-        registry = ModelRegistry(default_cohort="a")
-        registry.publish("a", edge.engine)
-        chunks = np.array_split(long_recording, 10)
-
-        async def drive(gateway, session_id, dtype):
-            async with GatewayClient(gateway.host, gateway.port) as client:
-                await client.connect(session_id, stride=STRIDE, dtype=dtype)
-                verdicts = []
-                for chunk in chunks:
-                    verdicts.extend(await client.send_chunk(chunk))
-                verdicts.extend(await client.finish())
-                return verdicts
-
-        async def body():
-            async with GatewayServer(registry) as gateway:
-                ref = await drive(gateway, "s64", None)
-                got = await drive(gateway, "s32", "float32")
-                return ref, got
-
-        ref, got = asyncio.run(asyncio.wait_for(body(), timeout=60))
+        ref, got = _gateway_sessions(edge, long_recording, stride=STRIDE)
         assert len(ref) == len(got) > 2 * MIN_SCORED
         rate = _flip_rate(
             [v.activity for v in ref],
@@ -172,3 +153,52 @@ class TestFloat32FlipRate:
             [v.accepted for v in got],
         )
         assert rate <= MAX_FLIP_RATE
+
+    def test_gateway_windowed_sessions_match_the_engine(
+        self, edge, long_recording
+    ):
+        """At the default stride a session is served by the window kernel
+        (one zero-phase operator product per window), not the stream
+        denoiser the stride-4 tests take.  Its 300 windows are too few to
+        resolve the 1e-3 flip bound, so each dtype's session is held to the
+        in-process engine call of the same dtype instead: same verdicts,
+        confidences within the dtype's tolerance."""
+        sessions = _gateway_sessions(edge, long_recording, stride=None)
+        for verdicts, dtype, atol in zip(
+            sessions, (None, np.float32), (1e-9, 1e-5)
+        ):
+            ref = edge.infer_stream(long_recording, dtype=dtype)
+            assert len(verdicts) == len(ref) == 300
+            assert [v.activity for v in verdicts] == ref.names
+            assert [v.accepted for v in verdicts] == list(ref.accepted)
+            np.testing.assert_allclose(
+                [v.confidence for v in verdicts],
+                ref.confidences,
+                rtol=0.0,
+                atol=atol,
+            )
+
+
+def _gateway_sessions(edge, recording, stride):
+    """The verdicts of a float64 and a float32 TCP gateway session, each
+    sent ``recording`` in 10 chunks at ``stride`` (``None``: the default)."""
+    registry = ModelRegistry(default_cohort="a")
+    registry.publish("a", edge.engine)
+    chunks = np.array_split(recording, 10)
+
+    async def drive(gateway, session_id, dtype):
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            await client.connect(session_id, stride=stride, dtype=dtype)
+            verdicts = []
+            for chunk in chunks:
+                verdicts.extend(await client.send_chunk(chunk))
+            verdicts.extend(await client.finish())
+            return verdicts
+
+    async def body():
+        async with GatewayServer(registry) as gateway:
+            ref = await drive(gateway, "s64", None)
+            got = await drive(gateway, "s32", "float32")
+            return ref, got
+
+    return asyncio.run(asyncio.wait_for(body(), timeout=60))
