@@ -176,7 +176,7 @@ class EdgeDevice:
         return self._charged(self.engine.infer_stream(data, stride=stride, dtype=dtype))
 
     def open_stream(
-        self, stride: Optional[int] = None, denoise: str = "auto", dtype=None
+        self, stride: Optional[int] = None, dtype=None
     ) -> StreamSession:
         """Open a chunked streaming session against the installed model.
 
@@ -185,7 +185,7 @@ class EdgeDevice:
         :meth:`~repro.core.engine.InferenceEngine.open_stream`.
         """
         self._require_ready()
-        return self.engine.open_stream(stride=stride, denoise=denoise, dtype=dtype)
+        return self.engine.open_stream(stride=stride, dtype=dtype)
 
     def infer_chunk(
         self, session: StreamSession, chunk: np.ndarray
@@ -218,11 +218,7 @@ class EdgeDevice:
         Runs through the engine's streaming fast path — one fused
         pass, no window cube — and matches window-by-window inference
         (``infer_window`` / ``infer_windows`` on the segmented recording)
-        exactly, including their *per-window* denoising.  Note this is the
-        device's window semantics, not :meth:`process_recording`'s
-        denoise-the-whole-recording-once semantics; for non-local
-        denoisers (Butterworth) the two differ marginally near window
-        boundaries.
+        exactly, including their *per-window* denoising.
         """
         self._require_ready()
         batch = self.infer_stream(recording.data)

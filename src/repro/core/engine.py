@@ -513,11 +513,9 @@ class InferenceEngine:
         At the default non-overlapping stride the verdicts are identical to
         ``infer_windows(sliding_windows(data, window_len))`` — distances to
         1e-9, labels/accepts exactly.  For overlapping strides the denoiser
-        runs once over the continuous signal (the
-        :meth:`~repro.preprocessing.pipeline.PreprocessingPipeline.process_recording`
-        semantics: shared samples are filtered once, with no per-window
-        filter edge artifacts), which for non-local denoisers differs
-        marginally from denoising each overlapping window in isolation.
+        runs once over the continuous signal (shared samples are filtered
+        once), which for non-local denoisers differs marginally from
+        denoising each overlapping window in isolation.
 
         ``dtype=np.float32`` selects the reduced-precision fast path:
         feature extraction, normalization, the embedder forward pass (via
@@ -541,10 +539,7 @@ class InferenceEngine:
         return self._run_model(features, dtype, timer)
 
     def open_stream(
-        self,
-        stride: Optional[int] = None,
-        denoise: str = "auto",
-        dtype=None,
+        self, stride: Optional[int] = None, dtype=None
     ) -> "StreamSession":
         """Open a chunked streaming-inference session.
 
@@ -564,9 +559,7 @@ class InferenceEngine:
         self._require_pipeline("stream raw chunks")
         return StreamSession(
             self,
-            self.pipeline.open_stream(
-                stride=stride, denoise=denoise, dtype=_feature_dtype(dtype)
-            ),
+            self.pipeline.open_stream(stride=stride, dtype=_feature_dtype(dtype)),
             dtype=dtype,
         )
 

@@ -5,9 +5,9 @@ denoising, segmentation, normalization and the statistical feature
 extractor.  :class:`PreprocessingPipeline` composes those stages behind four
 entry points:
 
-- :meth:`process_recording` — continuous raw recording -> feature matrix
-  (denoise once, then features at the pipeline's stride, then normalize),
-  the Edge's recording flow (learning and calibrating an activity);
+- :meth:`process_recording` — a recording -> :meth:`process_stream`'s
+  rows at the pipeline's stride, the Edge's recording flow (learning and
+  calibrating an activity), so the device learns from the rows it serves;
 - :meth:`process_windows` — already-segmented raw windows -> features:
   the Cloud campaign processing and pre-segmented inference;
 - :meth:`process_stream` — continuous raw samples -> feature matrix: no
@@ -27,8 +27,8 @@ and ``extract_read_columns(read, window_len, stride, dtype)`` over a
 signal cut to them.  Every entry point takes those columns *before*
 denoising, so no channel that no feature reads is ever filtered, and a
 stream's denoiser state holds those columns only.  Inputs are still
-validated (and chunks finiteness-checked) on the full 22-channel
-layout.  Denoisers act column-wise (the denoiser contract), so the
+validated (streams and chunks finiteness-checked) on the full
+22-channel layout.  Denoisers act column-wise (the denoiser contract), so the
 features are those of denoising every channel: the same bits, except
 that the Butterworth window operator's last bits may depend on how many
 columns it multiplies (within its 1e-9 contract).
@@ -151,9 +151,12 @@ class StreamState:
     in O(chunk) work per tick with no window lost at chunk boundaries and
     no buffered sample ever re-featurized.
 
+    A stream at the non-overlapping stride is *windowed*: it has no
+    ``denoiser_stream`` and denoises each window in isolation.
+
     ``chunk_invariant`` records that the feature stream is independent of
     how the recording was split into chunks, and is always ``True``:
-    windowed denoising denoises each window in isolation, bounded-context
+    windowed streams denoise each window in isolation, bounded-context
     denoisers stream through
     :class:`~repro.preprocessing.denoise.LocalDenoiserStream`, and the
     Butterworth low-pass streams through
@@ -170,13 +173,11 @@ class StreamState:
         self,
         window_len: int,
         stride: int,
-        denoise: str,
         denoiser_stream=None,
         dtype=None,
     ) -> None:
         self.window_len = int(window_len)
         self.stride = int(stride)
-        self.denoise = denoise
         self.denoiser_stream = denoiser_stream
         self.chunk_invariant = True
         self.dtype = dtype
@@ -470,67 +471,34 @@ class PreprocessingPipeline:
     # streams (both sides)
     # ------------------------------------------------------------------ #
 
-    def _resolve_stream_args(
-        self, stride: Optional[int], denoise: str
-    ) -> "tuple[int, str]":
-        """Shared stride/denoise-mode resolution of the stream entry points.
-
-        One implementation keeps :meth:`raw_stream_features` and
-        :meth:`open_stream` accepting exactly the same combinations.
-        """
+    def _resolve_stride(self, stride: Optional[int]) -> int:
+        """The stride of a stream entry point: the pipeline's by default."""
         stride = self.stride if stride is None else int(stride)
         if stride < 1:
             raise ConfigurationError(f"stride must be >= 1, got {stride}")
-        if denoise == "auto":
-            denoise = "windowed" if stride == self.window_len else "stream"
-        if denoise not in ("windowed", "stream"):
-            raise ConfigurationError(
-                f"denoise must be 'auto', 'windowed' or 'stream', "
-                f"got {denoise!r}"
-            )
-        if denoise == "windowed" and stride != self.window_len:
-            raise ConfigurationError(
-                "windowed denoising requires the non-overlapping stride "
-                f"(window_len={self.window_len}), got stride={stride}"
-            )
-        return stride, denoise
+        return stride
 
     def raw_stream_features(
-        self, data: np.ndarray, stride: Optional[int] = None,
-        denoise: str = "auto", dtype=None,
+        self, data: np.ndarray, stride: Optional[int] = None, dtype=None,
     ) -> np.ndarray:
         """Continuous ``(n, channels)`` samples -> *unnormalized* features.
 
-        The fast path: no window cube is materialized.  ``denoise``
-        picks where the denoiser runs:
-
-        - ``"windowed"`` — segment first (zero-copy view), denoise the
-          window batch, then stream features over it.  Exactly what
-          :meth:`process_windows` computes on ``sliding_windows(data)``;
-          only valid for the non-overlapping stride (overlapping windows
-          denoised independently are not a continuous signal).
-        - ``"stream"`` — denoise the continuous signal once, then stream
-          features at any stride.  Cheaper for overlapping strides (shared
-          samples are filtered once) and free of per-window filter edge
-          artifacts, but for non-local denoisers (Butterworth) the features
-          differ slightly from the per-window path.
-        - ``"auto"`` (default) — ``"windowed"`` when ``stride ==
-          window_len`` so the canonical per-window verdicts are reproduced
-          exactly, ``"stream"`` otherwise.
-
-        ``dtype=np.float32`` runs feature extraction in 32 bits (denoising
-        always stays ``float64``); the returned matrix is then ``float32``.
+        The fast path: no window cube is materialized.  At the
+        non-overlapping stride the windows go through :meth:`window_kernel`
+        (exactly :meth:`process_windows` on ``sliding_windows(data)``); a
+        smaller stride denoises the read columns once, continuously, then
+        extracts every window.  ``dtype=np.float32`` runs feature extraction
+        in 32 bits (denoising always stays ``float64``); the returned
+        matrix is then ``float32``.
         """
-        arr, stride, denoise, dtype = self._stream_input(
-            data, stride, denoise, dtype
-        )
-        if denoise == "windowed":
+        arr, stride, dtype = self._stream_input(data, stride, dtype)
+        if stride == self.window_len:
             return self.window_kernel(dtype).raw(self._cut_windows(arr))
         return self._span_features(arr, stride, dtype)
 
-    def _stream_input(self, data, stride, denoise: str, dtype):
+    def _stream_input(self, data, stride, dtype):
         """The checks of the whole-stream entry points: ``(arr, stride,
-        denoise, dtype)`` with ``arr`` a float64 ``(n, channels)`` array."""
+        dtype)`` with ``arr`` a finite float64 ``(n, channels)`` array."""
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise DataShapeError(
@@ -543,8 +511,15 @@ class PreprocessingPipeline:
             raise DataShapeError(
                 f"data must have {N_CHANNELS} channels, got {arr.shape[1]}"
             )
-        stride, denoise = self._resolve_stream_args(stride, denoise)
-        return arr, stride, denoise, resolve_feature_dtype(dtype)
+        # Refused here, as process_chunk refuses a chunk: a NaN sorts last
+        # and silently corrupts median/iqr/mad.
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise DataShapeError(
+                f"non-finite values in {int((~finite).sum())} of "
+                f"{finite.size} rows"
+            )
+        return arr, self._resolve_stride(stride), resolve_feature_dtype(dtype)
 
     def _cut_windows(self, data: np.ndarray) -> np.ndarray:
         """The complete non-overlapping windows of ``(n, channels)`` data,
@@ -588,8 +563,7 @@ class PreprocessingPipeline:
         return kernel
 
     def process_stream(
-        self, data: np.ndarray, stride: Optional[int] = None,
-        denoise: str = "auto", dtype=None,
+        self, data: np.ndarray, stride: Optional[int] = None, dtype=None,
     ) -> np.ndarray:
         """Continuous raw samples -> normalized features in one pass.
 
@@ -598,10 +572,8 @@ class PreprocessingPipeline:
         :meth:`raw_stream_features`).
         """
         self._require_fitted()
-        arr, stride, denoise, dtype = self._stream_input(
-            data, stride, denoise, dtype
-        )
-        if denoise == "windowed":
+        arr, stride, dtype = self._stream_input(data, stride, dtype)
+        if stride == self.window_len:
             return self.window_kernel(dtype)(self._cut_windows(arr))
         return self.normalizer.transform(
             self._span_features(arr, stride, dtype)
@@ -612,13 +584,12 @@ class PreprocessingPipeline:
     # ------------------------------------------------------------------ #
 
     def open_stream(
-        self, stride: Optional[int] = None, denoise: str = "auto",
-        dtype=None,
+        self, stride: Optional[int] = None, dtype=None
     ) -> StreamState:
         """Open a chunked stream: per-session state for :meth:`process_chunk`.
 
-        ``stride``/``denoise`` follow :meth:`raw_stream_features` — with
-        ``"auto"`` the non-overlapping stride denoises per window (exact
+        ``stride`` picks the path as in :meth:`raw_stream_features`: the
+        non-overlapping stride denoises per window (exact
         :meth:`process_windows` semantics at any chunking) and overlapping
         strides denoise the continuous signal through the denoiser's
         chunk-exact applicator (``make_stream``; every shipped denoiser
@@ -629,10 +600,10 @@ class PreprocessingPipeline:
         to chunk-dependent output.  ``dtype=np.float32`` is remembered on
         the state: every chunk's features extract and normalize in 32 bits.
         """
-        stride, denoise = self._resolve_stream_args(stride, denoise)
+        stride = self._resolve_stride(stride)
         dtype = resolve_feature_dtype(dtype)
-        if denoise == "windowed":
-            return StreamState(self.window_len, stride, denoise, dtype=dtype)
+        if stride == self.window_len:
+            return StreamState(self.window_len, stride, dtype=dtype)
         make_stream = getattr(self.denoiser, "make_stream", None)
         if make_stream is None:
             raise ConfigurationError(
@@ -646,7 +617,6 @@ class PreprocessingPipeline:
         return StreamState(
             self.window_len,
             stride,
-            denoise,
             denoiser_stream=make_stream(),
             dtype=dtype,
         )
@@ -735,14 +705,14 @@ class PreprocessingPipeline:
         the caller's chunk array is reused.  :meth:`window_kernel` turns
         them into feature rows; windows of several streams of one pipeline
         may be stacked into a single such call (what a fleet tick does).
-        Only windowed-denoise streams have raw windows to hand out.
+        Only windowed streams have raw windows to hand out.
 
         ``validated`` is :meth:`process_chunk`'s.
         """
-        if state.denoise != "windowed":
+        if state.denoiser_stream is not None:
             raise ConfigurationError(
-                "fold_chunk() serves windowed-denoise streams; a "
-                "stream-denoise session goes through process_chunk()"
+                "fold_chunk() serves windowed streams; an "
+                "overlapping-stride session goes through process_chunk()"
             )
         arr = self._check_chunk(state, chunk, validated)
         state.samples_in += arr.shape[0]
@@ -769,7 +739,7 @@ class PreprocessingPipeline:
         final: bool = False,
         validated: bool = False,
     ) -> np.ndarray:
-        """Stream-denoise mode: push the read columns through the
+        """An overlapping-stride stream: push the read columns through the
         denoiser, emit features."""
         arr = self._check_chunk(state, chunk, validated)
         state.samples_in += arr.shape[0]
@@ -803,7 +773,7 @@ class PreprocessingPipeline:
         the chunk is then not checked a second time.
         """
         self._require_fitted()
-        if state.denoise == "windowed":
+        if state.denoiser_stream is None:
             return self.window_kernel(state.dtype)(
                 self.fold_chunk(state, chunk, validated)
             )
@@ -827,7 +797,7 @@ class PreprocessingPipeline:
                 "stream is finished; open_stream() a new session"
             )
         empty = np.empty((0, N_CHANNELS))
-        if state.denoise == "windowed":
+        if state.denoiser_stream is None:
             features = self.process_chunk(state, empty)
         else:
             features = self.normalizer.transform(
@@ -837,19 +807,15 @@ class PreprocessingPipeline:
         return features
 
     def process_recording(self, recording: Recording) -> np.ndarray:
-        """Continuous recording -> normalized feature matrix.
+        """A recording -> :meth:`process_stream`'s rows of its samples.
 
-        The denoiser runs once over the continuous signal (cheaper and
-        avoids per-window edge artifacts), then features stream out of the
-        streaming extractor without materializing windows.
+        Learning and serving featurize alike: at the non-overlapping
+        stride these are :meth:`process_windows`'s rows of the segmented
+        recording, bit for bit.
         """
         if recording.n_samples < self.window_len:
             return np.empty((0, self.n_features))
-        self._require_fitted()
-        features = self.raw_stream_features(
-            recording.data, stride=self.stride, denoise="stream"
-        )
-        return self.normalizer.transform(features)
+        return self.process_stream(recording.data)
 
     # ------------------------------------------------------------------ #
     # serialization / footprint

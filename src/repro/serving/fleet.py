@@ -795,7 +795,7 @@ class FleetServer:
                     stride=stride_val, dtype=group.dtype
                 )
             state = session.stream.state
-            if state.denoise == "windowed":
+            if state.denoiser_stream is None:
                 stacked.append(
                     (
                         len(group.blocks),

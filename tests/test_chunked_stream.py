@@ -24,6 +24,7 @@ from repro.preprocessing import (
     MedianFilter,
     MovingAverageFilter,
     PreprocessingPipeline,
+    ZeroPhaseIIRStream,
     window_count,
 )
 from repro.serving import FleetServer
@@ -333,10 +334,17 @@ class TestPipelineChunking:
         pipeline = edge.pipeline
         with pytest.raises(ConfigurationError):
             pipeline.open_stream(stride=0)
-        with pytest.raises(ConfigurationError):
-            pipeline.open_stream(denoise="bogus")
-        with pytest.raises(ConfigurationError):
-            pipeline.open_stream(stride=30, denoise="windowed")
+
+    def test_stride_picks_the_path(self, edge):
+        """The non-overlapping stride is windowed (no denoiser stream, the
+        window kernel); a smaller one streams the continuous signal."""
+        pipeline = edge.pipeline
+        assert pipeline.open_stream().denoiser_stream is None
+        assert pipeline.open_stream(stride=120).denoiser_stream is None
+        hop = pipeline.open_stream(stride=30)
+        assert isinstance(hop.denoiser_stream, ZeroPhaseIIRStream)
+        with pytest.raises(ConfigurationError, match="process_chunk"):
+            pipeline.fold_chunk(hop, np.zeros((120, 22)))
 
     def test_unfitted_pipeline_rejects_chunks(self):
         pipeline = PreprocessingPipeline()

@@ -188,6 +188,15 @@ class TestRefusedRecordings:
         majority, _ = edge.infer_recording(recorder.record("walk", 4.0))
         assert majority == "walk"
 
+    @pytest.mark.parametrize("stride", [None, 30])
+    def test_infer_stream_refuses_a_non_finite_recording(
+        self, edge, recorder, stride
+    ):
+        data = recorder.record("walk", 4.0).data
+        data[100, 3] = np.nan
+        with pytest.raises(DataShapeError, match="non-finite values in 1 of 480 rows"):
+            edge.infer_stream(data, stride=stride)
+
     def test_non_finite_feature_rows_are_counted(self, edge, recorder):
         feats = edge.process_recording(recorder.record("gesture_hi", 10.0))
         feats[2, 5] = np.nan

@@ -4,9 +4,10 @@ The streaming entry point's contract: at the non-overlapping stride its
 verdicts are *identical* (distances to 1e-9, labels/accepts exactly) to
 ``segment_recording`` + ``infer_windows`` on the same recording; at
 overlapping strides it matches the continuous-denoise batch oracle
-(``process_recording`` semantics).  Plus the serving/accounting layers
-rewired through it: ``FleetServer.step_stream``, device accounting,
-``run_stream_protocol`` and the reduced-precision distance path.
+(the recording denoised once, then cut into windows).  Plus the
+serving/accounting layers rewired through it: ``FleetServer.step_stream``,
+device accounting, ``run_stream_protocol`` and the reduced-precision
+distance path.
 """
 
 import numpy as np

@@ -11,12 +11,16 @@
   the spectral block).
 - **The Cloud featurizes once.**  Pre-training computes the campaign's raw
   rows once; the normalizer is fitted on them and normalizes them.
+- **The device learns from the rows it serves.**  ``process_recording``
+  gives ``process_windows``'s rows of the segmented recording, bit for
+  bit, so an update fed a recording stores exactly those rows.
 """
 
 import numpy as np
 import pytest
 
 from reference_features import FeatureExtractor
+from test_core_edge import device_state, seeded_device
 from repro.core import CloudConfig, CloudInitializer
 from repro.exceptions import DataShapeError
 from repro.nn import SiameseTrainer, TrainConfig
@@ -119,6 +123,25 @@ def test_infer_windows_is_infer_stream(edge, recording):
     assert np.array_equal(windowed.labels, streamed.labels)
     assert np.array_equal(windowed.confidences, streamed.confidences)
     assert np.array_equal(windowed.distances, streamed.distances)
+
+
+def test_process_recording_is_process_windows(edge, recorder):
+    rec = recorder.record("gesture_hi", 20.0)
+    assert np.array_equal(
+        edge.pipeline.process_recording(rec),
+        edge.pipeline.process_windows(sliding_windows(rec.data, W, W)),
+    )
+
+
+def test_learning_a_recording_stores_the_served_rows(scenario, recorder):
+    rec = recorder.record("gesture_hi", 20.0)
+    from_recording = seeded_device(scenario)
+    from_recording.learn_activity("gesture_hi", rec)
+    from_rows = seeded_device(scenario)
+    rows = from_rows.pipeline.process_windows(sliding_windows(rec.data, W, W))
+    from_rows.learn_activity("gesture_hi", rows)
+    assert "gesture_hi" in from_recording.classes
+    assert device_state(from_recording) == device_state(from_rows)
 
 
 def _reference_spectral_rows(spectral, denoised):

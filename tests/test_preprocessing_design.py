@@ -572,8 +572,8 @@ def test_ticks_filter_only_the_read_channels(
 ):
     """An edge tick, a fleet tick with a windowed and a stride-30 session,
     and ``process_recording`` filter the read columns only: the windowed
-    ones through the window operator, the continuous ones through
-    ``lfilter``."""
+    ones (``process_recording`` at the default stride among them) through
+    the window operator, the stride-30 session through ``lfilter``."""
     config = CONFIGS[name]
     operator_inputs, contiguous = _operator_inputs(monkeypatch)
     pipeline = PreprocessingPipeline(feature_config=config)
@@ -587,16 +587,18 @@ def test_ticks_filter_only_the_read_channels(
     session = engine.open_stream()
     assert len(engine.infer_chunk(session, recording[:W])) == 1
     _mixed_fleet_tick(engine, recording)
+    stride_30_filters = len(widths)
     pipeline.process_recording(SensorDevice(rng=2502).record("walk", 4.0))
+    assert len(widths) == stride_30_filters > 0
     # 15 for the default config (test_default_config_reads_15_of_22_channels)
     read = len(pipeline.streaming_extractor.read_channels)
     assert read < N_CHANNELS  # every config leaves some channel unread
-    # windowed batches: the fit's, the edge tick's and the fleet's
-    # windowed session's
-    assert len(operator_inputs) == 3
+    # windowed batches: the fit's, the edge tick's, the fleet's windowed
+    # session's and process_recording's
+    assert len(operator_inputs) == 4
     assert {shape[1:] for shape in operator_inputs} == {(W, read)}
     # gathered C-contiguous: BLAS's contiguous path, not a strided stack
-    assert contiguous == [True] * 3
+    assert contiguous == [True] * 4
     # 2-D: a continuous or chunked signal
     assert {ndim for ndim, _ in widths} == {2}
     assert {channels for _, channels in widths} == {read}

@@ -1,13 +1,16 @@
-"""Check a cold start: serving at stride = window imports no scipy submodule.
+"""Check a cold start: serving and learning at stride = window import no
+scipy submodule.
 
     PYTHONPATH=src python tools/cold_start.py [PACKAGE.npz]
 
 In this fresh interpreter the script imports ``repro.serving`` (and prints
 how long that took), registers ``PACKAGE.npz`` lazily in a
 ``ModelRegistry``, serves one windowed ``EdgeDevice.infer_chunk`` and one
-windowed ``FleetServer.step_stream`` tick, and checks that neither
-``scipy.signal`` nor ``scipy.ndimage`` has been imported: the Butterworth
-design and its window operator are numpy's.  It then serves a stride-30
+windowed ``FleetServer.step_stream`` tick, then has the device learn a new
+activity and calibrate a known one from ``Recording``s, and checks that
+neither ``scipy.signal`` nor ``scipy.ndimage`` has been imported: the
+Butterworth design and its window operator are numpy's, and an update
+featurizes its recording as serving does.  It then serves a stride-30
 stream, which runs ``lfilter``, and checks that ``scipy.signal`` is
 imported now and that the streamed verdicts match ``infer_stream``'s.
 
@@ -51,7 +54,8 @@ def check_cold_start(package_path: str) -> None:
 
     registry = repro.serving.ModelRegistry(default_cohort="cold")
     registry.register_lazy("cold", package_path)
-    data = SensorDevice(rng=7).record("walk", 6.0).data
+    sensor = SensorDevice(rng=7)
+    data = sensor.record("walk", 6.0).data
 
     edge = EdgeDevice(rng=0)
     edge.install(registry.package_for("cold"))
@@ -63,9 +67,15 @@ def check_cold_start(package_path: str) -> None:
     _check(
         [len(tick[sid]) for sid in "ab"] == [2, 2], "no windowed fleet tick"
     )
+    edge.learn_activity("gesture_hi", sensor.record("gesture_hi", 20.0))
+    edge.calibrate_activity("walk", sensor.record("walk", 20.0))
+    _check("gesture_hi" in edge.classes, "the learned activity is not served")
     loaded = [name for name in UNUSED if name in sys.modules]
-    _check(not loaded, f"serving at stride = window imported {loaded}")
-    print("windowed edge chunk and fleet tick: no scipy.signal, no scipy.ndimage")
+    _check(not loaded, f"serving or learning at stride = window imported {loaded}")
+    print(
+        "windowed edge chunk, fleet tick, learn and calibrate: "
+        "no scipy.signal, no scipy.ndimage"
+    )
 
     session = edge.open_stream(stride=30)
     streamed = [edge.infer_chunk(session, data), edge.finish_stream(session)]
