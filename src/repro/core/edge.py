@@ -59,7 +59,8 @@ class EdgeDevice:
     ) -> None:
         self.guard = guard if guard is not None else PrivacyGuard(enforce=True)
         self.accountant = accountant
-        self._learner = IncrementalLearner(incremental_config, rng=ensure_rng(rng))
+        self._rng = ensure_rng(rng)
+        self._learner = IncrementalLearner(incremental_config, rng=self._rng)
         self.pipeline = None
         self.embedder = None
         self.support_set = None
@@ -80,8 +81,11 @@ class EdgeDevice:
         permitted by Definition 1).  The device takes ownership of
         ``package``: its pipeline, embedder and support set become the
         device's, and :meth:`learn_activity` / :meth:`calibrate_activity`
-        change them in place.  Install ``package.copy()`` to keep the
-        original as it is (``ModelRegistry.package_for`` hands out copies).
+        change them in place.  The support set's selection draws come
+        from the device's ``rng``, so the same seed, package and
+        recordings store the same bytes.  Install ``package.copy()`` to
+        keep the original as it is (``ModelRegistry.package_for`` hands
+        out copies).
         """
         n_bytes = package.serialized_bytes()
         download_ms = link.transfer_ms(n_bytes) if link is not None else 0.0
@@ -95,6 +99,9 @@ class EdgeDevice:
         self.pipeline = package.pipeline
         self.embedder = package.embedder
         self.support_set = package.support_set
+        # Its selection draws follow the device's seed; a spawned child
+        # leaves the learner's stream where it was.
+        self.support_set.rng = self._rng.spawn(1)[0]
         self._rebuild_classifier()
         self._install_ms = download_ms
         return download_ms

@@ -87,7 +87,7 @@ class SupportSet:
             )
         self.capacity_per_class = int(capacity_per_class)
         self.selection = selection
-        self._rng = ensure_rng(rng)
+        self.rng = ensure_rng(rng)
         self._store: Dict[str, np.ndarray] = {}
         self._order: List[str] = []
         self._n_features: Optional[int] = None
@@ -156,7 +156,7 @@ class SupportSet:
                 embedder.embed(features), self.capacity_per_class
             )
             return features[idx]
-        idx = self._rng.choice(n, size=self.capacity_per_class, replace=False)
+        idx = self.rng.choice(n, size=self.capacity_per_class, replace=False)
         return features[np.sort(idx)]
 
     def _validate_features(self, features: np.ndarray) -> np.ndarray:
@@ -295,7 +295,7 @@ class SupportSet:
         twin = SupportSet(
             capacity_per_class=self.capacity_per_class,
             selection=self.selection,
-            rng=self._rng,
+            rng=self.rng,
         )
         for name in self._order:
             twin.add_class(name, self._store[name])

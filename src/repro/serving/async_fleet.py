@@ -2,14 +2,14 @@
 
 :class:`AsyncFleetServer` is the synchronous
 :class:`~repro.serving.fleet.FleetServer` behind an ``await``: every entry
-point runs the same tick core — *plan* (validate, group by model,
-featurize), *run* (one batched engine call per group, inline in
-:meth:`~repro.serving.fleet.FleetServer._run_groups`), *fold* (smoothers,
-counters) — on the event loop's own thread.  A tick never suspends
-between plan and fold, so two ticks are never in flight at once: chunks
-of one session are served in call order, a session cannot be
-disconnected under its own tick, and a caller that gathers several ticks
-gets them served one after another.
+point runs the same tick core — *plan* (check, group by model),
+*featurize*, *run* (one batched engine call per group, inline) and *fold*
+(smoothers, counters; both in
+:meth:`~repro.serving.fleet.FleetServer._serve`) — on the event loop's
+own thread.  A tick never suspends between plan and fold, so two ticks
+are never in flight at once: chunks of one session are served in call
+order, a session cannot be disconnected under its own tick, and a caller
+that gathers several ticks gets them served one after another.
 
 Running the engine calls on the loop is a measured choice, not a
 shortcut.  A tick's featurization already ran on the loop, and the
@@ -59,9 +59,9 @@ class AsyncFleetServer(FleetServer):
     Session management (``connect``/``disconnect``/``session``), counters
     and ``summary()``/``cohort_summary()`` are inherited; :meth:`step`,
     :meth:`step_stream` and :meth:`finish_stream` become coroutines over
-    the synchronous server's own plan → run → fold, so verdicts (to 1e-9
-    at any stride/chunking), failure isolation and tick accounting match
-    it exactly.  The inherited ``stream_tick`` (the tick core, reporting
+    the synchronous server's own plan → featurize → run → fold, so
+    verdicts (to 1e-9 at any stride/chunking), failure isolation and tick
+    accounting match it exactly.  The inherited ``stream_tick`` (the tick core, reporting
     failures per session) stays a plain call: it never suspends, and the
     gateway's flusher calls it on the loop.
 

@@ -12,7 +12,8 @@ grouped by the engine serving each cohort, while the windows of cohorts
 whose pipelines are configured alike are featurized in one stacked pass.
 
 The same class serves the in-process API and the TCP gateway
-(:class:`~repro.serving.gateway.GatewayServer`), which calls
+(:class:`~repro.serving.gateway.GatewayServer`), which checks each chunk
+with :meth:`FleetServer.check_chunk` on arrival and calls
 :meth:`FleetServer.stream_tick` once per flush.
 """
 
@@ -38,42 +39,18 @@ from .registry import DEFAULT_COHORT, ModelRegistry
 __all__ = ["EdgeSession", "FleetServer", "SessionVerdict"]
 
 
-class _WindowTickGroup:
-    """One distinct model's share of a windowed ``step`` tick."""
-
-    __slots__ = ("engine", "ids", "arrays", "failure")
-
-    def __init__(self, engine: InferenceEngine) -> None:
-        self.engine = engine
-        self.ids: List[str] = []
-        self.arrays: List[np.ndarray] = []
-        self.failure: Optional[Exception] = None  # its model call raised
-
-    def run(self) -> BatchInference:
-        """The group's one batched engine call, featurization included."""
-        return self.engine.infer_windows(np.stack(self.arrays, axis=0))
-
-
-class _StreamTickGroup:
-    """One distinct model's share of a ``step_stream`` tick.
+class _TickGroup:
+    """One distinct model's share of a tick, in one compute dtype.
 
     Collects the sessions served by one engine this tick (with their
-    validated chunks and resolved strides) through the validation pass,
-    then their featurized blocks, so the inference pass can issue one
-    batched call per group.  ``failure`` is the exception that lost the
+    checked chunks or windows and, for a chunk tick, their resolved
+    strides), then their featurized blocks, so the run issues one
+    batched call per group.  A ``step`` group has no strides: its
+    sessions open no stream.  ``failure`` is the exception that lost the
     group its windows this tick (featurize or model call), if any.
     """
 
-    __slots__ = (
-        "engine",
-        "dtype",
-        "ids",
-        "arrays",
-        "strides",
-        "n_channels",
-        "blocks",
-        "failure",
-    )
+    __slots__ = ("engine", "dtype", "ids", "arrays", "strides", "blocks", "failure")
 
     def __init__(self, engine: InferenceEngine, dtype=None) -> None:
         self.engine = engine
@@ -81,7 +58,6 @@ class _StreamTickGroup:
         self.ids: List[str] = []
         self.arrays: List[np.ndarray] = []
         self.strides: List[int] = []
-        self.n_channels: Optional[int] = None  # locked by the first chunk
         self.blocks: List[np.ndarray] = []  # per-session feature rows
         self.failure: Optional[Exception] = None
 
@@ -112,10 +88,10 @@ def _isolated(groups, step: Callable, *args):
         return None
 
 
-def _first_failure(groups) -> Optional[Exception]:
-    return next(
-        (group.failure for group in groups if group.failure is not None), None
-    )
+def _window_slots(group: _TickGroup) -> "List[Tuple[int, np.ndarray]]":
+    """A ``step`` group's windows: one single-window block per session."""
+    group.blocks = [None] * len(group.arrays)
+    return [(slot, window[None]) for slot, window in enumerate(group.arrays)]
 
 
 @dataclass(frozen=True)
@@ -206,18 +182,20 @@ class FleetServer:
     cohorts at :meth:`connect` time and a mixed-cohort tick issues exactly
     one batched call per distinct engine — cohorts published with the same
     engine object share a batch, while distinct engines get a call each
-    even when their packages share a backbone.  A chunk tick groups its
+    even when their packages share a backbone.  A tick groups its
     sessions by ``(engine, dtype)`` for the model calls, but featurizes
     across those groups: one stacked denoise + statistics pass per
     preprocessing configuration and dtype, so cohorts loaded from one
     package share it, and each group normalizes its own rows.
 
-    Every entry point is one tick core: *plan* (validate, group by model,
-    featurize), *run* (each group's ``run()``, inline here in
-    :meth:`_run_groups`), *fold* (smoothers, counters, then the first
-    failure re-raised — or, from :meth:`stream_tick`, reported per
-    session).  A failing featurize pass or model call loses only the
-    groups it served.
+    Every entry point plans its own groups — :meth:`step` checks its
+    windows, :meth:`stream_tick` groups chunks :meth:`check_chunk`
+    already checked, :meth:`finish_stream` flushes one stream — then
+    shares one tick core: the featurize pass, *run* (each group's
+    ``run()``, inline) and *fold* (smoothers, counters; both in
+    :meth:`_serve`), then the first failure re-raised — or, from
+    :meth:`stream_tick`, reported per session.  A failing featurize
+    pass or model call loses only the groups it served.
     """
 
     def __init__(
@@ -352,74 +330,28 @@ class FleetServer:
         ``windows_by_session`` maps connected session ids to raw 2-D
         windows; sessions absent from the mapping simply skip this tick.
         Sessions are grouped by the engine currently serving their cohort
-        and every group is classified in a single fused engine call, so a
-        mixed-cohort tick costs one forward pass per distinct model — not
-        one per session.  Each window must be its cohort's
+        and every group is classified in a single batched engine call, so
+        a mixed-cohort tick costs one forward pass per distinct model —
+        not one per session — while the windows of cohorts whose
+        pipelines are configured alike share one stacked featurize pass,
+        as in :meth:`step_stream`.  Each window must be its cohort's
         ``(window_len, channels)`` (cohorts may legitimately differ, e.g.
         different window lengths per device class).  All windows are
-        validated before any engine runs.  Returns the per-session
-        verdicts in input order.
+        validated before any engine runs.  A windowed tick is float64,
+        opens no stream and leaves open ones untouched.  Returns the
+        per-session verdicts in input order.
 
-        Failure isolation and tick accounting mirror :meth:`step_stream`
-        exactly: if a model raises, the other models' batched calls still
-        complete and their verdicts fold into their sessions before the
-        first failure is re-raised, and ``ticks``/``serve_ms``/
-        ``windows_served`` only move when at least one model's call
-        succeeded — a tick on which *every* model failed leaves all
-        serving counters untouched.
+        Failure isolation and tick accounting are :meth:`step_stream`'s,
+        from the same fold: if a featurize pass or a model raises, the
+        other models' batched calls still complete and their verdicts
+        fold into their sessions before the first failure is re-raised,
+        and ``ticks``/``serve_ms``/``windows_served`` only move when at
+        least one model's call succeeded — a tick on which *every* model
+        failed leaves all serving counters untouched.
         """
         if not windows_by_session:
             return {}
-        groups = list(self._group_windows(windows_by_session).values())
-        results = self._run_groups(groups)
-        return self._demux_window_results(windows_by_session, groups, results)
-
-    def _run_groups(self, groups) -> "List[Tuple[object, BatchInference]]":
-        """Run each group's batched call inline; collect ``(group, batch)``.
-
-        A failing call must not discard the other models' verdicts: it is
-        kept on its group (``group.failure``), and the fold folds the
-        healthy groups before the failure is reported or re-raised.
-        """
-        results = []
-        for group in groups:
-            batch = _isolated((group,), group.run)
-            if batch is not None:
-                results.append((group, batch))
-        return results
-
-    def _finish_tick(
-        self,
-        results: "List[Tuple[object, BatchInference]]",
-        failed: bool,
-        extra_ms: float,
-        tick: bool = True,
-    ) -> None:
-        """The accounting every fold ends with.
-
-        Each successful call's latency is charged.  The tick counts (a
-        flush passes ``tick=False``) and ``extra_ms`` — the plan's
-        featurize wall-clock — is charged unless every call failed, so a
-        tick on which every group failed leaves all counters untouched.
-        """
-        for _, batch in results:
-            self.serve_ms += batch.latency_ms
-        if results or not failed:
-            if tick:
-                self.ticks += 1
-            self.serve_ms += extra_ms
-
-    def _group_windows(
-        self, windows_by_session: Mapping[str, np.ndarray]
-    ) -> Dict[int, _WindowTickGroup]:
-        """Validate a windowed tick and group it by serving engine.
-
-        Nothing mutates: unknown sessions/cohorts, shape mismatches and
-        non-finite samples raise before any engine runs.  Keyed by engine
-        identity; insertion order preserves the first-seen order of
-        models within the tick.
-        """
-        groups: Dict[int, _WindowTickGroup] = {}
+        groups: Dict[Tuple[int, Optional[str]], _TickGroup] = {}
         for session_id, window in windows_by_session.items():
             session = self.session(session_id)  # raises for unknown ids
             engine = self._serving_engine(session)  # raises unknown cohorts
@@ -432,83 +364,66 @@ class FleetServer:
                     f"is not cohort {session.cohort!r}'s (samples, channels) "
                     f"{shape}"
                 )
-            group = groups.setdefault(id(engine), _WindowTickGroup(engine))
             if not np.isfinite(arr).all():
                 raise DataShapeError(
                     f"session {session.session_id!r} window holds non-finite "
                     f"samples (NaN or inf)"
                 )
+            group = groups.setdefault((id(engine), None), _TickGroup(engine))
             group.ids.append(session.session_id)
             group.arrays.append(arr)
-        return groups
+        with Timer() as timer:
+            self._featurize_groups(groups, _window_slots)
+        verdicts, failures = self._serve(
+            windows_by_session, groups.values(), timer.elapsed_ms
+        )
+        if failures:
+            raise next(iter(failures.values()))
+        return {sid: served[0] for sid, served in verdicts.items()}
 
-    def _demux_window_results(
-        self,
-        windows_by_session: Mapping[str, np.ndarray],
-        groups: "List[_WindowTickGroup]",
-        results: "List[Tuple[_WindowTickGroup, BatchInference]]",
-    ) -> Dict[str, SessionVerdict]:
-        """Fold windowed batches into sessions/counters; re-raise failures."""
-        verdicts: Dict[str, SessionVerdict] = {}
-        for group, batch in results:
-            for session_id, name, confidence, accepted in zip(
-                group.ids,
-                batch.names,
-                batch.confidences.tolist(),
-                batch.accepted.tolist(),
-            ):
-                session = self.sessions[session_id]
-                verdicts[session_id] = session.observe(
-                    name, confidence, accepted
-                )
-                self._charge_windows(session.cohort, 1, int(not accepted))
-        failure = _first_failure(groups)
-        self._finish_tick(results, failure is not None, 0.0)
-        if failure is not None:
-            raise failure
-        return {str(sid): verdicts[str(sid)] for sid in windows_by_session}
+    def _route(
+        self, session_id: str, stride
+    ) -> "Tuple[EdgeSession, InferenceEngine, int, object]":
+        """``(session, engine, stride, dtype)`` a chunk tick serves with.
 
-    def _stream_engine(self, session: EdgeSession) -> InferenceEngine:
-        """The engine a chunk tick serves this session from.
-
-        A session with an open stream stays *pinned* to the engine that
-        opened it (so a registry hot-swap mid-stream cannot change the
-        model under a half-filled window buffer); otherwise the cohort is
-        resolved through the registry, picking up the latest published
-        package.
+        A session with an open stream stays *pinned* to the engine, stride
+        and dtype that opened it (so a registry hot-swap mid-stream cannot
+        change the model under a half-filled window buffer, and a mutated
+        ``session.dtype`` waits for the next stream); otherwise the cohort
+        is resolved through the registry, picking up the latest published
+        package.  Raises for an unknown session or cohort, an engine with
+        no pipeline and a stride switch mid-stream.
         """
-        if session.stream is not None:
-            engine = session.stream.engine
-            if engine.pipeline is None:
-                raise ConfigurationError(
-                    f"cohort {session.cohort!r} engine has no pipeline "
-                    f"(raw windows/chunks in)"
-                )
-            return engine
-        return self._serving_engine(session)
-
-    def _resolve_stride(self, session: EdgeSession, stride, pipeline) -> int:
-        """Per-session stride: pinned > explicit (int or cohort map) > pipeline."""
-        if session.stream is not None:
-            locked = session.stream.stride
-        else:
-            locked = None
-        default = pipeline.stride if locked is None else locked
-        if stride is None:
-            value = default
-        elif isinstance(stride, Mapping):
-            # A cohort absent from the map keeps its open stream's stride
-            # (continuing, like stride=None) rather than erroring it out.
-            value = int(stride.get(session.cohort, default))
-        else:
-            value = int(stride)
-        if locked is not None and locked != value:
+        session = self.session(session_id)  # raises for unknown ids
+        stream = session.stream
+        if stream is None:
+            engine = self._serving_engine(session)  # raises unknown cohorts
+            value = self._resolve_stride(session, stride, engine.pipeline.stride)
+            return session, engine, value, session.dtype
+        if stream.engine.pipeline is None:
+            raise ConfigurationError(
+                f"cohort {session.cohort!r} engine has no pipeline "
+                f"(raw windows/chunks in)"
+            )
+        value = self._resolve_stride(session, stride, stream.stride)
+        if value != stream.stride:
             raise ConfigurationError(
                 f"session {session.session_id!r} streams at stride "
-                f"{locked}, cannot switch to {value} mid-stream "
+                f"{stream.stride}, cannot switch to {value} mid-stream "
                 f"(reset() the session to restart)"
             )
-        return value
+        return session, stream.engine, value, stream.dtype
+
+    @staticmethod
+    def _resolve_stride(session: EdgeSession, stride, default: int) -> int:
+        """Per-session stride: explicit (int or cohort map) > ``default``."""
+        if stride is None:
+            return default
+        if isinstance(stride, Mapping):
+            # A cohort absent from the map keeps its default (an open
+            # stream's stride: continuing, like stride=None).
+            return int(stride.get(session.cohort, default))
+        return int(stride)
 
     def step_stream(
         self,
@@ -552,22 +467,26 @@ class FleetServer:
         (no complete window yet — the buffer keeps filling and the pending
         tail is classified by a later tick, or flushed by
         :meth:`finish_stream` when the recording ends).  Sessions absent
-        from the mapping skip the tick; their buffers are untouched.  All
-        chunks are validated up front (shape, channel count against both
-        the model's batch this tick and the session's earlier chunks)
-        before any session's stream state advances, and the serving
-        counters (``ticks``/``serve_ms``/``windows_served``) only move for
-        groups whose batched call succeeds.  If a group fails mid-tick —
-        its featurize pass or its model raises — the other groups'
-        verdicts are still folded into their sessions (their stream
-        buffers were already consumed; dropping them would desynchronize
-        smoother and stream state) and the first failure is re-raised
-        afterwards — the failing group's windows for this tick are lost,
-        so callers should ``finish_stream``/``reset`` its sessions before
-        continuing.  :meth:`stream_tick` is this method without the
-        re-raise.
+        from the mapping skip the tick; their buffers are untouched.
+
+        ``step_stream`` is :meth:`check_chunk` on every chunk, so a bad
+        chunk refuses the whole tick before any session's stream state
+        advances, then :meth:`stream_tick`, then the re-raise.  The
+        serving counters (``ticks``/``serve_ms``/``windows_served``) only
+        move for groups whose batched call succeeds.  If a group fails
+        mid-tick — its featurize pass or its model raises — the other
+        groups' verdicts are still folded into their sessions (their
+        stream buffers were already consumed; dropping them would
+        desynchronize smoother and stream state) and the first failure is
+        re-raised afterwards — the failing group's windows for this tick
+        are lost, so callers should ``finish_stream``/``reset`` its
+        sessions before continuing.
         """
-        verdicts, failures = self.stream_tick(chunks_by_session, stride)
+        checked = {
+            session_id: self.check_chunk(session_id, chunk, stride)
+            for session_id, chunk in chunks_by_session.items()
+        }
+        verdicts, failures = self.stream_tick(checked, stride)
         if failures:
             raise next(iter(failures.values()))
         return verdicts
@@ -577,55 +496,35 @@ class FleetServer:
         chunks_by_session: Mapping[str, np.ndarray],
         stride: "Optional[Union[int, Mapping[str, int]]]" = None,
     ) -> "Tuple[Dict[str, List[SessionVerdict]], Dict[str, Exception]]":
-        """The stream tick core: plan, run, fold; ``(verdicts, failures)``.
+        """The chunk tick core: plan, featurize, run, fold.
 
-        :meth:`step_stream` is this core plus its re-raise.  ``verdicts``
-        is what ``step_stream`` returns; ``failures`` maps each session of
-        a group that failed this tick to that group's exception, in group
-        order, so a front end serving many clients in one tick can answer
-        each with its own verdicts or its own group's failure.  A chunk
-        that fails validation still refuses the whole tick by raising,
-        before any stream moves.
+        ``chunks_by_session`` holds chunks :meth:`check_chunk` returned,
+        and they are not checked again: the tick only resolves each
+        session's engine, stride and dtype to group it.  Sessions are
+        grouped by serving engine identity and compute dtype (a float32
+        session cannot share a batched call with float64 sessions of the
+        same engine).  Returns ``(verdicts, failures)``: ``verdicts`` is
+        what :meth:`step_stream` returns; ``failures`` maps each session
+        of a group that failed this tick to that group's exception, in
+        group order, so a front end serving many clients in one tick can
+        answer each with its own verdicts or its own group's failure.  A
+        group whose chunks completed no window makes no call.
         """
         if not chunks_by_session:
             return {}, {}
-        groups, featurize_ms = self._plan_stream_tick(chunks_by_session, stride)
-        results = self._run_groups(
-            [
-                group for group in groups
-                if group.failure is None and sum(group.counts)
-            ]
-        )
-        failures = {
-            session_id: group.failure
-            for group in groups
-            if group.failure is not None
-            for session_id in group.ids
-        }
-        verdicts = self._demux_stream_results(
-            chunks_by_session, results, bool(failures), featurize_ms
-        )
-        return verdicts, failures
-
-    def _plan_stream_tick(
-        self,
-        chunks_by_session: Mapping[str, np.ndarray],
-        stride: "Optional[Union[int, Mapping[str, int]]]" = None,
-    ) -> "Tuple[List[_StreamTickGroup], float]":
-        """Validate and featurize a stream tick: its groups + featurize ms.
-
-        Nothing mutates until every chunk is checked.  Sessions are
-        grouped by serving engine identity and compute dtype (a float32
-        session cannot share a batched call with float64 sessions of the
-        same engine).  A group whose featurize pass failed carries its
-        ``failure``; one whose chunks completed no window makes no call.
-        """
-        groups: Dict[Tuple[int, Optional[str]], _StreamTickGroup] = {}
-        for session_id, chunk in chunks_by_session.items():
-            self._check_stream_chunk(session_id, chunk, stride, groups)
+        groups: Dict[Tuple[int, Optional[str]], _TickGroup] = {}
+        for session_id, arr in chunks_by_session.items():
+            session, engine, stride_val, dtype = self._route(session_id, stride)
+            dtype_key = None if dtype is None else np.dtype(dtype).name
+            group = groups.setdefault(
+                (id(engine), dtype_key), _TickGroup(engine, dtype=dtype)
+            )
+            group.ids.append(session.session_id)
+            group.arrays.append(arr)
+            group.strides.append(stride_val)
         with Timer() as timer:
             self._featurize_stream_groups(groups)
-        return list(groups.values()), timer.elapsed_ms
+        return self._serve(chunks_by_session, groups.values(), timer.elapsed_ms)
 
     def check_chunk(
         self,
@@ -633,60 +532,26 @@ class FleetServer:
         chunk: np.ndarray,
         stride: "Optional[Union[int, Mapping[str, int]]]" = None,
     ) -> np.ndarray:
-        """Check one session's chunk on its own, as :meth:`step_stream` would.
+        """Check one session's chunk: the only check a chunk tick makes.
 
-        Raises what a tick holding this chunk would raise for it — an
+        Raises what a tick holding this chunk would be refused for — an
         unknown session or cohort, a stride switch mid-stream, a chunk
         that is not 2-D, has the wrong channel count for its cohort or
         its open stream, or holds non-finite samples — and returns the
-        chunk as float64.  Nothing moves.  A front end that parks chunks
-        for a shared tick calls this on arrival, so a bad chunk is
-        answered alone and never costs the sessions it would have
-        shared the tick with their chunks.
+        chunk as float64, what :meth:`stream_tick` takes.  Nothing moves.
+        :meth:`step_stream` calls it on every chunk before its tick; a
+        front end that parks chunks for a shared tick calls it on
+        arrival, so a bad chunk is answered alone and never costs the
+        sessions it would have shared the tick with their chunks.
         """
-        return self._check_stream_chunk(session_id, chunk, stride)
-
-    def _check_stream_chunk(
-        self,
-        session_id: str,
-        chunk: np.ndarray,
-        stride,
-        groups: "Optional[Dict[Tuple[int, Optional[str]], _StreamTickGroup]]" = None,
-    ) -> np.ndarray:
-        """Every check of one session's chunk; with ``groups`` (a tick's
-        validation pass) the chunk also joins its group, after the check
-        against the group's channel count."""
-        session = self.session(session_id)  # raises for unknown ids
-        engine = self._stream_engine(session)  # pinned or registry
-        pipeline = engine.pipeline
-        stride_val = self._resolve_stride(session, stride, pipeline)
-        # An open stream keeps the dtype it was opened with even if the
-        # session attribute were mutated mid-stream.
-        dtype_val = (
-            session.stream.dtype if session.stream is not None else session.dtype
-        )
+        session, engine, _, _ = self._route(session_id, stride)
         arr = np.asarray(chunk, dtype=np.float64)
         if arr.ndim != 2:
             raise DataShapeError(
                 f"session {session.session_id!r} chunk must be 2-D "
                 f"(samples, channels), got {arr.shape}"
             )
-        group = None
-        if groups is not None:
-            dtype_key = None if dtype_val is None else np.dtype(dtype_val).name
-            group = groups.setdefault(
-                (id(engine), dtype_key),
-                _StreamTickGroup(engine, dtype=dtype_val),
-            )
-            if group.n_channels is None:
-                group.n_channels = int(arr.shape[1])
-            elif arr.shape[1] != group.n_channels:
-                raise DataShapeError(
-                    f"session {session.session_id!r} chunk has "
-                    f"{arr.shape[1]} channels, differs from the batch's "
-                    f"{group.n_channels} (session {group.ids[0]!r})"
-                )
-        expected = pipeline.expected_channels
+        expected = engine.pipeline.expected_channels
         if arr.shape[1] != expected:
             raise DataShapeError(
                 f"session {session.session_id!r} chunk has "
@@ -706,44 +571,53 @@ class FleetServer:
                 f"session {session.session_id!r} chunk holds non-finite "
                 f"samples (NaN or inf)"
             )
-        if group is not None:
-            group.ids.append(session.session_id)
-            group.arrays.append(arr)
-            group.strides.append(stride_val)
         return arr
 
     def _featurize_stream_groups(
-        self, groups: "Dict[Tuple[int, Optional[str]], _StreamTickGroup]"
+        self, groups: "Dict[Tuple[int, Optional[str]], _TickGroup]"
     ) -> None:
-        """Featurize pass: fold chunks into each session's carry-over.
+        """A chunk tick's featurize pass: fold chunks into each session's
+        carry-over (:meth:`_fold_group`), then :meth:`_featurize_groups`.
 
         Opens a :class:`StreamSession` (pinning the group's engine) for
-        sessions without one, consumes every chunk into its stream state
-        and fills each group's per-session feature blocks.  Carry-over is
-        per session (the chunks were checked by the validation pass, so
-        the pipeline does not check them again); overlapping-stride
-        sessions denoise their continuous signal and keep their own
-        ``process_chunk``.  The windows that windowed-denoise sessions
-        completed are featurized across groups: the windows of every
-        group whose window kernel has the same configuration key
-        (denoiser and extractor configuration, window length, dtype —
-        every cohort loaded from one package shares one) are stacked
-        into *one* ``raw`` call of the pipeline's window kernel; each
-        group then normalizes its own share with its own normalizer and
-        splits it back by count — the two halves ``process_chunk``
-        composes, row-wise both, so a session's rows do not depend on
-        who shared its tick.
+        sessions without one and consumes every chunk into its stream
+        state.  Carry-over is per session (the chunks were checked by
+        :meth:`check_chunk`, so the pipeline does not check them again);
+        overlapping-stride sessions denoise their continuous signal and
+        keep their own ``process_chunk``, while the windows that
+        windowed-denoise sessions completed join the stacked pass.  From
+        here on the tick's completed windows only exist in the blocks —
+        which is why a failing group must not discard the other groups'
+        blocks (see :meth:`stream_tick`).
+        """
+        self._featurize_groups(groups, self._fold_group)
+
+    def _featurize_groups(
+        self,
+        groups: "Dict[Tuple[int, Optional[str]], _TickGroup]",
+        windows_of: "Callable[[_TickGroup], List[Tuple[int, np.ndarray]]]",
+    ) -> None:
+        """Fill every group's feature blocks: the featurize pass of a tick.
+
+        ``windows_of(group)`` fills what it can of ``group.blocks`` and
+        returns ``(block slot, windows)`` for the rest.  Those windows are
+        featurized across groups: the windows of every group whose window
+        kernel has the same configuration key (denoiser and extractor
+        configuration, window length, dtype — every cohort loaded from
+        one package shares one) are stacked into *one* ``raw`` call of
+        the pipeline's window kernel; each group then normalizes its own
+        share with its own normalizer and splits it back by count — the
+        two halves ``process_chunk`` composes, row-wise both, so a
+        session's rows do not depend on who shared its tick.
 
         Failures are isolated per group and kept on it
-        (``group.failure``): a fold or normalizer that raises fails its
-        own group, a shared ``raw`` call that raises fails exactly the
-        groups that shared it.  From here on the tick's completed windows
-        only exist in the blocks — which is why a failing group must not
-        discard the other groups' blocks (see :meth:`stream_tick`).
+        (``group.failure``): a ``windows_of`` or normalizer that raises
+        fails its own group, a shared ``raw`` call that raises fails
+        exactly the groups that shared it.
         """
         shares: Dict[str, list] = {}
         for group in groups.values():
-            stacked = _isolated((group,), self._fold_group, group)
+            stacked = _isolated((group,), windows_of, group)
             if stacked:
                 kernel = group.engine.pipeline.window_kernel(
                     _feature_dtype(group.dtype)
@@ -776,9 +650,7 @@ class FleetServer:
                     group.blocks[slot] = features[start : start + windows.shape[0]]
                     start += windows.shape[0]
 
-    def _fold_group(
-        self, group: _StreamTickGroup
-    ) -> "List[Tuple[int, np.ndarray]]":
+    def _fold_group(self, group: _TickGroup) -> "List[Tuple[int, np.ndarray]]":
         """Fold a group's chunks into its sessions' streams.
 
         Stream-denoise sessions get their feature block here; returns
@@ -809,32 +681,51 @@ class FleetServer:
                 )
         return stacked
 
-    def _demux_stream_results(
+    def _serve(
         self,
         session_ids,
-        results: "List[Tuple[_StreamTickGroup, BatchInference]]",
-        failed: bool,
+        groups,
         featurize_ms: float,
         tick: bool = True,
-    ) -> Dict[str, List[SessionVerdict]]:
-        """Fold a stream tick's batches into sessions and counters.
+    ) -> "Tuple[Dict[str, List[SessionVerdict]], Dict[str, Exception]]":
+        """Run and fold featurized groups: ``(verdicts, failures)``.
 
-        Serving stats move only for groups whose batched call succeeded,
-        so a failure mid-tick cannot leave the counters claiming service
-        that never happened.  A failed group's windows for this tick are
-        lost with its exception — callers should
-        ``finish_stream()``/``reset()`` its sessions — while healthy
-        sessions' observed verdicts stay consistent with their stream
-        state (visible via ``EdgeSession.last_verdict`` even when
-        ``step_stream``'s re-raise loses the tick's return value).
-        Featurization is part of serving — charged to ``serve_ms`` so the summary throughput
-        stays comparable with :meth:`step`'s fused timing; a tick whose
-        chunks completed no window still counts, charged that time alone.
+        Each group with feature rows makes its one batched call, inline;
+        a failing call is kept on its group, so it cannot discard the
+        other models' verdicts.  The fold then moves serving stats only
+        for groups whose call succeeded, so a failure mid-tick cannot
+        leave the counters claiming service that never happened.  A
+        failed group's windows for this tick are lost with its exception
+        — callers should ``finish_stream()``/``reset()`` its sessions —
+        while healthy sessions' observed verdicts stay consistent with
+        their stream state (visible via ``EdgeSession.last_verdict`` even
+        when a re-raise loses the tick's return value).  A stream group
+        credits its sessions' ``windows_inferred``; a ``step`` group
+        (no strides) has no stream to credit.
+
+        Featurization is part of serving: ``featurize_ms`` is charged to
+        ``serve_ms`` and the tick counts (a flush passes ``tick=False``)
+        unless every call failed, so a tick whose chunks completed no
+        window still counts, charged that time alone, and a tick on which
+        every group failed leaves all counters untouched.
         """
+        results = []
+        for group in groups:
+            if group.failure is None and sum(group.counts):
+                batch = _isolated((group,), group.run)
+                if batch is not None:
+                    results.append((group, batch))
+        failures = {
+            session_id: group.failure
+            for group in groups
+            if group.failure is not None
+            for session_id in group.ids
+        }
         verdicts: Dict[str, List[SessionVerdict]] = {
             str(sid): [] for sid in session_ids
         }
         for group, batch in results:
+            self.serve_ms += batch.latency_ms
             # Python scalars, read once per batch rather than per window.
             names = batch.names
             confidences = batch.confidences.tolist()
@@ -842,7 +733,8 @@ class FleetServer:
             offset = 0
             for session_id, count in zip(group.ids, group.counts):
                 session = self.sessions[session_id]
-                session.stream.windows_inferred += count
+                if group.strides:
+                    session.stream.windows_inferred += count
                 rejected = 0
                 for i in range(offset, offset + count):
                     verdicts[session_id].append(
@@ -851,8 +743,11 @@ class FleetServer:
                     rejected += not accepted[i]
                 self._charge_windows(session.cohort, count, rejected)
                 offset += count
-        self._finish_tick(results, failed, featurize_ms, tick=tick)
-        return verdicts
+        if results or not failures:
+            if tick:
+                self.ticks += 1
+            self.serve_ms += featurize_ms
+        return verdicts, failures
 
     def finish_stream(self, session_id: str) -> List[SessionVerdict]:
         """Flush and close one session's chunk stream at end of recording.
@@ -861,53 +756,39 @@ class FleetServer:
         known (bounded-lookahead continuous denoisers hold back their last
         samples until then) and folds them through the session's smoother;
         the incomplete tail window is dropped, exactly like one monolithic
-        ``infer_stream`` call.  The session stays connected and keeps its
-        smoother state — the next :meth:`step_stream` chunk starts a fresh
-        stream.  A session with no open stream returns an empty list.
+        ``infer_stream`` call.  The flush is featurized from the *pinned*
+        stream, so a hot-swapped cohort still closes its held-back windows
+        against the model that buffered them, and it is folded like a
+        stream tick that is not counted as one.  The stream is closed
+        whether or not its featurize pass or model call succeeded (a
+        failure is re-raised after); the session stays connected and
+        keeps its smoother state — the next :meth:`step_stream` chunk
+        starts a fresh stream.  A session with no open stream returns an
+        empty list.
         """
         session = self.session(session_id)
-        groups, featurize_ms = self._plan_flush(session)
-        results = self._run_groups(groups)
-        return self._demux_flush(session, groups, results, featurize_ms)
-
-    def _plan_flush(
-        self, session: EdgeSession
-    ) -> "Tuple[List[_StreamTickGroup], float]":
-        """Featurize a session's held-back windows: the group to run + ms.
-
-        Featurized from the *pinned* stream, so a hot-swapped cohort still
-        closes its held-back windows against the model that buffered them.
-        """
         stream = session.stream
         if stream is None:
-            return [], 0.0
-        group = _StreamTickGroup(stream.engine, dtype=stream.dtype)
+            return []
+        group = _TickGroup(stream.engine, dtype=stream.dtype)
         group.ids.append(session.session_id)
-        with Timer() as timer:
-            features = stream.engine.pipeline.finish_stream(stream.state)
-        group.blocks.append(features)
-        return ([group] if group.counts[0] else []), timer.elapsed_ms
-
-    def _demux_flush(
-        self,
-        session: EdgeSession,
-        groups: "List[_StreamTickGroup]",
-        results: "List[Tuple[_StreamTickGroup, BatchInference]]",
-        featurize_ms: float,
-    ) -> List[SessionVerdict]:
-        """Fold a flush like a stream tick that is not counted as one, then
-        close the session's stream whether or not its call succeeded."""
+        group.strides.append(stream.stride)
         try:
-            failure = _first_failure(groups)
-            verdicts = self._demux_stream_results(
-                [session.session_id], results, failure is not None,
-                featurize_ms, tick=False,
-            )[session.session_id]
-            if failure is not None:
-                raise failure
-            return verdicts
+            with Timer() as timer:
+                group.blocks.append(
+                    _isolated(
+                        (group,), stream.engine.pipeline.finish_stream,
+                        stream.state,
+                    )
+                )
+            verdicts, failures = self._serve(
+                [session.session_id], [group], timer.elapsed_ms, tick=False
+            )
         finally:
             session.stream = None
+        if failures:
+            raise failures[session.session_id]
+        return verdicts[session.session_id]
 
     def summary(self) -> Dict[str, float]:
         """Fleet-level serving statistics."""

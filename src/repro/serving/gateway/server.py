@@ -44,10 +44,13 @@ Three design points carry the production semantics:
   (:meth:`~repro.serving.FleetServer.check_chunk`): a non-finite, 1-D or
   wrong-width chunk gets its own non-fatal ``ERROR`` frame and never
   enters a flush, so the sessions it would have shared a tick with keep
-  their chunks and verdicts.  A cohort whose model (or featurize pass)
-  raises mid-tick costs only the clients of the groups it served their
+  their chunks and verdicts.  That check is the only one: the flush's
+  tick serves the checked chunks as they are.  A cohort whose model (or
+  featurize pass) raises mid-tick costs only the clients of the groups
+  it served their
   verdicts: each gets its group's typed ``ERROR`` frame, and every other
-  client of the flush gets its ``VERDICT``.
+  client of the flush gets its ``VERDICT``.  A ``FINISH`` whose flush
+  raises gets a non-fatal ``ERROR`` frame too, and its stream is closed.
   Frame-level garbage gets a typed ``ERROR`` frame (code ``PROTOCOL``)
   and the decoder resynchronizes — corruption on one connection never
   poisons another.
@@ -437,10 +440,8 @@ class GatewayServer:
         self._wake.set()
         try:
             verdicts = await waiter
-        except MagnetoError as exc:
+        except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a model blowing up mid-tick must surface as a structured error frame (INTERNAL when untyped) on this one session, not tear down the whole gateway
             reply = error_frame(error_code_for(exc), str(exc), seq=frame.seq)
-        except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a model blowing up mid-tick must surface as a structured INTERNAL error frame on this one session, not tear down the whole gateway
-            reply = error_frame("INTERNAL", str(exc), seq=frame.seq)
         else:
             reply = verdict_frame(frame.seq, verdicts)
         await self._reply(writer, state, reply)
@@ -458,7 +459,7 @@ class GatewayServer:
             return False
         try:
             verdicts = self._fleet.finish_stream(state.session_id)
-        except MagnetoError as exc:
+        except Exception as exc:  # reprolint: disable=broad-except — failure isolation: a flush whose model or featurize pass raises is answered with a non-fatal error frame (INTERNAL when untyped); the stream is closed and the connection stays open
             await self._send(
                 writer,
                 state,

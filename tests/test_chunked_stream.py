@@ -574,6 +574,30 @@ class TestFleetStepStream:
         assert server.session("a").stream is None  # closed; next tick restarts
         assert server.finish_stream("a") == []  # no open stream -> no-op
 
+    def test_a_failed_flush_still_closes_the_stream(
+        self, edge, scenario, monkeypatch
+    ):
+        """A flush whose normalizer raises re-raises, closes the stream
+        all the same, and the session's next chunk opens a fresh one."""
+        engine = _engine_with_denoiser(edge, MovingAverageFilter(5))
+        server = FleetServer(engine)
+        server.connect("a")
+        data = scenario.sensor_device.record("walk", 4.0).data
+        server.step_stream({"a": data}, stride=30)
+
+        def boom(rows):
+            raise RuntimeError("normalizer fell over")
+
+        monkeypatch.setattr(engine.pipeline.normalizer, "transform", boom)
+        with pytest.raises(RuntimeError, match="normalizer fell over"):
+            server.finish_stream("a")
+        assert server.session("a").stream is None
+        monkeypatch.undo()
+        got = server.step_stream({"a": data}, stride=30)["a"]
+        ref = engine.infer_stream(data, stride=30)
+        assert [v.activity for v in got] == ref.names[: len(got)]
+        assert len(got) > 0
+
     def test_chunk_validation_before_any_state_advances(self, edge, recording):
         server = FleetServer(edge.engine)
         server.connect_many(["a", "b"])
@@ -587,7 +611,7 @@ class TestFleetStepStream:
     def test_cross_session_channel_consistency(self, edge, recording):
         server = FleetServer(edge.engine)
         server.connect_many(["a", "b"])
-        with pytest.raises(DataShapeError, match="differs from the batch"):
+        with pytest.raises(DataShapeError, match="session 'b'"):
             server.step_stream(
                 {"a": recording.data[:100], "b": np.zeros((100, 21))}
             )

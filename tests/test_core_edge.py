@@ -20,6 +20,8 @@ from repro.exceptions import (
     ResourceExceededError,
 )
 from repro.nn import TrainConfig
+from repro.sensors import SensorDevice
+from repro.serving import ModelRegistry
 
 
 class TestInstallation:
@@ -310,3 +312,58 @@ class TestFootprint:
     def test_footprint_well_under_paper_budget(self, edge):
         # Test-scale model; the full-size check lives in the benchmark.
         assert edge.footprint_bytes() < 5 * 1024 * 1024
+
+
+def _stored_bytes(edge):
+    """The support set and prototypes a device stores, as bytes."""
+    arrays = edge.support_set.to_arrays()
+    return (
+        b"".join(key.encode() + arrays[key].tobytes() for key in sorted(arrays)),
+        edge.ncm.prototypes_.tobytes(),
+    )
+
+
+class TestReproducibleSupportSet:
+    """Same package, same seed, same recording: same stored bytes."""
+
+    @pytest.fixture(scope="class")
+    def learned(self, scenario, tmp_path_factory):
+        """``(route, seed) -> stored bytes`` after one learn of a recording
+        longer than the support set keeps."""
+        path = tmp_path_factory.mktemp("package") / "package.npz"
+        scenario.package.save(path)
+        registry = ModelRegistry()
+        registry.publish("c", scenario.package.copy())
+        routes = {
+            "saved": lambda: TransferPackage.load(path),
+            "copy": scenario.package.copy,
+            "package_for": lambda: registry.package_for("c"),
+        }
+        recording = SensorDevice(user=scenario.edge_user, rng=2031).record(
+            "gesture_hi", 30.0
+        )
+        config = IncrementalConfig(
+            train=TrainConfig(epochs=1, batch_pairs=16, lr=3e-4, distill_weight=2.0)
+        )
+        stored = {}
+        for route, package in routes.items():
+            for seed in (3, 3, 4):
+                edge = EdgeDevice(incremental_config=config, rng=seed)
+                edge.install(package())
+                assert recording.data.shape[0] // 120 > (
+                    edge.support_set.capacity_per_class
+                )
+                edge.learn_activity("gesture_hi", recording)
+                stored.setdefault((route, seed), []).append(_stored_bytes(edge))
+        return stored
+
+    @pytest.mark.parametrize("route", ["saved", "copy", "package_for"])
+    def test_same_seed_stores_the_same_bytes(self, learned, route):
+        first, second = learned[(route, 3)]
+        assert first == second
+
+    @pytest.mark.parametrize("route", ["saved", "copy", "package_for"])
+    def test_another_seed_stores_other_bytes(self, learned, route):
+        support, _ = learned[(route, 3)][0]
+        other, _ = learned[(route, 4)][0]
+        assert support != other

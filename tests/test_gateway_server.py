@@ -28,6 +28,7 @@ from repro.exceptions import (
 )
 from repro.sensors import SensorDevice
 from repro.serving import FleetServer, ModelRegistry
+from repro.serving import fleet as fleet_module
 from repro.serving.gateway import (
     BinaryFrameCodec,
     Frame,
@@ -322,7 +323,79 @@ class TestOneTickAtATime:
             )
 
 
+class TestCheckedOnce:
+    def test_a_gateway_round_checks_each_chunk_once(
+        self, registry, scenario, monkeypatch
+    ):
+        """Every CHUNK is checked on arrival, and its flush serves it as
+        checked: one finiteness check per CHUNK frame, not two."""
+        checks = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def isfinite(array):
+                checks.append(array.shape)
+                return np.isfinite(array)
+
+        monkeypatch.setattr(fleet_module, "np", CountingNumpy())
+        data = scenario.sensor_device.record("walk", 3.0).data
+        chunk_list = [data[i * WINDOW : (i + 1) * WINDOW] for i in range(3)]
+        cohorts = {"a1": "a", "a2": "a", "b1": "b"}
+
+        async def body():
+            async with GatewayServer(registry, batch_window_s=0.05) as gateway:
+
+                async def client(sid):
+                    async with GatewayClient(gateway.host, gateway.port) as cli:
+                        await cli.connect(sid, cohort=cohorts[sid])
+                        for chunk in chunk_list:
+                            await cli.send_chunk(chunk)
+                        await cli.finish()
+
+                await asyncio.gather(*(client(sid) for sid in cohorts))
+                return gateway.summary()
+
+        summary = drive(body())
+        assert summary["windows_served"] == len(cohorts) * len(chunk_list)
+        assert checks == [(WINDOW, 22)] * (len(cohorts) * len(chunk_list))
+
+
 class TestTypedErrorsOverTheWire:
+    def test_a_failing_finish_gets_a_non_fatal_internal_error(
+        self, registry, engines, scenario, monkeypatch
+    ):
+        """A FINISH whose flush raises an untyped error is answered with a
+        non-fatal ``INTERNAL`` ERROR frame; the stream is closed, so the
+        connection's next CHUNK opens a fresh one."""
+        engine_a, _ = engines
+        data = scenario.sensor_device.record("walk", 4.0).data
+        original = engine_a.infer_features
+
+        def boom(features, dtype=None):
+            raise RuntimeError("model fell over")
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                async with GatewayClient(gateway.host, gateway.port) as cli:
+                    await cli.connect("dev", cohort="a", stride=30)
+                    await cli.send_chunk(data)
+                    monkeypatch.setattr(engine_a, "infer_features", boom)
+                    with pytest.raises(MagnetoError) as raised:
+                        await cli.finish()
+                    monkeypatch.setattr(engine_a, "infer_features", original)
+                    again = await cli.send_chunk(data)
+                    return raised.value, again
+
+        error, again = drive(body())
+        assert type(error) is MagnetoError  # INTERNAL: an untyped failure
+        assert "model fell over" in str(error)
+        ref = engine_a.infer_stream(data, stride=30)
+        assert [v.activity for v in again] == ref.names[: len(again)]
+        assert len(again) > 0
+
     def test_a_failing_cohort_costs_only_its_own_clients(
         self, registry, engines, scenario, monkeypatch
     ):

@@ -404,19 +404,6 @@ def _serving_state(server):
     )
 
 
-class _FeaturizeFails:
-    """A pipeline whose windowed featurize raises; all else delegates."""
-
-    def __init__(self, pipeline):
-        self._pipeline = pipeline
-
-    def __getattr__(self, name):
-        return getattr(self._pipeline, name)
-
-    def process_windows(self, windows):
-        raise RuntimeError("featurize fell over")
-
-
 class _NormalizerFails:
     """A fitted normalizer whose ``fail_on``-th row transform raises."""
 
@@ -460,9 +447,9 @@ class TestOneTickCore:
     ):
         engine_a, engine_b = engines
         window = scenario.sensor_device.record("walk", 1.0).data[:WINDOW]
-        monkeypatch.setattr(
-            engine_b, "pipeline", _FeaturizeFails(engine_b.pipeline)
-        )
+        pipeline_b = copy.deepcopy(engine_b.pipeline)  # b's alone
+        pipeline_b.normalizer = _NormalizerFails(pipeline_b.normalizer, 1)
+        monkeypatch.setattr(engine_b, "pipeline", pipeline_b)
 
         async def body(server):
             server.connect("a1", cohort="a")
@@ -651,8 +638,8 @@ class TestBackboneFusionAsync:
             (engine_y, "infer_features", None),
         ])
         assert Counter(submitted) == Counter([
-            (engine_x, "infer_windows", None),
-            (engine_y, "infer_windows", None),
+            (engine_x, "infer_features", None),
+            (engine_y, "infer_features", None),
         ])
         for sid in ("sx", "sy"):
             assert [v.activity for v in got[sid]] == refs[sid].names
@@ -698,7 +685,7 @@ class TestBackboneFusionAsync:
         streamed, windowed, rollups = drive(run())
         assert submitted == [
             (engine_x, "infer_features", None),
-            (engine_x, "infer_windows", None),
+            (engine_x, "infer_features", None),
         ]
         assert len(streamed["sx"]) == len(streamed["sz"]) == 2
         assert windowed["sx"].activity == windowed["sz"].activity
@@ -796,12 +783,7 @@ class TestBackboneFusionAsync:
             async with AsyncFleetServer(shared_registry) as server:
                 server.connect("sx", cohort="x")
                 server.connect("sy", cohort="y")
-                monkeypatch.setattr(
-                    engine_y,
-                    "infer_features" if entry == "step_stream"
-                    else "infer_windows",
-                    boom,
-                )
+                monkeypatch.setattr(engine_y, "infer_features", boom)
                 with pytest.raises(RuntimeError, match="fell over"):
                     await getattr(server, entry)(tick)
                 assert server.ticks == 1

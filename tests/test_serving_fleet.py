@@ -197,7 +197,7 @@ class TestTickAccountingConsistency:
         def boom(windows):
             raise RuntimeError("model fell over")
 
-        monkeypatch.setattr(engine_b, "infer_windows", boom)
+        monkeypatch.setattr(engine_b, "infer_features", boom)
         with pytest.raises(RuntimeError, match="fell over"):
             server.step({"a1": window, "b1": window})
         a1 = server.session("a1")
@@ -220,8 +220,8 @@ class TestTickAccountingConsistency:
         def boom(windows):
             raise RuntimeError("model fell over")
 
-        monkeypatch.setattr(engine_a, "infer_windows", boom)
-        monkeypatch.setattr(engine_b, "infer_windows", boom)
+        monkeypatch.setattr(engine_a, "infer_features", boom)
+        monkeypatch.setattr(engine_b, "infer_features", boom)
         with pytest.raises(RuntimeError):
             server.step({"a1": window, "b1": window})
         assert server.ticks == 0
@@ -391,13 +391,13 @@ class TestBackboneFusion:
                 "sy": engine_y.infer_windows(window[None, :, :])}
         calls = {"x": 0, "y": 0}
         for engine, key in ((engine_x, "x"), (engine_y, "y")):
-            original = engine.infer_windows
+            original = engine.infer_features
 
-            def counted(windows, _original=original, _key=key):
+            def counted(features, _original=original, _key=key):
                 calls[_key] += 1
-                return _original(windows)
+                return _original(features)
 
-            monkeypatch.setattr(engine, "infer_windows", counted)
+            monkeypatch.setattr(engine, "infer_features", counted)
         server = FleetServer(shared_registry)
         server.connect("sx", cohort="x")
         server.connect("sy", cohort="y")
@@ -477,13 +477,13 @@ class TestBackboneFusion:
         registry.publish("x", engine_x)
         registry.publish("z", engine_x)  # same engine object, two cohorts
         calls = []
-        original = engine_x.infer_windows
+        original = engine_x.infer_features
 
-        def counted(windows):
-            calls.append(windows.shape[0])
-            return original(windows)
+        def counted(features):
+            calls.append(features.shape[0])
+            return original(features)
 
-        monkeypatch.setattr(engine_x, "infer_windows", counted)
+        monkeypatch.setattr(engine_x, "infer_features", counted)
         server = FleetServer(registry)
         server.connect("sx", cohort="x")
         server.connect("sz", cohort="z")
@@ -591,7 +591,7 @@ class TestBackboneFusion:
         def boom(windows):
             raise RuntimeError("model fell over")
 
-        monkeypatch.setattr(engine_y, "infer_windows", boom)
+        monkeypatch.setattr(engine_y, "infer_features", boom)
         server = FleetServer(shared_registry)
         server.connect("sx", cohort="x")
         server.connect("sy", cohort="y")

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core import InferenceEngine
 from repro.exceptions import ConfigurationError, DataShapeError
+from repro.preprocessing.pipeline import _WindowKernel
 from repro.preprocessing import (
     ButterworthLowpass,
     CombinedFeatureExtractor,
@@ -575,6 +576,32 @@ class TestCrossCohortShare:
             state = pipeline.open_stream(dtype=server.session(cohort).dtype)
             want = pipeline.process_chunk(state, chunks[cohort])
             assert np.array_equal(served_rows[cohort][0], want)
+
+    def test_step_over_cohorts_makes_one_raw_call(
+        self, package_path, walk, monkeypatch
+    ):
+        """``step`` shares the chunk tick's stacked pass: one ``raw`` call
+        for the windows of distinct engines configured alike, and every
+        cohort's verdict is bit for bit its engine's ``infer_windows``."""
+        registry = _package_registry(package_path)
+        engines = {cohort: registry.engine_for(cohort) for cohort in COHORTS}
+        assert len({id(engine) for engine in engines.values()}) == 3
+        windows = {cohort: walk[i][W : 2 * W] for i, cohort in enumerate(COHORTS)}
+        want = {
+            cohort: engines[cohort].infer_windows(windows[cohort][None])
+            for cohort in COHORTS
+        }
+        server = FleetServer(registry)
+        for cohort in COHORTS:
+            server.connect(cohort, cohort=cohort)
+        calls = _spy_calls(monkeypatch, _WindowKernel, "raw")
+        got = server.step(windows)
+        assert calls == [3]  # one stacked call, not one per engine
+        for cohort in COHORTS:
+            assert got[cohort].activity == want[cohort].names[0]
+            assert got[cohort].accepted == bool(want[cohort].accepted[0])
+            assert got[cohort].confidence == float(want[cohort].confidences[0])
+            assert server.session(cohort).stream is None
 
     def test_combined_extractors_share_too(
         self, edge, walk, served_rows, monkeypatch
