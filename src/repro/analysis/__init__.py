@@ -1,6 +1,6 @@
 """``repro.analysis`` — reprolint, the repo's AST-based invariant checker.
 
-Mechanizes ROADMAP.md's standing contracts as seven project-specific
+Mechanizes ROADMAP.md's standing contracts as eight project-specific
 static checks (see each module's docstring for the full rule rationale):
 
 - :mod:`~repro.analysis.entry_points` — inference routes through
@@ -17,6 +17,8 @@ static checks (see each module's docstring for the full rule rationale):
   numpy ``design_lfilter`` loop) at construction, never per call,
 - :mod:`~repro.analysis.lazy_imports` — no module-scope import of a
   ``scipy`` submodule in the library,
+- :mod:`~repro.analysis.seeded_draws` — the device and serving layers
+  make no generator from a missing seed,
 - :mod:`~repro.analysis.bench_manifest` — benchmarks, baselines and the
   CI gate manifest agree.
 
@@ -47,6 +49,7 @@ from .design_hoist import PerCallDesignChecker
 from .entry_points import EntryPointChecker
 from .exception_taxonomy import ExceptionTaxonomyChecker
 from .lazy_imports import LazyScipyChecker
+from .seeded_draws import UnseededDrawChecker
 
 #: The default per-file checker battery, in reporting order.
 DEFAULT_CHECKERS = (
@@ -56,6 +59,7 @@ DEFAULT_CHECKERS = (
     AsyncHygieneChecker,
     PerCallDesignChecker,
     LazyScipyChecker,
+    UnseededDrawChecker,
 )
 
 #: Repo-layout checkers (run once per lint, not per file).
@@ -76,6 +80,7 @@ __all__ = [
     "Pragma",
     "RepoChecker",
     "SourceFile",
+    "UnseededDrawChecker",
     "Violation",
     "format_json",
     "format_text",

@@ -127,8 +127,8 @@ class EdgeDevice:
         else:
             # The device keeps ONE engine for its lifetime so external
             # holders (a FleetServer serving this device's model) observe
-            # incremental updates; rebinding the fresh NCM invalidates the
-            # engine's prototype-norm cache via the identity check.
+            # incremental updates; rebinding the fresh NCM makes the
+            # engine rebuild its model kernels on their next call.
             self.engine.embedder = self.embedder
             self.engine.pipeline = self.pipeline
             self.engine.classifier = self.ncm
@@ -216,8 +216,7 @@ class EdgeDevice:
     def infer_features(self, features: np.ndarray) -> np.ndarray:
         """Classify pre-processed feature rows; returns integer labels."""
         self._require_ready()
-        arr = check_2d("features", features)
-        return self.engine.predict_features(arr)
+        return self.engine.predict_features(features)
 
     def infer_recording(self, recording: Recording) -> Tuple[str, List[str]]:
         """Classify every window of a recording; majority-vote the verdict.

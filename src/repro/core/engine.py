@@ -9,21 +9,23 @@ plumbing.  :class:`InferenceEngine` is the single shared implementation:
             -> open-set rejection -> (optional per-session smoothing)
 
 fused into one vectorized pass over ``(k, window_len, channels)`` arrays.
-Distances use the Gram trick ``d^2 = |x|^2 - 2 x.p + |p|^2`` with the
-prototype squared-norms cached; the cache is keyed on the prototype array's
-identity, so it invalidates automatically whenever the classifier is
-re-fitted after a support-set rebuild.
+Distances use the Gram trick ``d^2 = |x|^2 - 2 x.p + |p|^2``.
 
 Inputs are checked once, where they enter.  A chunk is checked by the
 pipeline's ``process_chunk`` (or, in a fleet tick, by the server before
 any stream moves); from there the pipeline's window kernel and the
 engine's model kernel (embed -> Gram distances -> verdicts) run the
-stages back to back, each trusting what the previous one produced.  The
-kernels hold what depends only on configuration — the embed step (the
-network's ``infer`` or its float32 replica's), normalizer casts, the
-consistency of feature, input and embedding widths — and are rebuilt when an object they were built from is
-replaced; learned arrays (weights, prototypes, thresholds) are read on
-every call, so in-place training is seen at once.
+stages back to back, each trusting what the previous one produced.
+
+The engine keeps one model kernel per precision, ``None`` (float64) or
+``np.float32`` (:func:`~repro.preprocessing.pipeline.resolve_feature_dtype`;
+any other dtype raises).  It holds the served prototypes with their
+squared norms, the embed step and the feature check, and is rebuilt when
+an object it was built from is replaced: the prototype array (a re-fit
+assigns a fresh one), pipeline, embedder, classifier, network, and the
+weight arrays a float32 replica was cast from.  The float64 kernel reads
+the weights on every call, so in-place training is seen at once; other
+in-place changes need :meth:`InferenceEngine.refresh`.
 
 Multi-device serving on top of the engine is
 :class:`~repro.serving.fleet.FleetServer`.
@@ -39,22 +41,10 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, DataShapeError, NotFittedError
 from ..nn.compress import quantize_tensor
+from ..preprocessing.pipeline import resolve_feature_dtype
 from ..utils import Timer, check_2d
 from .ncm import NCMClassifier, softmax_of_distances
 from .openset import UNKNOWN_LABEL, UNKNOWN_NAME, OpenSetNCM, accept_rows
-
-
-def _feature_dtype(dtype):
-    """Map an engine compute dtype to the pipeline feature dtype.
-
-    Only ``float32`` engages the reduced-precision *feature* path (window
-    statistics, normalization, embedding all in 32 bits); every other dtype keeps
-    float64 features and only changes the distance-matrix dtype, which
-    preserves the historical distance-only semantics of e.g. ``float16``.
-    """
-    if dtype is not None and np.dtype(dtype) == np.float32:
-        return np.float32
-    return None
 
 
 def _gram_distances(
@@ -82,6 +72,19 @@ def _weight_arrays(network) -> Tuple[np.ndarray, ...]:
 
 def _same_arrays(a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]) -> bool:
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _float32_replica(network):
+    """A clone of ``network`` with every weight array cast to float32, so
+    the reduced-precision forward pass runs in 32 bits end to end."""
+    replica = network.clone()
+    for param in replica.parameters():
+        param.data = param.data.astype(np.float32)
+    for layer in getattr(replica, "layers", ()):
+        if hasattr(layer, "running_mean"):
+            layer.running_mean = layer.running_mean.astype(np.float32)
+            layer.running_var = layer.running_var.astype(np.float32)
+    return replica
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,32 +149,39 @@ class BatchInference:
 
 
 class _ModelKernel:
-    """An engine's features -> embeddings pass for one compute dtype.
+    """An engine's features -> distances pass in one precision.
 
-    Built by :meth:`InferenceEngine._model_kernel` from the engine's
-    pipeline, embedder, classifier and served prototype matrix, and
-    rebuilt when any of them is replaced.  Building it checks that they
-    fit together — the pipeline's feature count against the embedder's
-    input width, the embedding width against the prototypes' — so a
-    misconfigured engine raises :class:`~repro.exceptions.DataShapeError`
-    at its first call and no per-call check is needed.  ``embed`` is the
-    network's own inference pass (its float32 replica on the reduced
-    path), or the embedder's checked ``embed`` for embedders without a
-    network; ``check_features`` is the input check of
-    :meth:`InferenceEngine.infer_features`.
+    Built by :meth:`InferenceEngine._model_kernel` for ``dtype`` ``None``
+    (float64) or ``np.float32``.  It owns the served prototypes
+    (``protos``: dequantized under ``quantize_prototypes``, cast to its
+    precision) with their squared norms (``proto_sq``), the embed step
+    and ``check_features``, the input check of
+    :meth:`InferenceEngine.infer_features`.  ``embed`` is the network's
+    own inference pass (a float32 replica of the network on the float32
+    path), or the embedder's ``embed`` with its output checked on every
+    call for embedders without such a network.  Building it checks that
+    the engine's parts fit together — the pipeline's feature count
+    against the embedder's input width, the embedding width against the
+    prototypes' — so a misconfigured engine raises
+    :class:`~repro.exceptions.DataShapeError` at its first call and no
+    per-call check is needed.  :meth:`serves` decides when it is rebuilt.
     """
 
     __slots__ = (
-        "pipeline", "embedder", "network", "classifier", "protos", "embed",
-        "check_features",
+        "pipeline", "embedder", "network", "classifier", "source", "weights",
+        "protos", "proto_sq", "embed", "check_features",
     )
 
-    def __init__(self, engine: "InferenceEngine", dtype, protos: np.ndarray):
+    def __init__(self, engine: "InferenceEngine", dtype) -> None:
         self.pipeline = engine.pipeline
         self.embedder = embedder = engine.embedder
         self.network = network = getattr(embedder, "network", None)
         self.classifier = engine.classifier
-        self.protos = protos
+        self.source = base = engine.ncm.prototypes_
+        if engine.quantize_prototypes:
+            base = quantize_tensor(base).dequantize()
+        self.protos = protos = np.asarray(base, dtype=dtype or np.float64)
+        self.proto_sq = np.einsum("ij,ij->i", protos, protos)
         input_dim = getattr(embedder, "input_dim", None)
         if (
             self.pipeline is not None
@@ -182,47 +192,30 @@ class _ModelKernel:
                 f"engine pipeline emits {self.pipeline.n_features} features, "
                 f"its embedder takes {input_dim}"
             )
-        self.check_features = _unchecked
-        if _feature_dtype(dtype) is np.float32:
-            if network is not None and hasattr(network, "clone"):
-                embed = self._replica_embed(engine)
-                embed_dtype = np.float32
-                self.check_features = functools.partial(
-                    check_2d, "features", n_cols=input_dim, dtype=np.float32
-                )
-            else:
-                def embed(features: np.ndarray) -> np.ndarray:
-                    return np.asarray(embedder.embed(features), dtype=np.float32)
-                embed_dtype = None
-        elif network is not None and hasattr(network, "infer"):
+        embed = self.weights = None  # weights: what a float32 replica is cast from
+        if dtype is not None and hasattr(network, "clone"):
+            self.weights = _weight_arrays(network)
+            embed = _float32_replica(network).infer
+        elif dtype is None and hasattr(network, "infer"):
             embed = network.infer
-            embed_dtype = np.float64
+        self.check_features = _unchecked
+        if embed is not None:
             self.check_features = functools.partial(
-                check_2d, "features", n_cols=input_dim
+                check_2d, "features", n_cols=input_dim, dtype=protos.dtype
             )
-        else:
-            embed = embedder.embed
-            embed_dtype = None
         width = getattr(embedder, "embedding_dim", None)
-        if embed_dtype is None or width is None:
+        if embed is None or width is None:
             # An opaque embedder: its embeddings are checked on every call.
-            self.embed = self._checked_embed(embed, protos)
+            self.embed = self._checked_embed(
+                embedder.embed if embed is None else embed, protos
+            )
             return
         if width != protos.shape[1]:
             raise DataShapeError(
                 f"engine embedder emits {width}-d embeddings, its prototypes "
                 f"are {protos.shape[1]}-d"
             )
-        if protos.dtype != embed_dtype:  # a distance-only dtype (float16)
-            self.embed = self._cast_embed(embed, protos.dtype)
-        else:
-            self.embed = embed
-
-    @staticmethod
-    def _replica_embed(engine: "InferenceEngine"):
-        def embed(features: np.ndarray) -> np.ndarray:
-            return engine._float32_embedder().infer(features)
-        return embed
+        self.embed = embed
 
     @staticmethod
     def _checked_embed(embed, protos: np.ndarray):
@@ -233,20 +226,20 @@ class _ModelKernel:
             )
         return checked
 
-    @staticmethod
-    def _cast_embed(embed, dtype):
-        def cast(features: np.ndarray) -> np.ndarray:
-            return np.asarray(embed(features), dtype=dtype)
-        return cast
-
-    def serves(self, engine: "InferenceEngine", protos: np.ndarray) -> bool:
-        """Whether ``engine`` still holds what this kernel was built from."""
+    def serves(self, engine: "InferenceEngine") -> bool:
+        """Whether ``engine`` still holds what this kernel was built from:
+        the same pipeline, embedder, classifier, network and prototype
+        array, and for a float32 replica the same weight arrays."""
         return (
-            protos is self.protos
-            and engine.pipeline is self.pipeline
+            engine.pipeline is self.pipeline
             and engine.embedder is self.embedder
             and engine.classifier is self.classifier
             and getattr(self.embedder, "network", None) is self.network
+            and engine.ncm.prototypes_ is self.source
+            and (
+                self.weights is None
+                or _same_arrays(self.weights, _weight_arrays(self.network))
+            )
         )
 
 
@@ -274,11 +267,11 @@ class InferenceEngine:
         Softmax temperature of the confidence proxy.
     quantize_prototypes:
         When true, distances are computed against the int8
-        affine-quantized prototypes (dequantized once and cached) instead
-        of the raw float64 matrix — the serving-side twin of shipping a
-        :func:`~repro.nn.compress.quantize_tensor` package.  The induced
-        per-coordinate error is bounded by half the quantization step
-        (see ``docs/precision.md``).
+        affine-quantized prototypes (dequantized once per model kernel)
+        instead of the raw float64 matrix — the serving-side twin of
+        shipping a :func:`~repro.nn.compress.quantize_tensor` package.  The
+        induced per-coordinate error is bounded by half the quantization
+        step (see ``docs/precision.md``).
     """
 
     def __init__(
@@ -298,29 +291,12 @@ class InferenceEngine:
         self.pipeline = pipeline
         self.temperature = float(temperature)
         self.quantize_prototypes = bool(quantize_prototypes)
-        # Prototype squared-norm cache, keyed on the prototype array object:
-        # NCM fits always assign a fresh array, so identity comparison
-        # invalidates the cache on every support-set rebuild.  Reduced
-        # compute dtypes (float32 distance matrices) keep their own cast of
-        # the prototypes in ``_cached_casts``.  ``_cached_base`` is the
-        # matrix distances are actually served from: the raw prototypes, or
-        # their dequantized int8 reconstruction under
-        # ``quantize_prototypes``.
-        self._cached_protos: Optional[np.ndarray] = None
-        self._cached_base: Optional[np.ndarray] = None
-        self._cached_sq_norms: Optional[np.ndarray] = None
-        self._cached_casts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        # Lazily-built float32 replica of the embedder network for the
-        # reduced-precision feature path: (network, the weight arrays it
-        # was cast from, replica), so a swapped network or a
-        # ``load_state_dict`` (fresh arrays) rebuilds it.
-        self._float32_embedder_cache: Optional[Tuple[object, tuple, object]] = None
-        # compute dtype -> _ModelKernel (see _model_kernel)
+        # precision (None or np.float32) -> _ModelKernel (see _model_kernel)
         self._kernels: Dict[object, _ModelKernel] = {}
 
     def __getstate__(self) -> Dict:
-        # Model kernels are closures over this engine: a copy builds its
-        # own on first use.
+        # Model kernels are caches holding closures: a copy builds its own
+        # on first use.
         return dict(self.__dict__, _kernels={})
 
     # ------------------------------------------------------------------ #
@@ -348,49 +324,14 @@ class InferenceEngine:
         return self.ncm.class_names_
 
     def refresh(self) -> None:
-        """Drop the prototype-norm and replica caches explicitly.
+        """Drop the model kernels explicitly.
 
-        Normally unnecessary — re-fitting the classifier replaces the
-        prototype array and the identity check invalidates the cache —
-        but exposed for callers that mutate ``prototypes_`` (or the
-        embedder's parameters) in place.
+        Normally unnecessary — a re-fit of the classifier assigns a fresh
+        prototype array and the kernels are rebuilt — but exposed for
+        callers that mutate ``prototypes_`` (or the embedder's parameters)
+        in place.
         """
-        self._cached_protos = None
-        self._cached_base = None
-        self._cached_sq_norms = None
-        self._cached_casts = {}
-        self._float32_embedder_cache = None
         self._kernels = {}
-
-    def _prototype_norms(self, dtype=None) -> Tuple[np.ndarray, np.ndarray]:
-        """The served prototype matrix with its cached squared norms.
-
-        ``dtype=None`` is the canonical ``float64`` pair; any other compute
-        dtype gets (and caches) its own cast of the prototypes so repeated
-        reduced-precision calls pay the conversion once.  Under
-        ``quantize_prototypes`` the served matrix is the dequantized int8
-        reconstruction, rebuilt whenever the classifier is re-fitted.
-        """
-        protos = self.ncm.prototypes_
-        if protos is not self._cached_protos:
-            self._cached_protos = protos
-            if self.quantize_prototypes:
-                base = quantize_tensor(protos).dequantize()
-            else:
-                base = protos
-            self._cached_base = base
-            self._cached_sq_norms = np.einsum("ij,ij->i", base, base)
-            self._cached_casts = {}
-            self._float32_embedder_cache = None
-        if dtype is None or np.dtype(dtype) == np.float64:
-            return self._cached_base, self._cached_sq_norms
-        key = np.dtype(dtype).name
-        entry = self._cached_casts.get(key)
-        if entry is None:
-            cast = np.asarray(self._cached_base, dtype=dtype)
-            entry = (cast, np.einsum("ij,ij->i", cast, cast))
-            self._cached_casts[key] = entry
-        return entry
 
     # ------------------------------------------------------------------ #
     # the fused batch stages
@@ -402,19 +343,18 @@ class InferenceEngine:
         """Euclidean distances ``(k, n_classes)`` via the Gram trick.
 
         ``dtype`` selects the compute dtype of the distance matrix:
-        ``None`` keeps the canonical ``float64`` math; ``np.float32`` casts
-        the embeddings and (cached) prototypes once and runs the whole
-        Gram computation — and everything derived from it — in 32 bits,
-        halving the matmul bandwidth for fleet-scale batches.
+        ``None`` (or ``float64``) keeps the canonical ``float64`` math;
+        ``np.float32`` casts the embeddings once and runs the whole Gram
+        computation — and everything derived from it — in 32 bits against
+        the float32 kernel's prototypes.  Any other dtype raises
+        :class:`~repro.exceptions.ConfigurationError`.
         """
-        protos, proto_sq = self._prototype_norms(dtype)
+        kernel = self._model_kernel(resolve_feature_dtype(dtype))
+        protos = kernel.protos
         emb = check_2d(
-            "embeddings",
-            embeddings,
-            n_cols=protos.shape[1],
-            dtype=protos.dtype,
+            "embeddings", embeddings, n_cols=protos.shape[1], dtype=protos.dtype
         )
-        return _gram_distances(emb, protos, proto_sq)
+        return _gram_distances(emb, protos, kernel.proto_sq)
 
     def _assemble(self, dists: np.ndarray, timer: Timer) -> BatchInference:
         """argmin and open-set accept from one distance matrix.
@@ -444,19 +384,14 @@ class InferenceEngine:
             latency_ms=timer.elapsed_ms,
         )
 
-    def _model_kernel(self, dtype):
-        """``(kernel, protos, proto_sq)`` for one compute dtype.
-
-        The prototypes are resolved first — a re-fit drops the float32
-        replica there — and the kernel is rebuilt when it no longer
-        serves this engine (see :class:`_ModelKernel`).
-        """
-        protos, proto_sq = self._prototype_norms(dtype)
+    def _model_kernel(self, dtype) -> _ModelKernel:
+        """The model kernel of precision ``dtype`` (``None`` or
+        ``np.float32``), rebuilt when it no longer serves this engine
+        (see :meth:`_ModelKernel.serves`)."""
         kernel = self._kernels.get(dtype)
-        if kernel is None or not kernel.serves(self, protos):
-            kernel = _ModelKernel(self, dtype, protos)
-            self._kernels[dtype] = kernel
-        return kernel, protos, proto_sq
+        if kernel is None or not kernel.serves(self):
+            kernel = self._kernels[dtype] = _ModelKernel(self, dtype)
+        return kernel
 
     def _run_model(
         self, features: np.ndarray, dtype, timer: Timer, check: bool = False
@@ -466,11 +401,13 @@ class InferenceEngine:
         Rows the engine's own pipeline produced are trusted as they are;
         ``check=True`` first applies :meth:`infer_features`' input check.
         """
-        kernel, protos, proto_sq = self._model_kernel(dtype)
+        kernel = self._model_kernel(dtype)
         if check:
             features = kernel.check_features(features)
-        dists = _gram_distances(kernel.embed(features), protos, proto_sq)
-        return self._assemble(dists, timer)
+        emb = kernel.embed(features)
+        return self._assemble(
+            _gram_distances(emb, kernel.protos, kernel.proto_sq), timer
+        )
 
     # ------------------------------------------------------------------ #
     # entry points
@@ -519,11 +456,12 @@ class InferenceEngine:
 
         ``dtype=np.float32`` selects the reduced-precision fast path:
         feature extraction, normalization, the embedder forward pass (via
-        a cached float32 parameter replica) and the distance matrix all
-        run in 32 bits, halving memory bandwidth end to end; verdicts flip
-        only for windows already sitting on a decision boundary (see
-        ``docs/precision.md``).  Other dtypes change the distance-matrix
-        dtype only (see :meth:`distances_from_embeddings`).
+        the float32 model kernel's parameter replica) and the distance
+        matrix all run in 32 bits, halving memory bandwidth end to end;
+        verdicts flip only for windows already sitting on a decision
+        boundary (see ``docs/precision.md``).  ``None`` or ``float64``
+        keeps the canonical path; any other dtype raises
+        :class:`~repro.exceptions.ConfigurationError`.
 
         For recordings that arrive tick by tick rather than all at once,
         use the chunked twin — :meth:`open_stream` + :meth:`infer_chunk` —
@@ -531,11 +469,9 @@ class InferenceEngine:
         the same verdict sequence without buffering the whole recording.
         """
         self._require_pipeline("infer a raw stream, or use infer_features()")
-        arr = check_2d("data", data)
+        dtype = resolve_feature_dtype(dtype)
         timer = Timer().__enter__()
-        features = self.pipeline.process_stream(
-            arr, stride=stride, dtype=_feature_dtype(dtype)
-        )
+        features = self.pipeline.process_stream(data, stride=stride, dtype=dtype)
         return self._run_model(features, dtype, timer)
 
     def open_stream(
@@ -552,15 +488,15 @@ class InferenceEngine:
         identical and distances to the streaming parity budget when the
         pipeline's denoiser is chunk-capable — see
         :meth:`~repro.preprocessing.pipeline.PreprocessingPipeline.open_stream`).
-        ``dtype`` is remembered on the session; ``np.float32`` runs every
-        chunk's features, embedding and distances in 32 bits (see
-        :meth:`infer_stream`).
+        ``dtype`` is resolved once and remembered on the session's state;
+        ``np.float32`` runs every chunk's features, embedding and
+        distances in 32 bits (see :meth:`infer_stream`), and any dtype but
+        float32 and float64 raises
+        :class:`~repro.exceptions.ConfigurationError`.
         """
         self._require_pipeline("stream raw chunks")
         return StreamSession(
-            self,
-            self.pipeline.open_stream(stride=stride, dtype=_feature_dtype(dtype)),
-            dtype=dtype,
+            self, self.pipeline.open_stream(stride=stride, dtype=dtype)
         )
 
     def infer_chunk(
@@ -593,45 +529,15 @@ class InferenceEngine:
         session.windows_inferred += len(batch)
         return batch
 
-    def _float32_embedder(self):
-        """The cached float32 parameter replica of the embedder network.
-
-        Built lazily from ``embedder.network`` (clone + cast every
-        parameter, and any batch-norm running statistics, to float32) so
-        the reduced-precision path runs its forward pass in 32 bits end to
-        end.  Returns ``None`` for embedders without a clonable network —
-        those fall back to a float64 forward cast down afterwards.  The
-        replica is rebuilt when the network object or any of its weight
-        arrays is replaced (``load_state_dict``), and dropped whenever the
-        prototype cache rebuilds (a classifier re-fit follows in-place
-        retraining) or :meth:`refresh` is called.
-        """
-        network = getattr(self.embedder, "network", None)
-        if network is None or not hasattr(network, "clone"):
-            return None
-        weights = _weight_arrays(network)
-        cache = self._float32_embedder_cache
-        if cache is not None and cache[0] is network and _same_arrays(
-            cache[1], weights
-        ):
-            return cache[2]
-        replica = network.clone()
-        for param in replica.parameters():
-            param.data = param.data.astype(np.float32)
-        for layer in getattr(replica, "layers", []):
-            if hasattr(layer, "running_mean"):
-                layer.running_mean = layer.running_mean.astype(np.float32)
-                layer.running_var = layer.running_var.astype(np.float32)
-        self._float32_embedder_cache = (network, weights, replica)
-        return replica
-
     def infer_features(self, features: np.ndarray, dtype=None) -> BatchInference:
         """Normalized feature rows ``(k, d)`` -> batch verdicts.
 
         ``dtype=np.float32`` selects the reduced-precision path: float32
         embedder replica plus float32 distance matrix (see
-        :meth:`distances_from_embeddings`).
+        :meth:`distances_from_embeddings`); any dtype but float32 and
+        float64 raises :class:`~repro.exceptions.ConfigurationError`.
         """
+        dtype = resolve_feature_dtype(dtype)
         timer = Timer().__enter__()
         return self._run_model(features, dtype, timer, check=True)
 
@@ -651,18 +557,22 @@ class StreamSession:
 
     Pairs the engine with one
     :class:`~repro.preprocessing.pipeline.StreamState`: the pipeline-level
-    buffer (sample tail, running offset, denoiser context) plus the
-    engine-level knobs (distance dtype) and counters.  Created by
+    buffer (sample tail, running offset, denoiser context, compute dtype)
+    plus the engine-level counters.  Created by
     :meth:`InferenceEngine.open_stream`; advanced by
     :meth:`InferenceEngine.infer_chunk`; closed by
     :meth:`InferenceEngine.finish_stream`.
     """
 
-    def __init__(self, engine: InferenceEngine, state, dtype=None) -> None:
+    def __init__(self, engine: InferenceEngine, state) -> None:
         self.engine = engine
         self.state = state
-        self.dtype = dtype
         self.windows_inferred = 0
+
+    @property
+    def dtype(self):
+        """The session's compute dtype: ``None`` (float64) or ``np.float32``."""
+        return self.state.dtype
 
     @property
     def stride(self) -> int:

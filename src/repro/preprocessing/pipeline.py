@@ -183,7 +183,6 @@ class StreamState:
         self.dtype = dtype
         # raw chunk samples (windowed) / denoised read columns (stream)
         self.buffer: Optional[np.ndarray] = None
-        self.n_channels: Optional[int] = None  # locked by the first chunk
         self.samples_in = 0  # raw samples received across all chunks
         self.windows_out = 0  # windows emitted across all chunks
         self.finished = False
@@ -624,13 +623,12 @@ class PreprocessingPipeline:
     def _check_chunk(
         self, state: StreamState, chunk: np.ndarray, validated: bool = False
     ) -> np.ndarray:
-        """Validate one chunk against the stream's locked geometry.
+        """Validate one chunk of an open stream.
 
         ``validated=True``: the caller has made these very checks (see
-        :meth:`process_chunk`); only the stream's channel count is locked.
+        :meth:`process_chunk`).
         """
         if validated:
-            state.n_channels = int(chunk.shape[1])
             return chunk
         if state.finished:
             raise ConfigurationError(
@@ -650,7 +648,6 @@ class PreprocessingPipeline:
         # it poisons every later sample of the stream.
         if not np.isfinite(arr).all():
             raise DataShapeError("chunk holds non-finite samples (NaN or inf)")
-        state.n_channels = int(arr.shape[1])
         return arr
 
     def _extract_span(

@@ -24,12 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.engine import (
-    BatchInference,
-    InferenceEngine,
-    StreamSession,
-    _feature_dtype,
-)
+from ..core.engine import BatchInference, InferenceEngine, StreamSession
 from ..core.smoothing import HysteresisSmoother
 from ..exceptions import ConfigurationError, DataShapeError, UnknownCohortError
 from ..preprocessing.pipeline import resolve_feature_dtype
@@ -273,12 +268,12 @@ class FleetServer:
                 f"cannot connect session {key!r}: cohort {cohort_key!r} "
                 f"is not in the registry"
             )
-        dtype_key = resolve_feature_dtype(dtype)
+        dtype = resolve_feature_dtype(dtype)
         smoother = (
             self.smoother_factory() if self.smoother_factory is not None else None
         )
         session = EdgeSession(
-            key, smoother=smoother, cohort=cohort_key, dtype=dtype_key
+            key, smoother=smoother, cohort=cohort_key, dtype=dtype
         )
         self.sessions[key] = session
         return session
@@ -351,7 +346,7 @@ class FleetServer:
         """
         if not windows_by_session:
             return {}
-        groups: Dict[Tuple[int, Optional[str]], _TickGroup] = {}
+        groups: Dict[Tuple[int, object], _TickGroup] = {}
         for session_id, window in windows_by_session.items():
             session = self.session(session_id)  # raises for unknown ids
             engine = self._serving_engine(session)  # raises unknown cohorts
@@ -512,12 +507,11 @@ class FleetServer:
         """
         if not chunks_by_session:
             return {}, {}
-        groups: Dict[Tuple[int, Optional[str]], _TickGroup] = {}
+        groups: Dict[Tuple[int, object], _TickGroup] = {}
         for session_id, arr in chunks_by_session.items():
             session, engine, stride_val, dtype = self._route(session_id, stride)
-            dtype_key = None if dtype is None else np.dtype(dtype).name
             group = groups.setdefault(
-                (id(engine), dtype_key), _TickGroup(engine, dtype=dtype)
+                (id(engine), dtype), _TickGroup(engine, dtype=dtype)
             )
             group.ids.append(session.session_id)
             group.arrays.append(arr)
@@ -536,9 +530,9 @@ class FleetServer:
 
         Raises what a tick holding this chunk would be refused for — an
         unknown session or cohort, a stride switch mid-stream, a chunk
-        that is not 2-D, has the wrong channel count for its cohort or
-        its open stream, or holds non-finite samples — and returns the
-        chunk as float64, what :meth:`stream_tick` takes.  Nothing moves.
+        that is not 2-D, has the wrong channel count for its cohort, or
+        holds non-finite samples — and returns the chunk as float64, what
+        :meth:`stream_tick` takes.  Nothing moves.
         :meth:`step_stream` calls it on every chunk before its tick; a
         front end that parks chunks for a shared tick calls it on
         arrival, so a bad chunk is answered alone and never costs the
@@ -558,14 +552,6 @@ class FleetServer:
                 f"{arr.shape[1]} channels, cohort "
                 f"{session.cohort!r} expects {expected}"
             )
-        if session.stream is not None:
-            locked = session.stream.state.n_channels
-            if locked is not None and arr.shape[1] != locked:
-                raise DataShapeError(
-                    f"session {session.session_id!r} chunk has "
-                    f"{arr.shape[1]} channels, its stream started with "
-                    f"{locked}"
-                )
         if not np.isfinite(arr).all():
             raise DataShapeError(
                 f"session {session.session_id!r} chunk holds non-finite "
@@ -574,7 +560,7 @@ class FleetServer:
         return arr
 
     def _featurize_stream_groups(
-        self, groups: "Dict[Tuple[int, Optional[str]], _TickGroup]"
+        self, groups: "Dict[Tuple[int, object], _TickGroup]"
     ) -> None:
         """A chunk tick's featurize pass: fold chunks into each session's
         carry-over (:meth:`_fold_group`), then :meth:`_featurize_groups`.
@@ -594,7 +580,7 @@ class FleetServer:
 
     def _featurize_groups(
         self,
-        groups: "Dict[Tuple[int, Optional[str]], _TickGroup]",
+        groups: "Dict[Tuple[int, object], _TickGroup]",
         windows_of: "Callable[[_TickGroup], List[Tuple[int, np.ndarray]]]",
     ) -> None:
         """Fill every group's feature blocks: the featurize pass of a tick.
@@ -619,9 +605,7 @@ class FleetServer:
         for group in groups.values():
             stacked = _isolated((group,), windows_of, group)
             if stacked:
-                kernel = group.engine.pipeline.window_kernel(
-                    _feature_dtype(group.dtype)
-                )
+                kernel = group.engine.pipeline.window_kernel(group.dtype)
                 shares.setdefault(kernel.key, []).append(
                     (group, kernel, stacked)
                 )

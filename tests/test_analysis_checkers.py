@@ -18,6 +18,7 @@ from repro.analysis import (
     ExceptionTaxonomyChecker,
     LazyScipyChecker,
     PerCallDesignChecker,
+    UnseededDrawChecker,
     lint_source,
 )
 
@@ -318,6 +319,38 @@ class TestEagerScipy:
     def test_outside_the_library_exempt(self, path):
         text = fixture_text("eager_scipy.py")
         assert found(text, LazyScipyChecker(), path=path) == []
+
+
+class TestUnseededDraw:
+    path = "src/repro/core/edge.py"
+
+    @pytest.mark.parametrize("path", [path, "src/repro/serving/fleet.py"])
+    def test_fixture_violations(self, path):
+        text = fixture_text("unseeded_draw.py")
+        expected = [
+            ("unseeded-draw", n) for n in marker_lines(text, "unseeded-draw")
+        ]
+        assert len(expected) == 6
+        assert found(text, UnseededDrawChecker(), path=path) == expected
+
+    def test_message_names_the_call(self):
+        text = fixture_text("unseeded_draw.py")
+        messages = [
+            v.message
+            for v in lint_source(text, [UnseededDrawChecker()], path=self.path)
+        ]
+        assert messages[0].startswith("ensure_rng()")
+        assert messages[-1].startswith("default_rng()")
+
+    @pytest.mark.parametrize("path", [
+        "src/repro/sensors/device.py",
+        "src/repro/datasets/scenarios.py",
+        "benchmarks/e2e/scenario.py",
+        "tests/test_core_edge.py",
+    ])
+    def test_outside_the_device_and_serving_layers_exempt(self, path):
+        text = fixture_text("unseeded_draw.py")
+        assert found(text, UnseededDrawChecker(), path=path) == []
 
 
 class TestStrictPragmas:

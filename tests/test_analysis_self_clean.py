@@ -157,6 +157,34 @@ class TestScipyImportedLazily:
         assert "eager-scipy" in capsys.readouterr().out
 
 
+class TestDrawsAreSeeded:
+    """``unseeded-draw``: the device and serving layers make no generator
+    from a missing seed."""
+
+    def test_library_clean_with_no_suppression(self):
+        report = live_report()
+        assert not [v for v in report.violations if v.rule == "unseeded-draw"]
+        assert not [
+            v for v, _ in report.suppressed if v.rule == "unseeded-draw"
+        ]
+
+    def test_an_unseeded_support_set_is_flagged(self):
+        from repro.analysis import UnseededDrawChecker, lint_source
+
+        support = REPO_ROOT / "src" / "repro" / "core" / "support_set.py"
+        text = support.read_text(encoding="utf-8").replace(
+            "self.rng = ensure_rng(rng)", "self.rng = ensure_rng(None)", 1
+        )
+        hits = lint_source(
+            text, [UnseededDrawChecker()], path="src/repro/core/support_set.py"
+        )
+        assert [v.rule for v in hits] == ["unseeded-draw"]
+
+    def test_rule_listed(self, capsys):
+        assert run_lint.main(["--list-rules"]) == 0
+        assert "unseeded-draw" in capsys.readouterr().out
+
+
 class TestRunLintCli:
     @pytest.mark.parametrize("fixture", [
         "alias_assign.py",

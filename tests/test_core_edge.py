@@ -323,47 +323,74 @@ def _stored_bytes(edge):
     )
 
 
+SELECTIONS = ("random", "first", "herding")
+ROUTES = ("saved", "copy", "package_for")
+UPDATES = ("learn", "calibrate", "reinforce")
+
+
 class TestReproducibleSupportSet:
-    """Same package, same seed, same recording: same stored bytes."""
+    """Same package, same seed, same recordings: same stored bytes, on
+    every install route, under every selection strategy, after every
+    kind of update."""
 
     @pytest.fixture(scope="class")
     def learned(self, scenario, tmp_path_factory):
-        """``(route, seed) -> stored bytes`` after one learn of a recording
-        longer than the support set keeps."""
-        path = tmp_path_factory.mktemp("package") / "package.npz"
-        scenario.package.save(path)
-        registry = ModelRegistry()
-        registry.publish("c", scenario.package.copy())
-        routes = {
-            "saved": lambda: TransferPackage.load(path),
-            "copy": scenario.package.copy,
-            "package_for": lambda: registry.package_for("c"),
+        """``(selection, route, seed) -> runs``, each run the stored bytes
+        after each of ``UPDATES`` (learn a new class, calibrate an
+        existing one, reinforce the new one) from recordings longer than
+        the support set keeps; seed 3 runs twice."""
+        phone = SensorDevice(user=scenario.edge_user, rng=2031)
+        recordings = {
+            "learn": ("gesture_hi", phone.record("gesture_hi", 30.0)),
+            "calibrate": ("walk", phone.record("walk", 30.0)),
+            "reinforce": ("gesture_hi", phone.record("gesture_hi", 30.0)),
         }
-        recording = SensorDevice(user=scenario.edge_user, rng=2031).record(
-            "gesture_hi", 30.0
-        )
         config = IncrementalConfig(
             train=TrainConfig(epochs=1, batch_pairs=16, lr=3e-4, distill_weight=2.0)
         )
         stored = {}
-        for route, package in routes.items():
-            for seed in (3, 3, 4):
-                edge = EdgeDevice(incremental_config=config, rng=seed)
-                edge.install(package())
-                assert recording.data.shape[0] // 120 > (
-                    edge.support_set.capacity_per_class
-                )
-                edge.learn_activity("gesture_hi", recording)
-                stored.setdefault((route, seed), []).append(_stored_bytes(edge))
+        for selection in SELECTIONS:
+            package = scenario.package.copy()
+            package.support_set.selection = selection
+            path = tmp_path_factory.mktemp(selection) / "package.npz"
+            package.save(path)
+            registry = ModelRegistry()
+            registry.publish("c", package)
+            routes = {
+                "saved": lambda: TransferPackage.load(path),
+                "copy": package.copy,
+                "package_for": lambda: registry.package_for("c"),
+            }
+            for route, install in routes.items():
+                for seed in (3, 3, 4):
+                    edge = EdgeDevice(incremental_config=config, rng=seed)
+                    edge.install(install())
+                    assert edge.support_set.selection == selection
+                    run = []
+                    for update in UPDATES:
+                        name, recording = recordings[update]
+                        assert recording.data.shape[0] // 120 > (
+                            edge.support_set.capacity_per_class
+                        )
+                        getattr(edge, f"{update}_activity")(name, recording)
+                        run.append(_stored_bytes(edge))
+                    stored.setdefault((selection, route, seed), []).append(run)
         return stored
 
-    @pytest.mark.parametrize("route", ["saved", "copy", "package_for"])
-    def test_same_seed_stores_the_same_bytes(self, learned, route):
-        first, second = learned[(route, 3)]
-        assert first == second
+    @pytest.mark.parametrize("update", UPDATES)
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    def test_same_seed_stores_the_same_bytes(
+        self, learned, selection, route, update
+    ):
+        first, second = learned[(selection, route, 3)]
+        step = UPDATES.index(update)
+        assert first[step] == second[step]
 
-    @pytest.mark.parametrize("route", ["saved", "copy", "package_for"])
-    def test_another_seed_stores_other_bytes(self, learned, route):
-        support, _ = learned[(route, 3)][0]
-        other, _ = learned[(route, 4)][0]
+    @pytest.mark.parametrize("update", UPDATES)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_another_seed_stores_other_bytes(self, learned, route, update):
+        step = UPDATES.index(update)
+        support, _ = learned[("random", route, 3)][0][step]
+        other, _ = learned[("random", route, 4)][0][step]
         assert support != other

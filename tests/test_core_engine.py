@@ -223,7 +223,8 @@ class TestPrototypeCache:
         feats = edge.pipeline.process_windows(scenario.base_test.windows[:8])
         engine = edge.engine
         before = engine.infer_features(feats).distances
-        assert engine._cached_sq_norms is not None
+        kernel = engine._model_kernel(None)
+        assert engine._model_kernel(None) is kernel
         # learning a new class refits the NCM -> fresh prototype array
         new_feats = edge.pipeline.process_windows(
             scenario.sensor_device.record("gesture_hi", 20.0).data[None, :120, :]
@@ -233,6 +234,8 @@ class TestPrototypeCache:
         )
         edge.ncm.fit_from_support_set(edge.embedder, edge.support_set)
         after = engine.infer_features(feats).distances
+        assert engine._model_kernel(None) is not kernel
+        assert engine._model_kernel(None).protos is edge.ncm.prototypes_
         assert after.shape[1] == before.shape[1] + 1
         np.testing.assert_allclose(
             after, edge.ncm.distances(edge.embedder.embed(feats)), **PARITY

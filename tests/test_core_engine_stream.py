@@ -98,13 +98,40 @@ class TestReducedPrecisionDistances:
     def test_per_dtype_prototype_cache(self, edge, recording):
         engine = edge.engine
         edge.infer_stream(recording.data, dtype=np.float32)
-        assert engine._cached_sq_norms is not None
-        cast, cast_sq = engine._prototype_norms(np.float32)
-        assert cast.dtype == np.float32
-        # repeated calls reuse the cached cast
-        assert engine._prototype_norms(np.float32)[0] is cast
+        kernel = engine._model_kernel(np.float32)
+        assert kernel.protos.dtype == kernel.proto_sq.dtype == np.float32
+        # every spelling of float32 reuses the one kernel and its one cast
+        edge.infer_stream(recording.data, dtype="float32")
+        engine.infer_features(
+            edge.pipeline.process_stream(recording.data), dtype=np.dtype("float32")
+        )
+        assert engine._model_kernel(np.float32) is kernel
+        assert engine._model_kernel(None) is not kernel
         engine.refresh()
-        assert engine._cached_casts == {}
+        assert engine._model_kernel(np.float32) is not kernel
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, "float16", np.int32],
+        ids=["float16", "float16-name", "int32"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        ["infer_stream", "open_stream", "infer_features", "distances_from_embeddings"],
+    )
+    def test_other_dtypes_raise(self, edge, recording, entry, dtype):
+        """The engine's precision is the pipeline's two-point switch."""
+        engine = edge.engine
+        features = edge.pipeline.process_stream(recording.data)
+        call = {
+            "infer_stream": lambda: engine.infer_stream(recording.data, dtype=dtype),
+            "open_stream": lambda: engine.open_stream(dtype=dtype),
+            "infer_features": lambda: engine.infer_features(features, dtype=dtype),
+            "distances_from_embeddings": lambda: engine.distances_from_embeddings(
+                edge.embedder.embed(features), dtype=dtype
+            ),
+        }[entry]
+        with pytest.raises(ConfigurationError, match="float32 or float64"):
+            call()
 
     def test_float64_path_untouched_by_dtype_plumbing(self, edge, recording):
         windows = segment_recording(recording)

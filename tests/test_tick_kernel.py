@@ -213,12 +213,13 @@ class TestKernelsAreBuiltOnce:
 
     def test_engine_model_kernel_is_kept_across_ticks(self, edge, walk):
         engine, _ = _make(edge, "closed")
-        _ticks(engine, None, walk)
-        kernel = engine._model_kernel(None)[0]
-        _ticks(engine, None, walk)
-        assert engine._model_kernel(None)[0] is kernel
-        engine.refresh()
-        assert engine._model_kernel(None)[0] is not kernel
+        for dtype in (None, np.float32):
+            _ticks(engine, dtype, walk)
+            kernel = engine._model_kernel(dtype)
+            _ticks(engine, dtype, walk)
+            assert engine._model_kernel(dtype) is kernel
+            engine.refresh()
+            assert engine._model_kernel(dtype) is not kernel
 
 
 def test_pipelines_and_engines_pickle_after_serving(edge, walk):
