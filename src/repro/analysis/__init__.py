@@ -16,7 +16,8 @@ static checks (see each module's docstring for the full rule rationale):
   designs (``butter``, ``lfilter_zi``, ``roots``, ``filtfilt``, the
   numpy ``design_lfilter`` loop) at construction, never per call,
 - :mod:`~repro.analysis.lazy_imports` — no module-scope import of a
-  ``scipy`` submodule in the library,
+  ``scipy`` submodule in the library, and no import of ``scipy.signal``
+  at any scope,
 - :mod:`~repro.analysis.seeded_draws` — the device and serving layers
   make no generator from a missing seed,
 - :mod:`~repro.analysis.bench_manifest` — benchmarks, baselines and the
@@ -48,7 +49,7 @@ from .core import (
 from .design_hoist import PerCallDesignChecker
 from .entry_points import EntryPointChecker
 from .exception_taxonomy import ExceptionTaxonomyChecker
-from .lazy_imports import LazyScipyChecker
+from .lazy_imports import LazyScipyChecker, ScipySignalChecker
 from .seeded_draws import UnseededDrawChecker
 
 #: The default per-file checker battery, in reporting order.
@@ -59,6 +60,7 @@ DEFAULT_CHECKERS = (
     AsyncHygieneChecker,
     PerCallDesignChecker,
     LazyScipyChecker,
+    ScipySignalChecker,
     UnseededDrawChecker,
 )
 
@@ -79,6 +81,7 @@ __all__ = [
     "PerCallDesignChecker",
     "Pragma",
     "RepoChecker",
+    "ScipySignalChecker",
     "SourceFile",
     "UnseededDrawChecker",
     "Violation",

@@ -53,16 +53,20 @@ two ``lfilter`` passes, equal to ``filtfilt`` within 1e-9 relative.
 
 The design and the window operators are computed in numpy
 (:mod:`~repro.preprocessing.iir_design`, scipy's operations in scipy's
-order, so the same bits).  ``scipy.signal`` is imported by the first
-``lfilter`` call — ``apply``, a window longer than ``_MAX_OPERATOR_LEN``,
-a :class:`ZeroPhaseIIRStream` — and ``scipy.ndimage`` by the first
-:meth:`MedianFilter.apply`.  A process that filters only short windows
-(serving at stride = window) imports neither.
+order, so the same bits).  The ``lfilter`` passes — ``apply``, a window
+longer than ``_MAX_OPERATOR_LEN``, a :class:`ZeroPhaseIIRStream` (serving
+at a stride below the window) — call scipy's compiled kernel
+``scipy/signal/_sigtools``, loaded on its own by the first of them, so
+filtering imports no ``scipy.signal`` package, at any stride.
+``scipy.ndimage`` is imported by the first :meth:`MedianFilter.apply`.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 from typing import Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
@@ -71,24 +75,41 @@ from ..exceptions import ConfigurationError, DataShapeError, SerializationError
 from ..utils import check_3d
 from .iir_design import butter, design_lfilter, lfilter_zi
 
-#: ``scipy.signal`` once the first :func:`_lfilter` has run, ``None``
-#: before: importing it costs about 0.45 s and 66 MB, which a process that
-#: only multiplies windows by their operator never pays.
-_signal = None
+#: scipy's compiled extension ``scipy/signal/_sigtools`` once the first
+#: :func:`_lfilter` has run, ``None`` before.  It is loaded from its file
+#: alone (about 5 ms and under 1 MB with the bare ``import scipy``, 2-vCPU
+#: VM): importing the ``scipy.signal`` package for it would load every
+#: signal submodule, 0.8-1.0 s and 75 MB.
+_sigtools = None
 
 #: ``scipy.ndimage`` once the first :meth:`MedianFilter.apply` has run.
 _ndimage = None
 
 
-def _lfilter(b, a, x, zi, axis):
-    """``scipy.signal.lfilter(b, a, x, axis=axis, zi=zi)``, importing
-    ``scipy.signal`` on the first call."""
-    global _signal
-    if _signal is None:
-        import scipy.signal
+def _load_sigtools():
+    """The ``_sigtools`` extension module from scipy's ``signal`` folder,
+    executed without importing the ``scipy.signal`` package."""
+    import scipy
 
-        _signal = scipy.signal
-    return _signal.lfilter(b, a, x, axis=axis, zi=zi)
+    folder = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    spec = importlib.machinery.PathFinder.find_spec("_sigtools", [folder])
+    if spec is None:
+        raise ConfigurationError(
+            f"scipy's compiled lfilter kernel _sigtools is not in {folder}"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lfilter(b, a, x, zi, axis):
+    """``scipy.signal.lfilter(b, a, x, axis=axis, zi=zi)`` for ``len(a) >
+    1``, bit for bit: the one call scipy makes for it, to the compiled
+    kernel, which the first call loads."""
+    global _sigtools
+    if _sigtools is None:
+        _sigtools = _load_sigtools()
+    return _sigtools._linear_filter(b, a, x, axis, zi)
 
 
 class LocalDenoiserStream:
@@ -592,7 +613,8 @@ class ButterworthLowpass:
     The filter design is solved here, by the first filter of this
     configuration in the process; later ones, ``from_dict`` and pickle
     copies share it.  ``apply`` and the streams of :meth:`make_stream` run
-    ``lfilter`` and return ``filtfilt``'s bits (see
+    scipy's compiled ``lfilter`` kernel (never importing ``scipy.signal``)
+    and return ``filtfilt``'s bits (see
     :meth:`ZeroPhaseDesign.zero_phase`); the window kernel
     (:meth:`batch_kernel`, :meth:`apply_batch`) multiplies by the design's
     window operator and equals ``filtfilt`` within 1e-9 relative.

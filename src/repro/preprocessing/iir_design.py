@@ -1,10 +1,10 @@
 """The Butterworth design in numpy, bit for bit scipy 1.17's.
 
-``scipy.signal`` costs about 0.45 s and 66 MB to import, and a deployment
-that filters its windows through :meth:`ZeroPhaseDesign.window_operator
-<repro.preprocessing.denoise.ZeroPhaseDesign.window_operator>` needs
-nothing of it after the design.  This module computes that design with
-numpy alone, so such a process never imports ``scipy.signal``:
+``scipy.signal`` costs 0.8-1.0 s and 75 MB to import, and the
+preprocessing needs one routine of it after the design: the compiled
+``lfilter`` kernel, which :mod:`~repro.preprocessing.denoise` loads on
+its own.  This module computes the design with numpy alone, so no
+process imports ``scipy.signal``, at any stride:
 
 - :func:`butter` — the low-pass ``scipy.signal.butter(order, cutoff_hz,
   fs=sampling_hz)``: ``buttap``, ``lp2lp_zpk``, ``bilinear_zpk`` and

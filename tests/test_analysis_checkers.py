@@ -18,6 +18,7 @@ from repro.analysis import (
     ExceptionTaxonomyChecker,
     LazyScipyChecker,
     PerCallDesignChecker,
+    ScipySignalChecker,
     UnseededDrawChecker,
     lint_source,
 )
@@ -319,6 +320,39 @@ class TestEagerScipy:
     def test_outside_the_library_exempt(self, path):
         text = fixture_text("eager_scipy.py")
         assert found(text, LazyScipyChecker(), path=path) == []
+
+
+class TestScipySignal:
+    path = "src/repro/preprocessing/denoise.py"
+
+    def test_fixture_violations(self):
+        text = fixture_text("scipy_signal.py")
+        expected = [
+            ("scipy-signal", n) for n in marker_lines(text, "scipy-signal")
+        ]
+        assert len(expected) == 7
+        assert found(text, ScipySignalChecker(), path=self.path) == expected
+
+    def test_other_submodules_and_bare_scipy_pass(self):
+        source = (
+            "import scipy\n"
+            "import scipy.ndimage\n"
+            "from scipy import fft, special\n"
+            "from scipy.special import erf\n"
+            "def f():\n"
+            "    import scipy.signals_like_name\n"
+            "    from . import signal\n"
+        )
+        assert found(source, ScipySignalChecker(), path=self.path) == []
+
+    @pytest.mark.parametrize("path", [
+        "benchmarks/e2e/scenario.py",
+        "tests/test_preprocessing_design.py",
+        "tools/cold_start.py",
+    ])
+    def test_outside_the_library_exempt(self, path):
+        text = fixture_text("scipy_signal.py")
+        assert found(text, ScipySignalChecker(), path=path) == []
 
 
 class TestUnseededDraw:

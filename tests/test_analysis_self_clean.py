@@ -157,6 +157,39 @@ class TestScipyImportedLazily:
         assert "eager-scipy" in capsys.readouterr().out
 
 
+class TestNoScipySignal:
+    """``scipy-signal``: no library path imports the ``scipy.signal``
+    package; the denoiser loads scipy's compiled ``lfilter`` kernel on its
+    own."""
+
+    def test_library_clean_with_no_suppression(self):
+        report = live_report()
+        assert not [v for v in report.violations if v.rule == "scipy-signal"]
+        assert not [
+            v for v, _ in report.suppressed if v.rule == "scipy-signal"
+        ]
+
+    def test_the_lfilter_import_it_replaced_is_flagged(self):
+        from repro.analysis import ScipySignalChecker, lint_source
+
+        denoise = REPO_ROOT / "src" / "repro" / "preprocessing" / "denoise.py"
+        text = denoise.read_text(encoding="utf-8").replace(
+            "        _sigtools = _load_sigtools()\n",
+            "        import scipy.signal\n\n"
+            "        _sigtools = scipy.signal._sigtools\n",
+            1,
+        )
+        hits = lint_source(
+            text, [ScipySignalChecker()],
+            path="src/repro/preprocessing/denoise.py",
+        )
+        assert [v.rule for v in hits] == ["scipy-signal"]
+
+    def test_rule_listed(self, capsys):
+        assert run_lint.main(["--list-rules"]) == 0
+        assert "scipy-signal" in capsys.readouterr().out
+
+
 class TestDrawsAreSeeded:
     """``unseeded-draw``: the device and serving layers make no generator
     from a missing seed."""

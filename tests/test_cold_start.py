@@ -1,5 +1,5 @@
-"""``tools/cold_start.py``: serving at stride = window imports no scipy
-submodule.
+"""``tools/cold_start.py``: serving and learning import no scipy
+submodule, at stride = window or below it.
 
 The check needs an interpreter that has not imported scipy yet, and this
 one has, so the script runs as a subprocess on the scenario's package.
@@ -32,6 +32,8 @@ def test_windowed_serving_imports_no_scipy_signal(package_path):
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert lines[0].startswith("import repro.serving: ")
+    assert lines[-2].startswith("stride-30 stream: ")
+    assert lines[-2].endswith("lfilter kernel ran, no scipy.signal, no scipy.ndimage")
     assert lines[-1] == "cold start: ok"
 
 
@@ -46,3 +48,21 @@ def test_an_eager_import_fails_the_check(package_path):
     result = _run("-c", prelude)
     assert result.returncode == 1
     assert "window imported ['scipy.signal'" in result.stdout
+
+
+def test_a_stride_30_import_fails_the_check(package_path):
+    """The stride-30 half is not vacuous either: a process whose
+    ``lfilter`` kernel load imports ``scipy.signal`` fails it."""
+    src = str(SCRIPT.parent.parent / "src")
+    prelude = (
+        f"import runpy, sys; sys.path.insert(0, {src!r}); "
+        "from repro.preprocessing import denoise; "
+        "load = denoise._load_sigtools; "
+        "denoise._load_sigtools = "
+        "lambda: (__import__('scipy.signal'), load())[1]; "
+        f"sys.argv = [{str(SCRIPT)!r}, {package_path!r}]; "
+        f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')"
+    )
+    result = _run("-c", prelude)
+    assert result.returncode == 1
+    assert "serving at stride 30 imported ['scipy.signal'" in result.stdout

@@ -14,9 +14,11 @@ windows as a reshape view.  The contracts pinned here:
 - the design (``butter``, ``lfilter_zi``) and the window operator are
   computed in numpy with scipy's bits, once per filter configuration per
   process, so building a filter needs nothing of ``scipy.signal``;
-- once a pipeline is built, ticks need nothing of ``scipy.signal`` but
-  ``lfilter`` (the design is never re-derived per call), and windowed
-  ticks not even that;
+- ``lfilter`` is scipy's compiled kernel, loaded without the
+  ``scipy.signal`` package, with ``scipy.signal.lfilter``'s bits;
+- once a pipeline is built, ticks need nothing of scipy but that kernel
+  (the design is never re-derived per call), and windowed ticks not even
+  that;
 - the series plan and the stacked pass's strided view give the same bits
   as per-signal ``np.linalg.norm`` columns windowed by
   ``sliding_window_view``;
@@ -26,6 +28,7 @@ windows as a reshape view.  The contracts pinned here:
 - ``fold_chunk``'s windows are read-only.
 """
 
+import pathlib
 import pickle
 import types
 
@@ -286,16 +289,75 @@ class TestNumpyDesign:
 
 
 # ---------------------------------------------------------------------- #
+# the compiled lfilter kernel is scipy.signal.lfilter
+# ---------------------------------------------------------------------- #
+
+
+class TestCompiledKernel:
+    """``_lfilter`` calls scipy's compiled kernel, loaded without the
+    ``scipy.signal`` package, and returns ``scipy.signal.lfilter``'s ``y``
+    and ``zf`` bit for bit.  If a scipy release moves the kernel, this
+    fails."""
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape, axis", [
+        ((300,), 0),  # a 1-D signal through ``apply``'s recipe
+        ((300, 15), 0),  # ``apply`` and a stream's chunk: zi (order, 15)
+        ((15, 300), 1),  # a transposed block: zi (15, order)
+        ((4, 200, 15), 1),  # windows past _MAX_OPERATOR_LEN: zi (4, order, 15)
+    ])
+    def test_plan_zi_gives_lfilters_bits(self, order, dtype, shape, axis):
+        design = ButterworthLowpass(order=order)._design
+        x = np.random.default_rng(order).normal(size=shape) * 40.0 + 1000.0
+        x = x.astype(dtype)
+        first, *_, zi_unit = design._plan(x.ndim, axis)
+        zi = zi_unit * x[first]
+        self._assert_lfilters_bits(design, x, zi, axis)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stream_zi_gives_lfilters_bits(self, order, dtype):
+        """The stream's start state ``zi * x[0]`` and the ``zf`` it
+        carries into the next chunk."""
+        design = ButterworthLowpass(order=order)._design
+        x = np.random.default_rng(order).normal(size=(97, 15)).astype(dtype)
+        zf = self._assert_lfilters_bits(
+            design, x[:40], design.zi[:, None] * x[0], 0
+        )
+        self._assert_lfilters_bits(design, x[40:], zf, 0)
+
+    @staticmethod
+    def _assert_lfilters_bits(design, x, zi, axis):
+        y, zf = denoise_module._lfilter(design.b, design.a, x, zi, axis=axis)
+        want_y, want_zf = scipy.signal.lfilter(
+            design.b, design.a, x, axis=axis, zi=zi
+        )
+        assert y.dtype == want_y.dtype and zf.dtype == want_zf.dtype
+        assert np.array_equal(y, want_y) and np.array_equal(zf, want_zf)
+        return zf
+
+    def test_the_kernel_is_loaded_from_scipys_signal_folder(self):
+        kernel = denoise_module._load_sigtools()
+        assert kernel.__name__ == "_sigtools"
+        assert pathlib.Path(kernel.__file__).parent == (
+            pathlib.Path(scipy.signal.__file__).parent
+        )
+
+
+# ---------------------------------------------------------------------- #
 # nothing is re-derived per call
 # ---------------------------------------------------------------------- #
 
 
 def _only_lfilter(monkeypatch):
-    """Leave ``repro.preprocessing.denoise`` nothing of scipy.signal but
-    ``lfilter``: any per-call ``filtfilt``/``lfilter_zi``/``butter`` raises."""
+    """Leave ``repro.preprocessing.denoise`` nothing of scipy but the
+    compiled ``lfilter`` kernel: any other per-call use of it raises."""
     monkeypatch.setattr(
-        denoise_module, "_signal",
-        types.SimpleNamespace(lfilter=scipy.signal.lfilter),
+        denoise_module, "_sigtools",
+        types.SimpleNamespace(
+            _linear_filter=denoise_module._load_sigtools()._linear_filter
+        ),
     )
 
 
@@ -389,7 +451,8 @@ class TestDesignIsHoisted:
             raise AssertionError("a windowed tick ran lfilter")
 
         monkeypatch.setattr(
-            denoise_module, "_signal", types.SimpleNamespace(lfilter=lfilter)
+            denoise_module, "_sigtools",
+            types.SimpleNamespace(_linear_filter=lfilter),
         )
         after = ticks()
         assert len(after[1]) == 6
@@ -400,7 +463,7 @@ class TestDesignIsHoisted:
 
     def test_design_needs_no_scipy_signal(self, monkeypatch):
         """The design and its window operator are numpy's: with every
-        ``_signal`` attribute raising, a filter of a configuration no
+        ``_sigtools`` attribute raising, a filter of a configuration no
         other test uses builds the same ``b``, ``a``, ``zi`` and ``M``."""
         config = dict(cutoff_hz=17.0, sampling_hz=95.0, order=3)
         b, a = scipy.signal.butter(3, 17.0, btype="low", fs=95.0)
@@ -409,9 +472,9 @@ class TestDesignIsHoisted:
 
         class NoScipySignal:
             def __getattr__(self, name):
-                raise AssertionError(f"the design used scipy.signal.{name}")
+                raise AssertionError(f"the design used scipy's {name}")
 
-        monkeypatch.setattr(denoise_module, "_signal", NoScipySignal())
+        monkeypatch.setattr(denoise_module, "_sigtools", NoScipySignal())
         monkeypatch.setattr(denoise_module, "_DESIGNS", {})
         design = ButterworthLowpass(**config)._design
         assert np.array_equal(design.b, b) and np.array_equal(design.a, a)
@@ -497,16 +560,18 @@ class TestSeriesPlan:
 
 
 def _lfilter_widths(monkeypatch):
-    """Like :func:`_only_lfilter`, with an ``lfilter`` that records the
+    """Like :func:`_only_lfilter`, with a kernel that records the
     ``(ndim, channels)`` of every input it filters."""
     widths = []
+    kernel = denoise_module._load_sigtools()._linear_filter
 
-    def lfilter(b, a, x, *args, **kwargs):
+    def lfilter(b, a, x, *args):
         widths.append((x.ndim, x.shape[-1]))
-        return scipy.signal.lfilter(b, a, x, *args, **kwargs)
+        return kernel(b, a, x, *args)
 
     monkeypatch.setattr(
-        denoise_module, "_signal", types.SimpleNamespace(lfilter=lfilter)
+        denoise_module, "_sigtools",
+        types.SimpleNamespace(_linear_filter=lfilter),
     )
     return widths
 

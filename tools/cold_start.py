@@ -1,5 +1,5 @@
-"""Check a cold start: serving and learning at stride = window import no
-scipy submodule.
+"""Check a cold start: serving and learning import no scipy submodule, at
+any stride.
 
     PYTHONPATH=src python tools/cold_start.py [PACKAGE.npz]
 
@@ -11,8 +11,12 @@ activity and calibrate a known one from ``Recording``s, and checks that
 neither ``scipy.signal`` nor ``scipy.ndimage`` has been imported: the
 Butterworth design and its window operator are numpy's, and an update
 featurizes its recording as serving does.  It then serves a stride-30
-stream, which runs ``lfilter``, and checks that ``scipy.signal`` is
-imported now and that the streamed verdicts match ``infer_stream``'s.
+stream and a stride-30 fleet tick, which run ``lfilter``, and the stream's
+``infer_stream(stride=30)`` reference, which runs ``ButterworthLowpass.apply``.
+It checks that the streamed verdicts match the reference's, that scipy's
+compiled ``lfilter`` kernel ran, and that neither ``scipy.signal`` nor
+``scipy.ndimage`` has been imported still: the kernel is loaded on its
+own.
 
 Without ``PACKAGE.npz`` a small package is pre-trained first (about 10 s)
 and the check runs on it in a child interpreter, so that the training's
@@ -50,6 +54,7 @@ def check_cold_start(package_path: str) -> None:
     import numpy as np
 
     from repro.core import EdgeDevice
+    from repro.preprocessing import denoise
     from repro.sensors import SensorDevice
 
     registry = repro.serving.ModelRegistry(default_cohort="cold")
@@ -79,7 +84,10 @@ def check_cold_start(package_path: str) -> None:
 
     session = edge.open_stream(stride=30)
     streamed = [edge.infer_chunk(session, data), edge.finish_stream(session)]
-    _check("scipy.signal" in sys.modules, "a stride-30 stream ran no lfilter")
+    _check(denoise._sigtools is not None, "a stride-30 stream ran no lfilter")
+    server.connect_many(["c", "d"])
+    tick = server.step_stream({"c": data, "d": data[W:]}, stride=30)
+    _check(all(tick[sid] for sid in "cd"), "no stride-30 fleet tick")
     names = [name for batch in streamed for name in batch.names]
     distances = np.concatenate([batch.distances for batch in streamed])
     want = edge.infer_stream(data, stride=30)
@@ -89,7 +97,12 @@ def check_cold_start(package_path: str) -> None:
         np.max(np.abs(distances - want.distances)) <= 1e-9 * scale,
         "stride-30 distances differ from infer_stream beyond 1e-9",
     )
-    print(f"stride-30 stream: {len(names)} verdicts, scipy.signal imported")
+    loaded = [name for name in UNUSED if name in sys.modules]
+    _check(not loaded, f"serving at stride 30 imported {loaded}")
+    print(
+        f"stride-30 stream: {len(names)} verdicts; stride-30 fleet tick and "
+        "infer_stream: lfilter kernel ran, no scipy.signal, no scipy.ndimage"
+    )
 
 
 def pretrain_and_check() -> int:
