@@ -33,13 +33,12 @@ from .privacy import (
 )
 from .smoothing import HysteresisSmoother, MajorityVoteSmoother
 from .support_set import SELECTION_STRATEGIES, SupportSet, herding_selection
-from .transfer import CohortHead, TransferPackage, engine_from_head
+from .transfer import TransferPackage
 
 __all__ = [
     "BatchInference",
     "CLOUD_TO_EDGE",
     "CloudConfig",
-    "CohortHead",
     "CloudInitializer",
     "DriftMonitor",
     "EDGE_TO_CLOUD",
@@ -67,7 +66,6 @@ __all__ = [
     "UNKNOWN_LABEL",
     "UNKNOWN_NAME",
     "UpdateResult",
-    "engine_from_head",
     "open_set_report",
     "herding_selection",
 ]

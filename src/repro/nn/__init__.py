@@ -2,8 +2,7 @@
 
 Replaces the paper's PyTorch dependency: layers with manual backprop, the
 FC Siamese backbone builder with the paper's published dimensions,
-contrastive/distillation/cross-entropy losses, SGD/Adam optimizers and
-checkpoint (de)serialization.
+contrastive/distillation/cross-entropy losses and SGD/Adam optimizers.
 """
 
 from .compress import (
@@ -52,9 +51,7 @@ from .optim import (
     clip_grad_norm,
 )
 from .pairs import PairSampler, all_pairs, sample_pairs
-from .serialization import load_network, network_bundle_bytes, save_network
 from .siamese import (
-    SharedBackbone,
     SiameseEmbedder,
     SiameseTrainer,
     TrainConfig,
@@ -79,7 +76,6 @@ __all__ = [
     "ReLU",
     "SGD",
     "Sequential",
-    "SharedBackbone",
     "SiameseEmbedder",
     "SiameseTrainer",
     "StepLR",
@@ -96,15 +92,12 @@ __all__ = [
     "get_initializer",
     "he_normal",
     "layer_from_config",
-    "load_network",
     "mse_loss",
-    "network_bundle_bytes",
     "prune_network",
     "quantize_network",
     "quantize_tensor",
     "reconstruction_error",
     "sample_pairs",
-    "save_network",
     "sparse_size_bytes",
     "sparsity_of",
     "softmax",

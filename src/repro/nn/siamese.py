@@ -22,8 +22,6 @@ clip, step — so a seed yields the same weights, bit for bit
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -75,71 +73,6 @@ class SiameseEmbedder:
     def clone(self) -> "SiameseEmbedder":
         """Deep copy — used to freeze the teacher before Edge re-training."""
         return SiameseEmbedder(self.network.clone())
-
-    def backbone(self) -> "SharedBackbone":
-        """View this embedder's network as a frozen, fingerprinted backbone."""
-        return SharedBackbone(self.network)
-
-    def n_parameters(self) -> int:
-        return self.network.n_parameters()
-
-    def size_bytes(self, dtype=np.float32) -> int:
-        return self.network.size_bytes(dtype=dtype)
-
-
-class SharedBackbone:
-    """A frozen embedding backbone identified by a content hash.
-
-    Two cohorts whose transfer packages carry byte-identical networks (same
-    architecture, same weights) embed windows identically and differ only
-    in their cheap per-cohort heads.  The fingerprint is a sha256 over the
-    network's ``to_config()`` structure plus every ``state_dict()`` array's
-    key, shape, dtype and raw bytes — equal fingerprints imply equal
-    embeddings for equal inputs.
-
-    The fingerprint is computed lazily and cached: a ``SharedBackbone`` is
-    a *frozen* view, so the wrapped network must not be trained afterwards
-    (retraining goes through a fresh publish, which re-fingerprints).
-    """
-
-    def __init__(self, network: Sequential) -> None:
-        self.network = network
-        self._fingerprint: Optional[str] = None
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable hex content hash of the network (cached after first use)."""
-        if self._fingerprint is None:
-            self._fingerprint = self.fingerprint_of(self.network)
-        return self._fingerprint
-
-    @staticmethod
-    def fingerprint_of(network: Sequential) -> str:
-        """sha256 over architecture config + sorted weight arrays."""
-        digest = hashlib.sha256()
-        digest.update(
-            json.dumps(network.to_config(), sort_keys=True).encode("utf-8")
-        )
-        state = network.state_dict()
-        for key in sorted(state):
-            value = np.ascontiguousarray(state[key])
-            digest.update(key.encode("utf-8"))
-            digest.update(repr(value.shape).encode("utf-8"))
-            digest.update(str(value.dtype).encode("utf-8"))
-            digest.update(value.tobytes())
-        return digest.hexdigest()
-
-    def embedder(self) -> SiameseEmbedder:
-        """An embedder over this backbone (shares the network object)."""
-        return SiameseEmbedder(self.network)
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.embedder().embedding_dim
-
-    @property
-    def input_dim(self) -> int:
-        return self.embedder().input_dim
 
     def n_parameters(self) -> int:
         return self.network.n_parameters()

@@ -394,12 +394,6 @@ class PreprocessingPipeline:
         return getattr(self.normalizer, "is_fitted", False)
 
     @property
-    def expected_channels(self) -> int:
-        """The channel count of every input: the sensor layout the
-        extractor's ``read_channels`` index."""
-        return N_CHANNELS
-
-    @property
     def streaming_extractor(self):
         """The configured extractor, under the name stream code reads it."""
         return self.extractor

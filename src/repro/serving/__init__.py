@@ -37,7 +37,6 @@ Quickstart::
                                             # finish_stream()
 """
 
-from ..core.transfer import CohortHead, engine_from_head
 from .async_fleet import AsyncFleetServer
 from .cohorts import (
     CohortSpec,
@@ -52,7 +51,6 @@ from .registry import DEFAULT_COHORT, ModelRegistry, engine_from_package
 
 __all__ = [
     "AsyncFleetServer",
-    "CohortHead",
     "CohortSpec",
     "DEFAULT_COHORT",
     "EdgeSession",
@@ -62,7 +60,6 @@ __all__ = [
     "GatewayServer",
     "ModelRegistry",
     "SessionVerdict",
-    "engine_from_head",
     "engine_from_package",
     "load_cohort_spec",
     "parse_fleet_spec",

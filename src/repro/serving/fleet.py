@@ -28,6 +28,7 @@ from ..core.engine import BatchInference, InferenceEngine, StreamSession
 from ..core.smoothing import HysteresisSmoother
 from ..exceptions import ConfigurationError, DataShapeError, UnknownCohortError
 from ..preprocessing.pipeline import resolve_feature_dtype
+from ..sensors.channels import N_CHANNELS
 from ..utils import Timer
 from .registry import DEFAULT_COHORT, ModelRegistry
 
@@ -351,8 +352,7 @@ class FleetServer:
             session = self.session(session_id)  # raises for unknown ids
             engine = self._serving_engine(session)  # raises unknown cohorts
             arr = np.asarray(window, dtype=np.float64)
-            pipeline = engine.pipeline
-            shape = (pipeline.window_len, pipeline.expected_channels)
+            shape = (engine.pipeline.window_len, N_CHANNELS)
             if arr.shape != shape:
                 raise DataShapeError(
                     f"session {session.session_id!r} window shape {arr.shape} "
@@ -530,7 +530,7 @@ class FleetServer:
 
         Raises what a tick holding this chunk would be refused for — an
         unknown session or cohort, a stride switch mid-stream, a chunk
-        that is not 2-D, has the wrong channel count for its cohort, or
+        that is not 2-D, does not have the sensor's ``N_CHANNELS``, or
         holds non-finite samples — and returns the chunk as float64, what
         :meth:`stream_tick` takes.  Nothing moves.
         :meth:`step_stream` calls it on every chunk before its tick; a
@@ -538,19 +538,18 @@ class FleetServer:
         arrival, so a bad chunk is answered alone and never costs the
         sessions it would have shared the tick with their chunks.
         """
-        session, engine, _, _ = self._route(session_id, stride)
+        session, _, _, _ = self._route(session_id, stride)
         arr = np.asarray(chunk, dtype=np.float64)
         if arr.ndim != 2:
             raise DataShapeError(
                 f"session {session.session_id!r} chunk must be 2-D "
                 f"(samples, channels), got {arr.shape}"
             )
-        expected = engine.pipeline.expected_channels
-        if arr.shape[1] != expected:
+        if arr.shape[1] != N_CHANNELS:
             raise DataShapeError(
                 f"session {session.session_id!r} chunk has "
                 f"{arr.shape[1]} channels, cohort "
-                f"{session.cohort!r} expects {expected}"
+                f"{session.cohort!r} expects {N_CHANNELS}"
             )
         if not np.isfinite(arr).all():
             raise DataShapeError(

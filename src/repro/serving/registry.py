@@ -61,13 +61,6 @@ class ModelRegistry:
         The cohort served when a caller does not name one (a
         :class:`~repro.serving.fleet.FleetServer` binds sessions connected
         without a cohort here).
-    expected_channels:
-        Optional channel-count contract.  A registry serves one physical
-        sensor fleet, so every published package must agree on the sensor
-        layout; when ``None`` the contract locks to the first published
-        (or lazily loaded) package.
-        Publishing a package with a mismatched channel count raises
-        :class:`~repro.exceptions.ConfigurationError`.
 
     Cohorts come in two states: *published* (an engine is built and
     cached) and *registered* (a lazy source — a package path or factory —
@@ -77,11 +70,7 @@ class ModelRegistry:
     pinned at open time until their stream finishes.
     """
 
-    def __init__(
-        self,
-        default_cohort: str = DEFAULT_COHORT,
-        expected_channels: Optional[int] = None,
-    ) -> None:
+    def __init__(self, default_cohort: str = DEFAULT_COHORT) -> None:
         self.default_cohort = str(default_cohort)
         if not self.default_cohort:
             raise ConfigurationError("default_cohort must be non-empty")
@@ -98,9 +87,6 @@ class ModelRegistry:
         # entry exists); pruned on every catalog mutation so hot-swapped
         # packages do not accumulate forever.
         self._engine_memo: Dict[int, Tuple[TransferPackage, InferenceEngine]] = {}
-        self._expected_channels = (
-            int(expected_channels) if expected_channels is not None else None
-        )
 
     def _prune_engine_memo(self) -> None:
         """Drop memo entries for packages no cohort references anymore.
@@ -115,11 +101,6 @@ class ModelRegistry:
     # ------------------------------------------------------------------ #
     # catalog
     # ------------------------------------------------------------------ #
-
-    @property
-    def expected_channels(self) -> Optional[int]:
-        """The locked sensor channel count, ``None`` until the first load."""
-        return self._expected_channels
 
     def cohorts(self) -> Tuple[str, ...]:
         """Every cohort this registry can serve, loaded or not (sorted)."""
@@ -148,21 +129,12 @@ class ModelRegistry:
     # publishing
     # ------------------------------------------------------------------ #
 
-    def _check_channels(self, cohort_id: str, engine: InferenceEngine) -> None:
-        pipeline = engine.pipeline
-        if pipeline is None:
+    @staticmethod
+    def _check_pipeline(cohort_id: str, engine: InferenceEngine) -> None:
+        if engine.pipeline is None:
             raise ConfigurationError(
                 f"cohort {cohort_id!r} package has no preprocessing "
                 f"pipeline; fleet serving needs raw windows/chunks in"
-            )
-        channels = pipeline.expected_channels
-        if self._expected_channels is None:
-            self._expected_channels = int(channels)
-        elif int(channels) != self._expected_channels:
-            raise ConfigurationError(
-                f"cohort {cohort_id!r} package expects {channels} sensor "
-                f"channels, registry serves {self._expected_channels}; one "
-                f"registry serves one sensor layout"
             )
 
     def _as_engine(self, cohort_id: str, package: PackageLike) -> InferenceEngine:
@@ -187,8 +159,8 @@ class ModelRegistry:
         :class:`~repro.core.transfer.TransferPackage` (an engine is built
         from it — once per package object, so publishing the same package
         under several cohorts shares one engine and therefore one batched
-        fleet call per tick).  The package must pass the registry's
-        channel contract.  Re-publishing an existing cohort replaces its
+        fleet call per tick).  The package must carry a preprocessing
+        pipeline.  Re-publishing an existing cohort replaces its
         engine for all *future* lookups; fleet sessions with an open
         stream keep their pinned engine until the stream finishes.
         """
@@ -196,7 +168,7 @@ class ModelRegistry:
         if not key:
             raise ConfigurationError("cohort_id must be non-empty")
         engine = self._as_engine(key, package)
-        self._check_channels(key, engine)
+        self._check_pipeline(key, engine)
         self._engines[key] = engine
         if isinstance(package, TransferPackage):
             self._engine_memo[id(package)] = (package, engine)
@@ -214,9 +186,9 @@ class ModelRegistry:
         ``source`` is a path to a saved ``.npz`` transfer package or a
         zero-argument callable returning a package/engine.  Nothing is
         loaded now; the first :meth:`engine_for` builds and caches the
-        engine (and enforces the channel contract).  Re-registering an
-        already *published* cohort makes the next lookup re-load from the
-        new source.
+        engine (and refuses one without a preprocessing pipeline).
+        Re-registering an already *published* cohort makes the next lookup
+        re-load from the new source.
         """
         key = str(cohort_id)
         if not key:
@@ -246,7 +218,7 @@ class ModelRegistry:
         source = self._lazy[cohort_id]
         package = source() if callable(source) else TransferPackage.load(source)
         engine = self._as_engine(cohort_id, package)
-        self._check_channels(cohort_id, engine)
+        self._check_pipeline(cohort_id, engine)
         self._engines[cohort_id] = engine
         if isinstance(package, TransferPackage):
             self._engine_memo[id(package)] = (package, engine)

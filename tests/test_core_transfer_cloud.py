@@ -1,24 +1,20 @@
 """Unit tests for the transfer package and Cloud initialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (
     CloudConfig,
     CloudInitializer,
-    CohortHead,
-    InferenceEngine,
-    OpenSetNCM,
     TransferPackage,
-    engine_from_head,
 )
 from repro.exceptions import (
     ConfigurationError,
-    NotFittedError,
     SerializationError,
 )
-from repro.nn import SharedBackbone, TrainConfig
-from repro.serving import engine_from_package
+from repro.nn import TrainConfig
 
 
 class TestTransferPackage:
@@ -48,6 +44,14 @@ class TestTransferPackage:
         package.save(path)
         loaded = TransferPackage.load(path)
 
+        network = loaded.embedder.network
+        assert network.to_config() == package.embedder.network.to_config()
+        want = package.embedder.network.state_dict()
+        got = network.state_dict()
+        assert set(got) == set(want)
+        for key, value in want.items():  # lossless: same dtype, same bytes
+            assert got[key].dtype == value.dtype
+            assert got[key].tobytes() == value.tobytes()
         x = rng.normal(size=(3, package.pipeline.n_features))
         assert np.allclose(
             loaded.embedder.embed(x), package.embedder.embed(x)
@@ -90,91 +94,51 @@ class TestTransferPackage:
                 )
 
 
-class TestSharedBackboneSplit:
-    def test_fingerprint_stable_across_clones(self, scenario):
-        backbone = scenario.package.backbone()
-        clone = scenario.package.embedder.clone()
-        assert (
-            SharedBackbone.fingerprint_of(clone.network)
-            == backbone.fingerprint
-        )
-        assert backbone.fingerprint == backbone.fingerprint  # cached
+def _write_package(path, package, meta):
+    """Save ``package``'s arrays under a replacement metadata object."""
+    arrays = package._collect_arrays()
+    arrays["__meta_json__"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez(path, **arrays)
 
-    def test_fingerprint_tracks_weight_content(self, scenario):
-        backbone = scenario.package.backbone()
-        perturbed = scenario.package.embedder.clone()
-        state = {
-            key: value.copy()
-            for key, value in perturbed.network.state_dict().items()
+
+class TestPackageLoadErrors:
+    """``TransferPackage.load`` is the one network file loader: whatever is
+    wrong with the file, it raises :class:`SerializationError` naming it."""
+
+    @pytest.mark.parametrize("missing", [
+        "pipeline", "network_config", "support_capacity", "support_selection",
+    ])
+    def test_metadata_missing_a_key_rejected(
+        self, scenario, tmp_path, missing
+    ):
+        meta = {
+            "pipeline": scenario.package.pipeline.to_dict(),
+            "network_config": scenario.package.embedder.network.to_config(),
+            "support_capacity": 4,
+            "support_selection": "random",
         }
-        first = sorted(state)[0]
-        state[first] = state[first] + 1e-3
-        perturbed.network.load_state_dict(state)
-        assert (
-            SharedBackbone.fingerprint_of(perturbed.network)
-            != backbone.fingerprint
-        )
+        del meta[missing]
+        path = tmp_path / "partial.npz"
+        _write_package(path, scenario.package, meta)
+        with pytest.raises(SerializationError, match="partial.npz") as info:
+            TransferPackage.load(path)
+        assert missing in str(info.value)
 
-    def test_split_rebuild_matches_package_engine(self, scenario, rng):
-        package = scenario.package
-        backbone, head = package.split()
-        rebuilt = engine_from_head(backbone, head)
-        # the backbone is shared by object, not copied
-        assert rebuilt.embedder.network is package.embedder.network
-        ref = engine_from_package(package)
-        feats = package.pipeline.process_windows(
-            scenario.base_test.windows[:6]
-        )
-        got, want = rebuilt.infer_features(feats), ref.infer_features(feats)
-        assert got.names == want.names
-        np.testing.assert_allclose(
-            got.distances, want.distances, rtol=0, atol=1e-9
-        )
+    @pytest.mark.parametrize(
+        "meta", [["pipeline"], "pipeline", 3, None],
+        ids=["list", "string", "number", "null"],
+    )
+    def test_metadata_not_an_object_rejected(self, scenario, tmp_path, meta):
+        path = tmp_path / "scalar.npz"
+        _write_package(path, scenario.package, meta)
+        with pytest.raises(SerializationError, match="scalar.npz"):
+            TransferPackage.load(path)
 
-    def test_split_with_open_set_carries_thresholds(self, scenario):
-        package = scenario.package
-        backbone, head = package.split(open_set=OpenSetNCM(ratio=0.3))
-        assert head.thresholds is not None and head.ratio == 0.3
-        rebuilt = engine_from_head(backbone, head)
-        ref_os = OpenSetNCM(ratio=0.3)
-        ref_os.fit_from_support_set(package.embedder, package.support_set)
-        ref = InferenceEngine(
-            package.embedder, ref_os, pipeline=package.pipeline
-        )
-        feats = package.pipeline.process_windows(
-            scenario.base_test.windows[:6]
-        )
-        got, want = rebuilt.infer_features(feats), ref.infer_features(feats)
-        assert got.names == want.names
-        assert list(got.accepted) == list(want.accepted)
-        np.testing.assert_allclose(
-            got.distances, want.distances, rtol=0, atol=1e-9
-        )
-
-    def test_head_carries_support_metadata_and_is_light(self, scenario):
-        package = scenario.package
-        backbone, head = package.split()
-        assert head.class_names == package.support_set.class_names
-        assert head.support_counts == package.support_set.counts()
-        assert head.support_capacity == package.support_set.capacity_per_class
-        assert head.size_bytes() < backbone.size_bytes()
-
-    def test_head_shape_validation(self, scenario):
-        package = scenario.package
-        with pytest.raises(NotFittedError, match="prototypes"):
-            CohortHead(
-                class_names=("a", "b"),
-                prototypes=np.zeros((3, 8)),
-                pipeline=package.pipeline,
-            )
-        backbone, head = package.split()
-        wrong_dim = CohortHead(
-            class_names=head.class_names,
-            prototypes=np.zeros((len(head.class_names), 3)),
-            pipeline=head.pipeline,
-        )
-        with pytest.raises(NotFittedError, match="dims"):
-            engine_from_head(backbone, wrong_dim)
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(SerializationError, match="absent.npz"):
+            TransferPackage.load(tmp_path / "absent.npz")
 
 
 class TestCloudInitializer:

@@ -14,6 +14,7 @@ errors arrive as the same typed exceptions the in-process API raises.
 """
 
 import asyncio
+import json
 import threading
 import time
 
@@ -593,6 +594,48 @@ class TestTypedErrorsOverTheWire:
         sessions, welcome = drive(body())
         assert sessions == {}
         assert welcome["session_id"] == "dev-1" and welcome["cohort"] == "a"
+
+    @pytest.mark.parametrize("meta", [
+        {"network_config": {}, "support_capacity": 1,
+         "support_selection": "random"},
+        ["pipeline", "network_config"],
+    ], ids=["missing-pipeline", "list-metadata"])
+    def test_a_corrupt_lazy_package_gets_a_fatal_serialization_error(
+        self, registry, scenario, tmp_path, meta
+    ):
+        """A cohort whose saved package metadata is malformed is refused
+        with a typed ``ERROR`` frame, not a dropped connection, and the
+        gateway keeps serving the healthy cohorts."""
+        arrays = scenario.package._collect_arrays()
+        arrays["__meta_json__"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        path = tmp_path / "corrupt.npz"
+        np.savez(path, **arrays)
+        registry.register_lazy("corrupt", path)
+        hello = Frame(
+            FrameType.HELLO, {"session_id": "dev", "cohort": "corrupt"}
+        )
+        data = SensorDevice(rng=37).record("walk", 2.0).data
+
+        async def body():
+            async with GatewayServer(registry) as gateway:
+                frames = await _raw_exchange(
+                    gateway, BinaryFrameCodec().encode(hello)
+                )
+                sessions = dict(gateway.fleet.sessions)
+                async with GatewayClient(gateway.host, gateway.port) as cli:
+                    await cli.connect("dev", cohort="a")
+                    verdicts = await cli.send_chunk(data)
+            return frames, sessions, verdicts
+
+        frames, sessions, verdicts = drive(body())
+        assert [f.type for f in frames] == [FrameType.ERROR]
+        assert frames[0].meta["code"] == "SERIALIZATION"
+        assert frames[0].meta["fatal"] is True
+        assert "corrupt.npz" in frames[0].meta["message"]
+        assert sessions == {}
+        assert len(verdicts) == 2
 
     @pytest.mark.parametrize("stride", ["abc", 2.5, True, 0, -3])
     def test_bad_hello_stride_is_a_fatal_protocol_error(

@@ -28,6 +28,16 @@ from repro.sensors import SensorDevice
 from repro.serving import AsyncFleetServer, FleetServer, ModelRegistry
 
 PARITY = dict(rtol=0.0, atol=1e-9)
+
+
+def _network_bytes(engine):
+    """An engine's network as bytes: its config plus every weight array's
+    key, shape, dtype and raw bytes (equal only for identical networks)."""
+    state = engine.embedder.network.state_dict()
+    return engine.embedder.network.to_config(), {
+        key: (value.shape, value.dtype.str, value.tobytes())
+        for key, value in state.items()
+    }
 WINDOW = 120  # the default pipeline window length
 
 
@@ -588,14 +598,11 @@ class TestBackboneFusionAsync:
 
     @pytest.fixture
     def shared_engines(self, scenario):
-        """Two cohort heads over byte-identical backbone clones."""
+        """Two cohort engines over byte-identical network clones."""
         engine_x = scenario.fresh_edge(rng=1).engine
         engine_y = scenario.fresh_edge(rng=3).engine
         assert engine_x is not engine_y
-        assert (
-            engine_x.embedder.backbone().fingerprint
-            == engine_y.embedder.backbone().fingerprint
-        )
+        assert _network_bytes(engine_x) == _network_bytes(engine_y)
         return engine_x, engine_y
 
     @pytest.fixture

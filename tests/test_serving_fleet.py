@@ -24,6 +24,16 @@ from repro.serving import DEFAULT_COHORT, FleetServer, ModelRegistry
 PARITY = dict(rtol=0.0, atol=1e-9)
 
 
+def _network_bytes(engine):
+    """An engine's network as bytes: its config plus every weight array's
+    key, shape, dtype and raw bytes (equal only for identical networks)."""
+    state = engine.embedder.network.state_dict()
+    return engine.embedder.network.to_config(), {
+        key: (value.shape, value.dtype.str, value.tobytes())
+        for key, value in state.items()
+    }
+
+
 @pytest.fixture
 def engines(scenario):
     """Two distinct engines: the base package and a 6-class variant."""
@@ -337,14 +347,11 @@ class TestBackboneFusion:
 
     @pytest.fixture
     def shared_engines(self, scenario):
-        """Two cohort heads over byte-identical backbone clones."""
+        """Two cohort engines over byte-identical network clones."""
         engine_x = scenario.fresh_edge(rng=1).engine
         engine_y = scenario.fresh_edge(rng=3).engine
         assert engine_x is not engine_y
-        assert (
-            engine_x.embedder.backbone().fingerprint
-            == engine_y.embedder.backbone().fingerprint
-        )
+        assert _network_bytes(engine_x) == _network_bytes(engine_y)
         return engine_x, engine_y
 
     @pytest.fixture
@@ -444,11 +451,8 @@ class TestBackboneFusion:
     ):
         """A retrained backbone is served like any other engine."""
         engine_x, _ = shared_engines
-        _, engine_b = engines  # fine-tuned backbone: distinct fingerprint
-        assert (
-            engine_b.embedder.backbone().fingerprint
-            != engine_x.embedder.backbone().fingerprint
-        )
+        _, engine_b = engines  # fine-tuned backbone: distinct weights
+        assert _network_bytes(engine_b) != _network_bytes(engine_x)
         shared_registry.publish("y", engine_b)
         calls = {"x": 0, "b": 0}
         _count_calls(monkeypatch, engine_x, calls, "x")
@@ -628,6 +632,17 @@ class TestMixedCohortStep:
         server.connect("l2", cohort="long")
         with pytest.raises(DataShapeError, match="session 'l2'"):
             server.step({"l": data[:120], "l2": data[:60]})
+
+    def test_step_refuses_a_window_of_another_sensor_layout(
+        self, registry, scenario
+    ):
+        """Every cohort reads the one sensor layout, ``N_CHANNELS`` wide."""
+        server = FleetServer(registry)
+        server.connect("s", cohort="a")
+        data = scenario.sensor_device.record("walk", 1.0).data
+        with pytest.raises(DataShapeError, match=r"\(120, 22\)"):
+            server.step({"s": data[:120, :21]})
+        assert server.ticks == 0
 
     def test_per_cohort_rollups(self, registry, scenario):
         server = FleetServer(registry)

@@ -1,5 +1,6 @@
 """Tests for the multi-model cohort registry and fleet specifications."""
 
+import dataclasses
 import io
 import json
 
@@ -89,19 +90,13 @@ class TestModelRegistry:
         with pytest.raises(ConfigurationError, match="pipeline"):
             registry.publish("wrist", bare)
 
-    def test_channel_contract_rejects_mismatched_package(self, scenario):
-        registry = ModelRegistry(expected_channels=3)
-        with pytest.raises(ConfigurationError, match="channels"):
-            registry.publish("wrist", scenario.package)
+    def test_pipelineless_package_rejected_and_not_retained(self, scenario):
+        registry = ModelRegistry()
+        bare = dataclasses.replace(scenario.package, pipeline=None)
+        with pytest.raises(ConfigurationError, match="pipeline"):
+            registry.publish("wrist", bare)
         assert not registry.has_cohort("wrist")
         assert registry._engine_memo == {}  # rejected package not retained
-
-    def test_channel_contract_locks_on_first_publish(self, scenario, edge):
-        registry = ModelRegistry()
-        assert registry.expected_channels is None
-        registry.publish("a", scenario.package)
-        assert registry.expected_channels == 22
-        registry.publish("b", edge.engine)  # same layout: accepted
 
     def test_lazy_load_from_path(self, package_path):
         registry = ModelRegistry()
@@ -125,11 +120,17 @@ class TestModelRegistry:
         registry.engine_for("wrist")
         assert len(calls) == 1
 
-    def test_lazy_load_enforces_channel_contract(self, package_path):
-        registry = ModelRegistry(expected_channels=3)
-        registry.register_lazy("wrist", package_path)
-        with pytest.raises(ConfigurationError, match="channels"):
+    def test_lazy_pipelineless_engine_rejected_and_stays_registered(
+        self, edge
+    ):
+        registry = ModelRegistry()
+        registry.register_lazy(
+            "wrist", lambda: InferenceEngine(edge.embedder, edge.ncm)
+        )
+        with pytest.raises(ConfigurationError, match="pipeline"):
             registry.engine_for("wrist")
+        assert registry.has_cohort("wrist")
+        assert not registry.loaded("wrist")
 
     def test_same_package_object_shares_one_engine(self, scenario):
         """Publishing one package under two cohorts -> one shared batch."""
