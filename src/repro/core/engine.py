@@ -61,13 +61,9 @@ def _gram_distances(
 
 
 def _weight_arrays(network) -> Tuple[np.ndarray, ...]:
-    """Every array a float32 replica of ``network`` copies: the parameters
-    and any batch-norm running statistics."""
-    arrays = [param.data for param in network.parameters()]
-    for layer in getattr(network, "layers", ()):
-        if hasattr(layer, "running_mean"):
-            arrays += (layer.running_mean, layer.running_var)
-    return tuple(arrays)
+    """Every array a float32 replica of ``network`` is cast from: the
+    parameters and any batch-norm running statistics."""
+    return tuple(network.state_arrays().values())
 
 
 def _same_arrays(a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]) -> bool:
@@ -75,16 +71,12 @@ def _same_arrays(a: Tuple[np.ndarray, ...], b: Tuple[np.ndarray, ...]) -> bool:
 
 
 def _float32_replica(network):
-    """A clone of ``network`` with every weight array cast to float32, so
-    the reduced-precision forward pass runs in 32 bits end to end."""
-    replica = network.clone()
-    for param in replica.parameters():
-        param.data = param.data.astype(np.float32)
-    for layer in getattr(replica, "layers", ()):
-        if hasattr(layer, "running_mean"):
-            layer.running_mean = layer.running_mean.astype(np.float32)
-            layer.running_var = layer.running_var.astype(np.float32)
-    return replica
+    """``network`` rebuilt around its weights cast to float32, so the
+    reduced-precision forward pass runs in 32 bits end to end: one float32
+    array per weight, no init drawn, no gradient."""
+    return type(network).from_state(
+        network.to_config(), network.state_arrays(), dtype=np.float32
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +185,7 @@ class _ModelKernel:
                 f"its embedder takes {input_dim}"
             )
         embed = self.weights = None  # weights: what a float32 replica is cast from
-        if dtype is not None and hasattr(network, "clone"):
+        if dtype is not None and hasattr(network, "state_arrays"):
             self.weights = _weight_arrays(network)
             embed = _float32_replica(network).infer
         elif dtype is None and hasattr(network, "infer"):

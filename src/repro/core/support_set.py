@@ -20,6 +20,7 @@ Three exemplar-selection strategies are provided:
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -281,11 +282,12 @@ class SupportSet:
         )
         keyed = []
         for key, arr in payload.items():
-            prefix, rest = key.split("_", 1)
-            if prefix != "class":
-                raise ConfigurationError(f"unexpected support-set key {key!r}")
-            index_str, name = rest.split("_", 1)
-            keyed.append((int(index_str), name, arr))
+            match = re.fullmatch(r"class_([0-9]+)_(.+)", key)
+            if match is None:
+                raise ConfigurationError(
+                    f"unexpected support-set key {key!r} (want class_<i>_<name>)"
+                )
+            keyed.append((int(match[1]), match[2], arr))
         for _, name, arr in sorted(keyed, key=lambda item: item[0]):
             obj.add_class(name, arr)
         return obj

@@ -18,7 +18,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from ..exceptions import SerializationError
+from ..exceptions import MagnetoError, SerializationError
 from ..nn.network import Sequential
 from ..nn.siamese import SiameseEmbedder
 from ..preprocessing.pipeline import PreprocessingPipeline
@@ -134,14 +134,25 @@ class TransferPackage:
                 f"{', '.join(missing)})"
             )
 
-        pipeline = PreprocessingPipeline.from_dict(meta["pipeline"])
-        network = Sequential.from_config(meta["network_config"])
-        network.load_state_dict(model_state)
-        support = SupportSet.from_arrays(
-            support_arrays,
-            capacity_per_class=int(meta["support_capacity"]),
-            selection=str(meta["support_selection"]),
-        )
+        capacity = meta["support_capacity"]
+        if isinstance(capacity, bool) or not isinstance(capacity, int):
+            raise SerializationError(
+                f"{path!s} is not a transfer package (support_capacity must "
+                f"be an integer, got {capacity!r})"
+            )
+        try:
+            pipeline = PreprocessingPipeline.from_dict(meta["pipeline"])
+            # The stored weights become the network's own: no init is drawn.
+            network = Sequential.from_state(meta["network_config"], model_state)
+            support = SupportSet.from_arrays(
+                support_arrays,
+                capacity_per_class=capacity,
+                selection=str(meta["support_selection"]),
+            )
+        except MagnetoError as exc:
+            raise SerializationError(
+                f"cannot load transfer package from {path!s}: {exc}"
+            ) from exc
         return cls(
             pipeline=pipeline,
             embedder=SiameseEmbedder(network),

@@ -20,33 +20,63 @@ Conventions
   entry and returns exactly ``infer``'s bits; a caller that has already
   checked its input (the engine's window->verdict kernel) calls ``infer``.
 - Parameters are :class:`Parameter` objects; optimizers mutate
-  ``param.data`` in place using ``param.grad``.
+  ``param.data`` in place using ``param.grad``.  A gradient is allocated
+  on its first use, so a network that only serves holds none.
+- :func:`layer_from_config` builds a layer with fresh parameters;
+  :func:`layer_from_state` rebuilds a stored one around its arrays,
+  drawing no init.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, DataShapeError, TrainingStateError
+from ..exceptions import (
+    ConfigurationError,
+    DataShapeError,
+    SerializationError,
+    TrainingStateError,
+)
 from ..utils import RngLike, ensure_rng
 from .initializers import get_initializer
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient."""
+    """A trainable tensor with an accumulated gradient.
 
-    __slots__ = ("name", "data", "grad")
+    ``data`` is float64, or float32 when given as float32 (the engine's
+    inference replicas); it is held, not copied, when it already has its
+    dtype.  The gradient — zeros of ``data``'s shape and dtype — is
+    allocated on first use (reading ``grad``, ``zero_grad``, a backward
+    pass, an optimizer step), so a parameter that is only served holds
+    none.  Assigning ``grad = None`` releases it.
+    """
+
+    __slots__ = ("name", "data", "_grad")
 
     def __init__(self, name: str, data: np.ndarray) -> None:
         self.name = name
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        data = np.asarray(data)
+        self.data = (
+            data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+        )
+        self._grad: Optional[np.ndarray] = None
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._grad = value
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -93,12 +123,25 @@ class Linear(Layer):
     ) -> None:
         if in_features < 1 or out_features < 1:
             raise ConfigurationError("in_features and out_features must be >= 1")
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
-        self.init = init
-        weight = get_initializer(init)(self.in_features, self.out_features, rng)
+        weight = get_initializer(init)(int(in_features), int(out_features), rng)
+        self._hold(weight, np.zeros(int(out_features)), init)
+
+    @classmethod
+    def from_arrays(
+        cls, weight: np.ndarray, bias: np.ndarray, init: str = "he_normal"
+    ) -> "Linear":
+        """A layer whose parameters are ``weight`` ``(in, out)`` and
+        ``bias`` ``(out,)`` as given: held, not copied, and no init drawn.
+        ``init`` is only recorded for :meth:`to_config`."""
+        layer = cls.__new__(cls)
+        layer._hold(weight, bias, init)
+        return layer
+
+    def _hold(self, weight: np.ndarray, bias: np.ndarray, init: str) -> None:
         self.weight = Parameter("weight", weight)
-        self.bias = Parameter("bias", np.zeros(self.out_features))
+        self.bias = Parameter("bias", bias)
+        self.in_features, self.out_features = self.weight.shape
+        self.init = init
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -331,7 +374,7 @@ _LAYER_KINDS = {
 
 
 def layer_from_config(config: Dict, rng: RngLike = None):
-    """Rebuild a layer (with fresh parameters) from its ``to_config`` dict."""
+    """Build a layer (with fresh parameters) from its ``to_config`` dict."""
     try:
         kind = config["kind"]
     except (KeyError, TypeError):
@@ -341,3 +384,52 @@ def layer_from_config(config: Dict, rng: RngLike = None):
     except KeyError:
         raise ConfigurationError(f"unknown layer kind {kind!r}") from None
     return factory(config, rng)
+
+
+def layer_from_state(
+    config: Dict,
+    state: Mapping[str, np.ndarray],
+    prefix: str = "",
+    dtype=np.float64,
+) -> Layer:
+    """Rebuild a stored layer from its ``to_config`` dict and its arrays.
+
+    ``state`` holds the layer's parameters and batch-norm running
+    statistics under ``prefix + name`` (``Sequential.state_dict`` keys);
+    each one, cast to ``dtype`` (float64 or float32), becomes the layer's
+    own — held, not copied, when it already has that dtype — and no init
+    is drawn.  A missing or misshapen array, or a malformed config, raises
+    :class:`SerializationError`.
+    """
+
+    def array(name: str, shape) -> np.ndarray:
+        key = prefix + name
+        if key not in state:
+            raise SerializationError(f"missing parameter {key!r} in state")
+        value = np.asarray(state[key], dtype=dtype)
+        if value.shape != shape:
+            raise SerializationError(
+                f"shape mismatch for {key!r}: {value.shape} vs {shape}"
+            )
+        return value
+
+    try:
+        kind = config["kind"]
+        if kind == "linear":
+            n_in, n_out = int(config["in_features"]), int(config["out_features"])
+            return Linear.from_arrays(
+                array("weight", (n_in, n_out)),
+                array("bias", (n_out,)),
+                init=config.get("init", "he_normal"),
+            )
+        if kind == "batchnorm1d":
+            layer = layer_from_config(config)
+            n = (layer.num_features,)
+            layer.gamma = Parameter("gamma", array("gamma", n))
+            layer.beta = Parameter("beta", array("beta", n))
+            layer.running_mean = array("running_mean", n)
+            layer.running_var = array("running_var", n)
+            return layer
+        return layer_from_config(config)  # no arrays: an activation or dropout
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"invalid layer config {config!r}: {exc}") from exc

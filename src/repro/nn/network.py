@@ -9,7 +9,7 @@ that by default (on top of the 80-dimensional feature input), and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .layers import (
     ReLU,
     Tanh,
     layer_from_config,
+    layer_from_state,
 )
 
 #: Hidden dims and embedding dim published in the paper (Section 3.2).
@@ -101,16 +102,20 @@ class Sequential(Layer):
             "layers": [layer.to_config() for layer in self.layers],
         }
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Flat parameter snapshot keyed ``'{layer_idx}.{param_name}'``."""
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The live arrays :meth:`state_dict` copies, under the same keys."""
         state: Dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers):
             for param in layer.parameters():
-                state[f"{i}.{param.name}"] = param.data.copy()
+                state[f"{i}.{param.name}"] = param.data
             if isinstance(layer, BatchNorm1d):
-                state[f"{i}.running_mean"] = layer.running_mean.copy()
-                state[f"{i}.running_var"] = layer.running_var.copy()
+                state[f"{i}.running_mean"] = layer.running_mean
+                state[f"{i}.running_var"] = layer.running_var
         return state
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Flat parameter snapshot keyed ``'{layer_idx}.{param_name}'``."""
+        return {key: value.copy() for key, value in self.state_arrays().items()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         for i, layer in enumerate(self.layers):
@@ -125,7 +130,7 @@ class Sequential(Layer):
                         f"{value.shape} vs {param.data.shape}"
                     )
                 param.data = value.copy()
-                param.grad = np.zeros_like(param.data)
+                param.grad = None
             if isinstance(layer, BatchNorm1d):
                 layer.running_mean = np.asarray(
                     state[f"{i}.running_mean"], dtype=np.float64
@@ -136,16 +141,43 @@ class Sequential(Layer):
 
     @classmethod
     def from_config(cls, config: Dict, rng: RngLike = None) -> "Sequential":
-        if config.get("kind") != "sequential":
-            raise SerializationError(f"not a sequential config: {config!r}")
+        """A network of fresh parameters drawn from ``rng``."""
+        layers = _layer_configs(config)
         rng = ensure_rng(rng)
-        return cls([layer_from_config(c, rng) for c in config["layers"]])
+        return cls([layer_from_config(c, rng) for c in layers])
+
+    @classmethod
+    def from_state(
+        cls, config: Dict, state: Mapping[str, np.ndarray], dtype=np.float64
+    ) -> "Sequential":
+        """Rebuild a stored network from its ``to_config`` dict and its
+        ``state_dict``-keyed arrays, drawing no init.
+
+        Each array, cast to ``dtype`` (float64 or float32), becomes the
+        network's own — held, not copied, when it already has that dtype
+        (see :func:`~repro.nn.layers.layer_from_state`).  A malformed config
+        or a missing or misshapen array raises :class:`SerializationError`.
+        """
+        return cls([
+            layer_from_state(c, state, f"{i}.", dtype)
+            for i, c in enumerate(_layer_configs(config))
+        ])
 
     def clone(self) -> "Sequential":
-        """A deep copy with independent parameters (teacher snapshots)."""
-        twin = Sequential.from_config(self.to_config())
-        twin.load_state_dict(self.state_dict())
-        return twin
+        """A deep copy with independent parameters (teacher snapshots):
+        one copy of each array, no init drawn, no gradient."""
+        return Sequential.from_state(self.to_config(), self.state_dict())
+
+
+def _layer_configs(config: Dict) -> List[Dict]:
+    """The layer configs of a ``Sequential.to_config`` dict."""
+    if not (
+        isinstance(config, dict)
+        and config.get("kind") == "sequential"
+        and isinstance(config.get("layers"), list)
+    ):
+        raise SerializationError(f"not a sequential config: {config!r}")
+    return config["layers"]
 
 
 def build_mlp(

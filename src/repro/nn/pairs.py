@@ -49,9 +49,11 @@ class PairSampler:
             raise ConfigurationError(
                 f"positive_fraction must be in [0, 1], got {positive_fraction}"
             )
-        #: Member indices of every class, in ascending class order.
+        #: Member indices of every class, in ascending class order (sorted
+        #: in Python: ``np.unique`` imports ``numpy.ma`` on first use).
         self._members: List[List[int]] = [
-            np.flatnonzero(labels == c).tolist() for c in np.unique(labels)
+            np.flatnonzero(labels == c).tolist()
+            for c in sorted(set(labels.tolist()))
         ]
         #: The classes that can supply a positive pair.
         self._multi: List[List[int]] = [m for m in self._members if len(m) >= 2]

@@ -416,13 +416,17 @@ class ZeroPhaseIIRStream:
 
     def _emit_ready(self) -> np.ndarray:
         blocks = []
-        b_len, t_len = self.block, self.truncation
-        while self._n_in >= self._n_out + b_len + t_len:
-            blocks.append(self._backward_tail(self._yf[: b_len + t_len], b_len))
-            self._yf = self._yf[b_len:]
+        b_len, span = self.block, self.block + self.truncation
+        start = 0
+        while self._n_in >= self._n_out + span:
+            blocks.append(self._backward_tail(self._yf[start : start + span], b_len))
+            start += b_len
             self._n_out += b_len
         if not blocks:
             return self._empty()
+        # An owned copy of the pending rows (fewer than ``span``): a view
+        # would pin the whole array ``push`` concatenated.
+        self._yf = self._yf[start:].copy()
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
 
     def push(self, chunk: np.ndarray) -> np.ndarray:

@@ -839,7 +839,7 @@ class PreprocessingPipeline:
                 extractor=extractor,
                 normalizer=normalizer_from_dict(payload["normalizer"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid pipeline payload: {exc}") from exc
         return pipeline
 

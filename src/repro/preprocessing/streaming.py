@@ -313,8 +313,12 @@ class StreamingFeatureExtractor:
         ).reshape(len(derived), 3)
         #: The sensor channels some configured signal reads, ascending
         #: (15 of 22 for the default config).  The plan below indexes the
-        #: ``(n, len(read_channels))`` block of these columns.
-        self.read_channels = np.union1d(raw_channels, group_channels)
+        #: ``(n, len(read_channels))`` block of these columns.  Sorted in
+        #: Python: ``np.union1d`` imports ``numpy.ma`` on first use.
+        self.read_channels = np.array(
+            sorted({*raw_channels.tolist(), *group_channels.ravel().tolist()}),
+            dtype=np.intp,
+        )
         # One gather takes every column the series block is built from:
         # the derived groups' axes, then the raw channels.
         self._gather = np.searchsorted(

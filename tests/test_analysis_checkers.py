@@ -385,6 +385,32 @@ class TestUnseededDraw:
     def test_outside_the_device_and_serving_layers_exempt(self, path):
         text = fixture_text("unseeded_draw.py")
         assert found(text, UnseededDrawChecker(), path=path) == []
+        text = fixture_text("unseeded_init.py")
+        assert found(text, UnseededDrawChecker(), path=path) == []
+
+    @pytest.mark.parametrize(
+        "path", ["src/repro/core/transfer.py", "src/repro/serving/registry.py"]
+    )
+    def test_init_fixture_violations(self, path):
+        """A network builder given no generator on a device or serving
+        path draws a throwaway init from OS entropy."""
+        text = fixture_text("unseeded_init.py")
+        expected = [
+            ("unseeded-draw", n) for n in marker_lines(text, "unseeded-draw")
+        ]
+        assert len(expected) == 6
+        assert found(text, UnseededDrawChecker(), path=path) == expected
+
+    def test_init_message_names_the_builder(self):
+        text = fixture_text("unseeded_init.py")
+        messages = [
+            v.message
+            for v in lint_source(text, [UnseededDrawChecker()], path=self.path)
+        ]
+        assert messages[0].startswith("Sequential.from_config() with no rng")
+        assert messages[2].startswith("build_mlp() with no rng")
+        assert messages[-1].startswith("layer_from_config() with no rng")
+        assert all("Sequential.from_state" in m for m in messages)
 
 
 class TestStrictPragmas:

@@ -213,6 +213,26 @@ class TestDrawsAreSeeded:
         )
         assert [v.rule for v in hits] == ["unseeded-draw"]
 
+    def test_a_package_load_drawing_an_init_is_flagged(self):
+        """Rebuilding the stored network over a fresh init — what
+        ``TransferPackage.load`` once did — is flagged."""
+        from repro.analysis import UnseededDrawChecker, lint_source
+
+        transfer = REPO_ROOT / "src" / "repro" / "core" / "transfer.py"
+        rebuild = 'Sequential.from_state(meta["network_config"], model_state)'
+        text = transfer.read_text(encoding="utf-8")
+        assert rebuild in text
+        text = text.replace(
+            rebuild,
+            'Sequential.from_config(meta["network_config"]); '
+            "network.load_state_dict(model_state)",
+            1,
+        )
+        hits = lint_source(
+            text, [UnseededDrawChecker()], path="src/repro/core/transfer.py"
+        )
+        assert [v.rule for v in hits] == ["unseeded-draw"]
+
     def test_rule_listed(self, capsys):
         assert run_lint.main(["--list-rules"]) == 0
         assert "unseeded-draw" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 """``tools/cold_start.py``: serving and learning import no scipy
-submodule, at stride = window or below it.
+submodule and no ``numpy.ma``, at stride = window or below it.
 
 The check needs an interpreter that has not imported scipy yet, and this
 one has, so the script runs as a subprocess on the scenario's package.
@@ -33,7 +33,9 @@ def test_windowed_serving_imports_no_scipy_signal(package_path):
     lines = result.stdout.splitlines()
     assert lines[0].startswith("import repro.serving: ")
     assert lines[-2].startswith("stride-30 stream: ")
-    assert lines[-2].endswith("lfilter kernel ran, no scipy.signal, no scipy.ndimage")
+    assert lines[-2].endswith(
+        "lfilter kernel ran, no scipy.signal, no scipy.ndimage, no numpy.ma"
+    )
     assert lines[-1] == "cold start: ok"
 
 
@@ -66,3 +68,33 @@ def test_a_stride_30_import_fails_the_check(package_path):
     result = _run("-c", prelude)
     assert result.returncode == 1
     assert "serving at stride 30 imported ['scipy.signal'" in result.stdout
+
+
+@pytest.mark.parametrize("module, patched, message", [
+    (
+        "streaming", "StreamingFeatureExtractor.__init__",
+        "serving at stride = window imported ['numpy.ma']",
+    ),
+    ("denoise", "_load_sigtools", "serving at stride 30 imported ['numpy.ma']"),
+], ids=["package-load", "stride-30"])
+def test_a_serving_path_numpy_ma_import_fails_the_check(
+    package_path, module, patched, message
+):
+    """``numpy.ma`` is guarded on the serving path too: a package load
+    whose feature extractor sorts its channels with ``np.unique``, or a
+    stride-30 stream whose kernel load does, fails the check."""
+    src = str(SCRIPT.parent.parent / "src")
+    owner, _, attr = patched.rpartition(".")
+    target = f"{module}.{owner}" if owner else module
+    prelude = (
+        f"import runpy, sys; sys.path.insert(0, {src!r}); "
+        f"from repro.preprocessing import {module}; "
+        f"old = {target}.{attr}; "
+        f"{target}.{attr} = "
+        "lambda *args: (__import__('numpy').unique([0]), old(*args))[1]; "
+        f"sys.argv = [{str(SCRIPT)!r}, {package_path!r}]; "
+        f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')"
+    )
+    result = _run("-c", prelude)
+    assert result.returncode == 1
+    assert message in result.stdout

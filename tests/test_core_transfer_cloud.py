@@ -140,6 +140,59 @@ class TestPackageLoadErrors:
         with pytest.raises(SerializationError, match="absent.npz"):
             TransferPackage.load(tmp_path / "absent.npz")
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("network_config", [], "not a sequential config"),
+        ("network_config", {"kind": "sequential", "layers": [{"kind": "linear"}]},
+         "invalid layer config"),
+        ("support_capacity", "x", "support_capacity must be an integer"),
+        ("support_capacity", True, "support_capacity must be an integer"),
+        ("pipeline", {"window_len": "x"}, "invalid pipeline payload"),
+    ], ids=[
+        "network-config-list", "layer-without-widths", "capacity-string",
+        "capacity-bool", "pipeline-fields",
+    ])
+    def test_metadata_of_the_wrong_shape_rejected(
+        self, scenario, tmp_path, key, value, reason
+    ):
+        """Present but malformed metadata raises ``SerializationError``
+        naming the file, not ``AttributeError`` or ``ValueError``."""
+        package = scenario.package
+        meta = {
+            "pipeline": package.pipeline.to_dict(),
+            "network_config": package.embedder.network.to_config(),
+            "support_capacity": package.support_set.capacity_per_class,
+            "support_selection": package.support_set.selection,
+            key: value,
+        }
+        path = tmp_path / "shape.npz"
+        _write_package(path, package, meta)
+        with pytest.raises(SerializationError, match="shape.npz") as info:
+            TransferPackage.load(path)
+        assert reason in str(info.value)
+
+    @pytest.mark.parametrize("name", ["junk", "class_walk", "class_x_walk"])
+    def test_support_key_without_class_index_rejected(
+        self, scenario, tmp_path, name
+    ):
+        package = scenario.package
+        arrays = package._collect_arrays()
+        arrays[f"support/{name}"] = np.zeros((2, package.pipeline.n_features))
+        path = tmp_path / "support.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(SerializationError, match="support.npz") as info:
+            TransferPackage.load(path)
+        assert f"unexpected support-set key {name!r}" in str(info.value)
+
+    def test_weights_of_the_wrong_shape_rejected(self, scenario, tmp_path):
+        package = scenario.package
+        arrays = package._collect_arrays()
+        arrays["model/0.weight"] = arrays["model/0.weight"][:, :-1]
+        path = tmp_path / "weights.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(SerializationError, match="weights.npz") as info:
+            TransferPackage.load(path)
+        assert "shape mismatch for '0.weight'" in str(info.value)
+
 
 class TestCloudInitializer:
     def test_pretrain_learns_base_activities(self, scenario):

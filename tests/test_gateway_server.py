@@ -595,18 +595,25 @@ class TestTypedErrorsOverTheWire:
         assert sessions == {}
         assert welcome["session_id"] == "dev-1" and welcome["cohort"] == "a"
 
-    @pytest.mark.parametrize("meta", [
-        {"network_config": {}, "support_capacity": 1,
-         "support_selection": "random"},
-        ["pipeline", "network_config"],
-    ], ids=["missing-pipeline", "list-metadata"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: {"network_config": {}, "support_capacity": 1,
+                      "support_selection": "random"},
+        lambda meta: ["pipeline", "network_config"],
+        lambda meta: {**meta, "network_config": []},
+        lambda meta: {**meta, "support_capacity": "x"},
+    ], ids=[
+        "missing-pipeline", "list-metadata", "list-network-config",
+        "string-capacity",
+    ])
     def test_a_corrupt_lazy_package_gets_a_fatal_serialization_error(
-        self, registry, scenario, tmp_path, meta
+        self, registry, scenario, tmp_path, corrupt
     ):
         """A cohort whose saved package metadata is malformed is refused
         with a typed ``ERROR`` frame, not a dropped connection, and the
-        gateway keeps serving the healthy cohorts."""
+        gateway keeps serving the healthy cohorts.  ``corrupt`` maps the
+        healthy package's metadata to the stored one."""
         arrays = scenario.package._collect_arrays()
+        meta = corrupt(json.loads(arrays["__meta_json__"].tobytes().decode("utf-8")))
         arrays["__meta_json__"] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )

@@ -1,5 +1,5 @@
-"""Check a cold start: serving and learning import no scipy submodule, at
-any stride.
+"""Check a cold start: serving and learning import no scipy submodule and
+no ``numpy.ma``, at any stride.
 
     PYTHONPATH=src python tools/cold_start.py [PACKAGE.npz]
 
@@ -8,15 +8,16 @@ how long that took), registers ``PACKAGE.npz`` lazily in a
 ``ModelRegistry``, serves one windowed ``EdgeDevice.infer_chunk`` and one
 windowed ``FleetServer.step_stream`` tick, then has the device learn a new
 activity and calibrate a known one from ``Recording``s, and checks that
-neither ``scipy.signal`` nor ``scipy.ndimage`` has been imported: the
-Butterworth design and its window operator are numpy's, and an update
-featurizes its recording as serving does.  It then serves a stride-30
-stream and a stride-30 fleet tick, which run ``lfilter``, and the stream's
+none of ``scipy.signal``, ``scipy.ndimage`` and ``numpy.ma`` has been
+imported: the Butterworth design and its window operator are numpy's, an
+update featurizes its recording as serving does, and neither the package
+load nor the trainer's pair sampler sorts with ``np.unique``, which
+imports ``numpy.ma``.  It then serves a stride-30 stream and a stride-30
+fleet tick, which run ``lfilter``, and the stream's
 ``infer_stream(stride=30)`` reference, which runs ``ButterworthLowpass.apply``.
 It checks that the streamed verdicts match the reference's, that scipy's
-compiled ``lfilter`` kernel ran, and that neither ``scipy.signal`` nor
-``scipy.ndimage`` has been imported still: the kernel is loaded on its
-own.
+compiled ``lfilter`` kernel ran, and that none of the three has been
+imported still: the kernel is loaded on its own.
 
 Without ``PACKAGE.npz`` a small package is pre-trained first (about 10 s)
 and the check runs on it in a child interpreter, so that the training's
@@ -36,7 +37,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 W = 120  # samples per window at the synthetic sensors' 120 Hz
-UNUSED = ("scipy.signal", "scipy.ndimage")
+UNUSED = ("scipy.signal", "scipy.ndimage", "numpy.ma")
+NONE_OF_THEM = ", ".join(f"no {name}" for name in UNUSED)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -72,14 +74,15 @@ def check_cold_start(package_path: str) -> None:
     _check(
         [len(tick[sid]) for sid in "ab"] == [2, 2], "no windowed fleet tick"
     )
+    loaded = [name for name in UNUSED if name in sys.modules]
+    _check(not loaded, f"serving at stride = window imported {loaded}")
     edge.learn_activity("gesture_hi", sensor.record("gesture_hi", 20.0))
     edge.calibrate_activity("walk", sensor.record("walk", 20.0))
     _check("gesture_hi" in edge.classes, "the learned activity is not served")
     loaded = [name for name in UNUSED if name in sys.modules]
-    _check(not loaded, f"serving or learning at stride = window imported {loaded}")
+    _check(not loaded, f"learning at stride = window imported {loaded}")
     print(
-        "windowed edge chunk, fleet tick, learn and calibrate: "
-        "no scipy.signal, no scipy.ndimage"
+        f"windowed edge chunk, fleet tick, learn and calibrate: {NONE_OF_THEM}"
     )
 
     session = edge.open_stream(stride=30)
@@ -101,7 +104,7 @@ def check_cold_start(package_path: str) -> None:
     _check(not loaded, f"serving at stride 30 imported {loaded}")
     print(
         f"stride-30 stream: {len(names)} verdicts; stride-30 fleet tick and "
-        "infer_stream: lfilter kernel ran, no scipy.signal, no scipy.ndimage"
+        f"infer_stream: lfilter kernel ran, {NONE_OF_THEM}"
     )
 
 
